@@ -1,10 +1,9 @@
 package parc751
 
-// The benchmark harness: one benchmark per paper exhibit (regenerating it
-// through the experiments registry) plus the ablation studies A1-A5 from
-// DESIGN.md §5. Experiment benches report a `findings_ok` metric (1 = all
-// paper-shape findings held); ablation benches report the quantity under
-// study (virtual makespans, throughputs) via b.ReportMetric.
+// The benchmark harness: the ablation studies from DESIGN.md §5, which
+// report the quantity under study (virtual makespans, throughputs) via
+// b.ReportMetric. The paper exhibits themselves run through the
+// experiments registry: TestAllExperimentsPass and `parcbench -e`.
 
 import (
 	"fmt"
@@ -18,44 +17,6 @@ import (
 	"parc751/internal/pyjama"
 	"parc751/internal/workload"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	cfg := experiments.QuickConfig()
-	allOK := 1.0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := e.Run(cfg)
-		if !res.AllPassed() {
-			allOK = 0
-		}
-	}
-	b.ReportMetric(allOK, "findings_ok")
-}
-
-// ---- One benchmark per paper exhibit ----
-
-func BenchmarkF1Nexus(b *testing.B)       { benchExperiment(b, "F1") }
-func BenchmarkF2Calendar(b *testing.B)    { benchExperiment(b, "F2") }
-func BenchmarkTAssessment(b *testing.B)   { benchExperiment(b, "TASSESS") }
-func BenchmarkAllocation(b *testing.B)    { benchExperiment(b, "EALLOC") }
-func BenchmarkProtocolAudit(b *testing.B) { benchExperiment(b, "EPROTO") }
-func BenchmarkCurriculum(b *testing.B)    { benchExperiment(b, "ECURR") }
-func BenchmarkLikert(b *testing.B)        { benchExperiment(b, "ELIKERT") }
-func BenchmarkP1Thumbnails(b *testing.B)  { benchExperiment(b, "P1") }
-func BenchmarkP2Quicksort(b *testing.B)   { benchExperiment(b, "P2") }
-func BenchmarkP3Kernels(b *testing.B)     { benchExperiment(b, "P3") }
-func BenchmarkP4TextSearch(b *testing.B)  { benchExperiment(b, "P4") }
-func BenchmarkP5Reductions(b *testing.B)  { benchExperiment(b, "P5") }
-func BenchmarkP6TaskSafe(b *testing.B)    { benchExperiment(b, "P6") }
-func BenchmarkP7PDFSearch(b *testing.B)   { benchExperiment(b, "P7") }
-func BenchmarkP8MemModel(b *testing.B)    { benchExperiment(b, "P8") }
-func BenchmarkP9Collections(b *testing.B) { benchExperiment(b, "P9") }
-func BenchmarkP10WebFetch(b *testing.B)   { benchExperiment(b, "P10") }
 
 // ---- Ablation A1: work-stealing vs global queue (DESIGN.md §5) ----
 //

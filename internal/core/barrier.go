@@ -369,6 +369,18 @@ func (b *Barrier) Abort() {
 	b.abortOnce.Do(func() { close(b.abortCh) })
 }
 
+// ResetStats zeroes every party's counters, so a barrier reused for a
+// new team run reports that run alone. Only legal while no party is
+// inside the barrier.
+func (b *Barrier) ResetStats() {
+	for i := range b.stats {
+		st := &b.stats[i]
+		st.waits.Store(0)
+		st.spins.Store(0)
+		st.parks.Store(0)
+	}
+}
+
 // Parties returns the number of participants.
 func (b *Barrier) Parties() int { return b.parties }
 

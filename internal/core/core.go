@@ -194,6 +194,72 @@ type parkSlot struct {
 	w     *worker
 }
 
+// wake claims the slot's current park cycle and sends its token. It
+// sends nothing when the slot is not parked or another waker already
+// owns the cycle.
+func (s *parkSlot) wake() {
+	if s.state.CompareAndSwap(slotParked, slotClaimed) {
+		// Never blocks: ch is empty whenever the slot is claimable (see
+		// the parkSlot invariant), and the claim CAS admitted exactly
+		// one sender.
+		s.ch <- struct{}{}
+	}
+}
+
+// retract withdraws the owner's registration. It reports true when a
+// waker had already claimed the cycle; that waker's token is absorbed
+// (it is guaranteed to arrive), so the slot is free and empty either way.
+func (s *parkSlot) retract() (claimed bool) {
+	if s.state.CompareAndSwap(slotParked, slotFree) {
+		return false
+	}
+	<-s.ch
+	s.state.Store(slotFree)
+	return true
+}
+
+// wait blocks the owner until a waker claims the registered cycle.
+func (s *parkSlot) wait() {
+	<-s.ch
+	s.state.Store(slotFree)
+}
+
+// Parker is a park slot for goroutines a Pool does not own: the same
+// CAS-arbitrated free → parked → claimed word and one-token channel the
+// pool's workers park on, for runtimes that keep long-lived goroutines of
+// their own (Pyjama's persistent teams). The owner parks with ParkUntil;
+// any goroutine may Wake it after making the owner's condition true.
+type Parker struct{ s parkSlot }
+
+// NewParker returns a free park slot.
+func NewParker() *Parker { return &Parker{s: parkSlot{ch: make(chan struct{}, 1)}} }
+
+// parkerYields is how many Gosched rounds ParkUntil tries before parking:
+// a handoff that is about to happen is usually caught without the
+// channel round trip.
+const parkerYields = 4
+
+// ParkUntil blocks the owner until cond holds. It registers, re-checks
+// cond, and only then waits, so a Wake issued after cond became true is
+// never lost; a Wake that finds the slot unregistered sends nothing, and
+// a stale one only costs a re-check. cond must not block.
+func (p *Parker) ParkUntil(cond func() bool) {
+	for i := 0; i < parkerYields && !cond(); i++ {
+		runtime.Gosched()
+	}
+	for !cond() {
+		p.s.state.Store(slotParked)
+		if cond() {
+			p.s.retract()
+			return
+		}
+		p.s.wait()
+	}
+}
+
+// Wake wakes the owner if it is registered.
+func (p *Parker) Wake() { p.s.wake() }
+
 type worker struct {
 	id    int
 	deque *sched.Deque[task]
@@ -383,12 +449,7 @@ func (p *Pool) pushIdle(s *parkSlot) {
 // guaranteed to arrive — and, since that waker believed its task was now
 // covered, the wake is passed on while work remains queued.
 func (p *Pool) cancelPark(s *parkSlot) {
-	if s.state.CompareAndSwap(slotParked, slotFree) {
-		return
-	}
-	<-s.ch
-	s.state.Store(slotFree)
-	if p.queued.Load() > 0 {
+	if s.retract() && p.queued.Load() > 0 {
 		p.wakeOne()
 	}
 }
@@ -581,7 +642,27 @@ func (p *Pool) runTask(t *task) {
 // decompositions complete on pools of any size. With no work available
 // the helper parks on the pool's idle list (woken by the next Submit)
 // instead of polling a timer.
-func (p *Pool) Help(done <-chan struct{}) {
+func (p *Pool) Help(done <-chan struct{}) { p.help(done, nil) }
+
+// Joinable is a completion a helper can park on without a channel.
+// *Future[T] implements it for every T; the unexported methods keep
+// other implementations out.
+type Joinable interface {
+	IsDone() bool
+	Done() <-chan struct{}
+	watch(s *parkSlot) bool
+	unwatch(s *parkSlot)
+}
+
+// HelpJoin is Help until j completes, without a Done channel: the helper
+// registers its park slot on j, and j's completion wakes that slot with
+// the same claim CAS a submitter uses. A join inside a worker therefore
+// allocates nothing. If another helper already holds j's registration,
+// this one falls back to j's Done channel.
+func (p *Pool) HelpJoin(j Joinable) { p.help(nil, j) }
+
+// help is Help and HelpJoin: exactly one of done and j is set.
+func (p *Pool) help(done <-chan struct{}, j Joinable) {
 	w := p.reg.current()
 	var s *parkSlot
 	if w != nil {
@@ -593,43 +674,69 @@ func (p *Pool) Help(done <-chan struct{}) {
 	} else {
 		s = &parkSlot{ch: make(chan struct{}, 1)}
 	}
+	if j != nil {
+		defer j.unwatch(s)
+	}
 	for {
-		select {
-		case <-done:
+		if finished(done, j) {
 			return
-		default:
 		}
 		if t, ok := p.findWork(w); ok {
 			p.runTask(t)
 			continue
 		}
+		// Register on the idle list, then on j: the parked state is
+		// visible before j can see the slot, so a completion that takes
+		// the registration also claims the cycle (or finds it claimed).
 		p.pushIdle(s)
+		if j != nil && !j.watch(s) {
+			done, j = j.Done(), nil
+		}
 		if t, ok := p.findWorkFull(w); ok {
 			p.cancelPark(s)
 			p.runTask(t)
 			continue
 		}
+		// The re-check that pairs with Future.Complete: the completer
+		// publishes before it reads the registration, this helper
+		// registered before it reads the state, so one of them sees
+		// the other.
+		if finished(done, j) {
+			p.cancelPark(s)
+			return
+		}
 		if w != nil {
 			w.parks.Add(1)
 		}
 		select {
-		case <-done:
+		case <-done: // nil, never ready, when joining j
 			p.cancelPark(s)
 			return
 		case <-s.ch:
 			s.state.Store(slotFree)
-			// Woken for work. If done fired at the same time the loop
-			// exits above without consuming it — pass the token on so
-			// the task that triggered the wake is not stranded.
-			select {
-			case <-done:
+			// The token may have been a submitter's. If the join is
+			// over as well, pass the wake on so the task that
+			// triggered it is not stranded.
+			if finished(done, j) {
 				if p.queued.Load() > 0 {
 					p.wakeOne()
 				}
 				return
-			default:
 			}
 		}
+	}
+}
+
+// finished reports whether a help loop's join is over.
+func finished(done <-chan struct{}, j Joinable) bool {
+	if j != nil {
+		return j.IsDone()
+	}
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }
 

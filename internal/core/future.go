@@ -40,6 +40,10 @@ type Future[T any] struct {
 	done     atomic.Pointer[chan struct{}]
 	chClosed atomic.Uint32
 
+	// waiter is the park slot of a helper joining through
+	// Pool.HelpJoin; Complete takes it and wakes it.
+	waiter atomic.Pointer[parkSlot]
+
 	val T
 	err error
 }
@@ -64,10 +68,26 @@ func (f *Future[T]) Complete(v T, err error) {
 	f.state.Store(futDone)
 	f.mu.Unlock()
 	f.cond.Broadcast()
+	// Read the registration only after publishing futDone (see help's
+	// re-check). A slow completer may find a registration made on the
+	// envelope's next life; the wake it sends is spurious, and the helper
+	// it woke re-registers before it parks again.
+	if s := f.waiter.Swap(nil); s != nil {
+		s.wake()
+	}
 	if ch := f.done.Load(); ch != nil {
 		f.closeDone(*ch)
 	}
 }
+
+// watch registers s to be woken by Complete. It fails when another
+// helper's slot holds the registration.
+func (f *Future[T]) watch(s *parkSlot) bool {
+	return f.waiter.CompareAndSwap(nil, s) || f.waiter.Load() == s
+}
+
+// unwatch withdraws s's registration, if it is still in place.
+func (f *Future[T]) unwatch(s *parkSlot) { f.waiter.CompareAndSwap(s, nil) }
 
 // closeDone closes the done channel exactly once, whichever of the
 // completer or a racing Done() installer gets here first.
@@ -166,6 +186,7 @@ func (fp *FuturePool[T]) Put(f *Future[T]) {
 	var zero T
 	f.val, f.err = zero, nil
 	f.done.Store(nil) // the old closed channel belongs to old waiters
+	f.waiter.Store(nil)
 	f.chClosed.Store(0)
 	f.state.Store(futPending)
 	fp.p.Put(f)

@@ -72,6 +72,48 @@ func TestNoLostWakeupStress(t *testing.T) {
 	}
 }
 
+// TestNoLostWakeupHelpJoin pins the parking join. A worker joins a future
+// that an outside goroutine completes, with no pool work anywhere, so the
+// helper parks its slot on the future and only Complete can wake it. The
+// futures are recycled as soon as the join returns, so a completer that
+// reads the registration late meets the envelope's next join: its wake
+// is spurious, and the next Complete must still reach the new joiner.
+func TestNoLostWakeupHelpJoin(t *testing.T) {
+	p := NewPool(2)
+	defer func() {
+		if !t.Failed() { // a stranded join would hang the drain
+			p.Shutdown()
+		}
+	}()
+	var fp FuturePool[int]
+	for iter := 0; iter < 2000; iter++ {
+		f := fp.Get()
+		joined := make(chan int, 1)
+		p.Submit(func() {
+			p.HelpJoin(f)
+			v, _ := f.Get()
+			joined <- v
+		})
+		// Sweep the completion across the join's register/re-check
+		// window: from before the helper starts to after it parks.
+		go func(delay int) {
+			for i := 0; i < delay; i++ {
+				runtime.Gosched()
+			}
+			f.Complete(iter, nil)
+		}(iter % 64 * 8)
+		select {
+		case v := <-joined:
+			if v != iter {
+				t.Fatalf("iteration %d: joined value %d", iter, v)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("iteration %d: lost wakeup — the joining worker stayed parked on a completed future", iter)
+		}
+		fp.Put(f)
+	}
+}
+
 // TestBarrierAbortWhileFirstParker pins the barrier park/abort race fix.
 //
 // One party arrives and parks (its sibling never arrives); Abort fires

@@ -109,7 +109,7 @@ func Calibrate() *ProbeTable {
 	}) - baseline
 
 	forkJoin := func() float64 {
-		n := runtime.NumCPU()
+		n := runtime.GOMAXPROCS(0)
 		const regions = 256
 		best := time.Duration(1<<63 - 1)
 		for r := 0; r < calibRounds; r++ {

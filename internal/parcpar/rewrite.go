@@ -236,11 +236,11 @@ func (r *rewriter) loopPatches(lp *Loop) ([]patch, error) {
 	var head, tail string
 	switch lp.Class {
 	case ClassParallel:
-		head = fmt.Sprintf("pyjama.ParallelFor(runtime.NumCPU(), %s, %s, func(%s int) {", bound, lp.Sched, idx)
+		head = fmt.Sprintf("pyjama.ParallelFor(runtime.GOMAXPROCS(0), %s, %s, func(%s int) {", bound, lp.Sched, idx)
 		tail = "})"
 	case ClassReduction:
 		acc, typ := lp.Red.Name, lp.Red.Type
-		head = fmt.Sprintf("%s += pyjama.ParallelForReduce(runtime.NumCPU(), %s, %s, reduction.Sum[%s](), func(%s int, %s %s) %s {",
+		head = fmt.Sprintf("%s += pyjama.ParallelForReduce(runtime.GOMAXPROCS(0), %s, %s, reduction.Sum[%s](), func(%s int, %s %s) %s {",
 			acc, bound, lp.Sched, typ, idx, acc, typ, typ)
 		tail = "\treturn " + acc + "\n" + indent + "})"
 	default:

@@ -35,3 +35,32 @@ func TestRunResultReleaseAllocGuard(t *testing.T) {
 		t.Fatalf("steady-state Run→Result→Release allocates %v objects/op, want <= 1", got)
 	}
 }
+
+// TestWorkerJoinAllocGuard is the same budget for a join inside a task:
+// the joining worker parks its own slot on the child's future instead of
+// materialising a Done channel, so the cycle still allocates only the
+// Task handle.
+func TestWorkerJoinAllocGuard(t *testing.T) {
+	rt := NewRuntime(2)
+	defer rt.Shutdown()
+	fn := func() (int, error) { return 42, nil }
+	cycle := func() {
+		tk := Run(rt, fn)
+		if v, err := tk.Result(); err != nil || v != 42 {
+			panic("wrong child result")
+		}
+		tk.Release()
+	}
+	got, err := Run(rt, func() (float64, error) {
+		for i := 0; i < 256; i++ {
+			cycle()
+		}
+		return testing.AllocsPerRun(200, cycle), nil
+	}).Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > 1 {
+		t.Fatalf("worker-side Run→Result→Release allocates %v objects/op, want <= 1", got)
+	}
+}

@@ -165,10 +165,9 @@ func RunAfterCtx[T any](rt *Runtime, ctx context.Context, deps []Dep, fn func(co
 	if o.deadline > 0 {
 		ctx, cancel = context.WithTimeout(ctx, o.deadline)
 	}
-	fut := futurePoolFor[T]().Get()
-	t := &Task[T]{rt: rt, fut: fut, gen: fut.Gen(), depPolicy: o.dep, ctx: ctx, retry: o.retry}
+	t := newTask[T](rt)
+	t.depPolicy, t.ctx, t.retry = o.dep, ctx, o.retry
 	t.body = func() (T, error) { return fn(ctx) }
-	t.state.Store(stateWaiting)
 	// An expiring context cancels a waiting/queued task outright; a
 	// running one is reached through ctx inside the body. stop undoes the
 	// registration once the task settles, and the deadline timer (if any)

@@ -144,6 +144,9 @@ type Task[T any] struct {
 	callbacks []func()
 	waitDeps  int
 	body      func() (T, error)
+	// void is Invoke's body, run in place of body: holding it directly
+	// spares a wrapper closure per void task.
+	void func() error
 
 	// Failure-semantics extensions (see failure.go). Legacy constructors
 	// leave these zero: DepRun policy, no context, no retry.
@@ -163,10 +166,18 @@ func Run[T any](rt *Runtime, fn func() (T, error)) *Task[T] {
 // the propagating DepCancel policy). A nil or empty deps behaves like
 // Run.
 func RunAfter[T any](rt *Runtime, deps []Dep, fn func() (T, error)) *Task[T] {
-	fut := futurePoolFor[T]().Get()
-	t := &Task[T]{rt: rt, fut: fut, gen: fut.Gen(), body: fn}
-	t.state.Store(stateWaiting)
+	t := newTask[T](rt)
+	t.body = fn
 	t.wireDeps(deps)
+	return t
+}
+
+// newTask returns a waiting task on a pooled future envelope; the caller
+// sets its body and then wires its dependences.
+func newTask[T any](rt *Runtime) *Task[T] {
+	fut := futurePoolFor[T]().Get()
+	t := &Task[T]{rt: rt, fut: fut, gen: fut.Gen()}
+	t.state.Store(stateWaiting)
 	return t
 }
 
@@ -242,8 +253,8 @@ func (t *Task[T]) RunTask() {
 		return // cancelled while queued: the closure must not execute
 	}
 	t.mu.Lock()
-	body := t.body
-	t.body = nil // the task owns at most one execution; release the closure
+	body, void := t.body, t.void
+	t.body, t.void = nil, nil // the task owns at most one execution; release the closure
 	t.mu.Unlock()
 	var val T
 	var err error
@@ -263,7 +274,11 @@ func (t *Task[T]) RunTask() {
 				// this future, never as a crashed worker.
 				in.TaskBody()
 			}
-			val, err = body()
+			if void != nil {
+				err = void()
+			} else {
+				val, err = body()
+			}
 		}); perr != nil {
 			err = perr
 		}
@@ -326,7 +341,7 @@ func (t *Task[T]) cancelWith(err error) bool {
 	if t.state.CompareAndSwap(stateWaiting, stateCancelled) ||
 		t.state.CompareAndSwap(stateQueued, stateCancelled) {
 		t.mu.Lock()
-		t.body = nil // never runs; release captured state eagerly
+		t.body, t.void = nil, nil // never runs; release captured state eagerly
 		t.mu.Unlock()
 		var zero T
 		t.complete(stateCancelled, zero, err)
@@ -352,14 +367,14 @@ func (t *Task[T]) IsDone() bool {
 
 // Result joins the task: it blocks until completion and returns the value
 // and error. Called from inside another task it helps the pool, so
-// arbitrary recursive joins are safe. Only the helping path materialises
-// the future's done channel — an external join, or one on an already
-// finished task, blocks (if at all) on the future's internal condition
-// and allocates nothing.
+// arbitrary recursive joins are safe. No join materialises the future's
+// done channel: a helping join parks its worker slot on the future
+// (core.Pool.HelpJoin), and an external join, or one on an already
+// finished task, blocks (if at all) on the future's internal condition.
 func (t *Task[T]) Result() (T, error) {
 	t.fut.CheckGen(t.gen)
 	if !t.fut.IsDone() && t.rt.pool.OnWorker() {
-		t.rt.pool.Help(t.fut.Done())
+		t.rt.pool.HelpJoin(t.fut)
 	}
 	return t.fut.Get()
 }
@@ -570,9 +585,12 @@ func Then[T, U any](t *Task[T], fn func(T) (U, error)) *Task[U] {
 	})
 }
 
-// Invoke is a convenience for void tasks: it wraps fn in a Task[struct{}].
+// Invoke is a convenience for void tasks: it runs fn as a Task[struct{}].
 func Invoke(rt *Runtime, fn func() error) *Task[struct{}] {
-	return Run(rt, func() (struct{}, error) { return struct{}{}, fn() })
+	t := newTask[struct{}](rt)
+	t.void = fn
+	t.wireDeps(nil)
+	return t
 }
 
 // WaitAll joins a set of dependences, helping the pool when called from a

@@ -49,12 +49,10 @@ func TestForStaticZeroAlloc(t *testing.T) {
 
 // TestForDynamicGuidedAllocGuard bounds the claim-based schedules at one
 // allocation per construct in the steady state: the loopState comes back
-// from the region-join recycling pool (region.recycle → loopStatePool),
+// from the region-join recycling pool (team.reset → loopStatePool),
 // the ordered cond is created lazily (claim loops never touch it), and
-// the chunk claim is pure atomics. The region's own fixed cost (barrier,
-// counters, member goroutines) is amortised over the constructs it runs,
-// which is why the measurement wraps whole regions: recycling only
-// returns state at the join.
+// the chunk claim is pure atomics. The measurement wraps whole regions
+// because recycling only returns state at the join.
 func TestForDynamicGuidedAllocGuard(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -86,4 +84,32 @@ func TestForDynamicGuidedAllocGuard(t *testing.T) {
 		}
 		_ = sink
 	}
+}
+
+// TestColdRegionZeroAlloc pins the fork-join cost of a cold region at
+// zero allocations: the team, its region object and barrier are reused
+// from the idle-team cache, the members are parked goroutines, and
+// ParallelFor carries its loop to the members without a closure.
+func TestColdRegionZeroAlloc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	const n = 1 << 10
+	sink := 0
+	body := func(i int) { sink += i }
+	empty := func(*TC) {}
+	for _, c := range []struct {
+		name   string
+		region func()
+	}{
+		{"ParallelFor(static)", func() { ParallelFor(2, n, Static(0), body) }},
+		{"Parallel(empty)", func() { Parallel(2, empty) }},
+	} {
+		for k := 0; k < 64; k++ {
+			c.region()
+		}
+		if got := testing.AllocsPerRun(200, c.region); got != 0 {
+			t.Errorf("cold %s allocates %v objects/op, want 0", c.name, got)
+		}
+	}
+	_ = sink
 }

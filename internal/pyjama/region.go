@@ -21,8 +21,6 @@ package pyjama
 
 import (
 	"errors"
-	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -67,83 +65,148 @@ type region struct {
 	counters []threadCounters
 }
 
-// spmdDebug enables the SPMD-mismatch check on worksharing constructs
-// (see SetDebug). It defaults to the PYJAMA_DEBUG environment variable.
-var spmdDebug atomic.Bool
-
-func init() { spmdDebug.Store(os.Getenv("PYJAMA_DEBUG") != "") }
-
-// SetDebug toggles Pyjama's debug checks, currently the SPMD-mismatch
-// detector: with debug on, a team member that reaches a worksharing
-// construct with a different (n, schedule) than the slot's first arrival
-// panics with a diagnostic instead of silently running the first
-// arrival's loop. The initial value comes from the PYJAMA_DEBUG
-// environment variable. It returns the previous setting.
-func SetDebug(on bool) bool { return spmdDebug.Swap(on) }
-
 // Parallel executes body on a team of nthreads concurrent members — the
 // "#omp parallel num_threads(n)" construct, with the implicit join at the
-// region end. nthreads < 1 is clamped to 1. A panic in any team member is
-// re-raised on the caller after all members finish.
-func Parallel(nthreads int, body func(tc *TC)) {
-	reg := runRegion(nthreads, body)
-	reg.recycle()
-}
+// region end. The caller is member 0. nthreads < 1 is clamped to 1. A
+// panic in any team member is re-raised on the caller after all members
+// finish.
+func Parallel(nthreads int, body func(tc *TC)) { runRegion(nthreads, work{body: body}, nil) }
 
 // ParallelWithStats is Parallel plus observability: after the region
 // joins, it returns the per-thread worksharing and barrier counters (the
-// Pyjama counterpart of sched.Snapshot — see RegionStats). Construct
-// state is not recycled on this path: the snapshot retains references
-// into auto-loop calibration state.
-func ParallelWithStats(nthreads int, body func(tc *TC)) RegionStats {
-	return runRegion(nthreads, body).statsSnapshot()
+// Pyjama counterpart of sched.Snapshot — see RegionStats).
+func ParallelWithStats(nthreads int, body func(tc *TC)) (s RegionStats) {
+	runRegion(nthreads, work{body: body}, &s)
+	return s
 }
 
-// recycle returns the region's construct state (loop and reduction
-// slots) to the package pools. Only legal at the region join, where this
-// goroutine is the sole owner: every team member has returned, so no
-// thread can observe a loopState or redState after it is reclaimed. The
-// panic path never reaches recycle — runRegion re-raises before
-// returning — so state captured by a failing region is simply dropped.
-func (r *region) recycle() {
-	r.loops.drain(releaseLoopState)
-	r.reds.drain(releaseRedState)
+// work is what a region runs on every member: body, or — for
+// ParallelFor, which must not allocate a closure around its loop — a
+// worksharing loop over [0, n).
+type work struct {
+	body  func(tc *TC)
+	n     int
+	sched Schedule
+	loop  func(i int)
 }
 
-func runRegion(nthreads int, body func(tc *TC)) *region {
+// team is a persistent Pyjama team (DESIGN.md §16). The caller of each
+// region is member 0; members 1..n-1 are plain goroutines parked between
+// regions on core park slots. They are not core.Pool tasks: barrier
+// members must all be live at once, which a pool smaller than the team
+// could not guarantee. The region object is embedded and reset at every
+// join.
+type team struct {
+	region
+	tcs     []TC
+	errs    []error
+	parkers []*core.Parker // [0] is the caller's join slot
+	work    work
+	epoch   atomic.Uint64 // regions posted; members run epoch by epoch
+	pending atomic.Int32  // members still running the posted region
+	quit    bool          // set before the dismissal epoch is posted
+}
+
+// idleTeams caches one parked team per size, 1 to 64. A caller takes
+// its size's team with a swap; a nested or concurrent caller that finds
+// the slot empty builds a fresh team. At the join a team is offered
+// back, and one that finds the slot taken is dismissed.
+var idleTeams [65]atomic.Pointer[team]
+
+// acquireTeam takes the cached team of size n, or builds a fresh one and
+// starts its members.
+func acquireTeam(n int) *team {
+	if n < len(idleTeams) {
+		if t := idleTeams[n].Swap(nil); t != nil {
+			return t
+		}
+	}
+	t := &team{tcs: make([]TC, n), errs: make([]error, n), parkers: make([]*core.Parker, n)}
+	t.n = n
+	t.barrier = core.NewBarrier(n)
+	t.counters = make([]threadCounters, n)
+	for i := range t.parkers {
+		t.parkers[i] = core.NewParker()
+	}
+	for i := 1; i < n; i++ {
+		go t.serve(i)
+	}
+	return t
+}
+
+// release offers the team back to the idle cache and dismisses it when
+// its size's slot is taken.
+func (t *team) release() {
+	if t.n < len(idleTeams) && idleTeams[t.n].CompareAndSwap(nil, t) {
+		return
+	}
+	t.quit = true
+	t.post()
+}
+
+// post publishes the next epoch and wakes every parked member.
+func (t *team) post() {
+	t.epoch.Add(1)
+	for _, p := range t.parkers[1:] {
+		p.Wake()
+	}
+}
+
+// serve is member id's goroutine: park until the next epoch is posted,
+// run it, report to the join, repeat until dismissed.
+func (t *team) serve(id int) {
+	for epoch := uint64(1); ; epoch++ {
+		t.parkers[id].ParkUntil(func() bool { return t.epoch.Load() >= epoch })
+		if t.quit {
+			return
+		}
+		t.member(id)
+		if t.pending.Add(-1) == 0 {
+			t.parkers[0].Wake()
+		}
+	}
+}
+
+// member runs the posted work as member id. A panicking member aborts
+// the barrier so siblings blocked there fail fast instead of waiting for
+// an arrival that can never come.
+func (t *team) member(id int) {
+	tc := &t.tcs[id]
+	*tc = TC{id: id, reg: &t.region}
+	err := core.Catch(func() {
+		if t.work.loop != nil {
+			tc.ForNoWait(t.work.n, t.work.sched, t.work.loop)
+		} else {
+			t.work.body(tc)
+		}
+	})
+	if err != nil {
+		t.errs[id] = err
+		t.barrier.Abort()
+	}
+}
+
+// runRegion runs w on a team of nthreads with the caller as member 0,
+// joins it, and re-raises a member's panic; with stats set it also
+// snapshots the region's counters.
+func runRegion(nthreads int, w work, stats *RegionStats) {
 	if nthreads < 1 {
 		nthreads = 1
 	}
-	reg := &region{
-		n:        nthreads,
-		barrier:  core.NewBarrier(nthreads),
-		counters: make([]threadCounters, nthreads),
-	}
-	if in := regionFI.Load(); in != nil {
-		reg.barrier.SetFaultInjector(in)
-	}
+	t := acquireTeam(nthreads)
+	t.barrier.SetFaultInjector(regionFI.Load())
 	var regionID uint64
 	if rec := parctrace.Active(); rec != nil {
 		regionID = rec.NewTaskID()
 		rec.Record(parctrace.KRegionStart, -1, regionID, uint64(nthreads))
 	}
-	errs := make([]error, nthreads)
-	var wg sync.WaitGroup
-	wg.Add(nthreads)
-	for i := 0; i < nthreads; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			errs[i] = core.Catch(func() { body(&TC{id: i, reg: reg}) })
-			if errs[i] != nil {
-				// A dead member can never reach the team's barriers;
-				// abort so siblings blocked there fail fast instead of
-				// deadlocking.
-				reg.barrier.Abort()
-			}
-		}()
+	t.work = w
+	t.pending.Store(int32(nthreads))
+	t.post()
+	t.member(0)
+	if t.pending.Add(-1) != 0 {
+		t.parkers[0].ParkUntil(func() bool { return t.pending.Load() == 0 })
 	}
-	wg.Wait()
 	if regionID != 0 {
 		// Recorded before the panic scan so a faulted region still closes
 		// its node: region_start and region_end counts stay conserved.
@@ -151,136 +214,70 @@ func runRegion(nthreads int, body func(tc *TC)) *region {
 			rec.Record(parctrace.KRegionEnd, -1, regionID, uint64(nthreads))
 		}
 	}
-	// Re-raise the root cause, preferring a member's own panic over the
-	// ErrBarrierAborted cascade it triggered in its siblings.
+	err := t.rootCause()
+	c := t.constructs()
+	if err == nil && stats != nil {
+		*stats = t.statsSnapshot(c)
+	}
+	t.reset(err != nil, c)
+	t.release()
+	if err != nil {
+		panic(err)
+	}
+}
+
+// rootCause returns the panic to re-raise, preferring a member's own
+// panic over the ErrBarrierAborted cascade it triggered in its siblings.
+func (t *team) rootCause() error {
 	var cascade error
-	for _, err := range errs {
+	for _, err := range t.errs {
 		if err == nil {
 			continue
 		}
 		var pe *core.PanicError
-		if errors.As(err, &pe) && pe.Value == core.ErrBarrierAborted {
-			cascade = err
-			continue
+		if !errors.As(err, &pe) || pe.Value != core.ErrBarrierAborted {
+			return err
 		}
-		panic(err)
+		cascade = err
 	}
-	if cascade != nil {
-		panic(cascade)
+	return cascade
+}
+
+// constructCounts bounds a region's slot tables: the highest
+// worksharing, single and reduction counts any member reached.
+type constructCounts struct{ loops, singles, reds int }
+
+func (t *team) constructs() (c constructCounts) {
+	for i := range t.tcs {
+		tc := &t.tcs[i]
+		c.loops = max(c.loops, tc.wsCount)
+		c.singles = max(c.singles, tc.singleCount)
+		c.reds = max(c.reds, tc.redCount)
 	}
-	return reg
+	return c
 }
 
-// ThreadNum returns this member's index in [0, NumThreads) — OpenMP's
-// omp_get_thread_num.
-func (tc *TC) ThreadNum() int { return tc.id }
-
-// NumThreads returns the team size — omp_get_num_threads.
-func (tc *TC) NumThreads() int { return tc.reg.n }
-
-// Barrier blocks until every team member reaches it — "#omp barrier".
-// Each member arrives at its own leaf of the combining-tree barrier.
-func (tc *TC) Barrier() { tc.reg.barrier.AwaitAs(tc.id) }
-
-// barrierSerial is Barrier returning whether this member was the
-// generation's serial thread (the last arrival), which worksharing
-// constructs use for combine-once semantics.
-func (tc *TC) barrierSerial() bool {
-	_, serial := tc.reg.barrier.AwaitAs(tc.id)
-	return serial
-}
-
-// Master runs fn on thread 0 only, with no implied barrier — "#omp master".
-func (tc *TC) Master(fn func()) {
-	if tc.id == 0 {
-		fn()
+// reset readies the team for its next region. The join is the sole
+// ownership point — every member has returned — so construct state can
+// be recycled. A failed region's state is dropped instead (a member may
+// have died holding an ordered section's lock), and its aborted barrier
+// is replaced.
+func (t *team) reset(failed bool, c constructCounts) {
+	if failed {
+		t.loops.drain(c.loops, dropSlot)
+		t.reds.drain(c.reds, dropSlot)
+		t.barrier = core.NewBarrier(t.n)
+	} else {
+		t.loops.drain(c.loops, releaseLoopState)
+		t.reds.drain(c.reds, releaseRedState)
+		t.barrier.ResetStats()
 	}
+	t.singles.drain(c.singles, dropSlot)
+	clear(t.counters)
+	clear(t.errs)
+	t.critical = nil
+	t.work = work{}
 }
 
-// Single runs fn on exactly one (the first-arriving) team member and then
-// barriers the team — "#omp single".
-func (tc *TC) Single(fn func()) {
-	tc.SingleNoWait(fn)
-	tc.Barrier()
-}
-
-// singleToken is the shared claim marker for single slots: the slot table
-// only cares which CAS won, so every claimed slot stores the same pointer.
-var singleToken = new(struct{})
-
-// SingleNoWait is "#omp single nowait": exactly one member runs fn and the
-// rest continue immediately. It reports whether this member was the one.
-// The claim is a lock-free first-arrival CAS on the construct's slot.
-func (tc *TC) SingleNoWait(fn func()) bool {
-	slot := tc.singleCount
-	tc.singleCount++
-	if _, won := tc.reg.singles.getOrCreate(slot, func() *struct{} { return singleToken }); won {
-		fn()
-		return true
-	}
-	return false
-}
-
-// Critical runs fn under the named region-wide lock — "#omp critical(name)".
-// Different names are independent locks, as in OpenMP.
-func (tc *TC) Critical(name string, fn func()) {
-	tc.reg.critMu.Lock()
-	m, ok := tc.reg.critical[name]
-	if !ok {
-		if tc.reg.critical == nil {
-			tc.reg.critical = map[string]*sync.Mutex{}
-		}
-		m = &sync.Mutex{}
-		tc.reg.critical[name] = m
-	}
-	tc.reg.critMu.Unlock()
-	m.Lock()
-	defer m.Unlock()
-	fn()
-}
-
-// Sections distributes the given section bodies over the team, each
-// executed exactly once, followed by the implicit barrier —
-// "#omp sections". Sections are handed out dynamically.
-func (tc *TC) Sections(fns ...func()) {
-	tc.ForNoWait(len(fns), Dynamic(1), func(i int) { fns[i]() })
-	tc.Barrier()
-}
-
-// ThreadPrivate is a fixed-size per-thread storage array — the pattern
-// OpenMP's threadprivate clause provides. Index it with ThreadNum. The
-// slots are padded to defeat false sharing on real hardware.
-type ThreadPrivate[T any] struct {
-	slots []paddedSlot[T]
-}
-
-type paddedSlot[T any] struct {
-	v T
-	_ [64]byte
-}
-
-// NewThreadPrivate allocates storage for a team of n threads.
-func NewThreadPrivate[T any](n int) *ThreadPrivate[T] {
-	return &ThreadPrivate[T]{slots: make([]paddedSlot[T], n)}
-}
-
-// Get returns a pointer to thread id's slot.
-func (tp *ThreadPrivate[T]) Get(id int) *T { return &tp.slots[id].v }
-
-// Len returns the number of slots.
-func (tp *ThreadPrivate[T]) Len() int { return len(tp.slots) }
-
-// Values returns a snapshot of all slots in thread order. Call only after
-// the region (or at a barrier) — it does not synchronise.
-func (tp *ThreadPrivate[T]) Values() []T {
-	out := make([]T, len(tp.slots))
-	for i := range tp.slots {
-		out[i] = tp.slots[i].v
-	}
-	return out
-}
-
-// String implements fmt.Stringer for debugging.
-func (tc *TC) String() string {
-	return fmt.Sprintf("pyjama.TC(%d/%d)", tc.id, tc.reg.n)
-}
+// dropSlot leaves a slot's value to the garbage collector.
+func dropSlot[T any](*T) {}

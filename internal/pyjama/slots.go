@@ -55,23 +55,22 @@ func (t *slotTable[T]) get(i int) *T {
 	return (*sp)[off].Load()
 }
 
-// drain hands every created slot value to fn and clears its entry. It
-// requires sole ownership of the table (the region join provides it:
-// every team member has returned, so no lookup can race the clear).
-// Slot numbers may have gaps — fast-path constructs consume a number
-// without creating an entry — so every allocated segment is walked in
-// full rather than stopping at the first empty slot.
-func (t *slotTable[T]) drain(fn func(*T)) {
-	for seg := range t.segs {
+// drain hands every created value in slots [0, limit) to fn and clears
+// its entry. It requires sole ownership of the table (the region join
+// provides it: every team member has returned, so no lookup can race the
+// clear). limit is the team's highest construct count; slot numbers
+// below it may have gaps — fast-path constructs consume a number without
+// creating an entry.
+func (t *slotTable[T]) drain(limit int, fn func(*T)) {
+	for i := 0; i < limit; i++ {
+		seg, off := slotIndex(i)
 		sp := t.segs[seg].Load()
 		if sp == nil {
 			continue
 		}
-		for i := range *sp {
-			if v := (*sp)[i].Load(); v != nil {
-				(*sp)[i].Store(nil)
-				fn(v)
-			}
+		if v := (*sp)[off].Load(); v != nil {
+			(*sp)[off].Store(nil)
+			fn(v)
 		}
 	}
 }

@@ -42,7 +42,9 @@ type RegionStats struct {
 	Auto []AutoDecision
 }
 
-func (r *region) statsSnapshot() RegionStats {
+// statsSnapshot reads the region's counters at the join; c bounds its
+// slot tables.
+func (r *region) statsSnapshot(c constructCounts) RegionStats {
 	s := RegionStats{Threads: make([]ThreadStats, r.n)}
 	for i := 0; i < r.n; i++ {
 		s.Threads[i] = ThreadStats{
@@ -52,14 +54,10 @@ func (r *region) statsSnapshot() RegionStats {
 			Barrier:       r.barrier.PartyStats(i),
 		}
 	}
-	// Worksharing slots are dense from zero (every construct consumes
-	// one), so walk until the first empty slot.
-	for slot := 0; ; slot++ {
-		ls := r.loops.get(slot)
-		if ls == nil {
-			break
-		}
-		if ls.auto != nil {
+	// Static fast-path loops consume a slot without creating state, so
+	// the walk skips gaps up to the team's construct count.
+	for slot := 0; slot < c.loops; slot++ {
+		if ls := r.loops.get(slot); ls != nil && ls.auto != nil {
 			s.Auto = append(s.Auto, ls.auto.snapshot(slot))
 		}
 	}

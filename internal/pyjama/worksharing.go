@@ -2,11 +2,26 @@ package pyjama
 
 import (
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
 	"parc751/internal/core"
 )
+
+// spmdDebug enables the SPMD-mismatch check on worksharing constructs
+// (see SetDebug). It defaults to the PYJAMA_DEBUG environment variable.
+var spmdDebug atomic.Bool
+
+func init() { spmdDebug.Store(os.Getenv("PYJAMA_DEBUG") != "") }
+
+// SetDebug toggles Pyjama's debug checks, currently the SPMD-mismatch
+// detector: with debug on, a team member that reaches a worksharing
+// construct with a different (n, schedule) than the slot's first arrival
+// panics with a diagnostic instead of silently running the first
+// arrival's loop. The initial value comes from the PYJAMA_DEBUG
+// environment variable. It returns the previous setting.
+func SetDebug(on bool) bool { return spmdDebug.Swap(on) }
 
 // ScheduleKind selects the OpenMP loop schedule.
 type ScheduleKind int
@@ -128,7 +143,7 @@ type loopState struct {
 // loopStatePool recycles loop states across regions. A state is
 // reclaimed only at the region join — the sole-ownership point where
 // every team member has returned — so a recycled state can never be
-// observed mid-construct (see region.recycle). Steady-state dynamic and
+// observed mid-construct (see team.reset). Steady-state dynamic and
 // guided loops therefore allocate nothing: the state comes from here
 // and the claim loop in forEachChunk is closure-free per chunk.
 var loopStatePool = sync.Pool{New: func() any { return new(loopState) }}
@@ -353,8 +368,8 @@ func (tc *TC) Ordered(i int, fn func()) {
 	ls.omu.Unlock()
 }
 
-// ParallelFor is the combined "#omp parallel for" convenience: it creates
-// a team of nthreads, workshares [0, n) with the schedule, and joins.
+// ParallelFor is the combined "#omp parallel for" convenience: it runs a
+// team of nthreads, workshares [0, n) with the schedule, and joins.
 func ParallelFor(nthreads, n int, sched Schedule, body func(i int)) {
-	Parallel(nthreads, func(tc *TC) { tc.ForNoWait(n, sched, body) })
+	runRegion(nthreads, work{n: n, sched: sched, loop: body}, nil)
 }

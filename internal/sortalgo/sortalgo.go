@@ -105,22 +105,24 @@ func PTask(rt *ptask.Runtime, xs []int, threshold int) {
 	}
 }
 
+// ptaskQuick spawns the left part as a child task, handles the right part
+// itself, then joins the child and recycles its future. A child's error
+// panics on the parent.
 func ptaskQuick(rt *ptask.Runtime, xs []int, lo, hi, threshold int) {
-	for hi-lo >= threshold {
-		p := partition(xs, lo, hi)
-		lo2, hi2 := lo, p // left half handed to a child task
-		child := ptask.Invoke(rt, func() error {
-			ptaskQuick(rt, xs, lo2, hi2, threshold)
-			return nil
-		})
-		lo = p + 1
-		defer func() {
-			if _, err := child.Result(); err != nil {
-				panic(err)
-			}
-		}()
+	if hi-lo < threshold {
+		seqQuick(xs, lo, hi)
+		return
 	}
-	seqQuick(xs, lo, hi)
+	p := partition(xs, lo, hi)
+	child := ptask.Invoke(rt, func() error {
+		ptaskQuick(rt, xs, lo, p, threshold)
+		return nil
+	})
+	ptaskQuick(rt, xs, p+1, hi, threshold)
+	if _, err := child.Result(); err != nil {
+		panic(err)
+	}
+	child.Release()
 }
 
 // Pyjama sorts xs with an OpenMP-2.5-style expression: a parallel region
