@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 	"parc751/internal/ptask"
-	"parc751/internal/pyjama"
 	"parc751/internal/sortalgo"
 	"parc751/internal/workload"
 )
@@ -40,21 +40,21 @@ func main() {
 	rt := ptask.NewRuntime(*workers)
 	defer rt.Shutdown()
 
-	var injector *faultinject.Injector
 	if *chaos {
 		plan := faultinject.Plan{Name: "pquicksort-chaos", Seed: *seed}
 		plan.Rules = append(plan.Rules,
-			faultinject.Scatter(*seed, faultinject.SiteSubmit, faultinject.Delay, 8, 64, 200*time.Microsecond)...)
+			faultinject.Scatter(*seed, probe.SiteSubmit, faultinject.Delay, 8, 64, 200*time.Microsecond)...)
 		plan.Rules = append(plan.Rules,
-			faultinject.Rule{Site: faultinject.SiteRun, Kind: faultinject.Stall,
+			faultinject.Rule{Site: probe.SiteRun, Kind: faultinject.Stall,
 				Nth: *seed % 32, Count: 1, Dur: 2 * time.Millisecond},
-			faultinject.Rule{Site: faultinject.SiteBarrierArrive, Kind: faultinject.Delay,
+			faultinject.Rule{Site: probe.SiteBarrier, Kind: faultinject.Delay,
 				Every: 3, Dur: 300 * time.Microsecond})
-		injector = faultinject.New(plan)
-		rt.SetFaultInjector(injector)
-		pyjama.SetFaultInjector(injector)
+		injector := faultinject.New(plan)
+		// One attach reaches every runtime: the ptask pool's hooks and
+		// the Pyjama team barriers.
+		probe.CompareAndSwap(nil, injector)
 		defer func() {
-			pyjama.SetFaultInjector(nil)
+			probe.CompareAndSwap(injector, nil)
 			fmt.Printf("chaos: injected %d faults: %s\n", injector.Fired(), injector.TraceString())
 		}()
 	}

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 )
 
 // ErrBarrierAborted is the panic value delivered to parties blocked in
@@ -131,11 +131,6 @@ type Barrier struct {
 	aborted   atomic.Bool
 	abortCh   chan struct{}
 	abortOnce sync.Once
-
-	// fi is the optional chaos injector: when attached, every arrival
-	// passes a SiteBarrierArrive point (delay rules skew arrival order).
-	// nil in production — one atomic load per arrival.
-	fi atomic.Pointer[faultinject.Injector]
 }
 
 // NewBarrier creates a barrier for parties participants (minimum 1).
@@ -220,14 +215,11 @@ func (b *Barrier) AwaitAs(id int) (gen int, serial bool) {
 	return b.await(id)
 }
 
-// SetFaultInjector attaches (or, with nil, detaches) a chaos injector.
-// Arrival-delay rules then perturb the order in which parties reach the
-// tree, the schedule dimension barrier bugs hide in.
-func (b *Barrier) SetFaultInjector(in *faultinject.Injector) { b.fi.Store(in) }
-
 func (b *Barrier) await(pos int) (int, bool) {
-	if in := b.fi.Load(); in != nil {
-		in.Point(faultinject.SiteBarrierArrive)
+	if pr := probe.Load(); pr != nil {
+		// Chaos arrival delays perturb the order in which parties reach
+		// the tree, the schedule dimension barrier bugs hide in.
+		pr.Fire(probe.SiteBarrier, -1, 0, 0)
 	}
 	// The barrier contract serialises generations, so the count of
 	// completed generations is also the index of the one being entered.

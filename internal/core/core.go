@@ -16,9 +16,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parc751/internal/faultinject"
 	"parc751/internal/metrics"
-	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 	"parc751/internal/sched"
 )
 
@@ -97,8 +96,8 @@ type task struct {
 	fn func()
 	r  Runnable
 	t0 time.Time
-	// tid is the parctrace task id, set only while a recorder is
-	// attached (0 otherwise — envelopes are always recycled with it
+	// tid is the task's DAG node id, set only while a node-naming probe
+	// is attached (0 otherwise — envelopes are always recycled with it
 	// cleared, so a stale id can never leak across recordings).
 	tid uint64
 }
@@ -155,11 +154,6 @@ type Pool struct {
 
 	latN atomic.Int64
 	lat  metrics.LatencyHistogram
-
-	// fi is the optional chaos-harness injector (see internal/faultinject).
-	// nil in production: every hook below is a single atomic pointer load
-	// and a predictable branch, which the no-overhead guard test pins.
-	fi atomic.Pointer[faultinject.Injector]
 
 	// gaveUp is set by a ShutdownTimeout that expired before the pool
 	// drained. Stats then reports Abandoned as the live inflight count —
@@ -295,17 +289,6 @@ func NewPool(n int) *Pool {
 // Size returns the number of workers.
 func (p *Pool) Size() int { return len(p.workers) }
 
-// SetFaultInjector attaches (or, with nil, detaches) a chaos-harness
-// injector. Submit, steal, and task execution then consult it; with none
-// attached those hooks cost one pointer load. Attach before the workload
-// of interest — events that already happened are not replayed.
-func (p *Pool) SetFaultInjector(in *faultinject.Injector) { p.fi.Store(in) }
-
-// FaultInjector returns the attached injector, or nil. Task layers above
-// the pool (ptask) use this to inject task-body faults under their own
-// panic capture.
-func (p *Pool) FaultInjector() *faultinject.Injector { return p.fi.Load() }
-
 // Executed returns the number of tasks that have finished running.
 func (p *Pool) Executed() int64 { return p.executed.Load() }
 
@@ -329,9 +312,6 @@ func (p *Pool) submit(fn func(), r Runnable) {
 	if p.down.Load() {
 		panic("core: Submit on a Pool after Shutdown (task would never run)")
 	}
-	if in := p.fi.Load(); in != nil {
-		in.Point(faultinject.SiteSubmit)
-	}
 	p.inflight.Add(1)
 	// queued is incremented before the task is visible in any queue and
 	// decremented only after a successful take, so it never goes
@@ -353,18 +333,18 @@ func (p *Pool) submit(fn func(), r Runnable) {
 	t.fn = fn
 	t.r = r
 	w := p.reg.current()
-	if rec := parctrace.Active(); rec != nil {
+	if pr := probe.Load(); pr != nil {
 		// Reuse a pre-assigned id (ptask tags its handles) so the submit
 		// edge and the task layer's dependence edges name the same node.
 		var tid uint64
-		if tagged, ok := r.(parctrace.Tagged); ok {
+		if tagged, ok := r.(probe.Tagged); ok {
 			tid = tagged.TraceTaskID()
 		}
 		if tid == 0 {
-			tid = rec.NewTaskID()
+			tid = probe.NewTaskID(pr)
 		}
 		t.tid = tid
-		rec.Record(parctrace.KSubmit, workerID(w), tid, 0)
+		pr.Fire(probe.SiteSubmit, workerID(w), tid, 0)
 	}
 	if p.latN.Add(1)&latencySampleMask == 0 {
 		t.t0 = time.Now()
@@ -418,8 +398,8 @@ func (p *Pool) wakeOne() {
 				s.w.wakes.Add(1)
 				// Recorded by the waker, only after the claim CAS won —
 				// mirroring the steal rule: no wake edge for a lost race.
-				if rec := parctrace.Active(); rec != nil {
-					rec.Record(parctrace.KWake, s.w.id, 0, 0)
+				if pr := probe.Load(); pr != nil {
+					pr.Fire(probe.SiteWake, s.w.id, 0, 0)
 				}
 			}
 			// Never blocks: ch is empty whenever the slot is claimable
@@ -491,8 +471,8 @@ func (p *Pool) park(w *worker) (exit bool) {
 		return false
 	}
 	w.parks.Add(1)
-	if rec := parctrace.Active(); rec != nil {
-		rec.Record(parctrace.KPark, w.id, 0, 0)
+	if pr := probe.Load(); pr != nil {
+		pr.Fire(probe.SitePark, w.id, 0, 0)
 	}
 	select {
 	case <-s.ch:
@@ -572,15 +552,12 @@ func (p *Pool) steal(w *worker, victim *worker) (*task, bool) {
 		return nil, false
 	}
 	p.queued.Add(-1)
-	if in := p.fi.Load(); in != nil {
-		in.Point(faultinject.SiteSteal)
-	}
-	// The steal edge is recorded only here, after StealInto's CAS claim
+	// The steal event fires only here, after StealInto's CAS claim
 	// landed: a lost race returns above and must never log a steal that
 	// did not happen (TestStealTraceConservation pins logged == performed
 	// against the deque's own steal counters).
-	if rec := parctrace.Active(); rec != nil {
-		rec.Record(parctrace.KSteal, workerID(w), t.tid, uint64(victim.id))
+	if pr := probe.Load(); pr != nil {
+		pr.Fire(probe.SiteSteal, workerID(w), t.tid, uint64(victim.id))
 	}
 	// findWork only steals after w's own deque came up empty, so a
 	// non-empty deque here means StealInto moved a batch.
@@ -593,11 +570,6 @@ func (p *Pool) steal(w *worker, victim *worker) (*task, bool) {
 // runTask strips the envelope (recording the sampled latency probe),
 // recycles it, and runs the task function under panic capture.
 func (p *Pool) runTask(t *task) {
-	if in := p.fi.Load(); in != nil {
-		// A Stall rule here wedges this worker before it executes the
-		// task, modelling a stalled core: siblings must steal its queue.
-		in.Point(faultinject.SiteRun)
-	}
 	if !t.t0.IsZero() {
 		p.lat.Observe(time.Since(t.t0))
 	}
@@ -609,11 +581,13 @@ func (p *Pool) runTask(t *task) {
 	t.t0 = time.Time{}
 	t.tid = 0
 	taskPool.Put(t)
-	rec := parctrace.Active()
+	pr := probe.Load()
 	var wid int
-	if rec != nil && tid != 0 {
+	if pr != nil {
+		// A chaos Stall here wedges this worker before it executes the
+		// task, modelling a stalled core: siblings must steal its queue.
 		wid = workerID(p.reg.current())
-		rec.Record(parctrace.KRun, wid, tid, 0)
+		pr.Fire(probe.SiteRun, wid, tid, 0)
 	}
 	// Panics are contained per-task; the task wrapper (e.g. a ptask
 	// future) is responsible for recording them. A bare Submit that
@@ -623,10 +597,10 @@ func (p *Pool) runTask(t *task) {
 	} else {
 		_ = Catch(fn)
 	}
-	if rec != nil && tid != 0 {
-		// Same recorder as the run edge: a recorder swapped mid-task must
-		// not produce a complete without its run.
-		rec.Record(parctrace.KComplete, wid, tid, 0)
+	if pr != nil {
+		// Same probe as the run event: a probe swapped mid-task must not
+		// see a complete without its run.
+		pr.Fire(probe.SiteComplete, wid, tid, 0)
 	}
 	p.executed.Add(1)
 	if p.inflight.Add(-1) == 0 && p.qwaiters.Load() > 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 )
 
 // TestNoLostWakeup pins the Submit→wakeOne vs park ordering fix.
@@ -162,10 +163,10 @@ func TestBarrierAbortRacesFirstParkerInjected(t *testing.T) {
 		// generation so the earlier ones are deep in the parking protocol
 		// when the abort fires.
 		in := faultinject.New(faultinject.Plan{Seed: seed, Rules: []faultinject.Rule{
-			{Site: faultinject.SiteBarrierArrive, Kind: faultinject.Delay,
+			{Site: probe.SiteBarrier, Kind: faultinject.Delay,
 				Nth: 3, Count: 2, Dur: 2 * time.Millisecond},
 		}})
-		b.SetFaultInjector(in)
+		detach := attach(t, in)
 
 		var completed, aborted atomic.Int32
 		var wg sync.WaitGroup
@@ -198,6 +199,7 @@ func TestBarrierAbortRacesFirstParkerInjected(t *testing.T) {
 		case <-time.After(15 * time.Second):
 			t.Fatalf("seed %d: barrier deadlocked under abort-vs-parker race", seed)
 		}
+		detach()
 		if n := completed.Load() + aborted.Load(); n != parties {
 			t.Fatalf("seed %d: %d parties settled, want %d", seed, n, parties)
 		}

@@ -16,9 +16,7 @@ import (
 )
 
 func TestSubmitZeroAllocWhileRecording(t *testing.T) {
-	rec := parctrace.NewRecorder(parctrace.Config{Workers: 4, LaneCap: 256})
-	prev := parctrace.Set(rec)
-	defer parctrace.Set(prev)
+	attach(t, parctrace.NewRecorder(parctrace.Config{Workers: 4, LaneCap: 256}))
 	p := NewPool(4)
 	defer p.Shutdown()
 	done := make(chan struct{}, 1)

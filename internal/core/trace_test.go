@@ -2,11 +2,11 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 )
 
 // TestStealTraceConservation pins the steal-edge hook placement: the
@@ -22,8 +22,7 @@ func TestStealTraceConservation(t *testing.T) {
 		// exact per-kind counters, which shedding must never disturb.
 		Workers: workers, LaneCap: 64, SampleEvery: 4,
 	})
-	prev := parctrace.Set(rec)
-	defer parctrace.Set(prev)
+	detach := attach(t, rec)
 
 	p := NewPool(workers)
 	defer p.Shutdown()
@@ -47,10 +46,10 @@ func TestStealTraceConservation(t *testing.T) {
 		wg.Wait()
 	}
 	p.Quiesce()
-	parctrace.Set(prev)
+	detach()
 
-	logged := rec.Count(parctrace.KSteal)
-	// One KSteal event per successful StealInto operation. The deque's
+	logged := rec.Count(probe.SiteSteal)
+	// One steal event per successful StealInto operation. The deque's
 	// Steals counter tallies stolen *elements* — the task handed to the
 	// thief plus every batch-rebalanced sibling (BatchMoved) — so the
 	// operation count is their difference.
@@ -68,60 +67,11 @@ func TestStealTraceConservation(t *testing.T) {
 	}
 	// The run/complete pairing must also be conserved: every envelope
 	// the scheduler ran while recording completed exactly once.
-	if runs, completes := rec.Count(parctrace.KRun), rec.Count(parctrace.KComplete); runs != completes {
+	if runs, completes := rec.Count(probe.SiteRun), rec.Count(probe.SiteComplete); runs != completes {
 		t.Fatalf("run/complete not conserved: %d runs, %d completes", runs, completes)
 	}
-	if submits := rec.Count(parctrace.KSubmit); submits != rec.Count(parctrace.KRun) {
+	if submits := rec.Count(probe.SiteSubmit); submits != rec.Count(probe.SiteRun) {
 		t.Fatalf("submit/run not conserved on a drained pool: %d submits, %d runs",
-			submits, rec.Count(parctrace.KRun))
+			submits, rec.Count(probe.SiteRun))
 	}
-}
-
-// TestDisabledRecorderOverheadGuard is the no-overhead proof for the
-// trace hooks, the twin of TestDisabledHookOverheadGuard: detached, every
-// instrumentation site costs one atomic pointer load and a branch. The
-// guard pins an absolute per-submit ceiling and that the detached path
-// is no slower than the attached path, which does strictly more work
-// (timestamp, counter, ring write) per event.
-func TestDisabledRecorderOverheadGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard")
-	}
-	const tasks = 20000
-	measure := func(rec *parctrace.Recorder) time.Duration {
-		prev := parctrace.Set(rec)
-		defer parctrace.Set(prev)
-		p := NewPool(2)
-		defer p.Shutdown()
-		var sink atomic.Int64
-		start := time.Now()
-		for i := 0; i < tasks; i++ {
-			p.Submit(func() { sink.Add(1) })
-		}
-		p.Quiesce()
-		return time.Since(start)
-	}
-	attached := func() *parctrace.Recorder {
-		return parctrace.NewRecorder(parctrace.Config{Workers: 2, LaneCap: 1024})
-	}
-	disabled, enabled := time.Hour, time.Hour
-	// Best of several trials: minima are robust against scheduler noise
-	// on shared CI hardware.
-	for trial := 0; trial < 5; trial++ {
-		if d := measure(nil); d < disabled {
-			disabled = d
-		}
-		if d := measure(attached()); d < enabled {
-			enabled = d
-		}
-	}
-	perSubmit := disabled / tasks
-	if perSubmit > 5*time.Microsecond {
-		t.Errorf("disabled-recorder submit path costs %v/op, want <= 5µs (trace overhead crept in)", perSubmit)
-	}
-	if disabled > enabled*2 {
-		t.Errorf("disabled recorder (%v) slower than attached recorder (%v): nil fast path broken",
-			disabled, enabled)
-	}
-	t.Logf("submit+run cost: disabled=%v attached=%v for %d tasks", disabled, enabled, tasks)
 }

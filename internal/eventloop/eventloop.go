@@ -22,8 +22,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"parc751/internal/faultinject"
 	"parc751/internal/metrics"
+	"parc751/internal/probe"
 )
 
 // ErrClosed is returned when posting to a loop that has been closed.
@@ -40,11 +40,6 @@ type Loop struct {
 	dispatched atomic.Int64
 	gid        atomic.Int64 // goroutine id of the dispatcher
 	maxQueue   int
-
-	// fi is the optional chaos injector: when attached, every dispatch
-	// passes a SiteDispatch point before the handler runs (delay rules
-	// model a sluggish UI thread). nil in production — one atomic load.
-	fi atomic.Pointer[faultinject.Injector]
 }
 
 type event struct {
@@ -83,18 +78,15 @@ func (l *Loop) run(started chan struct{}) {
 		if ev.latency != nil {
 			*ev.latency = time.Since(ev.enqueued)
 		}
-		if in := l.fi.Load(); in != nil {
-			in.Point(faultinject.SiteDispatch)
+		if pr := probe.Load(); pr != nil {
+			// Chaos dispatch delays stretch event service times, the
+			// failure mode a frozen GUI exhibits.
+			pr.Fire(probe.SiteDispatch, -1, 0, 0)
 		}
 		ev.fn()
 		l.dispatched.Add(1)
 	}
 }
-
-// SetFaultInjector attaches (or, with nil, detaches) a chaos injector.
-// Dispatch-delay rules then stretch event service times, the failure mode
-// a frozen GUI exhibits.
-func (l *Loop) SetFaultInjector(in *faultinject.Injector) { l.fi.Store(in) }
 
 // OnDispatchThread reports whether the calling goroutine is the loop's
 // dispatcher. Handlers use this to assert UI-access discipline, exactly as

@@ -12,6 +12,7 @@ import (
 
 	"parc751/internal/faultinject"
 	"parc751/internal/metrics"
+	"parc751/internal/probe"
 	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
 	"parc751/internal/sortalgo"
@@ -93,7 +94,7 @@ func runA8(cfg Config) *Result {
 			passed++
 		}
 	}
-	res.metric("plans", float64(len(seeds)*2 + len(webPlans)))
+	res.metric("plans", float64(len(seeds)*2+len(webPlans)))
 	res.metric("checks_passed", float64(passed))
 
 	var b strings.Builder
@@ -121,17 +122,20 @@ func chaosQuicksort(cfg Config, seed uint64) (trace string, ok bool) {
 	}
 	plan := faultinject.Plan{Name: fmt.Sprintf("quicksort-%d", seed), Seed: seed}
 	plan.Rules = append(plan.Rules,
-		faultinject.Scatter(seed, faultinject.SiteSubmit, faultinject.Delay, 4, 30, 200*time.Microsecond)...)
+		faultinject.Scatter(seed, probe.SiteSubmit, faultinject.Delay, 4, 30, 200*time.Microsecond)...)
 	plan.Rules = append(plan.Rules,
-		faultinject.Rule{Site: faultinject.SiteRun, Kind: faultinject.Stall,
+		faultinject.Rule{Site: probe.SiteRun, Kind: faultinject.Stall,
 			Nth: seed % 16, Count: 1, Dur: 2 * time.Millisecond})
 	plan.Rules = append(plan.Rules,
-		faultinject.Scatter(seed, faultinject.SiteBarrierArrive, faultinject.Delay, 6, phases*workers, 300*time.Microsecond)...)
+		faultinject.Scatter(seed, probe.SiteBarrier, faultinject.Delay, 6, phases*workers, 300*time.Microsecond)...)
 	in := faultinject.New(plan)
+	if !probe.CompareAndSwap(nil, in) {
+		return "", false // another probe holds the seam: the plan cannot run alone
+	}
+	defer probe.CompareAndSwap(in, nil)
 
 	ok = true
 	rt := ptask.NewRuntime(workers)
-	rt.SetFaultInjector(in)
 	xs := workload.IntArray(seed, n, 1<<30)
 	done := make(chan struct{})
 	go func() { sortalgo.PTask(rt, xs, threshold); close(done) }()
@@ -144,8 +148,7 @@ func chaosQuicksort(cfg Config, seed uint64) (trace string, ok bool) {
 	ok = ok && rt.ShutdownTimeout(quiesceDeadline) == nil
 
 	// The Pyjama leg: a barrier-phased sweep under arrival delays (the
-	// package-level injector reaches the team barrier).
-	prev := pyjama.SetFaultInjector(in)
+	// attached injector reaches the team barrier).
 	base := workload.IntArray(seed+1, 4096, 100)
 	acc := append([]int(nil), base...)
 	for p := 0; p < phases; p++ {
@@ -153,7 +156,6 @@ func chaosQuicksort(cfg Config, seed uint64) (trace string, ok bool) {
 			tc.For(len(acc), pyjama.Static(0), func(i int) { acc[i]++ })
 		})
 	}
-	pyjama.SetFaultInjector(prev)
 	for i, v := range acc {
 		if v != base[i]+phases {
 			ok = false
@@ -177,11 +179,14 @@ func chaosThumbs(cfg Config, seed uint64) (trace string, ok bool) {
 		workers = 2
 	}
 	plan := faultinject.Plan{Name: fmt.Sprintf("thumbs-%d", seed), Seed: seed,
-		Rules: faultinject.Scatter(seed, faultinject.SiteTaskBody, faultinject.Panic, kFaults, nImgs, 0)}
+		Rules: faultinject.Scatter(seed, probe.SiteTaskBody, faultinject.Panic, kFaults, nImgs, 0)}
 	in := faultinject.New(plan)
+	if !probe.CompareAndSwap(nil, in) {
+		return "", false
+	}
+	defer probe.CompareAndSwap(in, nil)
 
 	rt := ptask.NewRuntime(workers)
-	rt.SetFaultInjector(in)
 	imgs := workload.GenImageSet(seed, nImgs, 32, 64)
 	m := ptask.RunMultiPolicy(rt, nImgs, ptask.MultiCollectAll, func(i int) (*workload.Image, error) {
 		return thumbs.Scale(imgs[i], 16, 16), nil
@@ -225,7 +230,7 @@ func chaosThumbs(cfg Config, seed uint64) (trace string, ok bool) {
 	}
 	injected := map[uint64]bool{}
 	for _, ev := range in.Trace() {
-		if ev.Site == faultinject.SiteTaskBody {
+		if ev.Site == probe.SiteTaskBody {
 			injected[ev.Ordinal] = true
 		}
 	}
@@ -268,7 +273,7 @@ func chaosWebRetry(cfg Config, seed uint64) (trace string, ok bool) {
 	srv := chaosWebServer()
 	defer srv.Close()
 	in := faultinject.New(faultinject.Plan{Name: fmt.Sprintf("web-retry-%d", seed), Seed: seed,
-		Rules: faultinject.Scatter(seed, faultinject.SiteTransport, faultinject.Error, kFaults, nURLs, 0)})
+		Rules: faultinject.Scatter(seed, probe.SiteTransport, faultinject.Error, kFaults, nURLs, 0)})
 
 	rt := ptask.NewRuntime(2)
 	client := &http.Client{Transport: &faultinject.RoundTripper{
@@ -297,7 +302,7 @@ func chaosWebHang(cfg Config, seed uint64) (trace string, ok bool) {
 	srv := chaosWebServer()
 	defer srv.Close()
 	in := faultinject.New(faultinject.Plan{Name: fmt.Sprintf("web-hang-%d", seed), Seed: seed,
-		Rules: []faultinject.Rule{{Site: faultinject.SiteTransport, Kind: faultinject.Hang,
+		Rules: []faultinject.Rule{{Site: probe.SiteTransport, Kind: faultinject.Hang,
 			Nth: seed % nURLs, Count: 1}}})
 
 	rt := ptask.NewRuntime(2)
@@ -329,7 +334,7 @@ func chaosWebHang(cfg Config, seed uint64) (trace string, ok bool) {
 func chaosWebBreaker(cfg Config, seed uint64) (trace string, ok bool) {
 	const nURLs, threshold = 12, 3
 	in := faultinject.New(faultinject.Plan{Name: fmt.Sprintf("web-breaker-%d", seed), Seed: seed,
-		Rules: []faultinject.Rule{{Site: faultinject.SiteTransport, Kind: faultinject.Error, Every: 1}}})
+		Rules: []faultinject.Rule{{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1}}})
 
 	rt := ptask.NewRuntime(2)
 	f := webfetch.NewFetcher(rt, &http.Client{Transport: &faultinject.RoundTripper{Injector: in}}, 1)
@@ -353,6 +358,6 @@ func chaosWebBreaker(cfg Config, seed uint64) (trace string, ok bool) {
 		}
 	}
 	ok = ok && injected == threshold && refused == nURLs-threshold &&
-		in.Seen(faultinject.SiteTransport) == threshold && b.Trips() == 1
+		in.Seen(probe.SiteTransport) == threshold && b.Trips() == 1
 	return in.TraceString(), ok
 }

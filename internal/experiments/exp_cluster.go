@@ -11,6 +11,7 @@ import (
 	"parc751/internal/parccluster"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
+	"parc751/internal/probe"
 )
 
 func init() {
@@ -217,7 +218,7 @@ func runA11Chaos(cfg Config, nodeCfg parcserve.Config, requests int) (string, bo
 	in := faultinject.New(faultinject.Plan{
 		Name: fmt.Sprintf("cluster-partition-%d", cfg.Seed),
 		Seed: cfg.Seed,
-		Rules: faultinject.Scatter(cfg.Seed, faultinject.SiteTransport,
+		Rules: faultinject.Scatter(cfg.Seed, probe.SiteTransport,
 			faultinject.Error, 4, requests, 0),
 	})
 	fleet := parccluster.NewFleet(parccluster.FleetConfig{

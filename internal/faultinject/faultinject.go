@@ -1,10 +1,10 @@
 // Package faultinject is the deterministic chaos harness behind the A8
 // experiment: seeded, schedule-replayable fault plans injected into the
-// runtime through cheap nil-checked hooks. The runtime layers (core.Pool,
-// core.Barrier, eventloop.Loop, webfetch, ptask) each hold an optional
-// *Injector; when it is nil — the production configuration — the hook is
-// a single pointer compare and the hot paths are unchanged (the guard
-// test in internal/core asserts this stays true).
+// runtime. An *Injector is a probe.Probe: attached through the one probe
+// seam it sees every chaos site (pool submit/steal/run, barrier arrival,
+// event-loop dispatch, ptask task body); the webfetch transport reaches
+// it through RoundTripper. Detached, the runtime's hooks cost one atomic
+// pointer load (the guard test in internal/core asserts this).
 //
 // Determinism model: every injection site keeps an atomic event counter,
 // and a Rule fires on specific event ordinals (Nth, or Nth + k*Every,
@@ -26,46 +26,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"parc751/internal/probe"
 	"parc751/internal/xrand"
 )
-
-// Site identifies one injection point in the runtime.
-type Site uint8
-
-const (
-	// SiteSubmit fires on every core.Pool.Submit (delay-class faults).
-	SiteSubmit Site = iota
-	// SiteSteal fires on every successful steal in core.Pool.findWork.
-	SiteSteal
-	// SiteRun fires before a worker executes a task; a Stall here models
-	// a stalled worker whose queued work must be stolen by siblings.
-	SiteRun
-	// SiteBarrierArrive fires as a party arrives at a core.Barrier.
-	SiteBarrierArrive
-	// SiteDispatch fires before the event loop runs a dispatched event.
-	SiteDispatch
-	// SiteTaskBody fires inside a ptask task body, under the task's panic
-	// capture — the only site where Panic-class faults are legal, so an
-	// injected panic surfaces as an error on the future, never as a
-	// crashed worker.
-	SiteTaskBody
-	// SiteTransport fires in the webfetch RoundTripper; Error and Hang
-	// faults are legal here.
-	SiteTransport
-	numSites
-)
-
-var siteNames = [numSites]string{
-	"submit", "steal", "run", "barrier", "dispatch", "taskbody", "transport",
-}
-
-// String returns the site's short name.
-func (s Site) String() string {
-	if int(s) < len(siteNames) {
-		return siteNames[s]
-	}
-	return fmt.Sprintf("site(%d)", uint8(s))
-}
 
 // Kind classifies what a fired rule does.
 type Kind uint8
@@ -76,13 +39,13 @@ const (
 	// Stall is a long Delay, named separately so traces and invariants
 	// can distinguish "jitter" from "a worker wedged for a while".
 	Stall
-	// Panic panics with an *InjectedPanic (SiteTaskBody only; other
+	// Panic panics with an *InjectedPanic (taskbody only; other
 	// sites treat it as Delay so a misplaced rule cannot kill a worker).
 	Panic
-	// Error returns the rule's error (SiteTransport only).
+	// Error returns the rule's error (transport only).
 	Error
 	// Hang blocks until the request context is cancelled and then
-	// returns its error (SiteTransport only).
+	// returns its error (transport only).
 	Hang
 )
 
@@ -116,7 +79,7 @@ var ErrInjected = errors.New("faultinject: injected transport error")
 // ordinal Nth and every Every events after that (Every == 0 means fire on
 // Nth only), at most Count times (Count == 0 means unlimited).
 type Rule struct {
-	Site  Site
+	Site  probe.Site
 	Kind  Kind
 	Nth   uint64 // first firing ordinal (0-based)
 	Every uint64 // period after Nth; 0 = one-shot
@@ -149,7 +112,7 @@ type Plan struct {
 // deterministically from seed in [0, span) — the standard way A8 derives
 // "fail the Nth task" schedules from a seed. Duplicate ordinals are
 // re-drawn so exactly count distinct events fault.
-func Scatter(seed uint64, site Site, kind Kind, count, span int, dur time.Duration) []Rule {
+func Scatter(seed uint64, site probe.Site, kind Kind, count, span int, dur time.Duration) []Rule {
 	if count > span {
 		count = span
 	}
@@ -170,7 +133,7 @@ func Scatter(seed uint64, site Site, kind Kind, count, span int, dur time.Durati
 
 // Event is one fired fault, as recorded in the trace.
 type Event struct {
-	Site    Site
+	Site    probe.Site
 	Ordinal uint64 // site event ordinal the rule fired on
 	Kind    Kind
 	Rule    int // index into Plan.Rules
@@ -186,9 +149,9 @@ func (e Event) String() string {
 // caps), and only actual firings take the trace mutex.
 type Injector struct {
 	plan   Plan
-	seen   [numSites]atomic.Uint64 // events observed per site
-	fired  []atomic.Uint64         // firings per rule (Count enforcement)
-	bySite [numSites][]int         // rule indices per site
+	seen   [probe.NumChaosSites]atomic.Uint64 // events observed per site
+	fired  []atomic.Uint64                    // firings per rule (Count enforcement)
+	bySite [probe.NumChaosSites][]int         // rule indices per site
 
 	mu    sync.Mutex
 	trace []Event
@@ -198,21 +161,18 @@ type Injector struct {
 func New(plan Plan) *Injector {
 	in := &Injector{plan: plan, fired: make([]atomic.Uint64, len(plan.Rules))}
 	for i, r := range plan.Rules {
-		if r.Site < numSites {
+		if r.Site < probe.NumChaosSites {
 			in.bySite[r.Site] = append(in.bySite[r.Site], i)
 		}
 	}
 	return in
 }
 
-// Plan returns the injector's plan.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // fire advances site's event counter and returns the first matching rule
 // index, or -1. The counter advances on every call — that is what makes
 // ordinals a stable coordinate system — but rules, traces, and sleeps are
 // only touched on a hit.
-func (in *Injector) fire(site Site) (ruleIdx int, ordinal uint64) {
+func (in *Injector) fire(site probe.Site) (ruleIdx int, ordinal uint64) {
 	n := in.seen[site].Add(1) - 1
 	for _, ri := range in.bySite[site] {
 		r := &in.plan.Rules[ri]
@@ -237,12 +197,18 @@ func (in *Injector) fire(site Site) (ruleIdx int, ordinal uint64) {
 	return -1, n
 }
 
-// Point is the generic delay-class hook: it advances the site counter and
-// sleeps when a Delay/Stall rule fires. Panic-class rules at non-taskbody
-// sites degrade to their duration as a delay (a misplaced panic must not
-// kill a pool worker); Error/Hang rules are ignored here.
-func (in *Injector) Point(site Site) {
-	ri, _ := in.fire(site)
+// Fire implements probe.Probe: it advances the site's event counter and
+// applies a matching rule. Delay and Stall sleep. At the taskbody site —
+// reached only under ptask's core.Catch — a Panic rule sleeps its
+// duration and then panics with an *InjectedPanic carrying the event
+// ordinal; elsewhere it degrades to the delay, so a misplaced panic
+// cannot kill a pool worker. Error and Hang apply only to Transport.
+// Trace-only sites are ignored and keep no counter.
+func (in *Injector) Fire(site probe.Site, _ int, _, _ uint64) {
+	if site >= probe.NumChaosSites {
+		return
+	}
+	ri, n := in.fire(site)
 	if ri < 0 {
 		return
 	}
@@ -253,30 +219,17 @@ func (in *Injector) Point(site Site) {
 			time.Sleep(r.Dur)
 		}
 	}
-}
-
-// TaskBody is the SiteTaskBody hook: Delay/Stall rules sleep, and Panic
-// rules panic with an *InjectedPanic carrying the event ordinal. It must
-// be called under panic capture (ptask task bodies are).
-func (in *Injector) TaskBody() {
-	ri, n := in.fire(SiteTaskBody)
-	if ri < 0 {
-		return
-	}
-	r := &in.plan.Rules[ri]
-	if r.Dur > 0 {
-		time.Sleep(r.Dur)
-	}
-	if r.Kind == Panic {
+	if r.Kind == Panic && site == probe.SiteTaskBody {
 		panic(&InjectedPanic{Ordinal: n})
 	}
 }
 
-// Transport is the SiteTransport hook. It returns a non-nil error when an
-// Error rule fires (wrapped ErrInjected), blocks until ctx is done for a
-// Hang rule (returning ctx.Err()), and sleeps for Delay/Stall rules.
+// Transport is the transport-site hook, called by RoundTripper. It
+// returns a non-nil error when an Error rule fires (wrapped ErrInjected),
+// blocks until ctx is done for a Hang rule (returning ctx.Err()), and
+// sleeps for Delay/Stall rules.
 func (in *Injector) Transport(ctx context.Context) error {
-	ri, n := in.fire(SiteTransport)
+	ri, n := in.fire(probe.SiteTransport)
 	if ri < 0 {
 		return nil
 	}
@@ -304,8 +257,8 @@ func (in *Injector) Transport(ctx context.Context) error {
 	return nil
 }
 
-// Seen returns how many events have been observed at site.
-func (in *Injector) Seen(site Site) uint64 { return in.seen[site].Load() }
+// Seen returns how many events have been observed at a chaos site.
+func (in *Injector) Seen(site probe.Site) uint64 { return in.seen[site].Load() }
 
 // Fired returns the total number of faults injected so far.
 func (in *Injector) Fired() int {
@@ -315,7 +268,7 @@ func (in *Injector) Fired() int {
 }
 
 // FiredAt returns how many faults of the given kind fired at site.
-func (in *Injector) FiredAt(site Site, kind Kind) int {
+func (in *Injector) FiredAt(site probe.Site, kind Kind) int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	n := 0

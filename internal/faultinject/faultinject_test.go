@@ -5,9 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"parc751/internal/probe"
 )
 
 func TestRuleMatches(t *testing.T) {
@@ -25,9 +28,37 @@ func TestRuleMatches(t *testing.T) {
 	}
 }
 
+// TestScatterPinnedPerSite pins Scatter's drawn ordinals for one seed at
+// every chaos site. The site's numeric value salts the draw, so moving a
+// site in the probe vocabulary would silently change every seeded plan
+// (and every recorded replay coordinate); this catches it.
+func TestScatterPinnedPerSite(t *testing.T) {
+	want := map[probe.Site][]uint64{
+		probe.SiteSubmit:    {97, 463, 708, 986},
+		probe.SiteSteal:     {148, 164, 530, 899},
+		probe.SiteRun:       {340, 475, 716, 738},
+		probe.SiteBarrier:   {486, 541, 698, 901},
+		probe.SiteDispatch:  {550, 767, 778, 943},
+		probe.SiteTaskBody:  {52, 105, 504, 896},
+		probe.SiteTransport: {229, 740, 802, 935},
+	}
+	if len(want) != int(probe.NumChaosSites) {
+		t.Fatalf("pinned %d sites, vocabulary has %d chaos sites", len(want), probe.NumChaosSites)
+	}
+	for site, ns := range want {
+		var got []uint64
+		for _, r := range Scatter(751, site, Delay, 4, 1000, 0) {
+			got = append(got, r.Nth)
+		}
+		if !reflect.DeepEqual(got, ns) {
+			t.Errorf("Scatter(751, %s) ordinals = %v, want %v", site, got, ns)
+		}
+	}
+}
+
 func TestScatterDeterministicAndDistinct(t *testing.T) {
-	a := Scatter(42, SiteTaskBody, Panic, 5, 100, 0)
-	b := Scatter(42, SiteTaskBody, Panic, 5, 100, 0)
+	a := Scatter(42, probe.SiteTaskBody, Panic, 5, 100, 0)
+	b := Scatter(42, probe.SiteTaskBody, Panic, 5, 100, 0)
 	if len(a) != 5 {
 		t.Fatalf("got %d rules, want 5", len(a))
 	}
@@ -41,7 +72,7 @@ func TestScatterDeterministicAndDistinct(t *testing.T) {
 		}
 		seen[a[i].Nth] = true
 	}
-	c := Scatter(43, SiteTaskBody, Panic, 5, 100, 0)
+	c := Scatter(43, probe.SiteTaskBody, Panic, 5, 100, 0)
 	same := true
 	for i := range a {
 		if a[i].Nth != c[i].Nth {
@@ -51,7 +82,7 @@ func TestScatterDeterministicAndDistinct(t *testing.T) {
 	if same {
 		t.Error("different seeds produced identical ordinals")
 	}
-	if got := Scatter(1, SiteRun, Delay, 10, 4, 0); len(got) != 4 {
+	if got := Scatter(1, probe.SiteRun, Delay, 10, 4, 0); len(got) != 4 {
 		t.Errorf("count clamped to span: got %d rules, want 4", len(got))
 	}
 }
@@ -60,14 +91,14 @@ func TestScatterDeterministicAndDistinct(t *testing.T) {
 // goroutines: the ordinal coordinate guarantees exactly one firing no
 // matter the interleaving.
 func TestFireExactlyOncePerOrdinal(t *testing.T) {
-	in := New(Plan{Rules: []Rule{{Site: SiteRun, Kind: Delay, Nth: 7, Count: 1}}})
+	in := New(Plan{Rules: []Rule{{Site: probe.SiteRun, Kind: Delay, Nth: 7, Count: 1}}})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				in.Point(SiteRun)
+				in.Fire(probe.SiteRun, -1, 0, 0)
 			}
 		}()
 	}
@@ -76,25 +107,25 @@ func TestFireExactlyOncePerOrdinal(t *testing.T) {
 		t.Fatalf("fired %d times, want 1", in.Fired())
 	}
 	tr := in.Trace()
-	if tr[0].Site != SiteRun || tr[0].Ordinal != 7 {
+	if tr[0].Site != probe.SiteRun || tr[0].Ordinal != 7 {
 		t.Fatalf("trace = %v, want run@7", tr)
 	}
-	if in.Seen(SiteRun) != 800 {
-		t.Fatalf("seen = %d, want 800", in.Seen(SiteRun))
+	if in.Seen(probe.SiteRun) != 800 {
+		t.Fatalf("seen = %d, want 800", in.Seen(probe.SiteRun))
 	}
 }
 
 func TestCountCapUnderConcurrency(t *testing.T) {
 	// A periodic rule with a cap must fire exactly Count times even when
 	// every event matches and many goroutines race.
-	in := New(Plan{Rules: []Rule{{Site: SiteSubmit, Kind: Delay, Every: 1, Count: 3}}})
+	in := New(Plan{Rules: []Rule{{Site: probe.SiteSubmit, Kind: Delay, Every: 1, Count: 3}}})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				in.Point(SiteSubmit)
+				in.Fire(probe.SiteSubmit, -1, 0, 0)
 			}
 		}()
 	}
@@ -105,7 +136,7 @@ func TestCountCapUnderConcurrency(t *testing.T) {
 }
 
 func TestReplayProducesEqualTraces(t *testing.T) {
-	plan := Plan{Seed: 9, Rules: Scatter(9, SiteTaskBody, Panic, 4, 64, 0)}
+	plan := Plan{Seed: 9, Rules: Scatter(9, probe.SiteTaskBody, Panic, 4, 64, 0)}
 	run := func() string {
 		in := New(plan)
 		var wg sync.WaitGroup
@@ -116,7 +147,7 @@ func TestReplayProducesEqualTraces(t *testing.T) {
 				for i := 0; i < 16; i++ {
 					func() {
 						defer func() { recover() }()
-						in.TaskBody()
+						in.Fire(probe.SiteTaskBody, -1, 0, 0)
 					}()
 				}
 			}()
@@ -131,8 +162,8 @@ func TestReplayProducesEqualTraces(t *testing.T) {
 }
 
 func TestTaskBodyPanicCarriesOrdinal(t *testing.T) {
-	in := New(Plan{Rules: []Rule{{Site: SiteTaskBody, Kind: Panic, Nth: 1, Count: 1}}})
-	in.TaskBody() // ordinal 0: no fault
+	in := New(Plan{Rules: []Rule{{Site: probe.SiteTaskBody, Kind: Panic, Nth: 1, Count: 1}}})
+	in.Fire(probe.SiteTaskBody, -1, 0, 0) // ordinal 0: no fault
 	var got *InjectedPanic
 	func() {
 		defer func() {
@@ -143,7 +174,7 @@ func TestTaskBodyPanicCarriesOrdinal(t *testing.T) {
 			}
 			got = p
 		}()
-		in.TaskBody()
+		in.Fire(probe.SiteTaskBody, -1, 0, 0)
 	}()
 	if got == nil || got.Ordinal != 1 {
 		t.Fatalf("injected panic = %+v, want ordinal 1", got)
@@ -153,8 +184,8 @@ func TestTaskBodyPanicCarriesOrdinal(t *testing.T) {
 func TestPanicRuleDegradesToDelayAtPoolSites(t *testing.T) {
 	// A Panic rule at a pool site must not panic (it would kill a worker
 	// outside any future's capture); it degrades to its delay.
-	in := New(Plan{Rules: []Rule{{Site: SiteRun, Kind: Panic, Nth: 0, Count: 1}}})
-	in.Point(SiteRun) // must not panic
+	in := New(Plan{Rules: []Rule{{Site: probe.SiteRun, Kind: Panic, Nth: 0, Count: 1}}})
+	in.Fire(probe.SiteRun, -1, 0, 0) // must not panic
 	if in.Fired() != 1 {
 		t.Fatal("degraded rule did not record a firing")
 	}
@@ -162,8 +193,8 @@ func TestPanicRuleDegradesToDelayAtPoolSites(t *testing.T) {
 
 func TestTransportErrorAndHang(t *testing.T) {
 	in := New(Plan{Rules: []Rule{
-		{Site: SiteTransport, Kind: Error, Nth: 0, Count: 1},
-		{Site: SiteTransport, Kind: Hang, Nth: 1, Count: 1},
+		{Site: probe.SiteTransport, Kind: Error, Nth: 0, Count: 1},
+		{Site: probe.SiteTransport, Kind: Hang, Nth: 1, Count: 1},
 	}})
 	if err := in.Transport(context.Background()); !errors.Is(err, ErrInjected) {
 		t.Fatalf("error fault: got %v, want ErrInjected", err)
@@ -189,7 +220,7 @@ func TestRoundTripperInjectsAndPassesThrough(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	in := New(Plan{Rules: []Rule{{Site: SiteTransport, Kind: Error, Nth: 0, Count: 1}}})
+	in := New(Plan{Rules: []Rule{{Site: probe.SiteTransport, Kind: Error, Nth: 0, Count: 1}}})
 	client := &http.Client{Transport: &RoundTripper{Injector: in}}
 	if _, err := client.Get(srv.URL); err == nil {
 		t.Fatal("first request should carry the injected error")
@@ -210,9 +241,9 @@ func TestRoundTripperInjectsAndPassesThrough(t *testing.T) {
 }
 
 func TestDelaySleeps(t *testing.T) {
-	in := New(Plan{Rules: []Rule{{Site: SiteDispatch, Kind: Delay, Nth: 0, Count: 1, Dur: 10 * time.Millisecond}}})
+	in := New(Plan{Rules: []Rule{{Site: probe.SiteDispatch, Kind: Delay, Nth: 0, Count: 1, Dur: 10 * time.Millisecond}}})
 	start := time.Now()
-	in.Point(SiteDispatch)
+	in.Fire(probe.SiteDispatch, -1, 0, 0)
 	if d := time.Since(start); d < 8*time.Millisecond {
 		t.Fatalf("delay slept %v, want >= 10ms", d)
 	}

@@ -2,7 +2,7 @@ package faultinject
 
 import "net/http"
 
-// RoundTripper wraps an http.RoundTripper with SiteTransport fault
+// RoundTripper wraps an http.RoundTripper with transport-site fault
 // injection: Error rules fail the request before it reaches the base
 // transport, Hang rules wedge it until the request context gives up, and
 // Delay rules add latency. A nil Injector is transparent, so the wrapper

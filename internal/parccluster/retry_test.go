@@ -11,6 +11,7 @@ import (
 
 	"parc751/internal/faultinject"
 	"parc751/internal/parcserve"
+	"parc751/internal/probe"
 )
 
 // retryCase is one row of the idempotency table: a kind plus fixed
@@ -78,7 +79,7 @@ func TestRetryIdempotencyAcrossNodes(t *testing.T) {
 			inj := faultinject.New(faultinject.Plan{
 				Name: "partition-first",
 				Rules: []faultinject.Rule{{
-					Site: faultinject.SiteTransport, Kind: faultinject.Error, Nth: 0, Count: 1,
+					Site: probe.SiteTransport, Kind: faultinject.Error, Nth: 0, Count: 1,
 				}},
 			})
 			rt := NewRouter(RouterConfig{Sleep: noSleep, Injector: inj, VerifyRetries: true})
@@ -119,7 +120,7 @@ func TestRetryIdempotencyAcrossNodes(t *testing.T) {
 			if led.Lost != 0 || led.Completed != 1 {
 				t.Fatalf("ledger off: %+v", led)
 			}
-			if inj.FiredAt(faultinject.SiteTransport, faultinject.Error) != 1 {
+			if inj.FiredAt(probe.SiteTransport, faultinject.Error) != 1 {
 				t.Fatalf("injected faults fired = %d, want 1", inj.Fired())
 			}
 		})

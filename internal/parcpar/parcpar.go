@@ -156,21 +156,6 @@ func Run(moduleRoot string, patterns []string, opts Options) ([]report.Finding, 
 	return out, nil
 }
 
-// AnalyzeSource analyzes an in-memory package (files: name → source)
-// against the module at moduleRoot — the fixture/experiment entry point.
-func AnalyzeSource(moduleRoot, importPath string, files map[string]string, opts Options) ([]Loop, []report.Finding, error) {
-	l, err := loader.New(moduleRoot)
-	if err != nil {
-		return nil, nil, err
-	}
-	pkg, err := l.CheckSource(importPath, files)
-	if err != nil {
-		return nil, nil, err
-	}
-	loops, fs := AnalyzePackage(l, pkg, opts)
-	return loops, fs, nil
-}
-
 // AnalyzePackage classifies every candidate loop in one loaded package
 // and renders the findings. Loops come back in source order.
 func AnalyzePackage(l *loader.Loader, pkg *loader.Package, opts Options) ([]Loop, []report.Finding) {

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"parc751/internal/metrics"
-	"parc751/internal/parctrace"
 	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
 	"parc751/internal/webfetch"
@@ -524,9 +523,7 @@ func (s *Server) Drain(d time.Duration) error {
 	// it: detach and keep the dump, as /tracez/stop would.
 	s.trace.mu.Lock()
 	if s.trace.rec != nil {
-		parctrace.Set(nil)
-		s.trace.last = s.trace.rec.Snapshot(parctrace.Meta{Name: "parcserve-" + s.cfg.NodeID})
-		s.trace.rec = nil
+		s.stopTraceLocked()
 	}
 	s.trace.mu.Unlock()
 	// Order matters: the batcher settles every accepted small job before

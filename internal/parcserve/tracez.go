@@ -6,15 +6,17 @@ import (
 	"sync"
 
 	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 )
 
 // tracezState is the server's window onto the task-DAG recorder: start
-// attaches a fresh recorder globally (the same Set/Active discipline the
-// CLI and experiments use), stop detaches it and keeps the dump, and the
-// viewer renders whichever is current — a live snapshot while recording,
-// the last captured dump after. One recording at a time per server; the
-// supervisor-facing endpoints are deliberately POST so a crawler cannot
-// toggle tracing.
+// attaches a fresh recorder to the process-wide probe seam, stop detaches
+// it and keeps the dump, and the viewer renders whichever is current — a
+// live snapshot while recording, the last captured dump after. The seam
+// holds one probe per process, so when several servers share a process
+// (an in-process fleet) one of them records at a time, and a server only
+// ever detaches its own recorder. The supervisor-facing endpoints are
+// deliberately POST so a crawler cannot toggle tracing.
 type tracezState struct {
 	mu   sync.Mutex
 	rec  *parctrace.Recorder
@@ -54,7 +56,8 @@ func (s *Server) handleTracezJSON(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleTracezStart serves POST /tracez/start: attach a fresh recorder
-// sized to the pool. 409 if one is already running.
+// sized to the pool. 409 if this server is already recording, or if any
+// other probe (another server's recording, a chaos run) holds the seam.
 func (s *Server) handleTracezStart(w http.ResponseWriter, _ *http.Request) {
 	s.trace.mu.Lock()
 	defer s.trace.mu.Unlock()
@@ -62,8 +65,12 @@ func (s *Server) handleTracezStart(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusConflict, "recording already in progress")
 		return
 	}
-	s.trace.rec = parctrace.NewRecorder(parctrace.Config{Workers: s.cfg.Workers})
-	parctrace.Set(s.trace.rec)
+	rec := parctrace.NewRecorder(parctrace.Config{Workers: s.cfg.Workers})
+	if !probe.CompareAndSwap(nil, rec) {
+		writeError(w, http.StatusConflict, "another probe is attached in this process")
+		return
+	}
+	s.trace.rec = rec
 	writeJSON(w, http.StatusOK, map[string]string{"status": "recording"})
 }
 
@@ -76,16 +83,21 @@ func (s *Server) handleTracezStop(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusConflict, "no recording in progress")
 		return
 	}
-	parctrace.Set(nil)
-	s.trace.last = s.trace.rec.Snapshot(parctrace.Meta{
-		Name: "parcserve-" + s.cfg.NodeID,
-	})
-	s.trace.rec = nil
+	s.stopTraceLocked()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":   "stopped",
 		"recorded": s.trace.last.Recorded,
 		"counts":   s.trace.last.Counts,
 	})
+}
+
+// stopTraceLocked detaches this server's recorder — only its own, by
+// compare-and-swap — and keeps its dump. The caller holds s.trace.mu and
+// has checked that a recording is running.
+func (s *Server) stopTraceLocked() {
+	probe.CompareAndSwap(s.trace.rec, nil)
+	s.trace.last = s.trace.rec.Snapshot(parctrace.Meta{Name: "parcserve-" + s.cfg.NodeID})
+	s.trace.rec = nil
 }
 
 // traceDump returns what the viewer should show: a live snapshot while

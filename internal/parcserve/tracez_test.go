@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 )
 
 // TestTracezLifecycle drives the full /tracez surface over real HTTP:
@@ -89,8 +90,8 @@ func TestTracezLifecycle(t *testing.T) {
 		t.Fatalf("stop response: %s", stopBody)
 	}
 	post("/tracez/stop", http.StatusConflict)
-	if parctrace.Active() != nil {
-		t.Fatal("recorder still globally attached after stop")
+	if probe.Load() != nil {
+		t.Fatal("recorder still attached to the probe seam after stop")
 	}
 
 	// The dump must parse under the v1 schema and show the jobs' tasks.
@@ -142,11 +143,59 @@ func TestTracezDrainDetaches(t *testing.T) {
 	if err := s.Drain(5 * time.Second); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if parctrace.Active() != nil {
-		parctrace.Set(nil)
+	if pr := probe.Load(); pr != nil {
+		probe.CompareAndSwap(pr, nil)
 		t.Fatal("recorder leaked past Drain")
 	}
 	if s.traceDump() == nil {
 		t.Fatal("dump not retained across Drain")
+	}
+}
+
+// TestTracezTwoServersOneProcess: servers sharing a process (an
+// in-process fleet) share the one probe seam. A second server's start
+// must be refused while the first records, and neither its stop nor its
+// drain may detach the first server's recorder — the trace of the node
+// that is recording must survive intact.
+func TestTracezTwoServersOneProcess(t *testing.T) {
+	a := NewServer(Config{Workers: 2, NodeID: "node-a"})
+	b := NewServer(Config{Workers: 2, NodeID: "node-b"})
+	defer a.Drain(5 * time.Second)
+	call := func(s *Server, method, path, body string) int {
+		t.Helper()
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w.Code
+	}
+
+	if code := call(a, http.MethodPost, "/tracez/start", ""); code != http.StatusOK {
+		t.Fatalf("node-a start = %d, want 200", code)
+	}
+	attached := probe.Load()
+	if code := call(b, http.MethodPost, "/tracez/start", ""); code != http.StatusConflict {
+		t.Fatalf("node-b start while node-a records = %d, want 409", code)
+	}
+	if code := call(b, http.MethodPost, "/tracez/stop", ""); code != http.StatusConflict {
+		t.Fatalf("node-b stop without a recording = %d, want 409", code)
+	}
+	if err := b.Drain(5 * time.Second); err != nil {
+		t.Fatalf("node-b drain: %v", err)
+	}
+	if probe.Load() != attached {
+		t.Fatal("node-b's stop or drain detached node-a's recorder")
+	}
+
+	if code := call(a, http.MethodPost, "/jobs/sort", `{"n": 2000, "seed": 7}`); code != http.StatusOK {
+		t.Fatalf("node-a sort job = %d", code)
+	}
+	if code := call(a, http.MethodPost, "/tracez/stop", ""); code != http.StatusOK {
+		t.Fatalf("node-a stop = %d, want 200", code)
+	}
+	if probe.Load() != nil {
+		t.Fatal("node-a's stop left its recorder attached")
+	}
+	d := a.traceDump()
+	if d == nil || d.Counts["submit"] == 0 || d.Counts["run"] != d.Counts["complete"] {
+		t.Fatalf("node-a's trace lost or unconserved: %+v", d)
 	}
 }

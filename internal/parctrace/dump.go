@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 )
 
 // SchemaV1 is the versioned dump format identifier. Old traces must keep
@@ -86,17 +87,6 @@ func SpecFromPlan(p faultinject.Plan) *PlanSpec {
 	return spec
 }
 
-// siteFromString is the inverse of faultinject.Site.String.
-var siteByName = map[string]faultinject.Site{
-	"submit":    faultinject.SiteSubmit,
-	"steal":     faultinject.SiteSteal,
-	"run":       faultinject.SiteRun,
-	"barrier":   faultinject.SiteBarrierArrive,
-	"dispatch":  faultinject.SiteDispatch,
-	"taskbody":  faultinject.SiteTaskBody,
-	"transport": faultinject.SiteTransport,
-}
-
 var faultKindByName = map[string]faultinject.Kind{
 	"delay": faultinject.Delay,
 	"stall": faultinject.Stall,
@@ -111,8 +101,8 @@ var faultKindByName = map[string]faultinject.Kind{
 func PlanFromSpec(spec *PlanSpec) (faultinject.Plan, error) {
 	p := faultinject.Plan{Name: spec.Name, Seed: spec.Seed}
 	for i, r := range spec.Rules {
-		site, ok := siteByName[r.Site]
-		if !ok {
+		site, ok := probe.ParseSite(r.Site)
+		if !ok || site >= probe.NumChaosSites {
 			return p, fmt.Errorf("parctrace: plan rule %d: unknown site %q", i, r.Site)
 		}
 		kind, ok := faultKindByName[r.Kind]
@@ -156,9 +146,9 @@ func (r *Recorder) Snapshot(meta Meta) *Dump {
 		Counts:   map[string]uint64{},
 		Faults:   meta.Faults,
 	}
-	for k := Kind(0); k < numKinds; k++ {
-		if c := r.counts[k].Load(); c > 0 {
-			d.Counts[k.String()] = c
+	for s := probe.Site(0); s < probe.NumSites; s++ {
+		if c := r.counts[s].Load(); c > 0 {
+			d.Counts[s.String()] = c
 		}
 	}
 	d.SampledOut = r.sampled.Load()
@@ -219,7 +209,7 @@ func ReadDump(data []byte) (*Dump, error) {
 		return nil, fmt.Errorf("parctrace: unsupported schema %q (want %q)", d.Schema, SchemaV1)
 	}
 	for i, ev := range d.Events {
-		if _, ok := KindFromString(ev.Kind); !ok {
+		if s, ok := probe.ParseSite(ev.Kind); !ok || !traced(s) {
 			return nil, fmt.Errorf("parctrace: event %d: unknown kind %q", i, ev.Kind)
 		}
 	}
@@ -232,7 +222,10 @@ func ReadDump(data []byte) (*Dump, error) {
 // Steal/park/wake counts and all timestamps are scheduling accidents —
 // they vary run to run on the same coordinate — so the canonical
 // projection excludes them.
-var deterministicKinds = []Kind{KSubmit, KRun, KComplete, KDepend, KRegionStart, KRegionEnd}
+var deterministicKinds = []probe.Site{
+	probe.SiteSubmit, probe.SiteRun, probe.SiteComplete, probe.SiteDepend,
+	probe.SiteRegionStart, probe.SiteRegionEnd,
+}
 
 // Canonical returns the deterministic projection of the dump as bytes:
 // schema, name, replay coordinate (workload + plan), the deterministic

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -194,13 +195,13 @@ func TestPlanSpecRoundTrip(t *testing.T) {
 	p := faultinject.Plan{
 		Name: "all-sites", Seed: 9,
 		Rules: []faultinject.Rule{
-			{Site: faultinject.SiteSubmit, Kind: faultinject.Delay, Nth: 1, Dur: time.Millisecond},
-			{Site: faultinject.SiteSteal, Kind: faultinject.Stall, Every: 2, Dur: time.Microsecond},
-			{Site: faultinject.SiteRun, Kind: faultinject.Panic, Count: 3},
-			{Site: faultinject.SiteBarrierArrive, Kind: faultinject.Error, Nth: 4},
-			{Site: faultinject.SiteDispatch, Kind: faultinject.Hang, Count: 1},
-			{Site: faultinject.SiteTaskBody, Kind: faultinject.Panic, Every: 5},
-			{Site: faultinject.SiteTransport, Kind: faultinject.Error, Every: 1},
+			{Site: probe.SiteSubmit, Kind: faultinject.Delay, Nth: 1, Dur: time.Millisecond},
+			{Site: probe.SiteSteal, Kind: faultinject.Stall, Every: 2, Dur: time.Microsecond},
+			{Site: probe.SiteRun, Kind: faultinject.Panic, Count: 3},
+			{Site: probe.SiteBarrier, Kind: faultinject.Error, Nth: 4},
+			{Site: probe.SiteDispatch, Kind: faultinject.Hang, Count: 1},
+			{Site: probe.SiteTaskBody, Kind: faultinject.Panic, Every: 5},
+			{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1},
 		},
 	}
 	back, err := PlanFromSpec(SpecFromPlan(p))
@@ -245,17 +246,32 @@ func TestCanonicalExcludesAccidents(t *testing.T) {
 	}
 }
 
+// TestKindStringRoundTrip pins the v1 event-kind set against the probe
+// vocabulary: every site name round trips, exactly the nine traced sites
+// are legal event kinds in a dump, and the chaos-only sites are not.
 func TestKindStringRoundTrip(t *testing.T) {
-	for k := Kind(0); k < numKinds; k++ {
-		got, ok := KindFromString(k.String())
-		if !ok || got != k {
-			t.Fatalf("kind %d (%q) does not round trip: got %d ok=%v", k, k.String(), got, ok)
+	var kinds []string
+	for s := probe.Site(0); s < probe.NumSites; s++ {
+		got, ok := probe.ParseSite(s.String())
+		if !ok || got != s {
+			t.Fatalf("site %d (%q) does not round trip: got %d ok=%v", s, s.String(), got, ok)
+		}
+		dump := `{"schema":"parc751/trace/v1","counts":{},"events":[{"t_ns":1,"kind":"` + s.String() + `","w":0}]}`
+		if _, err := ReadDump([]byte(dump)); (err == nil) != traced(s) {
+			t.Fatalf("ReadDump on a %q event: err = %v, traced = %v", s, err, traced(s))
+		}
+		if traced(s) {
+			kinds = append(kinds, s.String())
 		}
 	}
-	if _, ok := KindFromString("unknown"); ok {
-		t.Fatal("KindFromString accepted the out-of-range placeholder name")
+	want := []string{"submit", "steal", "run", "complete", "depend", "park", "wake", "region_start", "region_end"}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("v1 event kinds = %v, want %v", kinds, want)
 	}
-	if Kind(200).String() != "unknown" {
-		t.Fatal("out-of-range kind must stringify as unknown")
+	if _, ok := probe.ParseSite("unknown"); ok {
+		t.Fatal("ParseSite accepted the out-of-range placeholder name")
+	}
+	if probe.Site(200).String() != "unknown" {
+		t.Fatal("out-of-range site must stringify as unknown")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"parc751/internal/probe"
 )
 
 // FuzzTraceCodec feeds arbitrary bytes through the dump codec: ReadDump
@@ -83,7 +85,7 @@ func FuzzRingOps(f *testing.F) {
 		}
 		for _, op := range ops[1:] {
 			if op%2 == 1 {
-				if !r.write(Event{Kind: Kind(op % uint8(numKinds)), Task: claims}) {
+				if !r.write(Event{Kind: probe.Site(op % uint8(probe.NumSites)), Task: claims}) {
 					t.Fatalf("sequential write %d dropped", claims)
 				}
 				claims++

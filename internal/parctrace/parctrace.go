@@ -7,14 +7,14 @@
 // self-contained HTML/SVG viewer (render.go) — the TEMANEJO-style
 // "make the schedule visible" debugger of DESIGN.md §15.
 //
-// The recorder is globally attached (Set/Active) the same way the chaos
-// injector is: detached, every instrumentation hook costs one atomic
-// pointer load and a predictable branch, which the disabled-overhead
-// guard in internal/core pins. Attached, writes are lock-free (one
-// fetch-add claim plus atomic stores into a preallocated slot) and
-// allocation-free, and once a lane wraps the recorder samples — exact
-// per-kind counters are always maintained, so accounting is conserved
-// even when events are shed.
+// A Recorder is a probe.Probe, attached through the runtime's one probe
+// seam like the chaos injector: detached, every instrumentation hook
+// costs one atomic pointer load and a predictable branch, which the
+// detached-overhead guard in internal/core pins. Attached, writes are
+// lock-free (one fetch-add claim plus atomic stores into a preallocated
+// slot) and allocation-free, and once a lane wraps the recorder samples
+// — exact per-kind counters are always maintained, so accounting is
+// conserved even when events are shed.
 //
 // Replay lives in internal/parctrace/replay: a dump carries the workload
 // spec and the faultinject plan that produced it, which together are a
@@ -26,76 +26,30 @@ package parctrace
 import (
 	"sync/atomic"
 	"time"
+
+	"parc751/internal/probe"
 )
 
-// Kind classifies a recorded scheduler event.
-type Kind uint8
-
-const (
-	// KSubmit: a task entered the pool (Task = trace id; Worker = the
-	// submitting worker, -1 for an external goroutine).
-	KSubmit Kind = iota
-	// KSteal: a task moved between workers (Worker = thief, Aux = victim
-	// worker id). Recorded only after the steal's CAS claim landed.
-	KSteal
-	// KRun: a worker began executing a task.
-	KRun
-	// KComplete: the task's execution finished (panics included — the
-	// envelope completed either way).
-	KComplete
-	// KDepend: a dependence edge — Task waits on Aux (both trace ids).
-	KDepend
-	// KPark: a worker went idle (parked on its wake slot).
-	KPark
-	// KWake: a worker was woken by a submitter (recorded by the waker).
-	KWake
-	// KRegionStart: a Pyjama parallel region began (Task = region id,
-	// Aux = team size).
-	KRegionStart
-	// KRegionEnd: the region joined (panic paths included).
-	KRegionEnd
-	numKinds
-)
-
-var kindNames = [numKinds]string{
-	"submit", "steal", "run", "complete", "depend", "park", "wake",
-	"region_start", "region_end",
-}
-
-// String returns the kind's dump-format name.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
+// traced reports whether s is one of the nine event kinds of the v1
+// schema. The chaos-only sites (barrier, dispatch, taskbody, transport)
+// are not, so a dump's counts never carry them.
+func traced(s probe.Site) bool {
+	switch s {
+	case probe.SiteBarrier, probe.SiteDispatch, probe.SiteTaskBody, probe.SiteTransport:
+		return false
 	}
-	return "unknown"
-}
-
-// KindFromString is the inverse of Kind.String; ok is false for names
-// outside the schema.
-func KindFromString(s string) (Kind, bool) {
-	for i, n := range kindNames {
-		if n == s {
-			return Kind(i), true
-		}
-	}
-	return 0, false
+	return s < probe.NumSites
 }
 
 // Event is one recorded edge. TNs is nanoseconds since the recorder
 // started; Worker is -1 for events from goroutines outside the pool.
 type Event struct {
 	TNs    int64
-	Kind   Kind
+	Kind   probe.Site
 	Worker int32
 	Task   uint64
 	Aux    uint64
 }
-
-// Tagged is implemented by Runnables that pre-assigned their own trace
-// task id (ptask.Task, ptask.MultiTask). The scheduler reuses it so
-// submit/run/complete and the dependence edges recorded by the task
-// layer all name the same DAG node.
-type Tagged interface{ TraceTaskID() uint64 }
 
 // Config sizes a Recorder. Zero values take the documented defaults.
 type Config struct {
@@ -118,12 +72,13 @@ type Recorder struct {
 	lanes       []*ring
 	sampleEvery uint64
 	nextID      atomic.Uint64
-	counts      [numKinds]atomic.Uint64
+	counts      [probe.NumSites]atomic.Uint64
 	sampled     atomic.Uint64 // events shed by load sampling
 	dropped     atomic.Uint64 // ring writes lost to a lap race
 }
 
-// NewRecorder builds a detached recorder; attach it with Set.
+// NewRecorder builds a detached recorder; attach it with
+// probe.CompareAndSwap.
 func NewRecorder(cfg Config) *Recorder {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
@@ -145,20 +100,9 @@ func NewRecorder(cfg Config) *Recorder {
 	return r
 }
 
-// active is the globally attached recorder, nil when tracing is off —
-// the same one-pointer-load discipline as the chaos injector hooks.
-var active atomic.Pointer[Recorder]
-
-// Active returns the attached recorder, or nil. Instrumentation sites
-// call this on every event; keep it trivially inlinable.
-func Active() *Recorder { return active.Load() }
-
-// Set attaches r (or detaches with nil) and returns the previous
-// recorder, so scoped recording can restore what it displaced.
-func Set(r *Recorder) *Recorder { return active.Swap(r) }
-
 // NewTaskID allocates a fresh trace task id (ids start at 1; 0 means
-// "not tracked").
+// "not tracked"). It makes the recorder a node-naming probe (see
+// probe.NewTaskID).
 func (r *Recorder) NewTaskID() uint64 { return r.nextID.Add(1) }
 
 // laneIdx maps a worker id to its lane; out-of-range ids (and -1,
@@ -170,7 +114,18 @@ func (r *Recorder) laneIdx(worker int) int {
 	return 0
 }
 
-// Record captures one event. The per-kind counter is exact and always
+// Fire implements probe.Probe. It records the nine trace sites and
+// ignores the chaos-only ones. The run and complete of a task that was
+// submitted before the recorder attached (task 0) are not recorded
+// either, so submit, run and complete stay conserved.
+func (r *Recorder) Fire(s probe.Site, worker int, task, aux uint64) {
+	if !traced(s) || task == 0 && (s == probe.SiteRun || s == probe.SiteComplete) {
+		return
+	}
+	r.record(s, worker, task, aux)
+}
+
+// record captures one event. The per-kind counter is exact and always
 // incremented; the ring write is sampled once the target lane has
 // wrapped, and a write that loses a lap race is counted as dropped.
 // Conservation: for every kind,
@@ -178,7 +133,7 @@ func (r *Recorder) laneIdx(worker int) int {
 //	count == recorded + lost + sampled-out
 //
 // which Snapshot's accounting fields expose and the property tests pin.
-func (r *Recorder) Record(k Kind, worker int, task, aux uint64) {
+func (r *Recorder) record(k probe.Site, worker int, task, aux uint64) {
 	n := r.counts[k].Add(1)
 	lane := r.lanes[r.laneIdx(worker)]
 	if r.sampleEvery > 1 && lane.wrapped() && n%r.sampleEvery != 0 {
@@ -197,7 +152,7 @@ func (r *Recorder) Record(k Kind, worker int, task, aux uint64) {
 }
 
 // Count returns the exact number of k events observed (recorded or shed).
-func (r *Recorder) Count(k Kind) uint64 { return r.counts[k].Load() }
+func (r *Recorder) Count(k probe.Site) uint64 { return r.counts[k].Load() }
 
 // SampledOut returns how many events were shed by load sampling.
 func (r *Recorder) SampledOut() uint64 { return r.sampled.Load() }

@@ -18,6 +18,7 @@ import (
 
 	"parc751/internal/faultinject"
 	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 	"parc751/internal/ptask"
 	"parc751/internal/sortalgo"
 	"parc751/internal/thumbs"
@@ -54,9 +55,9 @@ func DefaultPlan(spec parctrace.WorkloadSpec) faultinject.Plan {
 	switch spec.Kind {
 	case KindQuicksort:
 		plan.Rules = append(plan.Rules,
-			faultinject.Scatter(spec.Seed, faultinject.SiteSubmit, faultinject.Delay, 4, 30, 200*time.Microsecond)...)
+			faultinject.Scatter(spec.Seed, probe.SiteSubmit, faultinject.Delay, 4, 30, 200*time.Microsecond)...)
 		plan.Rules = append(plan.Rules, faultinject.Rule{
-			Site: faultinject.SiteRun, Kind: faultinject.Stall,
+			Site: probe.SiteRun, Kind: faultinject.Stall,
 			Nth: spec.Seed % 16, Count: 1, Dur: 2 * time.Millisecond,
 		})
 	case KindThumbs:
@@ -64,10 +65,10 @@ func DefaultPlan(spec parctrace.WorkloadSpec) faultinject.Plan {
 		if spec.N < 8 {
 			k = 1
 		}
-		plan.Rules = faultinject.Scatter(spec.Seed, faultinject.SiteTaskBody, faultinject.Panic, k, spec.N, 0)
+		plan.Rules = faultinject.Scatter(spec.Seed, probe.SiteTaskBody, faultinject.Panic, k, spec.N, 0)
 	case KindWebfetch:
 		plan.Rules = []faultinject.Rule{{
-			Site: faultinject.SiteTransport, Kind: faultinject.Error, Every: 1,
+			Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1,
 		}}
 	}
 	return plan
@@ -113,18 +114,21 @@ func Record(spec parctrace.WorkloadSpec, laneCap int) (*parctrace.Dump, error) {
 	plan := DefaultPlan(spec)
 	in := faultinject.New(plan)
 	rec := parctrace.NewRecorder(parctrace.Config{Workers: spec.Workers, LaneCap: laneCap})
-	prev := parctrace.Set(rec)
-	defer parctrace.Set(prev)
+	pr := probe.Fan(in, rec)
+	if !probe.CompareAndSwap(nil, pr) {
+		return nil, fmt.Errorf("replay: another probe is attached; a recording needs the seam to itself")
+	}
+	defer probe.CompareAndSwap(pr, nil)
 
 	switch spec.Kind {
 	case KindQuicksort:
-		err = runQuicksort(spec, in)
+		err = runQuicksort(spec)
 	case KindThumbs:
 		err = runThumbs(spec, in)
 	case KindWebfetch:
 		err = runWebfetch(spec, in)
 	}
-	parctrace.Set(prev) // detach before snapshotting: the window is final
+	probe.CompareAndSwap(pr, nil) // detach before snapshotting: the window is final
 	if err != nil {
 		return nil, err
 	}
@@ -170,13 +174,12 @@ func Verify(recorded, replayed *parctrace.Dump) error {
 
 // runQuicksort is the paper's project-2 workload: recursive task-parallel
 // quicksort over a seeded array, optionally under delay/stall chaos.
-func runQuicksort(spec parctrace.WorkloadSpec, in *faultinject.Injector) error {
+func runQuicksort(spec parctrace.WorkloadSpec) error {
 	threshold := 512
 	if spec.N >= 20000 {
 		threshold = 1024
 	}
 	rt := ptask.NewRuntime(spec.Workers)
-	rt.SetFaultInjector(in)
 	xs := workload.IntArray(spec.Seed, spec.N, 1<<30)
 	done := make(chan struct{})
 	go func() { sortalgo.PTask(rt, xs, threshold); close(done) }()
@@ -197,7 +200,6 @@ func runQuicksort(spec parctrace.WorkloadSpec, in *faultinject.Injector) error {
 // they are exactly what the recording exists to reproduce.
 func runThumbs(spec parctrace.WorkloadSpec, in *faultinject.Injector) error {
 	rt := ptask.NewRuntime(spec.Workers)
-	rt.SetFaultInjector(in)
 	imgs := workload.GenImageSet(spec.Seed, spec.N, 32, 64)
 	m := ptask.RunMultiPolicy(rt, spec.N, ptask.MultiCollectAll, func(i int) (*workload.Image, error) {
 		return thumbs.Scale(imgs[i], 16, 16), nil
@@ -214,7 +216,7 @@ func runThumbs(spec parctrace.WorkloadSpec, in *faultinject.Injector) error {
 			rendered++
 		}
 	}
-	faulted := in.FiredAt(faultinject.SiteTaskBody, faultinject.Panic)
+	faulted := in.FiredAt(probe.SiteTaskBody, faultinject.Panic)
 	if rendered != spec.N-faulted {
 		return fmt.Errorf("replay: thumbs rendered %d of %d with %d injected panics",
 			rendered, spec.N, faulted)
@@ -229,7 +231,6 @@ func runThumbs(spec parctrace.WorkloadSpec, in *faultinject.Injector) error {
 func runWebfetch(spec parctrace.WorkloadSpec, in *faultinject.Injector) error {
 	const threshold = 3
 	rt := ptask.NewRuntime(spec.Workers)
-	rt.SetFaultInjector(in)
 	f := webfetch.NewFetcher(rt, &http.Client{
 		Transport: &faultinject.RoundTripper{Injector: in},
 	}, 1)

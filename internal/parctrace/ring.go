@@ -1,6 +1,10 @@
 package parctrace
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"parc751/internal/probe"
+)
 
 // ring is a fixed-capacity lock-free event ring. Writers claim slots with
 // a single fetch-add on pos; the slot's sequence word arbitrates between
@@ -94,7 +98,7 @@ func (r *ring) snapshot() (evs []Event, lost uint64) {
 		}
 		ev := Event{TNs: s.t.Load()}
 		kw := s.kw.Load()
-		ev.Kind = Kind(kw >> 32)
+		ev.Kind = probe.Site(kw >> 32)
 		ev.Worker = int32(uint32(kw))
 		ev.Task = s.tk.Load()
 		ev.Aux = s.ax.Load()

@@ -3,6 +3,8 @@ package parctrace
 import (
 	"sync"
 	"testing"
+
+	"parc751/internal/probe"
 )
 
 // TestRingConcurrentConservation is the ring's core property test, run
@@ -28,7 +30,7 @@ func TestRingConcurrentConservation(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				// Task encodes (writer, sequence) so the snapshot can
 				// check per-writer order without any auxiliary state.
-				ev := Event{Kind: KSubmit, Worker: int32(w), Task: uint64(w)<<32 | uint64(i)}
+				ev := Event{Kind: probe.SiteSubmit, Worker: int32(w), Task: uint64(w)<<32 | uint64(i)}
 				if !r.write(ev) {
 					dropped[w]++
 				}
@@ -85,7 +87,7 @@ func TestRingNoLossWithinCapacity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if !r.write(Event{Kind: KRun, Worker: int32(w), Task: uint64(i)}) {
+				if !r.write(Event{Kind: probe.SiteRun, Worker: int32(w), Task: uint64(i)}) {
 					t.Errorf("write dropped before first wrap")
 					return
 				}
@@ -109,7 +111,7 @@ func TestRingSequentialWrap(t *testing.T) {
 	const capacity, total = 8, 29
 	r := newRing(capacity)
 	for i := 0; i < total; i++ {
-		if !r.write(Event{Kind: KComplete, Task: uint64(i)}) {
+		if !r.write(Event{Kind: probe.SiteComplete, Task: uint64(i)}) {
 			t.Fatalf("sequential write %d dropped", i)
 		}
 	}
@@ -146,7 +148,7 @@ func TestRecorderConservation(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				// Cycle workers (including -1, the external lane) and
 				// kinds so every lane and every counter participates.
-				rec.Record(Kind(i%int(numKinds)), w%6-1, uint64(i), 0)
+				rec.record(probe.Site(i%int(probe.NumSites)), w%6-1, uint64(i), 0)
 			}
 		}()
 	}
@@ -154,7 +156,7 @@ func TestRecorderConservation(t *testing.T) {
 	d := rec.Snapshot(Meta{Name: "conservation"})
 
 	var counted uint64
-	for k := Kind(0); k < numKinds; k++ {
+	for k := probe.Site(0); k < probe.NumSites; k++ {
 		counted += rec.Count(k)
 	}
 	if counted != writers*perWriter {
@@ -176,7 +178,7 @@ func TestRecorderSampleEveryOne(t *testing.T) {
 	rec := NewRecorder(Config{Workers: 2, LaneCap: 32, SampleEvery: 1})
 	const total = 500
 	for i := 0; i < total; i++ {
-		rec.Record(KSubmit, 0, uint64(i), 0)
+		rec.record(probe.SiteSubmit, 0, uint64(i), 0)
 	}
 	if rec.SampledOut() != 0 {
 		t.Fatalf("SampleEvery=1 shed %d events", rec.SampledOut())

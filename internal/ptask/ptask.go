@@ -27,8 +27,7 @@ import (
 
 	"parc751/internal/core"
 	"parc751/internal/eventloop"
-	"parc751/internal/faultinject"
-	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 	"parc751/internal/sched"
 )
 
@@ -70,11 +69,6 @@ func (rt *Runtime) Workers() int { return rt.pool.Size() }
 // dead afterwards: submitting more tasks (Run, RunAfter, RunMulti, ...)
 // panics, because no worker would ever execute them.
 func (rt *Runtime) Shutdown() { rt.pool.Shutdown() }
-
-// SetFaultInjector attaches (or, with nil, detaches) a chaos injector on
-// the underlying pool: submit/steal/run hooks fire in the pool, and task
-// bodies pass the SiteTaskBody point under their panic capture.
-func (rt *Runtime) SetFaultInjector(in *faultinject.Injector) { rt.pool.SetFaultInjector(in) }
 
 // ShutdownTimeout drains like Shutdown but gives up after d, abandoning
 // wedged or unstarted tasks (see core.Pool.ShutdownTimeout). It returns
@@ -134,7 +128,7 @@ type Task[T any] struct {
 	gen      uint64
 	released atomic.Bool
 
-	// tid is the parctrace task id, assigned at construction while a
+	// tid is the trace task id, assigned at construction while a
 	// recorder is attached (0 otherwise). The scheduler reuses it for
 	// the submit/run/complete edges via TraceTaskID, so dependence edges
 	// recorded here and scheduler edges name the same DAG node.
@@ -185,15 +179,15 @@ func newTask[T any](rt *Runtime) *Task[T] {
 // there are none). Shared by the legacy and failure-semantics
 // constructors.
 func (t *Task[T]) wireDeps(deps []Dep) {
-	if rec := parctrace.Active(); rec != nil {
-		t.tid = rec.NewTaskID()
-		// Dependence edges are recorded at wiring time — before the task
-		// can possibly be enqueued — so an edge always precedes its
+	if pr := probe.Load(); pr != nil {
+		t.tid = probe.NewTaskID(pr)
+		// Dependence edges fire at wiring time — before the task can
+		// possibly be enqueued — so an edge always precedes its
 		// dependent's submit in the trace.
 		for _, d := range deps {
-			if tagged, ok := d.(parctrace.Tagged); ok {
+			if tagged, ok := d.(probe.Tagged); ok {
 				if dep := tagged.TraceTaskID(); dep != 0 {
-					rec.Record(parctrace.KDepend, -1, t.tid, dep)
+					pr.Fire(probe.SiteDepend, -1, t.tid, dep)
 				}
 			}
 		}
@@ -240,7 +234,7 @@ func (t *Task[T]) enqueue() {
 	t.rt.pool.SubmitRunnable(t)
 }
 
-// TraceTaskID implements parctrace.Tagged: it exposes the trace id this
+// TraceTaskID implements probe.Tagged: it exposes the trace id this
 // task was assigned at construction (0 when no recorder was attached),
 // letting the scheduler stamp its submit/run/complete edges with it.
 func (t *Task[T]) TraceTaskID() uint64 { return t.tid }
@@ -264,15 +258,15 @@ func (t *Task[T]) RunTask() {
 		t.complete(stateCancelled, val, ctxError(t.ctx.Err()))
 		return
 	}
-	in := t.rt.pool.FaultInjector()
+	pr := probe.Load()
 	attempt := 0
 	for {
 		err = nil
 		if perr := core.Catch(func() {
-			if in != nil {
+			if pr != nil {
 				// Inside Catch: an injected panic surfaces as an error on
 				// this future, never as a crashed worker.
-				in.TaskBody()
+				pr.Fire(probe.SiteTaskBody, -1, t.tid, 0)
 			}
 			if void != nil {
 				err = void()
@@ -399,7 +393,7 @@ type MultiTask[T any] struct {
 	policy    MultiPolicy
 	failFirst sync.Once
 
-	// tid is the multi-task's own parctrace node id; the recorder links
+	// tid is the multi-task's own trace node id; the recorder links
 	// it to every sub-task with a depend edge so the fan-out is visible
 	// as one logical node in the DAG.
 	tid uint64
@@ -433,11 +427,11 @@ func RunMultiPolicy[T any](rt *Runtime, n int, policy MultiPolicy, fn func(i int
 		i := i
 		m.tasks[i] = Run(rt, func() (T, error) { return fn(i) })
 	}
-	if rec := parctrace.Active(); rec != nil {
-		m.tid = rec.NewTaskID()
+	if pr := probe.Load(); pr != nil {
+		m.tid = probe.NewTaskID(pr)
 		for _, tk := range m.tasks {
 			if tk.tid != 0 {
-				rec.Record(parctrace.KDepend, -1, m.tid, tk.tid)
+				pr.Fire(probe.SiteDepend, -1, m.tid, tk.tid)
 			}
 		}
 	}
@@ -503,7 +497,7 @@ func (m *MultiTask[T]) subDone(tk *Task[T]) {
 	}
 }
 
-// TraceTaskID implements parctrace.Tagged (see Task.TraceTaskID).
+// TraceTaskID implements probe.Tagged (see Task.TraceTaskID).
 func (m *MultiTask[T]) TraceTaskID() uint64 { return m.tid }
 
 // depErr implements Dep.

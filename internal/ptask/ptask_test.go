@@ -581,6 +581,9 @@ func TestRuntimeSchedStats(t *testing.T) {
 	rt := NewRuntime(3)
 	defer rt.Shutdown()
 	WaitAll(rt, RunMulti(rt, 64, func(i int) (int, error) { return i, nil }))
+	// A task's future settles inside its body, before runTask counts it
+	// as executed: drain the pool so every count has landed.
+	rt.pool.Quiesce()
 	s := rt.SchedStats()
 	if len(s.Workers) != 3 {
 		t.Fatalf("snapshot workers = %d", len(s.Workers))

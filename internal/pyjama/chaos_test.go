@@ -5,18 +5,21 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 )
 
-// TestRegionBarrierInjection attaches the package-level injector and runs
-// a barrier-heavy region: arrival delays must skew the schedule without
-// breaking worksharing results.
+// TestRegionBarrierInjection attaches an injector to the probe seam and
+// runs a barrier-heavy region: arrival delays must skew the schedule
+// without breaking worksharing results.
 func TestRegionBarrierInjection(t *testing.T) {
 	in := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteBarrierArrive, Kind: faultinject.Delay, Nth: 1, Every: 7,
+		{Site: probe.SiteBarrier, Kind: faultinject.Delay, Nth: 1, Every: 7,
 			Dur: 500 * time.Microsecond},
 	}})
-	prev := SetFaultInjector(in)
-	defer SetFaultInjector(prev)
+	if !probe.CompareAndSwap(nil, in) {
+		t.Fatal("a probe is already attached")
+	}
+	defer probe.CompareAndSwap(in, nil)
 
 	const n = 4
 	sum := 0
@@ -33,7 +36,7 @@ func TestRegionBarrierInjection(t *testing.T) {
 	if sum != 4950 {
 		t.Fatalf("sum = %d, want 4950 (injection corrupted worksharing)", sum)
 	}
-	if in.Seen(faultinject.SiteBarrierArrive) == 0 {
+	if in.Seen(probe.SiteBarrier) == 0 {
 		t.Error("region barrier never reached the injector")
 	}
 	if in.Fired() == 0 {
@@ -41,16 +44,17 @@ func TestRegionBarrierInjection(t *testing.T) {
 	}
 }
 
-// TestRegionInjectorDetaches checks the previous injector is restorable
-// and that regions started after detach run clean.
+// TestRegionInjectorDetaches checks that regions started after the
+// injector detaches run clean.
 func TestRegionInjectorDetaches(t *testing.T) {
 	in := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteBarrierArrive, Kind: faultinject.Delay, Every: 1, Dur: time.Microsecond},
+		{Site: probe.SiteBarrier, Kind: faultinject.Delay, Every: 1, Dur: time.Microsecond},
 	}})
-	SetFaultInjector(in)
-	SetFaultInjector(nil)
+	if !probe.CompareAndSwap(nil, in) || !probe.CompareAndSwap(in, nil) {
+		t.Fatal("attach/detach round trip failed")
+	}
 	Parallel(2, func(tc *TC) { tc.Barrier() })
-	if in.Seen(faultinject.SiteBarrierArrive) != 0 {
+	if in.Seen(probe.SiteBarrier) != 0 {
 		t.Error("detached injector observed barrier arrivals")
 	}
 }

@@ -25,7 +25,7 @@ import (
 	"sync/atomic"
 
 	"parc751/internal/core"
-	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 )
 
 // TC is a thread context: the view one team member has of its parallel
@@ -194,11 +194,11 @@ func runRegion(nthreads int, w work, stats *RegionStats) {
 		nthreads = 1
 	}
 	t := acquireTeam(nthreads)
-	t.barrier.SetFaultInjector(regionFI.Load())
+	pr := probe.Load()
 	var regionID uint64
-	if rec := parctrace.Active(); rec != nil {
-		regionID = rec.NewTaskID()
-		rec.Record(parctrace.KRegionStart, -1, regionID, uint64(nthreads))
+	if pr != nil {
+		regionID = probe.NewTaskID(pr)
+		pr.Fire(probe.SiteRegionStart, -1, regionID, uint64(nthreads))
 	}
 	t.work = w
 	t.pending.Store(int32(nthreads))
@@ -207,12 +207,11 @@ func runRegion(nthreads int, w work, stats *RegionStats) {
 	if t.pending.Add(-1) != 0 {
 		t.parkers[0].ParkUntil(func() bool { return t.pending.Load() == 0 })
 	}
-	if regionID != 0 {
-		// Recorded before the panic scan so a faulted region still closes
-		// its node: region_start and region_end counts stay conserved.
-		if rec := parctrace.Active(); rec != nil {
-			rec.Record(parctrace.KRegionEnd, -1, regionID, uint64(nthreads))
-		}
+	if pr != nil {
+		// Fired before the panic scan, on the probe that saw the start,
+		// so a faulted region still closes its node: region_start and
+		// region_end counts stay conserved.
+		pr.Fire(probe.SiteRegionEnd, -1, regionID, uint64(nthreads))
 	}
 	err := t.rootCause()
 	c := t.constructs()

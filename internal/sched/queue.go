@@ -74,12 +74,6 @@ func (q *FIFO[T]) Len() int {
 // RoundRobinVictims is the deterministic variant used by the simulator so
 // simulated schedules are reproducible.
 
-// VictimPicker yields a sequence of victim worker indices, excluding self.
-type VictimPicker interface {
-	// Next returns the next victim to try for the given thief.
-	Next(thief int) int
-}
-
 // RoundRobinVictims cycles deterministically through workers, skipping the
 // thief itself.
 type RoundRobinVictims struct {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/probe"
 	"parc751/internal/ptask"
 )
 
@@ -80,7 +81,7 @@ func TestRetryBudgetRecoversInjectedErrors(t *testing.T) {
 	// Every URL's first attempt fails (injected transport error); the
 	// retry budget absorbs it so the fetch as a whole succeeds.
 	in := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteTransport, Kind: faultinject.Error, Nth: 0, Every: 2, Count: 4},
+		{Site: probe.SiteTransport, Kind: faultinject.Error, Nth: 0, Every: 2, Count: 4},
 	}})
 	client := &http.Client{Transport: &faultinject.RoundTripper{
 		Base: srv.Client().Transport, Injector: in,
@@ -111,7 +112,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	defer rt.Shutdown()
 	// Every attempt fails: all URLs error out after MaxAttempts tries.
 	in := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteTransport, Kind: faultinject.Error, Every: 1},
+		{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1},
 	}})
 	f := NewFetcher(rt, &http.Client{Transport: &faultinject.RoundTripper{Injector: in}}, 1)
 	f.SetRetryBudget(ptask.RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Seed: 1})
@@ -128,7 +129,7 @@ func TestTimeoutBoundsInjectedHang(t *testing.T) {
 	rt := ptask.NewRuntime(1)
 	defer rt.Shutdown()
 	in := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteTransport, Kind: faultinject.Hang, Nth: 0, Count: 1},
+		{Site: probe.SiteTransport, Kind: faultinject.Hang, Nth: 0, Count: 1},
 	}})
 	f := NewFetcher(rt, &http.Client{Transport: &faultinject.RoundTripper{Injector: in}}, 1)
 	f.SetTimeout(30 * time.Millisecond)
@@ -221,7 +222,7 @@ func TestFetcherWithBreakerShortCircuits(t *testing.T) {
 	// Transport always fails; with threshold 2, requests 3..6 must be
 	// refused by the breaker without touching the transport.
 	in := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteTransport, Kind: faultinject.Error, Every: 1},
+		{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1},
 	}})
 	f := NewFetcher(rt, &http.Client{Transport: &faultinject.RoundTripper{Injector: in}}, 1)
 	f.SetBreaker(NewBreaker(2, time.Hour))
@@ -241,7 +242,7 @@ func TestFetcherWithBreakerShortCircuits(t *testing.T) {
 	if refused != 4 {
 		t.Errorf("refused = %d, want 4 (breaker should eat requests 3..6)", refused)
 	}
-	if got := in.Seen(faultinject.SiteTransport); got != 2 {
+	if got := in.Seen(probe.SiteTransport); got != 2 {
 		t.Errorf("transport saw %d requests, want 2 (rest short-circuited)", got)
 	}
 }
