@@ -51,7 +51,7 @@ func main() {
 	type span struct{ lo, hi int }
 	data := make([]int, 4096)
 	for i := range data {
-		data[i] = (i * 2654435761) % 100003
+		data[i] = int(int64(i) * 2654435761 % 100003)
 	}
 	dc := patterns.DivideConquer[span, int]{
 		RT:     rt,

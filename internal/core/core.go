@@ -263,6 +263,56 @@ type worker struct {
 	wakes atomic.Int64
 }
 
+// workerRegistry maps a goroutine to the pool worker running on it, so
+// Submit can push onto the caller's own deque and a join can help. The
+// key is goroutineKey: the goroutine's g address where a getg stub
+// exists (workerid_getg.go), its parsed id elsewhere
+// (workerid_fallback.go). Workers are never pinned to OS threads. A
+// lookup is an atomic load of a copy-on-write map plus one map access;
+// the map is only rewritten when workers start or stop, and an empty
+// registry answers nil without computing the key.
+type workerRegistry struct {
+	mu    sync.Mutex
+	byKey atomic.Pointer[map[uint64]*worker]
+}
+
+// bind registers the calling goroutine as w and returns its unbind
+// function. Must be called from w's goroutine before it runs any task,
+// and unbind before that goroutine exits: once it has exited, the
+// runtime may hand its key to a new goroutine.
+func (r *workerRegistry) bind(w *worker) (unbind func()) {
+	key := goroutineKey()
+	r.set(key, w)
+	return func() { r.set(key, nil) }
+}
+
+func (r *workerRegistry) set(key uint64, w *worker) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	next := make(map[uint64]*worker)
+	if old := r.byKey.Load(); old != nil {
+		for k, v := range *old {
+			next[k] = v
+		}
+	}
+	if w == nil {
+		delete(next, key)
+	} else {
+		next[key] = w
+	}
+	r.byKey.Store(&next)
+}
+
+// current returns the worker bound to the calling goroutine, or nil for
+// any other goroutine.
+func (r *workerRegistry) current() *worker {
+	m := r.byKey.Load()
+	if m == nil || len(*m) == 0 {
+		return nil
+	}
+	return (*m)[goroutineKey()]
+}
+
 // NewPool starts a pool with n workers (n < 1 is treated as 1).
 func NewPool(n int) *Pool {
 	if n < 1 {
@@ -449,7 +499,7 @@ func (w *worker) run() {
 			}
 			continue
 		}
-		p.runTask(t)
+		p.runTask(w, t)
 	}
 }
 
@@ -467,7 +517,7 @@ func (p *Pool) park(w *worker) (exit bool) {
 	p.pushIdle(s)
 	if t, ok := p.findWorkFull(w); ok {
 		p.cancelPark(s)
-		p.runTask(t)
+		p.runTask(w, t)
 		return false
 	}
 	w.parks.Add(1)
@@ -568,8 +618,9 @@ func (p *Pool) steal(w *worker, victim *worker) (*task, bool) {
 }
 
 // runTask strips the envelope (recording the sampled latency probe),
-// recycles it, and runs the task function under panic capture.
-func (p *Pool) runTask(t *task) {
+// recycles it, and runs the task function under panic capture. w is the
+// worker running it, nil for an external helper.
+func (p *Pool) runTask(w *worker, t *task) {
 	if !t.t0.IsZero() {
 		p.lat.Observe(time.Since(t.t0))
 	}
@@ -586,7 +637,7 @@ func (p *Pool) runTask(t *task) {
 	if pr != nil {
 		// A chaos Stall here wedges this worker before it executes the
 		// task, modelling a stalled core: siblings must steal its queue.
-		wid = workerID(p.reg.current())
+		wid = workerID(w)
 		pr.Fire(probe.SiteRun, wid, tid, 0)
 	}
 	// Panics are contained per-task; the task wrapper (e.g. a ptask
@@ -616,7 +667,7 @@ func (p *Pool) runTask(t *task) {
 // decompositions complete on pools of any size. With no work available
 // the helper parks on the pool's idle list (woken by the next Submit)
 // instead of polling a timer.
-func (p *Pool) Help(done <-chan struct{}) { p.help(done, nil) }
+func (p *Pool) Help(done <-chan struct{}) { p.help(p.reg.current(), done, nil) }
 
 // Joinable is a completion a helper can park on without a channel.
 // *Future[T] implements it for every T; the unexported methods keep
@@ -628,16 +679,26 @@ type Joinable interface {
 	unwatch(s *parkSlot)
 }
 
-// HelpJoin is Help until j completes, without a Done channel: the helper
-// registers its park slot on j, and j's completion wakes that slot with
-// the same claim CAS a submitter uses. A join inside a worker therefore
-// allocates nothing. If another helper already holds j's registration,
-// this one falls back to j's Done channel.
-func (p *Pool) HelpJoin(j Joinable) { p.help(nil, j) }
-
-// help is Help and HelpJoin: exactly one of done and j is set.
-func (p *Pool) help(done <-chan struct{}, j Joinable) {
+// HelpJoin is Help until j completes, for a worker, without a Done
+// channel: the helper registers its worker's park slot on j, and j's
+// completion wakes that slot with the same claim CAS a submitter uses, so
+// the join allocates nothing. If another helper already holds j's
+// registration, this one falls back to j's Done channel. Called from a
+// goroutine that is not one of p's workers, HelpJoin returns false at
+// once and leaves the caller to block its own way; the one identity
+// lookup serves as both the OnWorker test and the helper's identity.
+func (p *Pool) HelpJoin(j Joinable) (helped bool) {
 	w := p.reg.current()
+	if w == nil {
+		return false
+	}
+	p.help(w, nil, j)
+	return true
+}
+
+// help is Help and HelpJoin on behalf of w (nil for an external
+// goroutine): exactly one of done and j is set.
+func (p *Pool) help(w *worker, done <-chan struct{}, j Joinable) {
 	var s *parkSlot
 	if w != nil {
 		// A worker inside Help is not parked in its run loop, so its
@@ -656,7 +717,7 @@ func (p *Pool) help(done <-chan struct{}, j Joinable) {
 			return
 		}
 		if t, ok := p.findWork(w); ok {
-			p.runTask(t)
+			p.runTask(w, t)
 			continue
 		}
 		// Register on the idle list, then on j: the parked state is
@@ -668,7 +729,7 @@ func (p *Pool) help(done <-chan struct{}, j Joinable) {
 		}
 		if t, ok := p.findWorkFull(w); ok {
 			p.cancelPark(s)
-			p.runTask(t)
+			p.runTask(w, t)
 			continue
 		}
 		// The re-check that pairs with Future.Complete: the completer

@@ -80,6 +80,9 @@ func TestShutdownTimeoutAbandonsStragglers(t *testing.T) {
 		t.Errorf("second ShutdownTimeout = %v, want nil no-op", err)
 	}
 	close(release) // let the wedged goroutines drain
+	// Wait for the released workers to run the abandoned queue and exit:
+	// their tasks fire the process-wide probe, which a later test owns.
+	p.wg.Wait()
 }
 
 // TestShutdownTimeoutAbandonedCountRace audits the leftover-queue count
@@ -135,6 +138,7 @@ func TestShutdownTimeoutAbandonedCountRace(t *testing.T) {
 				round, got, want, workers, enqueued.Load())
 		}
 		close(release)
+		p.wg.Wait() // as above: no straggler may outlive the test
 	}
 }
 

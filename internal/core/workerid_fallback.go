@@ -1,58 +1,36 @@
-//go:build !linux
+//go:build !amd64 && !arm64
 
 package core
 
 import (
 	"bytes"
 	"runtime"
-	"strconv"
 	"sync"
 )
 
-// Worker identity, portable fallback: a registry keyed by goroutine id
-// recovered from the runtime.Stack header. Slower than the Linux
-// thread-id path (microseconds per lookup), but stdlib-only and correct
-// on every platform. The empty-registry fast path keeps external-only
-// pools (no workers registered yet) from paying the stack parse.
-type workerRegistry struct {
-	mu   sync.RWMutex
-	gids map[int64]*worker
-}
+// stackBufs recycles goroutineKey's header buffers: runtime.Stack keeps
+// its argument on the heap, and a fresh buffer per lookup would break the
+// pool's zero-allocation Submit.
+var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
 
-func (r *workerRegistry) bind(w *worker) (unbind func()) {
-	gid := goroutineID()
-	r.mu.Lock()
-	if r.gids == nil {
-		r.gids = map[int64]*worker{}
+// goroutineKey is the worker registry's goroutine key on architectures
+// without a getg stub: the goroutine id parsed from the runtime.Stack
+// header ("goroutine N [running]: ..."). It costs microseconds per call,
+// against nanoseconds for getg, but it is stdlib-only, allocation-free
+// once warm, and correct everywhere. Ids are never reused, so a dead
+// worker's key can never match a live goroutine.
+func goroutineKey() uint64 {
+	buf := stackBufs.Get().(*[64]byte)
+	defer stackBufs.Put(buf)
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	var id uint64
+	n := 0
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		id = id*10 + uint64(b[n]-'0')
 	}
-	r.gids[gid] = w
-	r.mu.Unlock()
-	return func() {
-		r.mu.Lock()
-		delete(r.gids, gid)
-		r.mu.Unlock()
-	}
-}
-
-func (r *workerRegistry) current() *worker {
-	r.mu.RLock()
-	w := r.gids[goroutineID()]
-	r.mu.RUnlock()
-	return w
-}
-
-// goroutineID extracts the current goroutine's id from the runtime stack
-// header ("goroutine N [running]: ...").
-func goroutineID() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	fields := bytes.Fields(buf[:n])
-	if len(fields) < 2 {
-		return -1
-	}
-	id, err := strconv.ParseInt(string(fields[1]), 10, 64)
-	if err != nil {
-		return -1
+	if n == 0 {
+		// Every goroutine would share one key and pass for a worker.
+		panic("core: cannot parse the goroutine id from runtime.Stack")
 	}
 	return id
 }

@@ -367,7 +367,7 @@ func (t *Task[T]) IsDone() bool {
 // finished task, blocks (if at all) on the future's internal condition.
 func (t *Task[T]) Result() (T, error) {
 	t.fut.CheckGen(t.gen)
-	if !t.fut.IsDone() && t.rt.pool.OnWorker() {
+	if !t.fut.IsDone() {
 		t.rt.pool.HelpJoin(t.fut)
 	}
 	return t.fut.Get()
