@@ -81,28 +81,6 @@ func TestBarrierPartyStats(t *testing.T) {
 	}
 }
 
-// TestBarrierAwaitAsOutOfRange: ids outside [0, parties) fall back to
-// ticket assignment and the barrier still completes.
-func TestBarrierAwaitAsOutOfRange(t *testing.T) {
-	const parties = 3
-	b := NewBarrier(parties)
-	var wg sync.WaitGroup
-	var serials atomic.Int32
-	for i := 0; i < parties; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, serial := b.AwaitAs(100 + i); serial {
-				serials.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if serials.Load() != 1 {
-		t.Fatalf("%d serial threads, want 1", serials.Load())
-	}
-}
-
 // TestBarrierAbortReleasesFutureGeneration: abort must fail-fast parties
 // blocked in a *later* generation than the one in flight when Abort ran,
 // and parties whose generation completed concurrently with the abort must
@@ -112,15 +90,15 @@ func TestBarrierAbortReleasesFutureGeneration(t *testing.T) {
 	// Complete one generation normally.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); b.Await() }()
-	b.Await()
+	go func() { defer wg.Done(); b.AwaitAs(1) }()
+	b.AwaitAs(0)
 	wg.Wait()
 
 	// Block one party in generation 1, then abort.
 	panics := make(chan any, 1)
 	go func() {
 		defer func() { panics <- recover() }()
-		b.Await()
+		b.AwaitAs(0)
 	}()
 	time.Sleep(2 * time.Millisecond)
 	b.Abort()

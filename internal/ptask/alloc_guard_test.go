@@ -64,3 +64,38 @@ func TestWorkerJoinAllocGuard(t *testing.T) {
 		t.Fatalf("worker-side Run→Result→Release allocates %v objects/op, want <= 1", got)
 	}
 }
+
+// TestMultiResultsAllocGuard pins the fan-out join's budget: a steady-state
+// RunMulti(rt, 4, fn).Results() allocates the handle, its aggregate
+// future and slices, and four sub-task handles with their closures, but
+// no Done channel — Results joins through the aggregate future like
+// Task.Result does, from an external caller and from a worker alike.
+func TestMultiResultsAllocGuard(t *testing.T) {
+	const budget = 25
+	rt := NewRuntime(2)
+	defer rt.Shutdown()
+	fn := func(i int) (int, error) { return i, nil }
+	cycle := func() {
+		if vals, err := RunMulti(rt, 4, fn).Results(); err != nil || len(vals) != 4 || vals[3] != 3 {
+			panic("wrong multi-task results")
+		}
+	}
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > budget {
+		t.Fatalf("external RunMulti→Results allocates %v objects/op, want <= %d", got, budget)
+	}
+	got, err := Run(rt, func() (float64, error) {
+		for i := 0; i < 256; i++ {
+			cycle()
+		}
+		return testing.AllocsPerRun(200, cycle), nil
+	}).Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got > budget {
+		t.Fatalf("worker-side RunMulti→Results allocates %v objects/op, want <= %d", got, budget)
+	}
+}

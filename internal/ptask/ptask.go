@@ -91,14 +91,17 @@ func (rt *Runtime) dispatch(fn func()) {
 	fn()
 }
 
-// await blocks until done, helping the pool if called from a worker so
-// that joins never deadlock.
-func (rt *Runtime) await(done <-chan struct{}) {
-	if rt.pool.OnWorker() {
-		rt.pool.Help(done)
-		return
+// join blocks until f completes and returns its value and error. Called
+// from a worker it helps the pool (core.Pool.HelpJoin), so arbitrary
+// recursive joins are safe: the worker parks its own slot on f. Called
+// from any other goroutine, or on a finished future, it blocks (if at
+// all) on the future's internal condition. No join materialises the
+// future's Done channel.
+func join[T any](rt *Runtime, f *core.Future[T]) (T, error) {
+	if !f.IsDone() {
+		rt.pool.HelpJoin(f)
 	}
-	<-done
+	return f.Get()
 }
 
 // Dep is the dependence interface: anything whose completion a task can
@@ -361,16 +364,10 @@ func (t *Task[T]) IsDone() bool {
 
 // Result joins the task: it blocks until completion and returns the value
 // and error. Called from inside another task it helps the pool, so
-// arbitrary recursive joins are safe. No join materialises the future's
-// done channel: a helping join parks its worker slot on the future
-// (core.Pool.HelpJoin), and an external join, or one on an already
-// finished task, blocks (if at all) on the future's internal condition.
+// arbitrary recursive joins are safe (see join).
 func (t *Task[T]) Result() (T, error) {
 	t.fut.CheckGen(t.gen)
-	if !t.fut.IsDone() {
-		t.rt.pool.HelpJoin(t.fut)
-	}
-	return t.fut.Get()
+	return join(t.rt, t.fut)
 }
 
 // Notify registers a completion handler delivered on the runtime's event
@@ -525,11 +522,9 @@ func (m *MultiTask[T]) Tasks() []*Task[T] { return m.tasks }
 func (m *MultiTask[T]) Done() <-chan struct{} { return m.agg.Done() }
 
 // Results joins all sub-tasks and returns their values in element order,
-// along with the first error encountered (nil when all succeeded).
-func (m *MultiTask[T]) Results() ([]T, error) {
-	m.rt.await(m.agg.Done())
-	return m.agg.Get()
-}
+// along with the first error encountered (nil when all succeeded). It
+// joins like Task.Result.
+func (m *MultiTask[T]) Results() ([]T, error) { return join(m.rt, m.agg) }
 
 // NotifyEach registers an interim-result handler invoked (on the event
 // loop, when registered) as each sub-task completes — the mechanism the
@@ -588,20 +583,20 @@ func Invoke(rt *Runtime, fn func() error) *Task[struct{}] {
 }
 
 // WaitAll joins a set of dependences, helping the pool when called from a
-// worker. It is the bulk barrier used by fork-join style code.
+// worker (see join). It is the bulk barrier used by fork-join style code.
 func WaitAll(rt *Runtime, deps ...Dep) {
 	if len(deps) == 0 {
 		return
 	}
-	done := make(chan struct{})
+	all := core.NewFuture[struct{}]()
 	var remaining atomic.Int32
 	remaining.Store(int32(len(deps)))
 	for _, d := range deps {
 		d.onDone(func() {
 			if remaining.Add(-1) == 0 {
-				close(done)
+				all.Complete(struct{}{}, nil)
 			}
 		})
 	}
-	rt.await(done)
+	join(rt, all)
 }

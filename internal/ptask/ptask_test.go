@@ -247,6 +247,56 @@ func TestRecursiveJoinSingleWorker(t *testing.T) {
 	}
 }
 
+// TestRecursiveMultiJoinSingleWorker is TestRecursiveJoinSingleWorker for
+// the other two joins: every level fans out with RunMulti and joins with
+// Results, then waits for a pair of Invoke children with WaitAll. On one
+// worker each join must help run its own children.
+func TestRecursiveMultiJoinSingleWorker(t *testing.T) {
+	rt := NewRuntime(1)
+	defer func() {
+		if !t.Failed() { // a deadlocked join would hang the drain
+			rt.Shutdown()
+		}
+	}()
+	var sum func(lo, hi int) int
+	sum = func(lo, hi int) int {
+		if hi-lo <= 2 {
+			s := 0
+			for i := lo; i < hi; i++ {
+				s += i
+			}
+			return s
+		}
+		mid := (lo + hi) / 2
+		halves, err := RunMulti(rt, 2, func(i int) (int, error) {
+			if i == 0 {
+				return sum(lo, mid), nil
+			}
+			return sum(mid, hi), nil
+		}).Results()
+		if err != nil {
+			panic(err)
+		}
+		var a, b int
+		WaitAll(rt,
+			Invoke(rt, func() error { a = halves[0]; return nil }),
+			Invoke(rt, func() error { b = halves[1]; return nil }))
+		return a + b
+	}
+	root := Run(rt, func() (int, error) { return sum(0, 64), nil })
+	done := make(chan struct{})
+	var v int
+	go func() { v, _ = root.Result(); close(done) }()
+	select {
+	case <-done:
+		if v != 64*63/2 {
+			t.Fatalf("sum(0, 64) = %d, want %d", v, 64*63/2)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("recursive Results/WaitAll join deadlocked")
+	}
+}
+
 func TestMultiTaskResultsInOrder(t *testing.T) {
 	rt := newRT(t, 4)
 	m := RunMulti(rt, 50, func(i int) (int, error) {
