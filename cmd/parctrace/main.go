@@ -11,10 +11,11 @@
 //	parctrace replay trace.json           # re-execute and verify
 //	parctrace -replay trace.json          # same, flag spelling
 //
-// record executes one of the replayable workloads (quicksort, thumbs,
-// webfetch) under a fresh recorder — with -chaos, under the seeded fault
-// plan the A8 gauntlet uses — and writes the dump. replay re-executes a
-// dump's recorded coordinate (workload spec + fault plan) and verifies
+// record executes one of the replay catalogue's workloads (quicksort,
+// barrier, thumbs, webfetch, webretry, webhang) under a fresh recorder —
+// with -chaos, under the kind's seeded fault plan, the one A8 runs — and
+// writes the dump. replay re-executes a dump's recorded coordinate (its
+// workload spec under the fault plan stored in the dump) and verifies
 // the canonical projections are bit-identical: exit 0 means the schedule
 // reproduced, exit 1 with a diff means it did not.
 package main
@@ -105,7 +106,7 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "recorded %s: %d events in window, counts %v, %d fault(s)\n",
-		d.Name, d.Recorded, d.Counts, len(d.Faults))
+		d.Name, d.Recorded, d.Counts, d.FaultCount())
 	return nil
 }
 
@@ -206,6 +207,6 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	fmt.Printf("replay of %s reproduced the recorded schedule: canonical traces bit-identical, %d fault ordinal(s) matched\n",
-		recorded.Name, len(recorded.Faults))
+		recorded.Name, recorded.FaultCount())
 	return nil
 }

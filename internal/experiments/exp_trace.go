@@ -35,26 +35,17 @@ func runA12(cfg Config) *Result {
 	tab := metrics.NewTable("Recorded chaos runs replayed (canonical projections compared)",
 		"workload", "seed", "events", "faults", "identical", "conserved")
 
-	sizes := map[string]int{
-		replay.KindQuicksort: 20000,
-		replay.KindThumbs:    48,
-		replay.KindWebfetch:  16,
-	}
-	if cfg.Quick {
-		sizes = map[string]int{
-			replay.KindQuicksort: 1500,
-			replay.KindThumbs:    10,
-			replay.KindWebfetch:  6,
-		}
-	}
 	seeds := []uint64{cfg.Seed, cfg.Seed + 101, cfg.Seed + 202}
 	var runs, identical int
 	for _, kind := range replay.Kinds() {
 		for _, seed := range seeds {
 			label := fmt.Sprintf("%s seed=%d", kind, seed)
-			rec, err := replay.Record(parctrace.WorkloadSpec{
-				Kind: kind, Seed: seed, N: sizes[kind], Workers: cfg.Workers, Chaos: true,
-			}, 0)
+			// N 0 runs the catalogue's default size.
+			spec := parctrace.WorkloadSpec{Kind: kind, Seed: seed, Workers: cfg.Workers, Chaos: true}
+			if cfg.Quick {
+				spec.N = replay.QuickN(kind)
+			}
+			rec, err := replay.Record(spec, 0)
 			if err != nil {
 				res.ok(label+": recorded", false)
 				tab.AddRow(kind, seed, "-", "-", false, false)
@@ -75,9 +66,9 @@ func runA12(cfg Config) *Result {
 				identical++
 			}
 			res.ok(label+": replay bit-identical", verr == nil)
-			res.ok(label+": faults fired", len(rec.Faults) > 0)
+			res.ok(label+": faults fired", rec.FaultCount() > 0)
 			res.ok(label+": accounting conserved", conserved)
-			tab.AddRow(kind, seed, rec.Recorded, len(rec.Faults), verr == nil, conserved)
+			tab.AddRow(kind, seed, rec.Recorded, rec.FaultCount(), verr == nil, conserved)
 		}
 	}
 	res.metric("replays", float64(runs))

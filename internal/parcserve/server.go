@@ -41,6 +41,15 @@ import (
 	"parc751/internal/webfetch"
 )
 
+// The webfetch kind's connection bound and circuit breaker: at most
+// fetchConns concurrent connections; breakerThreshold consecutive
+// failures open the breaker for breakerCooldown.
+const (
+	fetchConns       = 8
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
+
 // Config sizes the server. Zero values take the documented defaults.
 type Config struct {
 	// Workers is the ptask pool size (default GOMAXPROCS).
@@ -61,12 +70,6 @@ type Config struct {
 	// 16 / 2ms). BatchMax 1 disables coalescing in effect.
 	BatchMax   int
 	BatchDelay time.Duration
-	// FetchConns bounds concurrent webfetch connections (default 8);
-	// BreakerThreshold/BreakerCooldown configure its circuit breaker
-	// (defaults 5 / 10s).
-	FetchConns       int
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Client issues webfetch requests (default http.DefaultClient).
 	Client *http.Client
 	// NodeID names this server instance in /statz, /healthz and /readyz —
@@ -79,9 +82,6 @@ type Config struct {
 	// do not race the intake cutoff.
 	DrainGrace time.Duration
 }
-
-// DefaultConfig returns the production defaults.
-func DefaultConfig() Config { return Config{} }
 
 func (c *Config) fill() {
 	if c.Workers <= 0 {
@@ -107,15 +107,6 @@ func (c *Config) fill() {
 	}
 	if c.BatchDelay <= 0 {
 		c.BatchDelay = 2 * time.Millisecond
-	}
-	if c.FetchConns <= 0 {
-		c.FetchConns = 8
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Second
 	}
 	if c.NodeID == "" {
 		c.NodeID = "solo"
@@ -205,13 +196,13 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		rt:      ptask.NewRuntime(cfg.Workers),
-		breaker: webfetch.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: webfetch.NewBreaker(breakerThreshold, breakerCooldown),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
 		eps:     map[Kind]*endpointStats{},
 	}
-	s.fetcher = webfetch.NewFetcher(s.rt, cfg.Client, cfg.FetchConns)
+	s.fetcher = webfetch.NewFetcher(s.rt, cfg.Client, fetchConns)
 	s.fetcher.SetBreaker(s.breaker)
 	for _, k := range Kinds() {
 		s.eps[k] = &endpointStats{}

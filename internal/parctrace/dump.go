@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"parc751/internal/faultinject"
@@ -262,6 +263,20 @@ func (d *Dump) Canonical() []byte {
 		panic("parctrace: canonical marshal: " + err.Error())
 	}
 	return b
+}
+
+// FaultCount returns how many fault events the dump's trace holds. The
+// trace is the injector's TraceString split into fields, which reads
+// "(no faults fired)" when nothing fired; every real event is
+// site@ordinal:kind.
+func (d *Dump) FaultCount() int {
+	n := 0
+	for _, f := range d.Faults {
+		if strings.Contains(f, "@") {
+			n++
+		}
+	}
+	return n
 }
 
 // FaultSet returns the dump's fault-ordinal trace as a set.

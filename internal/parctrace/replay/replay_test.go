@@ -1,6 +1,8 @@
 package replay
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,21 +13,21 @@ import (
 // workload kind and several seeds, record a seeded chaos run, replay its
 // dump's coordinate, and require the canonical projections to be
 // bit-identical with the same fault ordinals. This is the in-process
-// half of experiment A12 (the registered ablation runs the same matrix).
+// half of experiment A12 (the registered ablation runs the same matrix
+// at quick scale).
 func TestReplayDeterminism(t *testing.T) {
 	seeds := []uint64{751, 852, 953}
-	sizes := map[string]int{KindQuicksort: 1500, KindThumbs: 10, KindWebfetch: 6}
 	for _, kind := range Kinds() {
 		for _, seed := range seeds {
 			t.Run(kind+"/"+itoa(seed), func(t *testing.T) {
 				spec := parctrace.WorkloadSpec{
-					Kind: kind, Seed: seed, N: sizes[kind], Workers: 2, Chaos: true,
+					Kind: kind, Seed: seed, N: QuickN(kind), Workers: 2, Chaos: true,
 				}
 				rec, err := Record(spec, 512)
 				if err != nil {
 					t.Fatalf("Record: %v", err)
 				}
-				if len(rec.Faults) == 0 {
+				if rec.FaultCount() == 0 {
 					t.Fatalf("chaos run surfaced no fault ordinals: plan %+v", rec.Plan)
 				}
 				if rec.Counts["submit"] == 0 && rec.Counts["region_start"] == 0 {
@@ -43,11 +45,71 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestReplayRequiresCoordinate: a dump without a workload spec cannot be
-// replayed and says so.
+// TestReplayRequiresCoordinate: a dump without a workload spec or a
+// plan cannot be replayed and says so.
 func TestReplayRequiresCoordinate(t *testing.T) {
 	if _, err := Replay(&parctrace.Dump{Schema: parctrace.SchemaV1, Name: "bare"}, 0); err == nil {
 		t.Fatal("coordinate-free dump replayed")
+	}
+	spec := parctrace.WorkloadSpec{Kind: KindThumbs, Seed: 7, N: 8, Workers: 2}
+	if _, err := Replay(&parctrace.Dump{Schema: parctrace.SchemaV1, Name: "planless", Workload: &spec}, 0); err == nil {
+		t.Fatal("plan-free dump replayed")
+	}
+}
+
+// TestReplayCommittedDumps replays dumps recorded by an earlier version
+// of cmd/parctrace (testdata/*.json, seed 751, -chaos -cap 64): the
+// dump, not the current catalogue, is the replay coordinate, so they
+// must keep verifying.
+func TestReplayCommittedDumps(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed dumps: %v", err)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			data, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := parctrace.ReadDump(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Replay(rec, 64)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if err := Verify(rec, rep); err != nil {
+				t.Fatalf("committed dump diverged: %v", err)
+			}
+		})
+	}
+}
+
+// TestReplayRunsDumpPlan: a dump whose plan differs from what
+// DefaultPlan derives for its spec replays under the stored plan. With
+// Chaos cleared the default plan is empty, yet the recorded faults must
+// fire again.
+func TestReplayRunsDumpPlan(t *testing.T) {
+	for _, kind := range []string{KindQuicksort, KindThumbs, KindWebfetch} {
+		t.Run(kind, func(t *testing.T) {
+			rec, err := Record(parctrace.WorkloadSpec{Kind: kind, Seed: 852, Workers: 2, Chaos: true}, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Workload.Chaos = false
+			if len(DefaultPlan(*rec.Workload).Rules) != 0 || rec.FaultCount() == 0 {
+				t.Fatalf("want a recorded plan that differs from the default: %+v", rec.Plan)
+			}
+			rep, err := Replay(rec, 256)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if err := Verify(rec, rep); err != nil {
+				t.Fatalf("replay ignored the dump's plan: %v", err)
+			}
+		})
 	}
 }
 

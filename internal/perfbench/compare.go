@@ -34,38 +34,29 @@ type Regression struct {
 // Compare applies the ratchet: every baseline hot path must still exist
 // and must not regress in ns/op (beyond tolPct AND epsNs) or allocs/op
 // (beyond AllocSlack). Paths new in cur are allowed — they become part
-// of the baseline when the report is committed.
+// of the baseline when the report is committed. It reports BuildDelta's
+// "missing" and "regressed" rows, one Regression per failed check.
 func Compare(base, cur Report, tolPct, epsNs float64) []Regression {
-	if tolPct <= 0 {
-		tolPct = DefaultTolerancePct
-	}
-	if epsNs <= 0 {
-		epsNs = DefaultEpsilonNs
-	}
-	curByName := make(map[string]Result, len(cur.Results))
-	for _, r := range cur.Results {
-		curByName[r.Name] = r
-	}
+	rep := BuildDelta("", base, cur, tolPct, epsNs)
 	var regs []Regression
-	for _, b := range base.Results {
-		c, ok := curByName[b.Name]
-		if !ok {
-			regs = append(regs, Regression{b.Name,
+	for _, d := range rep.Deltas {
+		switch d.Status {
+		case "missing":
+			regs = append(regs, Regression{d.Name,
 				"hot path present in the baseline but missing from this run (coverage regression)"})
-			continue
-		}
-		if over := c.NsPerOp - b.NsPerOp; over > epsNs && c.NsPerOp > b.NsPerOp*(1+tolPct/100) {
-			regs = append(regs, Regression{b.Name, fmt.Sprintf(
-				"ns/op %.1f vs baseline %.1f (+%.1f%%, tolerance %.0f%%)",
-				c.NsPerOp, b.NsPerOp, 100*over/b.NsPerOp, tolPct)})
-		}
-		if c.AllocsPerOp > b.AllocsPerOp+AllocSlack {
-			regs = append(regs, Regression{b.Name, fmt.Sprintf(
-				"allocs/op %.2f vs baseline %.2f (allocation budget is a hard ratchet)",
-				c.AllocsPerOp, b.AllocsPerOp)})
+		case "regressed":
+			if d.nsRegressed(rep.TolPct, rep.EpsNs) {
+				regs = append(regs, Regression{d.Name, fmt.Sprintf(
+					"ns/op %.1f vs baseline %.1f (+%.1f%%, tolerance %.0f%%)",
+					d.CurNsPerOp, d.BaseNsPerOp, d.NsDeltaPct, rep.TolPct)})
+			}
+			if d.allocsRegressed() {
+				regs = append(regs, Regression{d.Name, fmt.Sprintf(
+					"allocs/op %.2f vs baseline %.2f (allocation budget is a hard ratchet)",
+					d.CurAllocs, d.BaseAllocs)})
+			}
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
 	return regs
 }
 
@@ -99,8 +90,17 @@ type DeltaReport struct {
 // DeltaSchemaV1 versions the delta-report artifact format.
 const DeltaSchemaV1 = "parc751/perfbench-delta/v1"
 
+// nsRegressed is the ratchet's time predicate: slower by more than
+// tolPct AND by more than epsNs.
+func (d Delta) nsRegressed(tolPct, epsNs float64) bool {
+	return d.CurNsPerOp-d.BaseNsPerOp > epsNs && d.CurNsPerOp > d.BaseNsPerOp*(1+tolPct/100)
+}
+
+// allocsRegressed is the ratchet's allocation predicate.
+func (d Delta) allocsRegressed() bool { return d.CurAllocs > d.BaseAllocs+AllocSlack }
+
 // BuildDelta computes the per-path delta rows between a baseline and a
-// current run, applying the same regression predicate as Compare.
+// current run: the one regression predicate Compare reports from.
 func BuildDelta(baselineName string, base, cur Report, tolPct, epsNs float64) DeltaReport {
 	if tolPct <= 0 {
 		tolPct = DefaultTolerancePct
@@ -136,8 +136,7 @@ func BuildDelta(baselineName string, base, cur Report, tolPct, epsNs float64) De
 		if b.NsPerOp > 0 {
 			d.NsDeltaPct = 100 * (c.NsPerOp - b.NsPerOp) / b.NsPerOp
 		}
-		nsRegressed := c.NsPerOp-b.NsPerOp > epsNs && c.NsPerOp > b.NsPerOp*(1+tolPct/100)
-		if nsRegressed || c.AllocsPerOp > b.AllocsPerOp+AllocSlack {
+		if d.nsRegressed(tolPct, epsNs) || d.allocsRegressed() {
 			d.Status = "regressed"
 		}
 		rep.Deltas = append(rep.Deltas, d)

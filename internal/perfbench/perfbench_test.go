@@ -73,6 +73,44 @@ func TestCompareFlagsOnlyRealRegressions(t *testing.T) {
 	}
 }
 
+// TestBuildDeltaAgreesWithCompare pins the one regression predicate: on
+// a fixture with ok, regressed, missing and new paths, the delta rows'
+// statuses are exactly what Compare reports — every "regressed" or
+// "missing" row is a Compare regression and no other path is.
+func TestBuildDeltaAgreesWithCompare(t *testing.T) {
+	base := rep(
+		Result{Name: "fast", NsPerOp: 30, AllocsPerOp: 0},
+		Result{Name: "slow", NsPerOp: 10_000, AllocsPerOp: 2},
+		Result{Name: "leaky", NsPerOp: 500, AllocsPerOp: 0},
+		Result{Name: "gone", NsPerOp: 100, AllocsPerOp: 0},
+	)
+	cur := rep(
+		Result{Name: "fast", NsPerOp: 36, AllocsPerOp: 0},
+		Result{Name: "slow", NsPerOp: 12_500, AllocsPerOp: 2},
+		Result{Name: "leaky", NsPerOp: 500, AllocsPerOp: 1},
+		Result{Name: "new", NsPerOp: 5, AllocsPerOp: 0},
+	)
+	statuses := map[string]string{}
+	for _, d := range BuildDelta("BENCH_test.json", base, cur, 10, 20).Deltas {
+		statuses[d.Name] = d.Status
+	}
+	want := map[string]string{"fast": "ok", "slow": "regressed", "leaky": "regressed", "gone": "missing", "new": "new"}
+	for name, st := range want {
+		if statuses[name] != st {
+			t.Errorf("BuildDelta status of %s = %q, want %q", name, statuses[name], st)
+		}
+	}
+	flagged := map[string]bool{}
+	for _, r := range Compare(base, cur, 10, 20) {
+		flagged[r.Name] = true
+	}
+	for name, st := range statuses {
+		if failing := st == "regressed" || st == "missing"; failing != flagged[name] {
+			t.Errorf("%s: delta status %q but Compare flagged=%v", name, st, flagged[name])
+		}
+	}
+}
+
 func TestCompareAllocRatchetIsAbsolute(t *testing.T) {
 	base := rep(Result{Name: "zero", NsPerOp: 50, AllocsPerOp: 0})
 	cur := rep(Result{Name: "zero", NsPerOp: 50, AllocsPerOp: 1})
