@@ -2,8 +2,9 @@
 // behind a sharding router: N worker processes (this same binary
 // re-exec'd in -worker mode) on localhost ports, consistent-hash
 // sharding of job kinds, least-loaded spill on saturation, failover
-// retry of idempotent jobs on node death, and juju-runner-style
-// supervision (restart with backoff, crash-loop circuit).
+// retry of idempotent jobs on node death (up to 3 further nodes per
+// request), and juju-runner-style supervision (restart with backoff,
+// crash-loop circuit).
 //
 // Usage:
 //
@@ -38,10 +39,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
 	"parc751/internal/parccluster"
+	"parc751/internal/parccluster/supervisor"
 	"parc751/internal/parcserve"
 )
 
@@ -50,7 +53,6 @@ func main() {
 		nodes  = flag.Int("nodes", 2, "worker node count")
 		addr   = flag.String("addr", ":8750", "router listen address")
 		evLog  = flag.String("eventlog", "", "write the cluster event log (JSON lines) here on exit")
-		retry  = flag.Int("retry-max", 3, "failover/spill attempts per request beyond the first node")
 		resDel = flag.Duration("restart-delay", 200*time.Millisecond, "supervisor base restart backoff")
 		crashK = flag.Int("crash-loop-k", 5, "exits within the crash-loop window before a node is retired")
 
@@ -89,17 +91,13 @@ func main() {
 			Stderr: os.Stderr,
 			Args: func(id, waddr string) []string {
 				return []string{"-worker", "-worker-addr", waddr, "-node-id", id,
-					"-node-workers", itoa(*nWorkers),
-					"-node-max-concurrent", itoa(*nConc),
-					"-node-max-queue", itoa(*nQueue)}
+					"-node-workers", strconv.Itoa(*nWorkers),
+					"-node-max-concurrent", strconv.Itoa(*nConc),
+					"-node-max-queue", strconv.Itoa(*nQueue)}
 			},
 		},
-		Router: parccluster.RouterConfig{
-			RetryMax:      *retry,
-			LoadPollEvery: 250 * time.Millisecond,
-		},
-		RestartDelay: *resDel,
-		CrashLoopK:   *crashK,
+		Router:     parccluster.RouterConfig{LoadPollEvery: 250 * time.Millisecond},
+		Supervisor: supervisor.Config{RestartDelay: *resDel, CrashLoopK: *crashK},
 	})
 	if err := fleet.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "parccluster: %v\n", err)
@@ -136,9 +134,7 @@ func main() {
 	if err := httpSrv.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "parccluster: http shutdown: %v\n", err)
 	}
-	if err := fleet.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "parccluster: fleet stop: %v\n", err)
-	}
+	_ = fleet.Stop()
 
 	if *evLog != "" {
 		f, err := os.Create(*evLog)
@@ -190,5 +186,3 @@ func runWorker(addr, id string, cfg parcserve.Config) int {
 	_ = httpSrv.Shutdown(ctx)
 	return 0
 }
-
-func itoa(n int) string { return fmt.Sprintf("%d", n) }

@@ -2,6 +2,9 @@
 // runtime: an HTTP service executing the course workloads (sort,
 // text/PDF search, thumbnails, matmul, webfetch) with admission control,
 // small-job batching, per-job deadlines, and graceful drain on SIGINT.
+// A job runs under its request's deadline_ms, or 10s when it names none;
+// no request may ask for more than 1m. Kernel jobs run Pyjama teams of
+// -workers threads.
 //
 // Usage:
 //
@@ -39,12 +42,9 @@ import (
 func main() {
 	var (
 		addr    = flag.String("addr", ":8751", "listen address")
-		workers = flag.Int("workers", 0, "ptask pool size (0 = GOMAXPROCS)")
-		threads = flag.Int("pyjama-threads", 0, "Pyjama team size for kernel jobs (0 = workers)")
+		workers = flag.Int("workers", 0, "ptask pool size and kernel-job Pyjama team size (0 = GOMAXPROCS)")
 		maxConc = flag.Int("max-concurrent", 0, "jobs executing at once (0 = 2x workers)")
 		maxQ    = flag.Int("max-queue", 0, "jobs waiting for a slot before 429 (0 = 4x max-concurrent)")
-		defDl   = flag.Duration("deadline", 10*time.Second, "default per-job deadline")
-		maxDl   = flag.Duration("max-deadline", time.Minute, "cap on requested deadlines")
 		batchN  = flag.Int("batch-max", 16, "small-job batch size bound")
 		batchD  = flag.Duration("batch-delay", 2*time.Millisecond, "small-job batch delay bound")
 		drainD  = flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
@@ -54,16 +54,13 @@ func main() {
 	flag.Parse()
 
 	srv := parcserve.NewServer(parcserve.Config{
-		Workers:         *workers,
-		PyjamaThreads:   *threads,
-		MaxConcurrent:   *maxConc,
-		MaxQueue:        *maxQ,
-		DefaultDeadline: *defDl,
-		MaxDeadline:     *maxDl,
-		BatchMax:        *batchN,
-		BatchDelay:      *batchD,
-		NodeID:          *nodeID,
-		DrainGrace:      *graceD,
+		Workers:       *workers,
+		MaxConcurrent: *maxConc,
+		MaxQueue:      *maxQ,
+		BatchMax:      *batchN,
+		BatchDelay:    *batchD,
+		NodeID:        *nodeID,
+		DrainGrace:    *graceD,
 	})
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}

@@ -9,6 +9,7 @@ import (
 	"parc751/internal/faultinject"
 	"parc751/internal/metrics"
 	"parc751/internal/parccluster"
+	"parc751/internal/parccluster/supervisor"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
 	"parc751/internal/probe"
@@ -71,10 +72,7 @@ func runA11(cfg Config) *Result {
 		fleet := parccluster.NewFleet(parccluster.FleetConfig{
 			Nodes:   n,
 			Starter: &parccluster.LocalStarter{Config: nodeCfg},
-			Router: parccluster.RouterConfig{
-				RetryMax:      3,
-				LoadPollEvery: 25 * time.Millisecond,
-			},
+			Router:  parccluster.RouterConfig{LoadPollEvery: 25 * time.Millisecond},
 		})
 		if err := fleet.Start(); err != nil {
 			res.ok("fleet starts at every size", false)
@@ -125,11 +123,10 @@ func runA11(cfg Config) *Result {
 
 	// --- 2. Survival: node kill mid-run -----------------------------
 	fleet := parccluster.NewFleet(parccluster.FleetConfig{
-		Nodes:        2,
-		Starter:      &parccluster.LocalStarter{Config: nodeCfg},
-		RestartDelay: 50 * time.Millisecond,
+		Nodes:      2,
+		Starter:    &parccluster.LocalStarter{Config: nodeCfg},
+		Supervisor: supervisor.Config{RestartDelay: 50 * time.Millisecond},
 		Router: parccluster.RouterConfig{
-			RetryMax:      3,
 			LoadPollEvery: 25 * time.Millisecond,
 			VerifyRetries: true,
 		},
@@ -222,11 +219,10 @@ func runA11Chaos(cfg Config, nodeCfg parcserve.Config, requests int) (string, bo
 			faultinject.Error, 4, requests, 0),
 	})
 	fleet := parccluster.NewFleet(parccluster.FleetConfig{
-		Nodes:        2,
-		Starter:      &parccluster.LocalStarter{Config: nodeCfg},
-		RestartDelay: 10 * time.Millisecond,
+		Nodes:      2,
+		Starter:    &parccluster.LocalStarter{Config: nodeCfg},
+		Supervisor: supervisor.Config{RestartDelay: 10 * time.Millisecond},
 		Router: parccluster.RouterConfig{
-			RetryMax: 3,
 			Injector: in,
 			// No load poller: background /statz refreshes are off the
 			// chaos transport anyway, but their timing would still move

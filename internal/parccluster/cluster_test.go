@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"parc751/internal/parccluster/supervisor"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
 )
@@ -42,9 +43,8 @@ func startTestFleet(t *testing.T, nodes int, cfg FleetConfig) (*Fleet, *httptest
 // (Lost == 0), and the supervisor must bring the victim back.
 func TestClusterKillNodeMidLoadZeroLost(t *testing.T) {
 	f, front := startTestFleet(t, 2, FleetConfig{
-		RestartDelay: 50 * time.Millisecond,
+		Supervisor: supervisor.Config{RestartDelay: 50 * time.Millisecond},
 		Router: RouterConfig{
-			RetryMax:      3,
 			LoadPollEvery: 25 * time.Millisecond,
 			VerifyRetries: true,
 		},
@@ -153,11 +153,12 @@ func TestClusterCrashLoopRetiresNode(t *testing.T) {
 	f, front := startTestFleet(t, 2, FleetConfig{
 		Starter: &sabotageStarter{inner: inner, victim: "node1"},
 		// Fast supervision so the circuit trips in test time.
-		RestartDelay:    time.Millisecond,
-		MaxDelay:        2 * time.Millisecond,
-		CrashLoopK:      3,
-		CrashLoopWindow: time.Minute,
-		Router:          RouterConfig{RetryMax: 3},
+		Supervisor: supervisor.Config{
+			RestartDelay:    time.Millisecond,
+			MaxDelay:        2 * time.Millisecond,
+			CrashLoopK:      3,
+			CrashLoopWindow: time.Minute,
+		},
 	})
 
 	// Kill the victim once; every restart incarnation self-destructs, so

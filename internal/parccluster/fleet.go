@@ -11,31 +11,25 @@ import (
 	"parc751/internal/parccluster/supervisor"
 )
 
+// readyTimeout bounds the post-start wait for a node's /healthz to
+// answer with the right identity, and the fleet's initial wait for every
+// node to become routable.
+const readyTimeout = 15 * time.Second
+
 // FleetConfig sizes a supervised fleet.
 type FleetConfig struct {
-	// Nodes is how many worker nodes to run.
+	// Nodes is how many worker nodes to run (default 2).
 	Nodes int
 	// Starter creates node incarnations (LocalStarter or ProcStarter).
 	Starter NodeStarter
-	// Router tunes the fronting router. Its OnKill is overridden to
-	// target this fleet's nodes; its Events is unified with the fleet's.
+	// Router tunes the fronting router. The fleet wires its kill hook
+	// (POST /chaos/kill/{node}) to KillNode.
 	Router RouterConfig
-	// Supervision knobs, passed through to supervisor.Config. IsFatal
-	// defaults to nothing-is-fatal: a crashed node is always restarted
-	// (until the crash-loop circuit retires it) because losing one node
-	// must never take the fleet down.
-	IsFatal         func(error) bool
-	RestartDelay    time.Duration
-	MaxDelay        time.Duration
-	CrashLoopK      int
-	CrashLoopWindow time.Duration
-	JitterSeed      uint64
-	Clock           supervisor.Clock
-	// ReadyTimeout bounds the post-start wait for a node's /healthz to
-	// answer with the right identity (default 15s).
-	ReadyTimeout time.Duration
-	// Events is the shared cluster event log (default: a fresh one).
-	Events *EventLog
+	// Supervisor tunes node restarts: a crashed node is always restarted
+	// with backoff until the crash-loop circuit retires it. Its OnEvent
+	// is overridden: the fleet mirrors supervision events into the
+	// cluster event log and drops retired nodes from the ring.
+	Supervisor supervisor.Config
 }
 
 // Fleet is a supervised set of parcserve worker nodes behind a Router.
@@ -59,32 +53,12 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	if cfg.Starter == nil {
 		cfg.Starter = &LocalStarter{}
 	}
-	if cfg.ReadyTimeout <= 0 {
-		cfg.ReadyTimeout = 15 * time.Second
-	}
-	if cfg.IsFatal == nil {
-		cfg.IsFatal = func(error) bool { return false }
-	}
-	if cfg.Events == nil {
-		cfg.Events = NewEventLog()
-	}
-	f := &Fleet{cfg: cfg, events: cfg.Events, handles: map[string]NodeHandle{}}
-
-	rcfg := cfg.Router
-	rcfg.Events = cfg.Events
-	rcfg.OnKill = f.KillNode
-	f.router = NewRouter(rcfg)
-
-	f.runner = supervisor.NewRunner(supervisor.Config{
-		IsFatal:         cfg.IsFatal,
-		RestartDelay:    cfg.RestartDelay,
-		MaxDelay:        cfg.MaxDelay,
-		CrashLoopK:      cfg.CrashLoopK,
-		CrashLoopWindow: cfg.CrashLoopWindow,
-		JitterSeed:      cfg.JitterSeed,
-		Clock:           cfg.Clock,
-		OnEvent:         f.onSupervisorEvent,
-	})
+	f := &Fleet{cfg: cfg, handles: map[string]NodeHandle{}}
+	f.router = newRouter(cfg.Router, f.KillNode)
+	f.events = f.router.Events()
+	scfg := cfg.Supervisor
+	scfg.OnEvent = f.onSupervisorEvent
+	f.runner = supervisor.NewRunner(scfg)
 	return f
 }
 
@@ -108,7 +82,7 @@ func (f *Fleet) Start() error {
 	}
 	// Wait for initial readiness: every node routable or declared
 	// unstartable within the ready budget.
-	deadline := time.Now().Add(f.cfg.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	for {
 		ready := 0
 		for _, n := range f.router.Nodes() {
@@ -121,7 +95,7 @@ func (f *Fleet) Start() error {
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("parccluster: only %d/%d nodes ready within %v",
-				ready, f.cfg.Nodes, f.cfg.ReadyTimeout)
+				ready, f.cfg.Nodes, readyTimeout)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -138,7 +112,7 @@ func (f *Fleet) starterFor(id string) supervisor.StartFunc {
 			return nil, err
 		}
 		f.events.Add(EvNodeStart, id, h.URL())
-		if err := waitHealthy(h.URL(), id, f.cfg.ReadyTimeout); err != nil {
+		if err := waitHealthy(h.URL(), id); err != nil {
 			_ = h.Kill()
 			return nil, err
 		}
@@ -154,8 +128,8 @@ func (f *Fleet) starterFor(id string) supervisor.StartFunc {
 // waitHealthy polls /healthz until it answers 200 with the expected
 // node_id — the identity check that catches a port collision handing us
 // somebody else's server.
-func waitHealthy(url, id string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
+func waitHealthy(url, id string) error {
+	deadline := time.Now().Add(readyTimeout)
 	client := &http.Client{Timeout: time.Second}
 	for {
 		resp, err := client.Get(url + "/healthz")
@@ -173,7 +147,7 @@ func waitHealthy(url, id string, budget time.Duration) error {
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("parccluster: node %s not healthy within %v", id, budget)
+			return fmt.Errorf("parccluster: node %s not healthy within %v", id, readyTimeout)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -230,11 +204,11 @@ func (f *Fleet) KillNode(id string) error {
 }
 
 // Stop shuts the fleet down: supervision ends, every node drains, the
-// router's poller stops. Returns the supervisor's final error (nil on a
-// clean stop).
+// router's poller stops. It always returns nil; the error result is kept
+// for callers that check it.
 func (f *Fleet) Stop() error {
 	f.events.Add(EvFleetStop, "", "")
-	err := f.runner.Stop()
+	f.runner.Stop()
 	f.router.Close()
-	return err
+	return nil
 }

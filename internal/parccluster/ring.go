@@ -1,9 +1,12 @@
 package parccluster
 
-import "sort"
+import (
+	"sort"
+	"strconv"
+)
 
-// ring is a consistent-hash ring over node ids. Each node owns Replicas
-// virtual points; a key's primary is the first point clockwise from the
+// ring is a consistent-hash ring over node ids. Each node owns replicas
+// virtual points (ringReplicas on a Router); a key's primary is the first point clockwise from the
 // key's hash. Consistent hashing is what makes the shard map stable
 // under membership change: adding or removing one node moves only the
 // keys in that node's arcs, so a restart does not reshuffle every kind's
@@ -24,9 +27,6 @@ type ringPoint struct {
 }
 
 func newRing(replicas int) *ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
 	return &ring{replicas: replicas, nodes: map[string]bool{}}
 }
 
@@ -49,7 +49,7 @@ func (r *ring) add(node string) {
 	r.nodes[node] = true
 	for i := 0; i < r.replicas; i++ {
 		r.points = append(r.points, ringPoint{
-			hash: hash64(node + "#" + itoaSmallRing(i)),
+			hash: hash64(node + "#" + strconv.Itoa(i)),
 			node: node,
 		})
 	}
@@ -113,18 +113,4 @@ func (r *ring) members() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func itoaSmallRing(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

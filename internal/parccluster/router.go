@@ -40,28 +40,24 @@ import (
 	"parc751/internal/parcserve"
 )
 
+// Routing constants. ringReplicas is the virtual-node count per worker
+// on the hash ring. retryMax bounds how many alternative nodes one
+// request may be routed to after its first. retryBackoff and
+// retryBackoffMax shape the capped exponential backoff between failover
+// attempts after a transport error; spills on 429 do not back off — the
+// whole point of a spill is that another node has capacity now.
+const (
+	ringReplicas    = 64
+	retryMax        = 3
+	retryBackoff    = 10 * time.Millisecond
+	retryBackoffMax = 250 * time.Millisecond
+)
+
 // RouterConfig tunes the router. Zero values take the defaults.
 type RouterConfig struct {
-	// Replicas is the virtual-node count per worker on the hash ring
-	// (default 64).
-	Replicas int
-	// RetryMax bounds how many alternative nodes one request may be
-	// routed to after its first (default 3).
-	RetryMax int
-	// RetryBackoff and RetryBackoffMax shape the capped exponential
-	// backoff between failover attempts after a transport error
-	// (defaults 10ms / 250ms). Spills on 429 do not back off — the whole
-	// point of a spill is that another node has capacity now.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// Injector, when set, is wired into the router's HTTP transport via
 	// faultinject.RoundTripper — the chaos hook for A11.
 	Injector *faultinject.Injector
-	// Client overrides the router's HTTP client; when nil one is built
-	// from http.DefaultTransport wrapped with the Injector.
-	Client *http.Client
-	// Events receives routing anomalies (default: a fresh log).
-	Events *EventLog
 	// VerifyRetries makes the router double-check every successful
 	// failover: the job is re-executed on a different node and the two
 	// checksums compared (event + counter on mismatch). Expensive —
@@ -73,36 +69,6 @@ type RouterConfig struct {
 	// refreshes per-node queue depths and readiness (the fleet sets
 	// this; bare test routers call RefreshLoad themselves).
 	LoadPollEvery time.Duration
-	// OnKill, when set, enables POST /chaos/kill/{node} — the scripted
-	// chaos surface the CI smoke uses to murder a node mid-run.
-	OnKill func(node string) error
-}
-
-func (c *RouterConfig) fill() {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 10 * time.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 250 * time.Millisecond
-	}
-	if c.Events == nil {
-		c.Events = NewEventLog()
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{
-			Transport: &faultinject.RoundTripper{Injector: c.Injector},
-			Timeout:   2 * time.Minute,
-		}
-	}
 }
 
 // nodeState is the router's view of one worker node. alive tracks
@@ -140,7 +106,11 @@ type Ledger struct {
 type Router struct {
 	cfg    RouterConfig
 	client *http.Client
+	events *EventLog
 	mux    *http.ServeMux
+	// onKill, when set (by NewFleet), enables POST /chaos/kill/{node} —
+	// the scripted chaos surface the CI smoke uses to murder a node.
+	onKill func(node string) error
 
 	mu    sync.RWMutex
 	nodes map[string]*nodeState
@@ -161,19 +131,31 @@ type Router struct {
 
 // NewRouter builds a router with no members; add nodes with SetNode.
 func NewRouter(cfg RouterConfig) *Router {
-	cfg.fill()
+	return newRouter(cfg, nil)
+}
+
+// newRouter is NewRouter with the fleet's kill hook wired in.
+func newRouter(cfg RouterConfig, onKill func(node string) error) *Router {
+	if cfg.Sleep == nil {
+		cfg.Sleep = time.Sleep
+	}
 	rt := &Router{
-		cfg:    cfg,
-		client: cfg.Client,
+		cfg: cfg,
+		client: &http.Client{
+			Transport: &faultinject.RoundTripper{Injector: cfg.Injector},
+			Timeout:   2 * time.Minute,
+		},
+		events: NewEventLog(),
 		mux:    http.NewServeMux(),
+		onKill: onKill,
 		nodes:  map[string]*nodeState{},
-		ring:   newRing(cfg.Replicas),
+		ring:   newRing(ringReplicas),
 	}
 	rt.mux.HandleFunc("POST /jobs/{kind}", rt.handleJob)
 	rt.mux.HandleFunc("GET /statz", rt.handleStatz)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /eventz", rt.handleEventz)
-	if cfg.OnKill != nil {
+	if onKill != nil {
 		rt.mux.HandleFunc("POST /chaos/kill/{node}", rt.handleKill)
 	}
 	if cfg.LoadPollEvery > 0 {
@@ -188,7 +170,7 @@ func NewRouter(cfg RouterConfig) *Router {
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
 // Events returns the router's event log.
-func (rt *Router) Events() *EventLog { return rt.cfg.Events }
+func (rt *Router) Events() *EventLog { return rt.events }
 
 // Close stops the background poller (if any). It does not touch nodes.
 func (rt *Router) Close() {
@@ -217,7 +199,7 @@ func (rt *Router) SetNode(id, url string) {
 	st.alive = true
 	st.ready = true
 	rt.mu.Unlock()
-	rt.cfg.Events.Add(EvMarkUp, id, url)
+	rt.events.Add(EvMarkUp, id, url)
 }
 
 // RemoveNode deletes a node entirely (crash-looped dead): its shard
@@ -227,7 +209,7 @@ func (rt *Router) RemoveNode(id string) {
 	delete(rt.nodes, id)
 	rt.ring.remove(id)
 	rt.mu.Unlock()
-	rt.cfg.Events.Add(EvNodeDead, id, "removed from ring")
+	rt.events.Add(EvNodeDead, id, "removed from ring")
 }
 
 // MarkDown stops routing to a node without removing it from the ring.
@@ -240,7 +222,7 @@ func (rt *Router) MarkDown(id, why string) {
 	}
 	rt.mu.Unlock()
 	if changed {
-		rt.cfg.Events.Add(EvMarkDown, id, why)
+		rt.events.Add(EvMarkDown, id, why)
 	}
 }
 
@@ -309,7 +291,7 @@ func (rt *Router) RefreshLoad() {
 		st.depth = stz.Admission.Waiting + int64(stz.Admission.Running)
 		rt.mu.Unlock()
 		if wasDown {
-			rt.cfg.Events.Add(EvMarkUp, st.id, "statz answered")
+			rt.events.Add(EvMarkUp, st.id, "statz answered")
 		}
 	}
 }
@@ -459,7 +441,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			// have executed — so only idempotent kinds are retried.
 			rt.MarkDown(node.id, "transport: "+ferr.Error())
 			if !idempotentKind(kind) {
-				rt.cfg.Events.Add(EvFailover, node.id,
+				rt.events.Add(EvFailover, node.id,
 					fmt.Sprintf("%s: non-idempotent %s not retried", ferr, kind))
 				rt.reject(w, http.StatusBadGateway,
 					fmt.Sprintf("node %s failed mid-job and %s is not idempotent: %v", node.id, kind, ferr))
@@ -467,7 +449,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			}
 			transportErrs++
 			rt.failovers.Add(1)
-			rt.cfg.Events.Add(EvFailover, node.id, ferr.Error())
+			rt.events.Add(EvFailover, node.id, ferr.Error())
 			failedOver = true
 			sawNon429 = true
 		case fwd.status == http.StatusTooManyRequests:
@@ -475,20 +457,20 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			// instead of surfacing 429 — the client only sees 429 when
 			// the whole cluster is saturated.
 			rt.spills.Add(1)
-			rt.cfg.Events.Add(EvSpill, node.id, "429 from worker")
+			rt.events.Add(EvSpill, node.id, "429 from worker")
 			if fwd.retryAfter > maxRetryAfter {
 				maxRetryAfter = fwd.retryAfter
 			}
 		case fwd.status == http.StatusServiceUnavailable:
 			// Draining: not an error, just not a destination.
-			rt.cfg.Events.Add(EvSpill, node.id, "503 draining")
+			rt.events.Add(EvSpill, node.id, "503 draining")
 			sawNon429 = true
 		default:
 			// A definitive answer (200 or a real worker error): relay it.
 			rt.relay(w, r, kind, node.id, firstNode, fwd, body, failedOver, tried)
 			return
 		}
-		if attempt >= rt.cfg.RetryMax {
+		if attempt >= retryMax {
 			break
 		}
 		next := rt.pickSpill(tried)
@@ -499,7 +481,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			// Back off only after transport errors: the replacement node
 			// is healthy but the cluster just lost capacity, and a
 			// stampede of instant retries is how thundering herds start.
-			rt.cfg.Sleep(rt.retryDelay(transportErrs))
+			rt.cfg.Sleep(retryDelay(transportErrs))
 		}
 		node = next
 	}
@@ -509,7 +491,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	// Retry-After any worker suggested.
 	if !sawNon429 && maxRetryAfter > 0 {
 		rt.saturated.Add(1)
-		rt.cfg.Events.Add(EvSaturated, "", fmt.Sprintf("all %d nodes 429", len(tried)))
+		rt.events.Add(EvSaturated, "", fmt.Sprintf("all %d nodes 429", len(tried)))
 		w.Header().Set("Retry-After", strconv.Itoa(maxRetryAfter))
 		rt.reject(w, http.StatusTooManyRequests, "cluster saturated")
 		return
@@ -518,17 +500,15 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf("no node could run the job (%d tried)", len(tried)))
 }
 
-// retryDelay is the capped exponential failover backoff.
-func (rt *Router) retryDelay(n int) time.Duration {
-	d := rt.cfg.RetryBackoff
+// retryDelay is the capped exponential failover backoff before the nth
+// transport-error retry.
+func retryDelay(n int) time.Duration {
+	d := retryBackoff
 	for i := 1; i < n; i++ {
 		d *= 2
-		if d >= rt.cfg.RetryBackoffMax {
-			return rt.cfg.RetryBackoffMax
+		if d >= retryBackoffMax {
+			return retryBackoffMax
 		}
-	}
-	if d > rt.cfg.RetryBackoffMax {
-		d = rt.cfg.RetryBackoffMax
 	}
 	return d
 }
@@ -584,11 +564,11 @@ func (rt *Router) verifyRetry(r *http.Request, kind, nodeID string, fwd *forward
 	rt.verified.Add(1)
 	if again.Checksum != got.Checksum {
 		rt.mismatch.Add(1)
-		rt.cfg.Events.Add(EvVerify, other.id,
+		rt.events.Add(EvVerify, other.id,
 			fmt.Sprintf("MISMATCH kind=%s %d != %d", kind, again.Checksum, got.Checksum))
 		return
 	}
-	rt.cfg.Events.Add(EvVerify, other.id, "ok kind="+kind)
+	rt.events.Add(EvVerify, other.id, "ok kind="+kind)
 }
 
 // reject answers a request with an explicit error and settles it as
@@ -634,13 +614,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (rt *Router) handleEventz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl")
-	_ = rt.cfg.Events.WriteJSONL(w)
+	_ = rt.events.WriteJSONL(w)
 }
 
 func (rt *Router) handleKill(w http.ResponseWriter, r *http.Request) {
 	node := r.PathValue("node")
-	rt.cfg.Events.Add(EvNodeKill, node, "via /chaos/kill")
-	if err := rt.cfg.OnKill(node); err != nil {
+	rt.events.Add(EvNodeKill, node, "via /chaos/kill")
+	if err := rt.onKill(node); err != nil {
 		w.WriteHeader(http.StatusNotFound)
 		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
 		return

@@ -352,3 +352,14 @@ func TestRouterEventzAndHealthz(t *testing.T) {
 		t.Fatalf("router /eventz = %d body %s", w.Code, w.Body)
 	}
 }
+
+// TestRouterRetryDelay pins the failover backoff: doubling from 10ms per
+// consecutive transport error, capped at 250ms.
+func TestRouterRetryDelay(t *testing.T) {
+	ms := time.Millisecond
+	for n, want := range []time.Duration{10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 250 * ms, 250 * ms} {
+		if got := retryDelay(n + 1); got != want {
+			t.Errorf("retryDelay(%d) = %v, want %v", n+1, got, want)
+		}
+	}
+}

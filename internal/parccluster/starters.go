@@ -35,8 +35,8 @@ type NodeStarter interface {
 	Start(id string) (NodeHandle, error)
 }
 
-// errKilled is what a killed incarnation's Wait returns — a non-fatal
-// crash to the supervisor, which restarts the node with backoff.
+// errKilled is what a killed incarnation's Wait returns — a crash to
+// the supervisor, which restarts the node with backoff.
 var errKilled = errors.New("parccluster: node killed")
 
 // ---------------------------------------------------------------------

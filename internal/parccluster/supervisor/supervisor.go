@@ -1,14 +1,15 @@
 // Package supervisor is a restart-on-failure task runner in the style of
 // juju's cmd/jujud tasks runner (SNIPPETS.md Snippet 2): tasks are
-// started under a Runner with a StartTask/Stop/Wait contract, errors are
-// classified fatal or non-fatal by a caller-supplied predicate, and a
-// non-fatal crash restarts the task after an exponential, jittered
-// backoff while a fatal error takes the whole runner down and surfaces
-// from Wait. On top of the juju shape it adds a crash-loop circuit: a
-// task that fails K times inside a sliding window is declared dead and
-// never restarted, so a node that can no longer start does not consume
-// restart bandwidth forever — the fleet above observes the death and
-// routes around it.
+// started under a Runner with a StartTask/Stop/Wait contract, and every
+// exit — a crash, a failed start, even a clean return — restarts the
+// task after an exponential, jittered backoff. The juju runner also
+// classifies errors as fatal and lets a fatal one take the whole runner
+// down; this one has no fatal path, because losing one node must never
+// take the fleet down. On top of the juju shape it adds a crash-loop
+// circuit: a task that fails K times inside a sliding window is declared
+// dead and never restarted, so a node that can no longer start does not
+// consume restart bandwidth forever — the fleet above observes the death
+// and routes around it.
 //
 // parccluster runs every worker node under a Runner; the Clock is
 // injectable so the restart-delay tests advance time manually instead of
@@ -53,15 +54,13 @@ const (
 	EventStarted EventKind = iota
 	// EventExited: a task incarnation exited (Err carries why).
 	EventExited
-	// EventRestarting: a non-fatal exit scheduled a restart after Delay.
+	// EventRestarting: an exit scheduled a restart after Delay.
 	EventRestarting
 	// EventDead: the crash-loop circuit retired the task.
 	EventDead
-	// EventFatal: a fatal error is taking the runner down.
-	EventFatal
 )
 
-var eventNames = []string{"started", "exited", "restarting", "dead", "fatal"}
+var eventNames = []string{"started", "exited", "restarting", "dead"}
 
 // String returns the kind's short name.
 func (k EventKind) String() string {
@@ -82,15 +81,6 @@ type Event struct {
 
 // Config tunes a Runner. Zero values take the documented defaults.
 type Config struct {
-	// IsFatal classifies an exit error: fatal stops the whole runner.
-	// nil exits (clean task completion) are never passed to it — they
-	// restart like a non-fatal crash, because a supervised node has no
-	// business exiting on its own. Required.
-	IsFatal func(error) bool
-	// MoreImportant reports whether err0 should be surfaced from Wait in
-	// preference to err1 when several fatal errors race (default: first
-	// fatal wins).
-	MoreImportant func(err0, err1 error) bool
 	// RestartDelay is the first backoff (default 100ms); MaxDelay caps
 	// the exponential growth (default 5s).
 	RestartDelay time.Duration
@@ -101,9 +91,6 @@ type Config struct {
 	// the window resets its backoff and failure history.
 	CrashLoopK      int
 	CrashLoopWindow time.Duration
-	// JitterSeed keys the deterministic backoff jitter (±25%), so a
-	// seeded cluster run restarts on a repeatable schedule.
-	JitterSeed uint64
 	// Clock defaults to the wall clock; tests inject a ManualClock.
 	Clock Clock
 	// OnEvent, when set, observes every supervision transition. Called
@@ -113,12 +100,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.IsFatal == nil {
-		panic("supervisor: Config.IsFatal is required")
-	}
-	if c.MoreImportant == nil {
-		c.MoreImportant = func(err0, err1 error) bool { return false }
-	}
 	if c.RestartDelay <= 0 {
 		c.RestartDelay = 100 * time.Millisecond
 	}
@@ -149,10 +130,9 @@ type taskState struct {
 type Runner struct {
 	cfg Config
 
-	mu       sync.Mutex
-	tasks    map[string]*taskState
-	finalErr error
-	dying    bool
+	mu    sync.Mutex
+	tasks map[string]*taskState
+	dying bool
 
 	dyingc chan struct{} // closed exactly once when the runner starts dying
 	wg     sync.WaitGroup
@@ -206,21 +186,17 @@ func (r *Runner) StopTask(id string) {
 	}
 }
 
-// Stop kills every task, waits for the runner to die, and returns the
-// same error Wait does.
-func (r *Runner) Stop() error {
-	r.kill(nil)
-	return r.Wait()
+// Stop kills every task and waits for the runner to die.
+func (r *Runner) Stop() {
+	r.kill()
+	r.Wait()
 }
 
-// Wait blocks until the runner dies — a fatal task error or Stop — and
-// returns the fatal error, or nil after a clean Stop.
-func (r *Runner) Wait() error {
+// Wait blocks until Stop has been called and every supervision loop has
+// exited.
+func (r *Runner) Wait() {
 	<-r.dyingc
 	r.wg.Wait()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.finalErr
 }
 
 // Dead lists the tasks retired by the crash-loop circuit.
@@ -249,15 +225,10 @@ func (r *Runner) Live() int {
 	return n
 }
 
-// kill starts the runner dying: records err (under MoreImportant
-// preference), closes dyingc once, and stops every live incarnation.
-func (r *Runner) kill(err error) {
+// kill starts the runner dying: closes dyingc once and stops every live
+// incarnation.
+func (r *Runner) kill() {
 	r.mu.Lock()
-	if err != nil {
-		if r.finalErr == nil || r.cfg.MoreImportant(err, r.finalErr) {
-			r.finalErr = err
-		}
-	}
 	already := r.dying
 	r.dying = true
 	var live []Task
@@ -291,13 +262,13 @@ func (r *Runner) isDying() bool {
 	}
 }
 
-// supervise owns one task's whole lifecycle: start, wait, classify,
-// back off, restart — until the task is stopped, retired, or the runner
+// supervise owns one task's whole lifecycle: start, wait, back off,
+// restart — until the task is stopped, retired, or the runner
 // dies. Running the loop per task (rather than multiplexing one control
 // goroutine) keeps each backoff an honest select that Stop can wake.
 func (r *Runner) supervise(st *taskState, start StartFunc) {
 	defer r.wg.Done()
-	jitter := xrand.New(r.cfg.JitterSeed ^ hashID(st.id))
+	jitter := xrand.New(hashID(st.id))
 	consecutive := 0
 	var recent []time.Time
 	for {
@@ -312,8 +283,10 @@ func (r *Runner) supervise(st *taskState, start StartFunc) {
 				// registered when the stoppers swept live tasks.
 				t.Stop()
 			}
-			r.event(EventStarted, st.id, nil, 0)
+			// The run is timed from before EventStarted, so an observer
+			// that moves the clock after the event ages this incarnation.
 			startedAt := r.cfg.Clock.Now()
+			r.event(EventStarted, st.id, nil, 0)
 			err = t.Wait()
 			r.mu.Lock()
 			st.task = nil
@@ -333,14 +306,9 @@ func (r *Runner) supervise(st *taskState, start StartFunc) {
 		if stopped || r.isDying() {
 			return
 		}
-		if err != nil && r.cfg.IsFatal(err) {
-			r.event(EventFatal, st.id, err, 0)
-			r.kill(err)
-			return
-		}
 
-		// Non-fatal (or clean) exit of a task that should still be
-		// running: crash-loop circuit first, then backoff and restart.
+		// Any exit of a task that should still be running: crash-loop
+		// circuit first, then backoff and restart.
 		now := r.cfg.Clock.Now()
 		kept := recent[:0]
 		for _, ts := range recent {
@@ -390,7 +358,8 @@ func (r *Runner) backoff(consecutive int, jitter *xrand.Rand) time.Duration {
 	return d + j
 }
 
-// hashID folds a task id into a jitter-stream selector (FNV-1a).
+// hashID folds a task id into its jitter seed (FNV-1a), so each task
+// restarts on its own repeatable schedule.
 func hashID(id string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id); i++ {

@@ -5,9 +5,9 @@
 // asserted exactly without any test ever sleeping through a real delay.
 //
 // These tests are written to fail against a no-op supervisor: restarts
-// must actually happen (TestNonFatalRestart...), fatal errors must
-// actually stop the runner and surface (TestFatal...), and the
-// crash-loop circuit must actually retire the task (TestCrashLoop...).
+// must actually happen (TestNonFatalRestart..., TestStartError...), and
+// the crash-loop circuit must actually retire the task
+// (TestCrashLoop...).
 package supervisor
 
 import (
@@ -16,9 +16,6 @@ import (
 	"testing"
 	"time"
 )
-
-func noneFatal(error) bool { return false }
-func allFatal(error) bool  { return true }
 
 // testTask is a controllable supervised task: the test makes it die by
 // sending on die; Stop makes Wait return nil.
@@ -107,9 +104,8 @@ func waitBackoffArmed(t *testing.T, clk *ManualClock) {
 
 const testDelay = 100 * time.Millisecond
 
-func newTestRunner(clk *ManualClock, isFatal func(error) bool, crashK int, onEvent func(Event)) *Runner {
+func newTestRunner(clk *ManualClock, crashK int, onEvent func(Event)) *Runner {
 	return NewRunner(Config{
-		IsFatal:         isFatal,
 		RestartDelay:    testDelay,
 		MaxDelay:        time.Second,
 		CrashLoopK:      crashK,
@@ -121,15 +117,13 @@ func newTestRunner(clk *ManualClock, isFatal func(error) bool, crashK int, onEve
 
 func TestOneTaskStartStop(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, noneFatal, -1, nil)
+	r := newTestRunner(clk, -1, nil)
 	s := newTestStarter()
 	if err := r.StartTask("id", s.start); err != nil {
 		t.Fatal(err)
 	}
 	s.assertStarted(t)
-	if err := r.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
+	r.Stop()
 	if got := s.startCount(); got != 1 {
 		t.Fatalf("starts = %d, want 1", got)
 	}
@@ -137,14 +131,14 @@ func TestOneTaskStartStop(t *testing.T) {
 
 func TestNonFatalRestartAfterBackoff(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, noneFatal, -1, nil)
+	r := newTestRunner(clk, -1, nil)
 	s := newTestStarter()
 	if err := r.StartTask("id", s.start); err != nil {
 		t.Fatal(err)
 	}
 	tk := s.assertStarted(t)
 
-	tk.die <- errors.New("non-fatal crash")
+	tk.die <- errors.New("crash")
 	waitBackoffArmed(t, clk)
 	// Before the backoff elapses there must be no restart: advance well
 	// under the jittered minimum (0.75 × delay).
@@ -156,16 +150,14 @@ func TestNonFatalRestartAfterBackoff(t *testing.T) {
 	if got := s.startCount(); got != 2 {
 		t.Fatalf("starts = %d, want 2", got)
 	}
-	if err := r.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
+	r.Stop()
 }
 
 func TestBackoffGrowsExponentially(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	var mu sync.Mutex
 	var delays []time.Duration
-	r := newTestRunner(clk, noneFatal, -1, func(e Event) {
+	r := newTestRunner(clk, -1, func(e Event) {
 		if e.Kind == EventRestarting {
 			mu.Lock()
 			delays = append(delays, e.Delay)
@@ -183,7 +175,7 @@ func TestBackoffGrowsExponentially(t *testing.T) {
 		clk.Advance(2 * time.Second) // past any jittered delay
 		tk = s.assertStarted(t)
 	}
-	_ = r.Stop()
+	r.Stop()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(delays) != 3 {
@@ -200,43 +192,79 @@ func TestBackoffGrowsExponentially(t *testing.T) {
 	if delays[0] < lo || delays[0] > hi {
 		t.Fatalf("first delay %v outside jitter band [%v, %v]", delays[0], lo, hi)
 	}
-}
-
-func TestFatalErrorNoRestartWaitReturnsIt(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, allFatal, -1, nil)
-	s := newTestStarter()
-	if err := r.StartTask("id", s.start); err != nil {
-		t.Fatal(err)
-	}
-	tk := s.assertStarted(t)
-	dieErr := errors.New("error when running")
-	tk.die <- dieErr
-	if err := r.Wait(); err != dieErr {
-		t.Fatalf("Wait = %v, want %v", err, dieErr)
-	}
-	s.assertNotStarted(t)
-	if got := s.startCount(); got != 1 {
-		t.Fatalf("starts = %d, want 1 (fatal must not restart)", got)
+	// The jitter stream is seeded from the task id alone, so the exact
+	// schedule is a fixed function of ("id", RestartDelay, MaxDelay).
+	want := []time.Duration{115295253, 188567328, 426877836}
+	for i := range want {
+		if delays[i] != want[i] {
+			t.Fatalf("delays = %v, want %v", delays, want)
+		}
 	}
 }
 
-func TestFatalStartErrorWaitReturnsIt(t *testing.T) {
+// TestStartErrorRestartsAfterBackoff: a StartFunc that fails is an exit
+// like any other — the runner backs off, tries again, and counts the
+// failure toward the crash-loop circuit.
+func TestStartErrorRestartsAfterBackoff(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, allFatal, -1, nil)
+	dead := make(chan Event, 1)
+	r := newTestRunner(clk, 3, func(e Event) {
+		if e.Kind == EventDead {
+			dead <- e
+		}
+	})
 	s := newTestStarter()
 	s.startErr = errors.New("cannot start test task")
 	if err := r.StartTask("id", s.start); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Wait(); err != s.startErr {
-		t.Fatalf("Wait = %v, want %v", err, s.startErr)
+	waitBackoffArmed(t, clk)
+	// Under the jittered minimum: no second attempt yet.
+	clk.Advance(testDelay / 2)
+	time.Sleep(50 * time.Millisecond)
+	if got := s.startCount(); got != 1 {
+		t.Fatalf("starts = %d before the backoff elapsed, want 1", got)
+	}
+	// Past the jittered maximum the start is retried.
+	clk.Advance(testDelay)
+	waitStarts(t, s, 2)
+	// The third failed start inside the window trips the K=3 circuit.
+	waitBackoffArmed(t, clk)
+	clk.Advance(2 * time.Second)
+	select {
+	case e := <-dead:
+		if !errors.Is(e.Err, ErrDead) {
+			t.Fatalf("dead event error %v does not wrap ErrDead", e.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("failed starts never tripped the crash-loop circuit")
+	}
+	clk.Advance(time.Minute)
+	time.Sleep(50 * time.Millisecond)
+	if got := s.startCount(); got != 3 {
+		t.Fatalf("starts = %d, want 3", got)
+	}
+	if ds := r.Dead(); len(ds) != 1 || ds[0] != "id" {
+		t.Fatalf("Dead() = %v, want [id]", ds)
+	}
+	r.Stop()
+}
+
+// waitStarts blocks until the starter has been called n times.
+func waitStarts(t *testing.T, s *testStarter, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.startCount() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("starts = %d, want %d", s.startCount(), n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestStopDuringBackoffWakesImmediately(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, noneFatal, -1, nil)
+	r := newTestRunner(clk, -1, nil)
 	s := newTestStarter()
 	if err := r.StartTask("id", s.start); err != nil {
 		t.Fatal(err)
@@ -245,13 +273,13 @@ func TestStopDuringBackoffWakesImmediately(t *testing.T) {
 	tk.die <- errors.New("crash")
 	waitBackoffArmed(t, clk)
 	// The clock never advances: Stop alone must end the backoff wait.
-	done := make(chan error, 1)
-	go func() { done <- r.Stop() }()
+	done := make(chan struct{})
+	go func() {
+		r.Stop()
+		close(done)
+	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Stop: %v", err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop hung: backoff wait did not wake on Stop")
 	}
@@ -260,7 +288,7 @@ func TestStopDuringBackoffWakesImmediately(t *testing.T) {
 
 func TestStopTaskDuringBackoffWakesImmediately(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, noneFatal, -1, nil)
+	r := newTestRunner(clk, -1, nil)
 	s := newTestStarter()
 	if err := r.StartTask("id", s.start); err != nil {
 		t.Fatal(err)
@@ -271,13 +299,13 @@ func TestStopTaskDuringBackoffWakesImmediately(t *testing.T) {
 	r.StopTask("id")
 	// The supervision goroutine must exit without a clock advance; a
 	// clean Stop afterwards proves nothing is still pending.
-	done := make(chan error, 1)
-	go func() { done <- r.Stop() }()
+	done := make(chan struct{})
+	go func() {
+		r.Stop()
+		close(done)
+	}()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Stop: %v", err)
-		}
+	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("StopTask did not wake the backoff wait")
 	}
@@ -288,7 +316,7 @@ func TestCrashLoopCircuitRetiresTask(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	var mu sync.Mutex
 	var dead []Event
-	r := newTestRunner(clk, noneFatal, 3, func(e Event) {
+	r := newTestRunner(clk, 3, func(e Event) {
 		if e.Kind == EventDead {
 			mu.Lock()
 			dead = append(dead, e)
@@ -341,18 +369,22 @@ func TestCrashLoopCircuitRetiresTask(t *testing.T) {
 		t.Fatalf("restarting a dead id: %v", err)
 	}
 	s.assertStarted(t)
-	_ = r.Stop()
+	r.Stop()
 }
 
 func TestHealthyRunResetsCrashHistory(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	var mu sync.Mutex
 	var delays []time.Duration
-	r := newTestRunner(clk, noneFatal, 3, func(e Event) {
-		if e.Kind == EventRestarting {
+	started := make(chan struct{}, 8)
+	r := newTestRunner(clk, 3, func(e Event) {
+		switch e.Kind {
+		case EventRestarting:
 			mu.Lock()
 			delays = append(delays, e.Delay)
 			mu.Unlock()
+		case EventStarted:
+			started <- struct{}{}
 		}
 	})
 	s := newTestStarter()
@@ -369,12 +401,16 @@ func TestHealthyRunResetsCrashHistory(t *testing.T) {
 		clk.Advance(2 * time.Second)
 		tk = s.assertStarted(t)
 	}
+	// The third incarnation's run must be timed before the clock jumps.
+	for i := 0; i < 3; i++ {
+		<-started
+	}
 	clk.Advance(31 * time.Second) // healthy run longer than the window
 	tk.die <- errors.New("crash")
 	waitBackoffArmed(t, clk)
 	clk.Advance(2 * time.Second)
 	s.assertStarted(t)
-	_ = r.Stop()
+	r.Stop()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(delays) != 3 {
@@ -388,10 +424,8 @@ func TestHealthyRunResetsCrashHistory(t *testing.T) {
 
 func TestStartTaskAfterStopRefused(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, noneFatal, -1, nil)
-	if err := r.Stop(); err != nil {
-		t.Fatal(err)
-	}
+	r := newTestRunner(clk, -1, nil)
+	r.Stop()
 	if err := r.StartTask("id", newTestStarter().start); !errors.Is(err, ErrStopped) {
 		t.Fatalf("StartTask after Stop = %v, want ErrStopped", err)
 	}
@@ -399,7 +433,7 @@ func TestStartTaskAfterStopRefused(t *testing.T) {
 
 func TestDuplicateStartRefused(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, noneFatal, -1, nil)
+	r := newTestRunner(clk, -1, nil)
 	s := newTestStarter()
 	if err := r.StartTask("id", s.start); err != nil {
 		t.Fatal(err)
@@ -408,5 +442,5 @@ func TestDuplicateStartRefused(t *testing.T) {
 	if err := r.StartTask("id", s.start); err == nil {
 		t.Fatal("duplicate StartTask succeeded")
 	}
-	_ = r.Stop()
+	r.Stop()
 }

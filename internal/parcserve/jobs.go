@@ -192,7 +192,7 @@ func (s *Server) execute(ctx context.Context, kind Kind, req *JobRequest) (*JobR
 		b := kernels.RandomMatrix(seed+1, n, n)
 		// The stats-returning kernel lets /statz expose the Pyjama side of
 		// the runtime (worksharing + barrier counters), not just the pool.
-		c, stats := kernels.MatMulParallelStats(s.cfg.PyjamaThreads, a, b)
+		c, stats := kernels.MatMulParallelStats(s.cfg.Workers, a, b)
 		s.recordRegion(stats)
 		res.Summary["dim"] = n
 		res.Summary["iterations"] = stats.TotalIterations()

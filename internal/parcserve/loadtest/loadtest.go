@@ -203,29 +203,15 @@ func (r *Result) Summary() string {
 		if i > 0 {
 			b.WriteString(" ")
 		}
-		b.WriteString(itoa(c))
+		b.WriteString(strconv.Itoa(c))
 		b.WriteString(":")
-		b.WriteString(itoa(r.Codes[c]))
+		b.WriteString(strconv.Itoa(r.Codes[c]))
 	}
 	b.WriteString(" p50=")
 	b.WriteString(r.Latency.Quantile(0.50).Round(time.Millisecond).String())
 	b.WriteString(" p99=")
 	b.WriteString(r.Latency.Quantile(0.99).Round(time.Millisecond).String())
 	b.WriteString(" dropped=")
-	b.WriteString(itoa(r.Dropped))
+	b.WriteString(strconv.Itoa(r.Dropped))
 	return b.String()
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -318,7 +318,6 @@ func TestServeStatz(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers:       4,
 		MaxConcurrent: 4,
-		PyjamaThreads: 2,
 	})
 	// One unbatched sort, one kernel job, one spin.
 	if code, _, e := postJob(t, ts.URL, KindSort, JobRequest{N: 50_000}); code != 200 {
@@ -368,8 +367,8 @@ func TestServeStatz(t *testing.T) {
 	}
 	if st.Region == nil {
 		t.Error("no Pyjama region stats after a matmul job")
-	} else if len(st.Region.Threads) != 2 {
-		t.Errorf("region has %d thread records, want 2", len(st.Region.Threads))
+	} else if len(st.Region.Threads) != 4 {
+		t.Errorf("region has %d thread records, want 4 (one per worker)", len(st.Region.Threads))
 	}
 	if st.Breaker.State != "closed" {
 		t.Errorf("breaker state %q, want closed", st.Breaker.State)

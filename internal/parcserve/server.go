@@ -50,28 +50,29 @@ const (
 	breakerCooldown  = 10 * time.Second
 )
 
+// Job deadlines: defaultDeadline applies when a request names none
+// (deadline_ms); maxDeadline caps what a request may ask for and bounds
+// a sort batch's admission wait.
+const (
+	defaultDeadline = 10 * time.Second
+	maxDeadline     = time.Minute
+)
+
 // Config sizes the server. Zero values take the documented defaults.
 type Config struct {
-	// Workers is the ptask pool size (default GOMAXPROCS).
+	// Workers is the ptask pool size and the Pyjama team size of kernel
+	// jobs (default GOMAXPROCS).
 	Workers int
-	// PyjamaThreads sizes kernel-job teams (default Workers).
-	PyjamaThreads int
 	// MaxConcurrent bounds jobs executing at once (default 2×Workers).
 	MaxConcurrent int
 	// MaxQueue bounds jobs waiting for a slot; beyond it requests are
 	// rejected with 429 (default 4×MaxConcurrent).
 	MaxQueue int
-	// DefaultDeadline applies when a request names none; MaxDeadline
-	// caps what a request may ask for (defaults 10s / 60s).
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
 	// BatchMax and BatchDelay tune small-job coalescing: a batch flushes
 	// at BatchMax items or after BatchDelay, whichever first (defaults
 	// 16 / 2ms). BatchMax 1 disables coalescing in effect.
 	BatchMax   int
 	BatchDelay time.Duration
-	// Client issues webfetch requests (default http.DefaultClient).
-	Client *http.Client
 	// NodeID names this server instance in /statz, /healthz and /readyz —
 	// the identity the parccluster supervisor and router key on. Default
 	// "solo" (a standalone server).
@@ -87,20 +88,11 @@ func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.PyjamaThreads <= 0 {
-		c.PyjamaThreads = c.Workers
-	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2 * c.Workers
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxConcurrent
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 10 * time.Second
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = time.Minute
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
@@ -202,7 +194,7 @@ func NewServer(cfg Config) *Server {
 		slots:   make(chan struct{}, cfg.MaxConcurrent),
 		eps:     map[Kind]*endpointStats{},
 	}
-	s.fetcher = webfetch.NewFetcher(s.rt, cfg.Client, fetchConns)
+	s.fetcher = webfetch.NewFetcher(s.rt, nil, fetchConns)
 	s.fetcher.SetBreaker(s.breaker)
 	for _, k := range Kinds() {
 		s.eps[k] = &endpointStats{}
@@ -257,15 +249,14 @@ func (s *Server) acquire(done <-chan struct{}) (func(), int) {
 	}
 }
 
-// deadlineFor resolves a request's deadline against the configured
-// default and cap.
-func (s *Server) deadlineFor(req *JobRequest) time.Duration {
+// deadlineFor resolves a request's deadline against the default and cap.
+func deadlineFor(req *JobRequest) time.Duration {
 	d := time.Duration(req.DeadlineMs) * time.Millisecond
 	if d <= 0 {
-		d = s.cfg.DefaultDeadline
+		d = defaultDeadline
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+	if d > maxDeadline {
+		d = maxDeadline
 	}
 	return d
 }
@@ -305,7 +296,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "bad JSON: "+err.Error())
 		return
 	}
-	deadline := s.deadlineFor(req)
+	deadline := deadlineFor(req)
 
 	var res *JobResult
 	var err error
@@ -400,14 +391,14 @@ func (s *Server) runBatchedSort(r *http.Request, req *JobRequest, deadline time.
 // the delay timer, or close), which is what lets the batcher's close
 // guarantee every accepted item is settled before drain proceeds.
 func (s *Server) flushSortBatch(items []batchItem[sortIn, *JobResult]) {
-	admitCtx, cancel := deadlineChan(s.cfg.MaxDeadline)
+	admitCtx, cancel := deadlineChan(maxDeadline)
 	defer cancel()
 	release, status := s.acquire(admitCtx)
 	if status != 0 {
 		err := error(errSaturated)
 		if status != http.StatusTooManyRequests {
 			err = fmt.Errorf("parcserve: batch not admitted within %v: %w",
-				s.cfg.MaxDeadline, ptask.ErrDeadline)
+				maxDeadline, ptask.ErrDeadline)
 		}
 		for _, it := range items {
 			it.fut.Complete(nil, err)
