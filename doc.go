@@ -7,8 +7,11 @@
 // hardware, and the course machinery behind its figures and evaluation.
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmark
-// harness in bench_test.go regenerates every exhibit:
+// EXPERIMENTS.md for the paper-versus-measured record. The experiment
+// registry regenerates every exhibit and ablation and checks its findings;
+// the Go benchmarks time the perfbench hot-path suite that `parcbench
+// -perf` ratchets:
 //
-//	go test -bench=. -benchmem .
+//	go run ./cmd/parcbench -e all
+//	go test -run NONE -bench . .
 package parc751

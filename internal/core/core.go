@@ -869,34 +869,11 @@ type Chunk struct{ Lo, Hi int }
 // Len returns the number of indices in the chunk.
 func (c Chunk) Len() int { return c.Hi - c.Lo }
 
-// StaticChunks splits [0, n) into at most p contiguous chunks whose sizes
-// differ by at most one — OpenMP's schedule(static) decomposition. Fewer
-// than p chunks are returned when n < p.
-func StaticChunks(n, p int) []Chunk {
-	if n <= 0 || p <= 0 {
-		return nil
-	}
-	if p > n {
-		p = n
-	}
-	chunks := make([]Chunk, 0, p)
-	base, rem := n/p, n%p
-	lo := 0
-	for i := 0; i < p; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		chunks = append(chunks, Chunk{lo, lo + size})
-		lo += size
-	}
-	return chunks
-}
-
-// StaticBlock returns the i'th of p balanced contiguous chunks of [0, n)
-// — StaticChunks(n, p)[i] without allocating the slice, for the static
-// schedule's hot path. ok is false when party i gets no iterations
-// (n < p, out-of-range i, or an empty range).
+// StaticBlock returns the i'th of p balanced contiguous chunks of [0, n):
+// OpenMP's schedule(static) decomposition, whose block sizes differ by at
+// most one, computed arithmetically for the static schedule's hot path.
+// ok is false when party i gets no iterations (n < p, out-of-range i, or
+// an empty range).
 func StaticBlock(n, p, i int) (Chunk, bool) {
 	if n <= 0 || p <= 0 || i < 0 || i >= p {
 		return Chunk{}, false
@@ -915,21 +892,4 @@ func StaticBlock(n, p, i int) (Chunk, bool) {
 		size++
 	}
 	return Chunk{lo, lo + size}, true
-}
-
-// BlockChunks splits [0, n) into fixed-size blocks of the given chunk size
-// (the unit handed out by dynamic schedules).
-func BlockChunks(n, chunk int) []Chunk {
-	if n <= 0 || chunk <= 0 {
-		return nil
-	}
-	chunks := make([]Chunk, 0, (n+chunk-1)/chunk)
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		chunks = append(chunks, Chunk{lo, hi})
-	}
-	return chunks
 }

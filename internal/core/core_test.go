@@ -322,63 +322,36 @@ func TestBarrierAbortWakesWaiters(t *testing.T) {
 	b.AwaitAs(2)
 }
 
-func TestStaticChunksCoverage(t *testing.T) {
+func TestStaticBlockCoverage(t *testing.T) {
 	f := func(nRaw, pRaw uint8) bool {
 		n, p := int(nRaw), int(pRaw%32)+1
-		chunks := StaticChunks(n, p)
-		covered := 0
-		prevHi := 0
-		for _, c := range chunks {
-			if c.Lo != prevHi || c.Hi < c.Lo {
+		prevHi, parties := 0, 0
+		min, max := n+1, -1
+		for i := 0; i < p; i++ {
+			c, ok := StaticBlock(n, p, i)
+			if !ok {
+				// Only the parties beyond the iteration count get nothing.
+				if c != (Chunk{}) || i < n {
+					return false
+				}
+				continue
+			}
+			if c.Lo != prevHi || c.Len() < 1 {
 				return false
 			}
-			covered += c.Len()
+			if c.Len() < min {
+				min = c.Len()
+			}
+			if c.Len() > max {
+				max = c.Len()
+			}
 			prevHi = c.Hi
+			parties++
 		}
 		if n == 0 {
-			return len(chunks) == 0
+			return parties == 0
 		}
-		// Sizes differ by at most one.
-		if len(chunks) > 0 {
-			min, max := chunks[0].Len(), chunks[0].Len()
-			for _, c := range chunks {
-				if c.Len() < min {
-					min = c.Len()
-				}
-				if c.Len() > max {
-					max = c.Len()
-				}
-			}
-			if max-min > 1 {
-				return false
-			}
-		}
-		return covered == n && prevHi == n && len(chunks) <= p
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlockChunksCoverage(t *testing.T) {
-	f := func(nRaw, cRaw uint8) bool {
-		n, chunk := int(nRaw), int(cRaw%16)+1
-		chunks := BlockChunks(n, chunk)
-		covered, prevHi := 0, 0
-		for i, c := range chunks {
-			if c.Lo != prevHi {
-				return false
-			}
-			if c.Len() > chunk {
-				return false
-			}
-			if c.Len() < chunk && i != len(chunks)-1 {
-				return false // only the last chunk may be short
-			}
-			covered += c.Len()
-			prevHi = c.Hi
-		}
-		return covered == n
+		return prevHi == n && max-min <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -386,40 +359,17 @@ func TestBlockChunksCoverage(t *testing.T) {
 }
 
 func TestChunksDegenerate(t *testing.T) {
-	if StaticChunks(-1, 4) != nil || StaticChunks(4, 0) != nil {
-		t.Error("degenerate static chunks not nil")
+	for _, c := range []struct{ n, p, i int }{
+		{-1, 4, 0}, {0, 4, 0}, {4, 0, 0}, {4, 4, -1}, {4, 4, 4}, {2, 8, 2},
+	} {
+		if _, ok := StaticBlock(c.n, c.p, c.i); ok {
+			t.Errorf("StaticBlock(%d, %d, %d) gave a block", c.n, c.p, c.i)
+		}
 	}
-	if BlockChunks(0, 4) != nil || BlockChunks(4, 0) != nil {
-		t.Error("degenerate block chunks not nil")
-	}
-	cs := StaticChunks(2, 8)
-	if len(cs) != 2 {
-		t.Errorf("n<p gave %d chunks", len(cs))
-	}
-}
-
-func BenchmarkPoolSubmit(b *testing.B) {
-	p := NewPool(4)
-	defer p.Shutdown()
-	var wg sync.WaitGroup
-	wg.Add(b.N)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Submit(wg.Done)
-	}
-	wg.Wait()
-}
-
-func BenchmarkBarrier(b *testing.B) {
-	bar := NewBarrier(1)
-	for i := 0; i < b.N; i++ {
-		bar.AwaitAs(0)
-	}
-}
-
-func BenchmarkStaticChunks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		StaticChunks(100000, 16)
+	for i := 0; i < 2; i++ {
+		if c, ok := StaticBlock(2, 8, i); !ok || c != (Chunk{i, i + 1}) {
+			t.Errorf("n<p: party %d got %v, %v", i, c, ok)
+		}
 	}
 }
 

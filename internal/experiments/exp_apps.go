@@ -78,18 +78,25 @@ func runP1(cfg Config) *Result {
 		"strategy", "time", "identical output", "UI max latency")
 
 	// Anti-pattern: render ON the event thread; probes stall behind it.
+	// The render waits on a gate that opens only once the first probe
+	// event is queued behind it, so that event's service latency covers
+	// the whole timed render: the stall holds by construction, whatever
+	// the load on the host.
 	var onEDT time.Duration
-	probeBlocked := func() *eventloop.ProbeResult {
-		done := make(chan struct{})
-		loop.InvokeLater(func() {
-			onEDT = timeIt(func() { thumbs.Sequential(imgs, 48, 48) })
-			close(done)
-		})
-		pr := loop.Probe(200*time.Microsecond, 10)
-		<-done
-		return pr
+	rendering, gate := make(chan struct{}), make(chan struct{})
+	loop.InvokeLater(func() {
+		close(rendering)
+		<-gate
+		onEDT = timeIt(func() { thumbs.Sequential(imgs, 48, 48) })
+	})
+	<-rendering
+	probed := make(chan *eventloop.ProbeResult)
+	go func() { probed <- loop.Probe(200*time.Microsecond, 10) }()
+	for loop.QueueLen() < 1 {
+		time.Sleep(10 * time.Microsecond)
 	}
-	prBlocked := probeBlocked()
+	close(gate)
+	prBlocked := <-probed
 	tab.AddRow("sequential ON event thread", onEDT.String(), true, prBlocked.Max().String())
 
 	probeDuring := func(run func() []*workload.Image) (time.Duration, bool, time.Duration) {
@@ -162,7 +169,7 @@ func runP1(cfg Config) *Result {
 
 	res.ok("all strategies render identically", okPT && okWP && okBG)
 	res.ok("android strategies render identically with main-looper delivery", androidOK)
-	res.ok("on-event-thread rendering stalls the UI", prBlocked.Max() > 4*latPT || prBlocked.Max() > 2*time.Millisecond)
+	res.ok("on-event-thread rendering stalls the UI", prBlocked.Max() >= onEDT)
 	res.ok("off-thread strategies keep UI responsive", latPT < time.Second && latWP < time.Second && latBG < time.Second)
 	res.ok("interim thumbnails delivered", interim.Load() == int32(nImgs))
 	res.ok("simulated speedup grows with cores", nonDecreasing(speeds))

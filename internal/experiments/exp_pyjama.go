@@ -35,7 +35,8 @@ var a6Sink atomic.Uint64
 
 // runA6 is the Pyjama worksharing ablation: the same loop body under
 // every schedule kind, on a uniform and a block-skewed cost profile,
-// observed through RegionStats. The findings are deterministic shape
+// observed through RegionStats, plus a dynamic chunk-size sweep (A2) on
+// the uniform profile. The findings are deterministic shape
 // properties (coverage, claim counts, auto's committed decision), not
 // wall-clock speedups — this host may be a single core.
 func runA6(cfg Config) *Result {
@@ -66,34 +67,52 @@ func runA6(cfg Config) *Result {
 		stats    pyjama.RegionStats
 	}
 
-	workloads := []string{"uniform", "skewed"}
+	runLoop := func(wl string, sched pyjama.Schedule) a6Run {
+		skewed := wl == "skewed"
+		var sum atomic.Int64
+		body := func(i int) {
+			rounds := a6BaseRounds
+			if skewed && (i/a6SkewBlock)%2 == 1 {
+				rounds *= a6SkewFactor
+			}
+			a6Sink.Add(spin(rounds))
+			sum.Add(int64(i) + 1)
+		}
+		start := time.Now()
+		stats := pyjama.ParallelWithStats(threads, func(tc *pyjama.TC) {
+			tc.For(n, sched, body)
+		})
+		return a6Run{
+			workload: wl,
+			sched:    sched,
+			ms:       float64(time.Since(start).Microseconds()) / 1000,
+			sum:      sum.Load(),
+			stats:    stats,
+		}
+	}
+
 	scheds := []pyjama.Schedule{
 		pyjama.Static(0), pyjama.Dynamic(16), pyjama.Guided(16), pyjama.Auto(),
 	}
 	var runs []a6Run
-	for _, wl := range workloads {
-		skewed := wl == "skewed"
+	for _, wl := range []string{"uniform", "skewed"} {
 		for _, sched := range scheds {
-			var sum atomic.Int64
-			body := func(i int) {
-				rounds := a6BaseRounds
-				if skewed && (i/a6SkewBlock)%2 == 1 {
-					rounds *= a6SkewFactor
-				}
-				a6Sink.Add(spin(rounds))
-				sum.Add(int64(i) + 1)
-			}
-			start := time.Now()
-			stats := pyjama.ParallelWithStats(threads, func(tc *pyjama.TC) {
-				tc.For(n, sched, body)
-			})
-			runs = append(runs, a6Run{
-				workload: wl,
-				sched:    sched,
-				ms:       float64(time.Since(start).Microseconds()) / 1000,
-				sum:      sum.Load(),
-				stats:    stats,
-			})
+			runs = append(runs, runLoop(wl, sched))
+		}
+	}
+
+	// A2, dynamic chunk size: the uniform loop under dynamic(c). Every
+	// claim takes one chunk, so the claim count is exactly ceil(n/c); the
+	// wall time is reported only.
+	chunkTab := metrics.NewTable(fmt.Sprintf("A2: dynamic chunk size, uniform loop, n=%d", n),
+		"chunk", "time ms", "claims", "ceil(n/chunk)")
+	claimsExact := true
+	for _, chunk := range []int{1, 16, 256, 4096} {
+		r := runLoop("uniform", pyjama.Dynamic(chunk))
+		want := int64((n + chunk - 1) / chunk)
+		chunkTab.AddRow(chunk, fmt.Sprintf("%.2f", r.ms), r.stats.TotalChunks(), want)
+		if r.stats.TotalChunks() != want {
+			claimsExact = false
 		}
 	}
 
@@ -137,6 +156,7 @@ func runA6(cfg Config) *Result {
 	res.ok("auto chose dynamic claiming for the block-skewed loop",
 		skewedAutoOK && skewedAuto.Mode == "dynamic")
 	res.ok("every team member synchronised at the worksharing barrier", barriered)
+	res.ok("dynamic(c) issues exactly ceil(n/c) claims", claimsExact)
 
 	res.metric("a6_dynamic_chunks", float64(chunksByKey["uniform/dynamic"]))
 	res.metric("a6_guided_chunks", float64(chunksByKey["uniform/guided"]))
@@ -146,6 +166,8 @@ func runA6(cfg Config) *Result {
 	var b strings.Builder
 	b.WriteString(header(res, "DESIGN.md §5 (A6)"))
 	b.WriteString(tab.String())
+	b.WriteString("\n")
+	b.WriteString(chunkTab.String())
 	b.WriteString("\nRegionStats of the skewed schedule(auto) run:\n")
 	b.WriteString(runs[len(runs)-1].stats.String())
 	res.Output = b.String()

@@ -1,9 +1,9 @@
 // Package experiments is the reproduction registry: it maps every exhibit
 // of the paper (figures F1-F2, the assessment table, the allocation and
 // survey evaluations, and the ten project studies P1-P10) to a runnable
-// experiment that regenerates it. cmd/parcbench and the root-level
-// benchmark harness both drive this registry; EXPERIMENTS.md records its
-// output.
+// experiment that regenerates it, together with the DESIGN.md §5
+// ablations. cmd/parcbench and TestAllExperimentsPass drive this registry;
+// EXPERIMENTS.md records its output.
 package experiments
 
 import (

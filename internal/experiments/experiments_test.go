@@ -80,11 +80,3 @@ func TestAllExperimentsPass(t *testing.T) {
 		})
 	}
 }
-
-func BenchmarkExperimentP2(b *testing.B) {
-	e, _ := ByID("P2")
-	cfg := QuickConfig()
-	for i := 0; i < b.N; i++ {
-		e.Run(cfg)
-	}
-}

@@ -572,14 +572,6 @@ func TestManyConcurrentTasks(t *testing.T) {
 	}
 }
 
-func BenchmarkRunResult(b *testing.B) {
-	rt := NewRuntime(4)
-	defer rt.Shutdown()
-	for i := 0; i < b.N; i++ {
-		Run(rt, func() (int, error) { return i, nil }).Result()
-	}
-}
-
 func BenchmarkMultiTask100(b *testing.B) {
 	rt := NewRuntime(4)
 	defer rt.Shutdown()

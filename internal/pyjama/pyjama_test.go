@@ -520,22 +520,3 @@ func TestOnGUIVariants(t *testing.T) {
 		t.Fatal("nil-loop OnGUI skipped")
 	}
 }
-
-func BenchmarkParallelForStatic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ParallelFor(4, 10000, Static(0), func(i int) {})
-	}
-}
-
-func BenchmarkParallelForDynamic(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ParallelFor(4, 10000, Dynamic(64), func(i int) {})
-	}
-}
-
-func BenchmarkForReduce(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ParallelForReduce(4, 10000, Static(0), reduction.Sum[int](),
-			func(i, acc int) int { return acc + i })
-	}
-}
