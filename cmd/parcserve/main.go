@@ -1,7 +1,7 @@
 // Command parcserve runs the job-serving front end over the parallel
 // runtime: an HTTP service executing the course workloads (sort,
 // text/PDF search, thumbnails, matmul, webfetch) with admission control,
-// small-job batching, per-job deadlines, and graceful drain on SIGINT.
+// per-job deadlines, and graceful drain on SIGINT.
 // A job runs under its request's deadline_ms, or 10s when it names none;
 // no request may ask for more than 1m. Kernel jobs run Pyjama teams of
 // -workers threads.
@@ -10,7 +10,7 @@
 //
 //	parcserve                         # listen on :8751 with defaults
 //	parcserve -addr :9000 -workers 8
-//	parcserve -max-concurrent 16 -max-queue 64 -batch-max 32
+//	parcserve -max-concurrent 16 -max-queue 64
 //
 // Endpoints:
 //
@@ -21,7 +21,7 @@
 //	GET  /readyz        readiness (503 from the moment drain begins)
 //
 // On SIGINT/SIGTERM the server drains: intake answers 503, in-flight
-// jobs finish, batch tails flush, then the worker pool stops. A second
+// jobs finish, then the worker pool stops. A second
 // signal exits immediately.
 package main
 
@@ -45,8 +45,6 @@ func main() {
 		workers = flag.Int("workers", 0, "ptask pool size and kernel-job Pyjama team size (0 = GOMAXPROCS)")
 		maxConc = flag.Int("max-concurrent", 0, "jobs executing at once (0 = 2x workers)")
 		maxQ    = flag.Int("max-queue", 0, "jobs waiting for a slot before 429 (0 = 4x max-concurrent)")
-		batchN  = flag.Int("batch-max", 16, "small-job batch size bound")
-		batchD  = flag.Duration("batch-delay", 2*time.Millisecond, "small-job batch delay bound")
 		drainD  = flag.Duration("drain", 30*time.Second, "graceful-drain budget on shutdown")
 		nodeID  = flag.String("node-id", "", "node identity reported by /statz, /healthz, /readyz (default \"solo\")")
 		graceD  = flag.Duration("drain-grace", 500*time.Millisecond, "how long /readyz flips 503 before intake closes on drain")
@@ -57,8 +55,6 @@ func main() {
 		Workers:       *workers,
 		MaxConcurrent: *maxConc,
 		MaxQueue:      *maxQ,
-		BatchMax:      *batchN,
-		BatchDelay:    *batchD,
 		NodeID:        *nodeID,
 		DrainGrace:    *graceD,
 	})

@@ -421,10 +421,6 @@ func workerID(w *worker) int {
 	return w.id
 }
 
-// OnWorker reports whether the calling goroutine is one of the pool's
-// workers.
-func (p *Pool) OnWorker() bool { return p.reg.current() != nil }
-
 // wakeOne claims one parked slot and sends it a wake token. The nidle
 // fast path means a submit into a busy pool never touches the idle
 // mutex. Entries whose claim CAS fails are retractions the owner already
@@ -665,8 +661,8 @@ type Joinable interface {
 // nothing; if another helper already holds j's registration, this one
 // falls back to j's Done channel. Called from a goroutine that is not one
 // of p's workers, HelpJoin returns false at once and leaves the caller to
-// block its own way; the one identity lookup serves as both the OnWorker
-// test and the helper's identity.
+// block its own way; the one identity lookup serves as both the
+// on-worker test and the helper's identity.
 func (p *Pool) HelpJoin(j Joinable) (helped bool) {
 	w := p.reg.current()
 	if w == nil {

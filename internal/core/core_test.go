@@ -112,11 +112,11 @@ func TestPoolSurvivesPanickingTask(t *testing.T) {
 func TestOnWorker(t *testing.T) {
 	p := NewPool(2)
 	defer p.Shutdown()
-	if p.OnWorker() {
+	if p.reg.current() != nil {
 		t.Fatal("test goroutine claims worker status")
 	}
 	res := make(chan bool, 1)
-	p.Submit(func() { res <- p.OnWorker() })
+	p.Submit(func() { res <- p.reg.current() != nil })
 	if !<-res {
 		t.Fatal("task not recognised as on-worker")
 	}
@@ -523,15 +523,4 @@ func BenchmarkPoolSubmitFromWorker(b *testing.B) {
 		inner.Wait()
 	})
 	wg.Wait()
-}
-
-func BenchmarkOnWorkerCheck(b *testing.B) {
-	p := NewPool(2)
-	defer p.Shutdown()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if p.OnWorker() {
-			b.Fatal("bench goroutine is not a worker")
-		}
-	}
 }

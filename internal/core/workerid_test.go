@@ -9,8 +9,8 @@ import (
 // Worker identity soundness. Identity is keyed on the goroutine (its g
 // address, or its id on architectures without a getg stub), never on an
 // OS thread, so these tests pin the properties thread pinning used to
-// give for free: only a pool's own worker goroutines pass OnWorker, and
-// a goroutine that inherits a dead worker's key passes for nobody.
+// give for free: only a pool's own worker goroutines resolve to a worker,
+// and a goroutine that inherits a dead worker's key passes for nobody.
 
 // TestOnWorkerExcludesPlainGoroutines checks that neither an external
 // goroutine nor a plain goroutine started from inside a task (which may
@@ -19,7 +19,7 @@ func TestOnWorkerExcludesPlainGoroutines(t *testing.T) {
 	p := NewPool(2)
 	defer p.Shutdown()
 	external := make(chan bool, 1)
-	go func() { external <- p.OnWorker() }()
+	go func() { external <- p.reg.current() != nil }()
 	if <-external {
 		t.Fatal("external goroutine claims worker status")
 	}
@@ -27,8 +27,8 @@ func TestOnWorkerExcludesPlainGoroutines(t *testing.T) {
 	res := make(chan result, 1)
 	p.Submit(func() {
 		spawned := make(chan bool, 1)
-		go func() { spawned <- p.OnWorker() }()
-		res <- result{task: p.OnWorker(), spawned: <-spawned}
+		go func() { spawned <- p.reg.current() != nil }()
+		res <- result{task: p.reg.current() != nil, spawned: <-spawned}
 	})
 	r := <-res
 	if !r.task {
@@ -47,10 +47,10 @@ func TestOnWorkerIsPerPool(t *testing.T) {
 	defer b.Shutdown()
 	type result struct{ onA, onB bool }
 	res := make(chan result, 1)
-	a.Submit(func() { res <- result{a.OnWorker(), b.OnWorker()} })
+	a.Submit(func() { res <- result{a.reg.current() != nil, b.reg.current() != nil} })
 	r := <-res
 	if !r.onA || r.onB {
-		t.Fatalf("task on pool A: OnWorker A=%v B=%v, want true false", r.onA, r.onB)
+		t.Fatalf("task on pool A: on-worker A=%v B=%v, want true false", r.onA, r.onB)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestWorkerIdentityNotReusedAfterShutdown(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, p := range pools {
-				if p.OnWorker() {
+				if p.reg.current() != nil {
 					bad.Add(1)
 				}
 			}
@@ -88,7 +88,7 @@ func TestWorkerIdentityNotReusedAfterShutdown(t *testing.T) {
 	}
 	wg.Wait()
 	if n := bad.Load(); n != 0 {
-		t.Fatalf("%d OnWorker checks from fresh goroutines answered true", n)
+		t.Fatalf("%d identity checks from fresh goroutines answered true", n)
 	}
 }
 

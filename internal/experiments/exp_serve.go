@@ -13,7 +13,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "A9",
-		Title: "Serving ablation: batched job front end under open-loop load",
+		Title: "Serving ablation: job front end under open-loop load",
 		Paper: "DESIGN.md §11 (A9); course workloads as a servable system",
 		Run:   runA9,
 	})

@@ -10,11 +10,11 @@
 package parcserve
 
 import (
+	"bytes"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
-
-	"parc751/internal/core"
 )
 
 // nopResponseWriter is the minimal sink for measuring writeJSON: a
@@ -53,10 +53,10 @@ func TestWriteErrorAllocGuard(t *testing.T) {
 // old per-request encoder + envelope construction on top.
 func TestWriteJSONResultAllocGuard(t *testing.T) {
 	w := &nopResponseWriter{h: http.Header{}}
-	res := acquireJobResult(KindSort)
-	res.Batched = true
-	res.Summary["n"] = 1024
-	res.Summary["batch"] = 4
+	res := acquireJobResult(KindTextSearch)
+	res.Summary["files"] = 50
+	res.Summary["matches"] = 4
+	res.Summary["planted"] = 4
 	res.Checksum = 0x9e3779b97f4a7c15
 	res.ElapsedMs = 1.25
 	defer releaseJobResult(res)
@@ -71,40 +71,28 @@ func TestWriteJSONResultAllocGuard(t *testing.T) {
 	}
 }
 
-// TestBatcherAddAllocGuard pins the lock-light enqueue: per item, add
-// touches only its claimed slot — the cell (struct + slot array) is two
-// allocations amortised over a full batch, and item futures cycle
-// through the generation-guarded pool. Budget: 2 cell allocations per
-// 8-item round, with headroom for the timer-free flush machinery.
-func TestBatcherAddAllocGuard(t *testing.T) {
-	const batch = 8
-	b := newBatcher(batch, time.Hour, func(items []batchItem[int, int]) {
-		for _, it := range items {
-			it.fut.Complete(it.in, nil)
-		}
-	})
-	defer b.close()
-	round := func() {
-		var futs [batch]*core.Future[int]
-		for i := 0; i < batch; i++ {
-			f, ok := b.add(i)
-			if !ok {
-				t.Fatal("add refused while open")
-			}
-			futs[i] = f
-		}
-		for _, f := range futs {
-			if _, err := f.Get(); err != nil {
-				t.Fatalf("unexpected error: %v", err)
-			}
-			b.releaseFuture(f)
+// TestEnqueueAllocGuard pins the single-job serving budget: one
+// in-process POST /jobs/sort of 64 elements through httptest, the
+// parcserve_enqueue shape — request and recorder construction, JSON
+// decode, admission, one RunCtx task with its deadline context, the
+// sort itself, and the response encode.
+func TestEnqueueAllocGuard(t *testing.T) {
+	const budget = 48
+	s := NewServer(Config{Workers: 4})
+	defer func() { _ = s.Drain(5 * time.Second) }()
+	payload := []byte(`{"n":64,"seed":751}`)
+	post := func() {
+		req := httptest.NewRequest("POST", "/jobs/sort", bytes.NewReader(payload))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	for i := 0; i < 64; i++ {
-		round()
+	for i := 0; i < 256; i++ {
+		post()
 	}
-	got := testing.AllocsPerRun(100, round)
-	if got > 4 {
-		t.Fatalf("8-item batch round allocates %v objects, want <= 4 (2 amortised cell allocations)", got)
+	if got := testing.AllocsPerRun(200, post); got > budget {
+		t.Fatalf("in-process POST /jobs/sort allocates %v objects/op, want <= %d", got, budget)
 	}
 }

@@ -71,7 +71,6 @@ type JobRequest struct {
 // same params, same checksum).
 type JobResult struct {
 	Kind      Kind           `json:"kind"`
-	Batched   bool           `json:"batched,omitempty"`
 	ElapsedMs float64        `json:"elapsed_ms"`
 	Summary   map[string]any `json:"summary"`
 	Checksum  uint64         `json:"checksum"`
@@ -79,11 +78,7 @@ type JobResult struct {
 
 const (
 	defaultSeed = 751
-	// smallSortMax is the batching threshold: sorts at or below this
-	// length are coalesced into one multi-task instead of each paying a
-	// full admission slot and task spawn (see batch.go).
-	smallSortMax = 4096
-	maxSpin      = time.Second
+	maxSpin     = time.Second
 )
 
 // errBadRequest wraps parameter errors so the handler can map them to 400
@@ -238,28 +233,6 @@ func (s *Server) execute(ctx context.Context, kind Kind, req *JobRequest) (*JobR
 	default:
 		return nil, fmt.Errorf("%w: unknown kind %q", errBadRequest, kind)
 	}
-	return res, nil
-}
-
-// sortElement is one coalesced small sort inside a batch flush
-// (server.flushSortBatch): same workload and checksum as a standalone
-// KindSort job, so a client cannot tell whether it was batched except by
-// the Batched flag.
-func (s *Server) sortElement(in sortIn, batchLen int) (*JobResult, error) {
-	xs := workload.IntArray(in.seed, in.n, in.n*4)
-	sortalgo.PTask(s.rt, xs, 2048)
-	if !sort.IntsAreSorted(xs) {
-		return nil, fmt.Errorf("parcserve: sort produced unsorted output")
-	}
-	var sum uint64
-	for i := 0; i < len(xs); i += 1 + len(xs)/64 {
-		sum = fnv1a(sum, uint64(xs[i]))
-	}
-	res := acquireJobResult(KindSort)
-	res.Batched = true
-	res.Summary["n"] = in.n
-	res.Summary["batch"] = batchLen
-	res.Checksum = sum
 	return res, nil
 }
 

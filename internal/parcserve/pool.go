@@ -9,15 +9,11 @@
 //     it ran (DESIGN.md §10), and the one borrower that can outlive the
 //     body — an abandoned webfetch sub-task holding the URLs slice — is
 //     defused by dropping URLs at release instead of reusing them;
-//   - a JobResult is released by the handler that encoded it (each
-//     batch element has exactly one); results abandoned by a timed-out
-//     handler are simply left to the GC — pools are best-effort;
+//   - a JobResult is released by the handler that encoded it; results
+//     abandoned by a timed-out handler are simply left to the GC —
+//     pools are best-effort;
 //   - response encoders are scoped to writeJSON (get, encode, write,
-//     put) and never escape;
-//   - batch futures ride core.FuturePool's generation guard: a stale
-//     handle that touches a recycled future panics (CheckGen), and
-//     FuturePool.Put panics on an incomplete future, so a double
-//     release or a release racing a waiter fails loudly.
+//     put) and never escape.
 package parcserve
 
 import (
@@ -55,7 +51,6 @@ var jobResPool = sync.Pool{New: func() any {
 func acquireJobResult(kind Kind) *JobResult {
 	r := jobResPool.Get().(*JobResult)
 	r.Kind = kind
-	r.Batched = false
 	r.ElapsedMs = 0
 	r.Checksum = 0
 	if r.Summary == nil {

@@ -10,14 +10,12 @@
 //   - admission control: at most MaxConcurrent jobs execute at once and
 //     at most MaxQueue wait; beyond that the server answers 429 with a
 //     Retry-After estimate instead of queueing unboundedly;
-//   - batching: small jobs of the same kind coalesce into one multi-task
-//     (size-or-timeout flush, batch.go), so a storm of tiny requests
-//     costs one admission slot per batch;
-//   - deadlines: every job's lifetime — admission wait, queue time,
-//     execution — is bounded by ptask.WithDeadline; an expired job that
-//     never started is never executed (answer: 504);
-//   - graceful drain: Drain stops intake (503), flushes batch tails,
-//     waits for in-flight jobs, then stops the pool via ShutdownTimeout;
+//   - deadlines: every job runs under one context whose deadline is
+//     fixed at request arrival, so admission wait, queue time and
+//     execution all draw on one budget; an expired job that never
+//     started is never executed (answer: 504);
+//   - graceful drain: Drain stops intake (503), waits for in-flight
+//     jobs, then stops the pool via ShutdownTimeout;
 //   - observability: /statz exports the scheduler snapshot, Pyjama
 //     region stats, circuit-breaker state, admission counters, and
 //     per-endpoint latency histograms.
@@ -51,8 +49,7 @@ const (
 )
 
 // Job deadlines: defaultDeadline applies when a request names none
-// (deadline_ms); maxDeadline caps what a request may ask for and bounds
-// a sort batch's admission wait.
+// (deadline_ms); maxDeadline caps what a request may ask for.
 const (
 	defaultDeadline = 10 * time.Second
 	maxDeadline     = time.Minute
@@ -68,11 +65,6 @@ type Config struct {
 	// MaxQueue bounds jobs waiting for a slot; beyond it requests are
 	// rejected with 429 (default 4×MaxConcurrent).
 	MaxQueue int
-	// BatchMax and BatchDelay tune small-job coalescing: a batch flushes
-	// at BatchMax items or after BatchDelay, whichever first (defaults
-	// 16 / 2ms). BatchMax 1 disables coalescing in effect.
-	BatchMax   int
-	BatchDelay time.Duration
 	// NodeID names this server instance in /statz, /healthz and /readyz —
 	// the identity the parccluster supervisor and router key on. Default
 	// "solo" (a standalone server).
@@ -93,12 +85,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxConcurrent
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = 2 * time.Millisecond
 	}
 	if c.NodeID == "" {
 		c.NodeID = "solo"
@@ -136,12 +122,6 @@ func (e *endpointStats) record(code int, d time.Duration) {
 	e.lat.Observe(d)
 }
 
-// sortIn is one coalesced small-sort job.
-type sortIn struct {
-	seed uint64
-	n    int
-}
-
 // Server is the job-serving front end. Create with NewServer; it
 // implements http.Handler. A Server must be Drained when done — it owns
 // a live worker pool.
@@ -171,8 +151,6 @@ type Server struct {
 	draining  atomic.Bool
 	jobs      sync.WaitGroup
 
-	sortBatch *batcher[sortIn, *JobResult]
-
 	eps map[Kind]*endpointStats
 
 	regionMu   sync.Mutex
@@ -199,7 +177,6 @@ func NewServer(cfg Config) *Server {
 	for _, k := range Kinds() {
 		s.eps[k] = &endpointStats{}
 	}
-	s.sortBatch = newBatcher(cfg.BatchMax, cfg.BatchDelay, s.flushSortBatch)
 	s.mux.HandleFunc("POST /jobs/{kind}", s.handleJob)
 	s.mux.HandleFunc("GET /statz", s.handleStatz)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -230,24 +207,28 @@ func (s *Server) retryAfter() int {
 }
 
 // acquire claims an execution slot, waiting in the bounded admission
-// queue. It returns a release func on success, or the HTTP status to
-// answer with (429 queue full, 504 deadline expired while waiting).
-func (s *Server) acquire(done <-chan struct{}) (func(), int) {
+// queue until ctx ends. It returns 0 on success — the caller then owes
+// one release — or the HTTP status to answer with (429 queue full, 504
+// deadline expired or client gone while waiting).
+func (s *Server) acquire(ctx context.Context) int {
 	if s.waiting.Add(1) > int64(s.cfg.MaxQueue) {
 		s.waiting.Add(-1)
 		s.rejected.Add(1)
-		return nil, http.StatusTooManyRequests
+		return http.StatusTooManyRequests
 	}
 	select {
 	case s.slots <- struct{}{}:
 		s.waiting.Add(-1)
 		s.admitted.Add(1)
-		return func() { <-s.slots }, 0
-	case <-done:
+		return 0
+	case <-ctx.Done():
 		s.waiting.Add(-1)
-		return nil, http.StatusGatewayTimeout
+		return http.StatusGatewayTimeout
 	}
 }
+
+// release frees the execution slot a successful acquire claimed.
+func (s *Server) release() { <-s.slots }
 
 // deadlineFor resolves a request's deadline against the default and cap.
 func deadlineFor(req *JobRequest) time.Duration {
@@ -296,15 +277,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "bad JSON: "+err.Error())
 		return
 	}
-	deadline := deadlineFor(req)
-
-	var res *JobResult
-	var err error
-	if kind == KindSort && req.N > 0 && req.N <= smallSortMax {
-		res, err, code = s.runBatchedSort(r, req, deadline)
-	} else {
-		res, err, code = s.runSingle(r, start, kind, req, deadline)
-	}
+	res, err, code := s.runSingle(r, start, kind, req)
 	if err != nil {
 		if code == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", itoaSmall(s.retryAfter()))
@@ -319,29 +292,25 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSingle admits and executes one job as its own context-aware task.
-// The deadline budget runs from request arrival: admission wait, pool
-// queue time, and execution all draw on it.
-func (s *Server) runSingle(r *http.Request, start time.Time, kind Kind, req *JobRequest, deadline time.Duration) (*JobResult, error, int) {
-	admitCtx, cancel := deadlineChan(deadline)
+// One context carries the deadline, fixed at request arrival: admission
+// wait, pool queue time, and execution all draw on it, and a client that
+// hangs up gives up its place in the queue.
+func (s *Server) runSingle(r *http.Request, start time.Time, kind Kind, req *JobRequest) (*JobResult, error, int) {
+	deadline := deadlineFor(req)
+	ctx, cancel := context.WithDeadline(r.Context(), start.Add(deadline))
 	defer cancel()
-	release, status := s.acquire(admitCtx)
-	if status != 0 {
+	if status := s.acquire(ctx); status != 0 {
 		if status == http.StatusTooManyRequests {
 			return nil, errSaturated, status
 		}
-		return nil, fmt.Errorf("deadline expired after %v waiting for a slot", deadline), status
+		return nil, fmt.Errorf("no slot within the %v deadline: %w", deadline, ctx.Err()), status
 	}
-	defer release()
-	remaining := deadline - time.Since(start)
-	if remaining <= 0 {
-		return nil, fmt.Errorf("deadline expired after %v waiting for a slot", deadline), http.StatusGatewayTimeout
-	}
-	// The remaining budget covers pool queue time + execution: a job that
-	// expires while still queued is never executed and settles with
-	// ErrDeadline (the §10 conformance row).
-	t := ptask.RunCtx(s.rt, r.Context(), func(ctx context.Context) (*JobResult, error) {
+	defer s.release()
+	// A job whose context expires while still queued is never executed
+	// and settles with ErrDeadline (the §10 conformance row).
+	t := ptask.RunCtx(s.rt, ctx, func(ctx context.Context) (*JobResult, error) {
 		return s.execute(ctx, kind, req)
-	}, ptask.WithDeadline(remaining))
+	})
 	res, err := t.Result()
 	// The task settled (Result joined it), so its future can go back to
 	// the typed pool; res survives the release — Put only zeroes the
@@ -353,68 +322,6 @@ func (s *Server) runSingle(r *http.Request, start time.Time, kind Kind, req *Job
 	return res, nil, http.StatusOK
 }
 
-// runBatchedSort routes a small sort through the coalescing batcher and
-// waits for its element's result under the job deadline.
-func (s *Server) runBatchedSort(r *http.Request, req *JobRequest, deadline time.Duration) (*JobResult, error, int) {
-	seed := req.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
-	fut, ok := s.sortBatch.add(sortIn{seed: seed, n: req.N})
-	if !ok {
-		return nil, errors.New("draining"), http.StatusServiceUnavailable
-	}
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case <-fut.Done():
-		res, err := fut.Get()
-		// Get returned, so this goroutine is done with the pooled future;
-		// the timeout paths below must NOT release it — the flush will
-		// still complete it.
-		s.sortBatch.releaseFuture(fut)
-		if err != nil {
-			return nil, err, statusFor(err)
-		}
-		return res, nil, http.StatusOK
-	case <-timer.C:
-		// The batch may still complete; this caller stops waiting.
-		return nil, fmt.Errorf("deadline expired after %v waiting for batch", deadline), http.StatusGatewayTimeout
-	case <-r.Context().Done():
-		return nil, r.Context().Err(), http.StatusGatewayTimeout
-	}
-}
-
-// flushSortBatch executes one coalesced batch: one admission slot, one
-// multi-task, one sub-task per element. It runs synchronously on the
-// goroutine that triggered the flush (the adder that filled the batch,
-// the delay timer, or close), which is what lets the batcher's close
-// guarantee every accepted item is settled before drain proceeds.
-func (s *Server) flushSortBatch(items []batchItem[sortIn, *JobResult]) {
-	admitCtx, cancel := deadlineChan(maxDeadline)
-	defer cancel()
-	release, status := s.acquire(admitCtx)
-	if status != 0 {
-		err := error(errSaturated)
-		if status != http.StatusTooManyRequests {
-			err = fmt.Errorf("parcserve: batch not admitted within %v: %w",
-				maxDeadline, ptask.ErrDeadline)
-		}
-		for _, it := range items {
-			it.fut.Complete(nil, err)
-		}
-		return
-	}
-	defer release()
-	multi := ptask.RunMulti(s.rt, len(items), func(i int) (*JobResult, error) {
-		return s.sortElement(items[i].in, len(items))
-	})
-	for i, tk := range multi.Tasks() {
-		v, err := tk.Result()
-		items[i].fut.Complete(v, err)
-	}
-}
-
 // errSaturated is the admission controller's rejection: the execution
 // slots are full and the wait queue is at its bound.
 var errSaturated = errors.New("parcserve: admission queue full")
@@ -424,8 +331,6 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, errBadRequest):
 		return http.StatusBadRequest
-	case errors.Is(err, errSaturated):
-		return http.StatusTooManyRequests
 	case errors.Is(err, ptask.ErrDeadline), errors.Is(err, context.DeadlineExceeded):
 		// Which settle wins is racy when a running body returns ctx.Err()
 		// itself while the deadline watcher cancels the task; both spell
@@ -478,7 +383,7 @@ func (s *Server) NodeID() string { return s.cfg.NodeID }
 func (s *Server) Ready() bool { return !s.notReady.Load() }
 
 // Drain gracefully stops the server: new jobs are refused with 503,
-// pending batch tails are flushed, in-flight jobs run to completion, and
+// in-flight jobs run to completion, and
 // the worker pool is stopped. The budget d bounds the whole sequence;
 // on a clean drain the pool is left with no queued or running task and
 // the error is nil. Drain is idempotent.
@@ -508,10 +413,7 @@ func (s *Server) Drain(d time.Duration) error {
 		s.stopTraceLocked()
 	}
 	s.trace.mu.Unlock()
-	// Order matters: the batcher settles every accepted small job before
-	// jobs.Wait (their handlers are waiting on those futures), and the
-	// pool stops only after no handler can submit another task.
-	s.sortBatch.close()
+	// The pool stops only after no handler can submit another task.
 	done := make(chan struct{})
 	go func() {
 		s.jobs.Wait()
@@ -530,12 +432,3 @@ func (s *Server) Drain(d time.Duration) error {
 
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// deadlineChan returns a channel closed after d plus its cancel func —
-// a context-free deadline for the admission wait.
-func deadlineChan(d time.Duration) (<-chan struct{}, func()) {
-	ch := make(chan struct{})
-	t := time.AfterFunc(d, func() { close(ch) })
-	var once sync.Once
-	return ch, func() { once.Do(func() { t.Stop() }) }
-}

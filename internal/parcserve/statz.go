@@ -1,7 +1,6 @@
 // /statz: the server's observability surface as one JSON document —
 // scheduler snapshot, Pyjama region stats, circuit-breaker state,
-// admission counters, batching stats, and per-endpoint latency
-// histograms. TEMANEJO's lesson applied to serving: runtime internals as
+// admission counters, and per-endpoint latency histograms. TEMANEJO's lesson applied to serving: runtime internals as
 // first-class data, queryable while the system is under load.
 package parcserve
 
@@ -52,9 +51,11 @@ type Statz struct {
 	Admission AdmissionStats           `json:"admission"`
 	Sched     sched.Snapshot           `json:"sched"`
 	Endpoints map[string]EndpointStats `json:"endpoints"`
-	Batch     map[string]BatchStats    `json:"batch"`
-	Breaker   BreakerStats             `json:"breaker"`
-	Region    *pyjama.RegionStats      `json:"region,omitempty"`
+	// Batch is never filled. It and BatchStats are kept only because
+	// repobench compiles against them.
+	Batch   map[string]BatchStats `json:"batch"`
+	Breaker BreakerStats          `json:"breaker"`
+	Region  *pyjama.RegionStats   `json:"region,omitempty"`
 }
 
 // Statz assembles the current observability snapshot.
@@ -74,7 +75,6 @@ func (s *Server) Statz() Statz {
 		},
 		Sched:     s.rt.SchedStats(),
 		Endpoints: map[string]EndpointStats{},
-		Batch:     map[string]BatchStats{string(KindSort): s.sortBatch.stats()},
 		Breaker:   BreakerStats{State: s.breaker.State().String(), Trips: s.breaker.Trips()},
 	}
 	for kind, ep := range s.eps {
@@ -109,4 +109,15 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(s.Statz())
+}
+
+// BatchStats is the export form of a job-coalescing counter set. Nothing
+// fills it; it is kept for repobench, which reads Statz.Batch.
+type BatchStats struct {
+	Batches      int64   `json:"batches"`
+	Items        int64   `json:"items"`
+	MaxBatch     int64   `json:"max_batch"`
+	TimerFlushes int64   `json:"timer_flushes"`
+	Rejected     int64   `json:"rejected"`
+	MeanSize     float64 `json:"mean_size"`
 }

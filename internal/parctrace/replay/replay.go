@@ -219,21 +219,32 @@ func drain(kind string, f func()) error {
 	}
 }
 
-// quicksortRules jitters the pool's submit path and stalls one run.
+// quicksortThreshold is runQuicksort's leaf size for an n-element sort.
+func quicksortThreshold(n int) int {
+	if n >= 20000 {
+		return 1024
+	}
+	return 512
+}
+
+// quicksortRules jitters the pool's submit path and stalls one run,
+// scattered over the fewest tasks the sort can run: it submits one task
+// per leaf range, and a leaf holds at most threshold elements, so at
+// least ceil(N/threshold) tasks are submitted and run, and every planned
+// rule fires at any N.
 func quicksortRules(spec parctrace.WorkloadSpec) []faultinject.Rule {
-	return append(faultinject.Scatter(spec.Seed, probe.SiteSubmit, faultinject.Delay, 4, 30, 200*time.Microsecond),
+	threshold := quicksortThreshold(spec.N)
+	tasks := max(1, (spec.N+threshold-1)/threshold)
+	return append(faultinject.Scatter(spec.Seed, probe.SiteSubmit, faultinject.Delay, 4, tasks, 200*time.Microsecond),
 		faultinject.Rule{Site: probe.SiteRun, Kind: faultinject.Stall,
-			Nth: spec.Seed % 16, Count: 1, Dur: 2 * time.Millisecond})
+			Nth: spec.Seed % uint64(tasks), Count: 1, Dur: 2 * time.Millisecond})
 }
 
 // runQuicksort is the paper's project-2 workload: recursive task-parallel
 // quicksort over a seeded array. Its faults are purely temporal, so the
 // output must stay sorted and the runtime must drain.
 func runQuicksort(spec parctrace.WorkloadSpec, _ faultinject.Plan, _ *faultinject.Injector) error {
-	threshold := 512
-	if spec.N >= 20000 {
-		threshold = 1024
-	}
+	threshold := quicksortThreshold(spec.N)
 	rt := ptask.NewRuntime(spec.Workers)
 	xs := workload.IntArray(spec.Seed, spec.N, 1<<30)
 	if err := drain(spec.Kind, func() { sortalgo.PTask(rt, xs, threshold) }); err != nil {

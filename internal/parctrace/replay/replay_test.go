@@ -45,6 +45,25 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 }
 
+// TestQuicksortPlanFiresAtSmallN: the quicksort plan is scaled to the
+// task count, so every planned rule fires even when the sort runs only
+// a handful of tasks.
+func TestQuicksortPlanFiresAtSmallN(t *testing.T) {
+	for _, n := range []int{600, 3000} {
+		for _, seed := range []uint64{1, 2, 751} {
+			spec := parctrace.WorkloadSpec{Kind: KindQuicksort, Seed: seed, N: n, Workers: 2, Chaos: true}
+			rec, err := Record(spec, 256)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d: Record: %v", n, seed, err)
+			}
+			if planned := len(rec.Plan.Rules); rec.FaultCount() != planned {
+				t.Errorf("n=%d seed=%d: %d of %d planned faults fired: %v",
+					n, seed, rec.FaultCount(), planned, rec.Faults)
+			}
+		}
+	}
+}
+
 // TestReplayRequiresCoordinate: a dump without a workload spec or a
 // plan cannot be replayed and says so.
 func TestReplayRequiresCoordinate(t *testing.T) {

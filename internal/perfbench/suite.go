@@ -127,9 +127,8 @@ func Suite() (specs []Spec, cleanup func()) {
 
 	// parcserve_enqueue: one POST /jobs/sort through the in-process
 	// server — JSON decode, admission, dispatch onto the runtime, a small
-	// sort, and the response write. BatchMax 1 so a lone sequential
-	// client is not serialized on the coalescing timer.
-	srv := parcserve.NewServer(parcserve.Config{Workers: 4, BatchMax: 1})
+	// sort, and the response write.
+	srv := parcserve.NewServer(parcserve.Config{Workers: 4})
 	payload := []byte(`{"n":64,"seed":751}`)
 	specs = append(specs, Spec{Name: "parcserve_enqueue", Bench: func(n int) {
 		for i := 0; i < n; i++ {
@@ -143,17 +142,11 @@ func Suite() (specs []Spec, cleanup func()) {
 	}})
 
 	// parcserve_roundtrip: end-to-end serving throughput — concurrent
-	// clients POSTing small sorts over real HTTP connections into a
-	// batching server (decode, admission, coalesce, execute, encode).
-	// Unlike parcserve_enqueue (one sequential in-process request, the
-	// latency view), this is the jobs/sec view: 8 open connections keep
-	// the batcher and admission path genuinely contended.
-	rtSrv := parcserve.NewServer(parcserve.Config{
-		Workers:       4,
-		MaxConcurrent: 8,
-		BatchMax:      8,
-		BatchDelay:    500 * time.Microsecond,
-	})
+	// clients POSTing small sorts over real HTTP connections (decode,
+	// admission, execute, encode). Unlike parcserve_enqueue (one
+	// sequential in-process request, the latency view), this is the
+	// jobs/sec view: 8 open connections keep all 8 execution slots busy.
+	rtSrv := parcserve.NewServer(parcserve.Config{Workers: 4, MaxConcurrent: 8})
 	ts := httptest.NewServer(rtSrv)
 	rtClient := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: roundtripClients}}
 	rtPayload := []byte(`{"n":256,"seed":751}`)
@@ -198,7 +191,7 @@ func Suite() (specs []Spec, cleanup func()) {
 }
 
 // roundtripClients is the parcserve_roundtrip concurrency: enough open
-// connections to keep the batcher coalescing, small enough that the
+// connections to fill every execution slot, small enough that the
 // measurement is the server, not client-side scheduling.
 const roundtripClients = 8
 

@@ -10,6 +10,7 @@
 package ptask
 
 import (
+	"context"
 	"testing"
 )
 
@@ -97,5 +98,32 @@ func TestMultiResultsAllocGuard(t *testing.T) {
 	}
 	if got > budget {
 		t.Fatalf("worker-side RunMulti→Results allocates %v objects/op, want <= %d", got, budget)
+	}
+}
+
+// TestRunCtxAllocGuard pins the context-aware task's budget, the path
+// every served job takes. The body, the expiry stop and the cancel live
+// in typed Task fields, so beyond the handle a steady-state
+// RunCtx→Result→Release on a cancellable context pays only for the
+// context.AfterFunc registration.
+func TestRunCtxAllocGuard(t *testing.T) {
+	const budget = 5
+	rt := NewRuntime(2)
+	defer rt.Shutdown()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fn := func(context.Context) (int, error) { return 42, nil }
+	cycle := func() {
+		tk := RunCtx(rt, ctx, fn)
+		if v, err := tk.Result(); err != nil || v != 42 {
+			t.Fatalf("Result = (%v, %v)", v, err)
+		}
+		tk.Release()
+	}
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > budget {
+		t.Fatalf("steady-state RunCtx→Result→Release allocates %v objects/op, want <= %d", got, budget)
 	}
 }

@@ -161,27 +161,34 @@ func RunAfterCtx[T any](rt *Runtime, ctx context.Context, deps []Dep, fn func(co
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var cancel context.CancelFunc
-	if o.deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, o.deadline)
-	}
 	t := newTask[T](rt)
-	t.depPolicy, t.ctx, t.retry = o.dep, ctx, o.retry
-	t.body = func() (T, error) { return fn(ctx) }
+	t.depPolicy, t.ctx, t.retry, t.ctxBody = o.dep, ctx, o.retry, fn
+	if o.deadline > 0 {
+		t.ctx, t.cancel = context.WithTimeout(ctx, o.deadline)
+	}
 	// An expiring context cancels a waiting/queued task outright; a
-	// running one is reached through ctx inside the body. stop undoes the
-	// registration once the task settles, and the deadline timer (if any)
-	// is released with it.
-	stop := context.AfterFunc(ctx, func() { t.cancelWith(ctxError(ctx.Err())) })
-	t.onDone(func() {
-		stop()
-		if cancel != nil {
-			cancel()
+	// running one is reached through ctx inside the body. A context that
+	// can never expire needs no registration. If the task settled before
+	// the registration landed, complete found no stop to call, so undo it
+	// here.
+	if t.ctx.Done() != nil {
+		stop := context.AfterFunc(t.ctx, t.expire)
+		t.mu.Lock()
+		settled := t.fut.IsDone()
+		if !settled {
+			t.stop = stop
 		}
-	})
+		t.mu.Unlock()
+		if settled {
+			stop()
+		}
+	}
 	t.wireDeps(deps)
 	return t
 }
+
+// expire settles a task whose context ended before it ran.
+func (t *Task[T]) expire() { t.cancelWith(ctxError(t.ctx.Err())) }
 
 // ctxError maps a context error to the package's failure vocabulary.
 func ctxError(err error) error {

@@ -127,9 +127,10 @@ type Task[T any] struct {
 	// gen snapshots the pooled future envelope's recycle generation at
 	// acquisition; accessors re-check it so a handle whose envelope was
 	// Released and recycled panics instead of reading a successor task's
-	// result. released makes Release single-shot.
-	gen      uint64
+	// result. released makes Release single-shot; it sits next to state
+	// so the two share a word.
 	released atomic.Bool
+	gen      uint64
 
 	// tid is the trace task id, assigned at construction while a
 	// recorder is attached (0 otherwise). The scheduler reuses it for
@@ -139,17 +140,26 @@ type Task[T any] struct {
 
 	mu        sync.Mutex
 	callbacks []func()
-	waitDeps  int
 	body      func() (T, error)
 	// void is Invoke's body, run in place of body: holding it directly
 	// spares a wrapper closure per void task.
 	void func() error
+	// ctxBody is RunCtx's body, run with ctx in place of body, for the
+	// same reason.
+	ctxBody func(context.Context) (T, error)
+	// waitDeps sits next to depPolicy so the two share a word, keeping
+	// the handle in the 144-byte size class.
+	waitDeps int32
 
 	// Failure-semantics extensions (see failure.go). Legacy constructors
-	// leave these zero: DepRun policy, no context, no retry.
+	// leave these zero: DepRun policy, no context, no retry. stop undoes
+	// the context's expiry registration and cancel releases a
+	// WithDeadline timer; complete calls both once the task settles.
 	depPolicy DepPolicy
 	ctx       context.Context
 	retry     *RetryPolicy
+	stop      func() bool
+	cancel    context.CancelFunc
 }
 
 // Run submits fn for asynchronous execution and returns its task handle.
@@ -200,7 +210,7 @@ func (t *Task[T]) wireDeps(deps []Dep) {
 		return
 	}
 	t.mu.Lock()
-	t.waitDeps = len(deps)
+	t.waitDeps = int32(len(deps))
 	t.mu.Unlock()
 	for _, d := range deps {
 		d := d
@@ -250,8 +260,8 @@ func (t *Task[T]) RunTask() {
 		return // cancelled while queued: the closure must not execute
 	}
 	t.mu.Lock()
-	body, void := t.body, t.void
-	t.body, t.void = nil, nil // the task owns at most one execution; release the closure
+	body, void, ctxBody := t.body, t.void, t.ctxBody
+	t.body, t.void, t.ctxBody = nil, nil, nil // the task owns at most one execution; release the closure
 	t.mu.Unlock()
 	var val T
 	var err error
@@ -271,9 +281,12 @@ func (t *Task[T]) RunTask() {
 				// this future, never as a crashed worker.
 				pr.Fire(probe.SiteTaskBody, -1, t.tid, 0)
 			}
-			if void != nil {
+			switch {
+			case void != nil:
 				err = void()
-			} else {
+			case ctxBody != nil:
+				val, err = ctxBody(t.ctx)
+			default:
 				val, err = body()
 			}
 		}); perr != nil {
@@ -296,9 +309,15 @@ func (t *Task[T]) complete(final int32, v T, err error) {
 	t.state.Store(final)
 	t.fut.Complete(v, err)
 	t.mu.Lock()
-	cbs := t.callbacks
-	t.callbacks = nil
+	cbs, stop, cancel := t.callbacks, t.stop, t.cancel
+	t.callbacks, t.stop, t.cancel = nil, nil, nil
 	t.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	if cancel != nil {
+		cancel()
+	}
 	for _, cb := range cbs {
 		cb()
 	}
@@ -338,7 +357,7 @@ func (t *Task[T]) cancelWith(err error) bool {
 	if t.state.CompareAndSwap(stateWaiting, stateCancelled) ||
 		t.state.CompareAndSwap(stateQueued, stateCancelled) {
 		t.mu.Lock()
-		t.body, t.void = nil, nil // never runs; release captured state eagerly
+		t.body, t.void, t.ctxBody = nil, nil, nil // never runs; release captured state eagerly
 		t.mu.Unlock()
 		var zero T
 		t.complete(stateCancelled, zero, err)
