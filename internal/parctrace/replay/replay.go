@@ -304,13 +304,14 @@ func thumbsRules(spec parctrace.WorkloadSpec) []faultinject.Rule {
 }
 
 // runThumbs is the thumbnail fan-out (project 3): one multi-task over a
-// seeded image set under the collect-all policy. Every planned panic
-// must fire, exactly the injected tasks must fail, each once with its
-// own attributable *InjectedPanic, and every other thumbnail must render.
+// seeded image set. Every planned panic must fire, exactly the injected
+// tasks must fail, each once with its own attributable *InjectedPanic
+// read from the sub-task itself, every other thumbnail must render, and
+// the aggregate must fail exactly when something was injected.
 func runThumbs(spec parctrace.WorkloadSpec, plan faultinject.Plan, in *faultinject.Injector) error {
 	rt := ptask.NewRuntime(spec.Workers)
 	imgs := workload.GenImageSet(spec.Seed, spec.N, 32, 64)
-	m := ptask.RunMultiPolicy(rt, spec.N, ptask.MultiCollectAll, func(i int) (*workload.Image, error) {
+	m := ptask.RunMulti(rt, spec.N, func(i int) (*workload.Image, error) {
 		return thumbs.Scale(imgs[i], 16, 16), nil
 	})
 	if err := drain(spec.Kind, func() { <-m.Done() }); err != nil {
@@ -428,7 +429,7 @@ func runRetry(spec parctrace.WorkloadSpec, plan faultinject.Plan, in *faultinjec
 	f.SetTimeout(10 * time.Second)
 	// Budget > webFaults: even if one request's retries keep landing on
 	// faulted ordinals, it can absorb every injected error.
-	f.SetRetryBudget(ptask.RetryPolicy{MaxAttempts: webFaults + 1, Base: time.Millisecond, Seed: spec.Seed})
+	f.SetRetryBudget(webfetch.RetryPolicy{MaxAttempts: webFaults + 1, Base: time.Millisecond, Seed: spec.Seed})
 	for _, r := range f.FetchAll(urls, nil) {
 		if r.Err != nil {
 			return fmt.Errorf("replay: webretry %s failed despite the retry budget: %v", r.URL, r.Err)

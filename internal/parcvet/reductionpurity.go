@@ -32,24 +32,7 @@ thread, so the answer depends on the thread count).`,
 	Run:      runReductionPurity,
 }
 
-// reducerArg maps reduction entry points to the index of their Reducer
-// parameter.
-func reducerArg(c callee) (int, bool) {
-	switch {
-	case c.is(pkgPyjama, "ForReduce"):
-		return 3, true
-	case c.is(pkgPyjama, "ParallelForReduce"):
-		return 3, true
-	case c.is(pkgReduction, "Fold"), c.is(pkgReduction, "Tree"):
-		return 0, true
-	case c.is(pkgReduction, "Parallel"):
-		return 2, true
-	}
-	return 0, false
-}
-
 func runReductionPurity(pass *analysis.Pass) error {
-	info := pass.TypesInfo
 	// Check reducer literals at their construction site, wherever they
 	// appear (passed inline, assigned to a variable, returned): a Reducer
 	// composite literal with an impure combiner is wrong no matter how it
@@ -61,11 +44,6 @@ func runReductionPurity(pass *analysis.Pass) error {
 		}
 		checkReducerLiteral(pass, comp)
 	})
-	// And verify the entry points receive *some* reducer-shaped argument
-	// (a non-Reducer argument would be a type error, so nothing to do) —
-	// but do flag reducers built by wrapping a stock reducer's Combine in
-	// impure closures at the call site.
-	_ = info
 	return nil
 }
 

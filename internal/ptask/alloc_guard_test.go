@@ -102,12 +102,12 @@ func TestMultiResultsAllocGuard(t *testing.T) {
 }
 
 // TestRunCtxAllocGuard pins the context-aware task's budget, the path
-// every served job takes. The body, the expiry stop and the cancel live
-// in typed Task fields, so beyond the handle a steady-state
+// every served job takes. The body and the expiry stop live in typed
+// Task fields, so beyond the handle a steady-state
 // RunCtx→Result→Release on a cancellable context pays only for the
 // context.AfterFunc registration.
 func TestRunCtxAllocGuard(t *testing.T) {
-	const budget = 5
+	const budget = 4
 	rt := NewRuntime(2)
 	defer rt.Shutdown()
 	ctx, cancel := context.WithCancel(context.Background())

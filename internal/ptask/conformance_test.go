@@ -1,5 +1,5 @@
 // Conformance suite for the failure-semantics table in DESIGN.md §10.
-// Every table cell — event × construct (Task / MultiTask policy / Pyjama
+// Every table cell — event × construct (Task / MultiTask / Pyjama
 // region) — has a test here asserting exactly what the table promises:
 // which futures settle, with which error identities, and whether the
 // body ran at all. The suite is an external test package so the Pyjama
@@ -21,6 +21,7 @@ import (
 	"parc751/internal/core"
 	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
+	"parc751/internal/webfetch"
 )
 
 func newRT(t *testing.T, workers int) *ptask.Runtime {
@@ -81,7 +82,7 @@ func TestConformanceBodyErrorMultiFirstError(t *testing.T) {
 	rt := newRT(t, 4)
 	errB, errC := errors.New("errB"), errors.New("errC")
 	var ran atomic.Int64
-	m := ptask.RunMultiPolicy(rt, 3, ptask.MultiFirstError, func(i int) (int, error) {
+	m := ptask.RunMulti(rt, 3, func(i int) (int, error) {
 		ran.Add(1)
 		switch i {
 		case 1:
@@ -99,71 +100,7 @@ func TestConformanceBodyErrorMultiFirstError(t *testing.T) {
 		t.Fatalf("aggregate err %v includes later element's error", err)
 	}
 	if ran.Load() != 3 {
-		t.Fatalf("%d sub-tasks ran, want all 3 under MultiFirstError", ran.Load())
-	}
-}
-
-// TestConformanceBodyErrorMultiFailFast: the first failure cancels every
-// not-yet-started sibling and the aggregate error is the root cause, not
-// the ErrCancelled cascade.
-func TestConformanceBodyErrorMultiFailFast(t *testing.T) {
-	rt := newRT(t, 2)
-	root := errors.New("root failure")
-	gate := make(chan struct{})
-	var ran [4]atomic.Bool
-	m := ptask.RunMultiPolicy(rt, 4, ptask.MultiFailFast, func(i int) (int, error) {
-		ran[i].Store(true)
-		if i == 0 {
-			return 0, root
-		}
-		<-gate
-		return i, nil
-	})
-	// Poll until the fail-fast fanout lands on the queued tail. With two
-	// workers, tasks 0 and 1 start (global FIFO order) and 2, 3 are still
-	// queued when 0 fails.
-	deadline := time.Now().Add(5 * time.Second)
-	for !m.Tasks()[3].Cancelled() {
-		if time.Now().After(deadline) {
-			t.Fatal("fail-fast never cancelled the queued sibling")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(gate)
-	_, err := m.Results()
-	if !errors.Is(err, root) {
-		t.Fatalf("aggregate err = %v, want root cause %v", err, root)
-	}
-	if errors.Is(err, ptask.ErrCancelled) {
-		t.Fatalf("aggregate err %v surfaces the cancellation cascade, want the root cause", err)
-	}
-	if ran[3].Load() {
-		t.Fatal("cancelled sibling's body ran")
-	}
-}
-
-// TestConformanceBodyErrorMultiCollectAll: everything runs and the
-// aggregate joins every sub-task error.
-func TestConformanceBodyErrorMultiCollectAll(t *testing.T) {
-	rt := newRT(t, 4)
-	errA, errC := errors.New("errA"), errors.New("errC")
-	var ran atomic.Int64
-	m := ptask.RunMultiPolicy(rt, 3, ptask.MultiCollectAll, func(i int) (int, error) {
-		ran.Add(1)
-		switch i {
-		case 0:
-			return 0, errA
-		case 2:
-			return 0, errC
-		}
-		return i, nil
-	})
-	_, err := m.Results()
-	if !errors.Is(err, errA) || !errors.Is(err, errC) {
-		t.Fatalf("aggregate err = %v, want both %v and %v joined", err, errA, errC)
-	}
-	if ran.Load() != 3 {
-		t.Fatalf("%d sub-tasks ran, want all 3 under MultiCollectAll", ran.Load())
+		t.Fatalf("%d sub-tasks ran, want all 3", ran.Load())
 	}
 }
 
@@ -364,11 +301,13 @@ func TestConformanceDeadlineQueued(t *testing.T) {
 	rt := newRT(t, 2)
 	release := wedge(t, rt)
 	defer release()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	var ran atomic.Bool
-	tk := ptask.RunCtx(rt, context.Background(), func(context.Context) (int, error) {
+	tk := ptask.RunCtx(rt, ctx, func(context.Context) (int, error) {
 		ran.Store(true)
 		return 1, nil
-	}, ptask.WithDeadline(30*time.Millisecond))
+	})
 	awaitDone(t, tk.Done(), "deadline-expired queued task")
 	_, err := tk.Result()
 	if !errors.Is(err, ptask.ErrDeadline) {
@@ -389,12 +328,14 @@ func TestConformanceDeadlineQueued(t *testing.T) {
 // preemptive.
 func TestConformanceDeadlineRunning(t *testing.T) {
 	rt := newRT(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
 	started := make(chan struct{})
-	tk := ptask.RunCtx(rt, context.Background(), func(ctx context.Context) (int, error) {
+	tk := ptask.RunCtx(rt, ctx, func(ctx context.Context) (int, error) {
 		close(started)
 		<-ctx.Done()
 		return 0, ctx.Err()
-	}, ptask.WithDeadline(30*time.Millisecond))
+	})
 	<-started
 	_, err := tk.Result()
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -404,153 +345,47 @@ func TestConformanceDeadlineRunning(t *testing.T) {
 
 // --- Row: dependence fails ---
 
-// TestConformanceDepFailureCancel: under DepCancel (the RunAfterCtx
-// default) a failed dependence cancels the dependent with a *DepError
-// that matches both ErrDepFailed and ErrCancelled and unwraps to the
-// root cause; the dependent's body never runs.
-func TestConformanceDepFailureCancel(t *testing.T) {
-	rt := newRT(t, 2)
-	boom := errors.New("dependence boom")
-	a := ptask.Run(rt, func() (int, error) { return 0, boom })
-	var ran atomic.Bool
-	b := ptask.RunAfterCtx(rt, context.Background(), []ptask.Dep{a},
-		func(context.Context) (int, error) { ran.Store(true); return 1, nil })
-	_, err := b.Result()
-	var de *ptask.DepError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %T %v, want *DepError", err, err)
-	}
-	if !errors.Is(err, ptask.ErrDepFailed) || !errors.Is(err, ptask.ErrCancelled) {
-		t.Fatalf("err = %v, want both ErrDepFailed and ErrCancelled identities", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v does not preserve the root cause via Unwrap", err)
-	}
-	rtQuiesce(t, rt)
-	if ran.Load() {
-		t.Fatal("DepCancel dependent's body ran")
-	}
-}
-
-// TestConformanceDepFailureCascade: the root cause survives a chain of
-// DepCancel propagations, not just one hop.
-func TestConformanceDepFailureCascade(t *testing.T) {
-	rt := newRT(t, 2)
-	boom := errors.New("root boom")
-	a := ptask.Run(rt, func() (int, error) { return 0, boom })
-	b := ptask.RunAfterCtx(rt, context.Background(), []ptask.Dep{a},
-		func(context.Context) (int, error) { return 1, nil })
-	c := ptask.RunAfterCtx(rt, context.Background(), []ptask.Dep{b},
-		func(context.Context) (int, error) { return 2, nil })
-	_, err := c.Result()
-	if !errors.Is(err, ptask.ErrDepFailed) || !errors.Is(err, boom) {
-		t.Fatalf("two-hop err = %v, want ErrDepFailed with root cause %v", err, boom)
-	}
-}
-
-// TestConformanceDepFailureRun: DepRun (the legacy policy and explicit
-// override) runs the dependent anyway.
+// TestConformanceDepFailureRun: a RunAfter dependent runs anyway once
+// its failed dependence settles, and sees that dependence's error when
+// it inspects its input.
 func TestConformanceDepFailureRun(t *testing.T) {
 	rt := newRT(t, 2)
 	boom := errors.New("boom")
 	a := ptask.Run(rt, func() (int, error) { return 0, boom })
-
-	// Explicit override on a ctx task.
-	v, err := ptask.RunAfterCtx(rt, context.Background(), []ptask.Dep{a},
-		func(context.Context) (int, error) { return 7, nil },
-		ptask.OnDepFailure(ptask.DepRun)).Result()
-	if err != nil || v != 7 {
-		t.Fatalf("DepRun dependent = (%v, %v), want (7, nil)", v, err)
-	}
-
-	// Legacy RunAfter defaults to DepRun.
-	v, err = ptask.RunAfter(rt, []ptask.Dep{a}, func() (int, error) { return 8, nil }).Result()
+	var seen error
+	v, err := ptask.RunAfter(rt, []ptask.Dep{a}, func() (int, error) {
+		_, seen = a.Result()
+		return 8, nil
+	}).Result()
 	if err != nil || v != 8 {
-		t.Fatalf("legacy RunAfter dependent = (%v, %v), want (8, nil)", v, err)
+		t.Fatalf("RunAfter dependent = (%v, %v), want (8, nil)", v, err)
+	}
+	if !errors.Is(seen, boom) {
+		t.Fatalf("dependent saw its input's error as %v, want %v", seen, boom)
 	}
 }
 
-// --- Row: retry ---
+// --- Retry (webfetch.RetryPolicy, below the table) ---
 
-// TestConformanceRetryAttempts: the body re-runs up to MaxAttempts and
-// a mid-sequence success stops the retrying.
-func TestConformanceRetryAttempts(t *testing.T) {
-	rt := newRT(t, 2)
-	flaky := errors.New("flaky")
-
-	var attempts atomic.Int64
-	v, err := ptask.RunCtx(rt, context.Background(), func(context.Context) (int, error) {
-		if attempts.Add(1) < 3 {
-			return 0, flaky
-		}
-		return 99, nil
-	}, ptask.WithRetry(ptask.RetryPolicy{MaxAttempts: 5, Base: 100 * time.Microsecond, Seed: 1})).Result()
-	if err != nil || v != 99 {
-		t.Fatalf("retried task = (%v, %v), want (99, nil)", v, err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("body ran %d times, want 3 (fail, fail, succeed)", attempts.Load())
-	}
-
-	// Exhaustion: always failing stops at MaxAttempts with the last error.
-	attempts.Store(0)
-	_, err = ptask.RunCtx(rt, context.Background(), func(context.Context) (int, error) {
-		attempts.Add(1)
-		return 0, flaky
-	}, ptask.WithRetry(ptask.RetryPolicy{MaxAttempts: 3, Base: 100 * time.Microsecond, Seed: 1})).Result()
-	if !errors.Is(err, flaky) {
-		t.Fatalf("exhausted retry err = %v, want %v", err, flaky)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("body ran %d times, want exactly MaxAttempts=3", attempts.Load())
-	}
-}
-
-// TestConformanceRetryBackoffDeterministic: Backoff is a pure function
-// of (seed, attempt) — same seed same schedule, within the documented
-// [d/2, d) jitter envelope, capped at Max.
+// TestConformanceRetryBackoffDeterministic: Backoff is pure — two
+// policies with the same seed give the same schedule, and another seed
+// gives another one — so a chaos run's retry timing replays.
 func TestConformanceRetryBackoffDeterministic(t *testing.T) {
-	p := ptask.RetryPolicy{MaxAttempts: 6, Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 99}
-	q := ptask.RetryPolicy{MaxAttempts: 6, Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 100}
+	p := webfetch.RetryPolicy{MaxAttempts: 6, Base: time.Millisecond, Max: 8 * time.Millisecond, Seed: 99}
+	same, other := p, p
+	other.Seed = 100
 	differs := false
 	for attempt := 0; attempt < 5; attempt++ {
-		d1, d2 := p.Backoff(attempt), p.Backoff(attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: Backoff not deterministic: %v vs %v", attempt, d1, d2)
+		d := p.Backoff(attempt)
+		if s := same.Backoff(attempt); s != d {
+			t.Fatalf("attempt %d: same seed gave %v and %v", attempt, d, s)
 		}
-		full := p.Base << uint(attempt)
-		if full > p.Max {
-			full = p.Max
-		}
-		if d1 < full/2 || d1 >= full {
-			t.Fatalf("attempt %d: backoff %v outside jitter envelope [%v, %v)", attempt, d1, full/2, full)
-		}
-		if q.Backoff(attempt) != d1 {
+		if other.Backoff(attempt) != d {
 			differs = true
 		}
 	}
 	if !differs {
 		t.Fatal("two different seeds produced identical 5-step schedules")
-	}
-}
-
-// TestConformanceRetryTerminalErrors: cancellations and deadline
-// expiries are never retried — the attempt that observed them is the
-// last.
-func TestConformanceRetryTerminalErrors(t *testing.T) {
-	rt := newRT(t, 2)
-	var attempts atomic.Int64
-	_, err := ptask.RunCtx(rt, context.Background(), func(ctx context.Context) (int, error) {
-		attempts.Add(1)
-		<-ctx.Done()
-		return 0, ctx.Err()
-	}, ptask.WithDeadline(30*time.Millisecond),
-		ptask.WithRetry(ptask.RetryPolicy{MaxAttempts: 5, Base: time.Millisecond, Seed: 2})).Result()
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ptask.ErrDeadline) {
-		t.Fatalf("err = %v, want a deadline identity", err)
-	}
-	if attempts.Load() != 1 {
-		t.Fatalf("body ran %d times after a deadline expiry, want 1 (terminal)", attempts.Load())
 	}
 }
 

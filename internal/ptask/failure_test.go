@@ -3,8 +3,6 @@ package ptask
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,61 +22,24 @@ func gate(rt *Runtime) (release func(), started <-chan struct{}) {
 	return func() { close(rel) }, st
 }
 
-func TestDepCancelPropagatesDownDAG(t *testing.T) {
+func TestDepRunPolicyStillRuns(t *testing.T) {
 	rt := NewRuntime(2)
 	defer rt.Shutdown()
 
 	boom := errors.New("boom")
 	root := Run(rt, func() (int, error) { return 0, boom })
-
-	var midRan, leafRan atomic.Bool
-	mid := RunAfterCtx(rt, nil, []Dep{root}, func(context.Context) (int, error) {
-		midRan.Store(true)
-		return 1, nil
-	})
-	leaf := RunAfterCtx(rt, nil, []Dep{mid}, func(context.Context) (int, error) {
-		leafRan.Store(true)
-		return 2, nil
+	// The dependent runs anyway and sees its input's error itself.
+	var seen error
+	dep := RunAfter(rt, []Dep{root}, func() (int, error) {
+		_, seen = root.Result()
+		return 7, nil
 	})
 
-	_, err := leaf.Result()
-	if !errors.Is(err, ErrDepFailed) {
-		t.Fatalf("leaf error = %v, want ErrDepFailed in chain", err)
+	if v, err := dep.Result(); err != nil || v != 7 {
+		t.Errorf("RunAfter after failed dep = (%d, %v), want (7, nil)", v, err)
 	}
-	if !errors.Is(err, ErrCancelled) {
-		t.Errorf("DAG-propagated failure should also satisfy errors.Is(_, ErrCancelled), got %v", err)
-	}
-	if !errors.Is(err, boom) {
-		t.Errorf("root cause lost: %v does not wrap %v", err, boom)
-	}
-	if _, err := mid.Result(); !errors.Is(err, ErrDepFailed) {
-		t.Errorf("mid error = %v, want ErrDepFailed", err)
-	}
-	if midRan.Load() || leafRan.Load() {
-		t.Error("dependent bodies ran despite DepCancel policy")
-	}
-	var de *DepError
-	if !errors.As(err, &de) {
-		t.Errorf("error chain has no *DepError: %v", err)
-	}
-}
-
-func TestDepRunPolicyStillRuns(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Shutdown()
-
-	root := Run(rt, func() (int, error) { return 0, errors.New("boom") })
-	// Legacy RunAfter and explicit OnDepFailure(DepRun) both run anyway.
-	legacy := RunAfter(rt, []Dep{root}, func() (int, error) { return 7, nil })
-	optIn := RunAfterCtx(rt, nil, []Dep{root}, func(context.Context) (int, error) {
-		return 8, nil
-	}, OnDepFailure(DepRun))
-
-	if v, err := legacy.Result(); err != nil || v != 7 {
-		t.Errorf("legacy RunAfter after failed dep = (%d, %v), want (7, nil)", v, err)
-	}
-	if v, err := optIn.Result(); err != nil || v != 8 {
-		t.Errorf("OnDepFailure(DepRun) task = (%d, %v), want (8, nil)", v, err)
+	if !errors.Is(seen, boom) {
+		t.Errorf("dependent saw its input's error as %v, want %v", seen, boom)
 	}
 }
 
@@ -87,11 +48,13 @@ func TestDeadlineExpiresQueuedTask(t *testing.T) {
 	defer rt.Shutdown()
 	release, _ := gate(rt)
 
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
 	var ran atomic.Bool
-	tk := RunCtx(rt, context.Background(), func(context.Context) (int, error) {
+	tk := RunCtx(rt, ctx, func(context.Context) (int, error) {
 		ran.Store(true)
 		return 1, nil
-	}, WithDeadline(20*time.Millisecond))
+	})
 
 	select {
 	case <-tk.Done():
@@ -116,14 +79,16 @@ func TestDeadlineReachesRunningBody(t *testing.T) {
 	rt := NewRuntime(2)
 	defer rt.Shutdown()
 
-	tk := RunCtx(rt, context.Background(), func(ctx context.Context) (int, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	tk := RunCtx(rt, ctx, func(ctx context.Context) (int, error) {
 		select {
 		case <-ctx.Done():
 			return 0, ctx.Err()
 		case <-time.After(10 * time.Second):
 			return 0, errors.New("deadline never reached the body")
 		}
-	}, WithDeadline(20*time.Millisecond))
+	})
 
 	_, err := tk.Result()
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -154,134 +119,6 @@ func TestCancelledParentContext(t *testing.T) {
 	}
 }
 
-func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Shutdown()
-
-	var attempts atomic.Int32
-	tk := RunCtx(rt, context.Background(), func(context.Context) (int, error) {
-		if attempts.Add(1) < 3 {
-			return 0, errors.New("transient")
-		}
-		return 42, nil
-	}, WithRetry(RetryPolicy{MaxAttempts: 5, Base: time.Millisecond, Max: 4 * time.Millisecond, Seed: 1}))
-
-	v, err := tk.Result()
-	if err != nil || v != 42 {
-		t.Fatalf("retried task = (%d, %v), want (42, nil)", v, err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3 (fail, fail, succeed)", got)
-	}
-}
-
-func TestRetryExhaustsAttempts(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Shutdown()
-
-	var attempts atomic.Int32
-	boom := errors.New("permanent")
-	tk := RunCtx(rt, context.Background(), func(context.Context) (int, error) {
-		attempts.Add(1)
-		return 0, boom
-	}, WithRetry(RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Seed: 2}))
-
-	if _, err := tk.Result(); !errors.Is(err, boom) {
-		t.Fatalf("exhausted retry error = %v, want the last body error", err)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want exactly MaxAttempts = 3", got)
-	}
-}
-
-func TestRetryBackoffDeterministicAndCapped(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 8, Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 99}
-	q := RetryPolicy{MaxAttempts: 8, Base: time.Millisecond, Max: 10 * time.Millisecond, Seed: 99}
-	for k := 0; k < 8; k++ {
-		a, b := p.Backoff(k), q.Backoff(k)
-		if a != b {
-			t.Fatalf("backoff(%d) not deterministic: %v vs %v", k, a, b)
-		}
-		if a > 10*time.Millisecond {
-			t.Errorf("backoff(%d) = %v exceeds cap", k, a)
-		}
-		if a <= 0 {
-			t.Errorf("backoff(%d) = %v, want positive", k, a)
-		}
-	}
-	if p.retryable(ErrCancelled) || p.retryable(ErrDeadline) ||
-		p.retryable(context.Canceled) || p.retryable(fmt.Errorf("wrap: %w", ErrDeadline)) {
-		t.Error("cancellation/deadline errors must not be retryable")
-	}
-	if !p.retryable(errors.New("transient")) {
-		t.Error("ordinary errors must be retryable")
-	}
-}
-
-func TestMultiFailFastCancelsSiblings(t *testing.T) {
-	rt := NewRuntime(1)
-	defer rt.Shutdown()
-	release, _ := gate(rt)
-
-	boom := errors.New("element 0 failed")
-	var ran atomic.Int32
-	m := RunMultiPolicy(rt, 6, MultiFailFast, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 0 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	release()
-
-	_, err := m.Results()
-	if !errors.Is(err, boom) {
-		t.Fatalf("fail-fast aggregate = %v, want the root cause %v", err, boom)
-	}
-	if errors.Is(err, ErrCancelled) {
-		t.Error("fail-fast aggregate surfaced the cancellation cascade instead of the root cause")
-	}
-	// On a wedged 1-worker pool element 0 runs first and its completion
-	// callback cancels every queued sibling before the worker can start
-	// them.
-	if got := ran.Load(); got != 1 {
-		t.Errorf("%d bodies ran, want 1 (fail-fast must stop unstarted siblings)", got)
-	}
-	cancelled := 0
-	for _, tk := range m.Tasks() {
-		if tk.Cancelled() {
-			cancelled++
-		}
-	}
-	if cancelled != 5 {
-		t.Errorf("cancelled siblings = %d, want 5", cancelled)
-	}
-}
-
-func TestMultiCollectAllJoinsEveryError(t *testing.T) {
-	rt := NewRuntime(2)
-	defer rt.Shutdown()
-
-	m := RunMultiPolicy(rt, 5, MultiCollectAll, func(i int) (int, error) {
-		if i%2 == 1 {
-			return 0, fmt.Errorf("element %d failed", i)
-		}
-		return i, nil
-	})
-	vals, err := m.Results()
-	if err == nil {
-		t.Fatal("collect-all lost the errors")
-	}
-	for _, want := range []string{"element 1 failed", "element 3 failed"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("joined error %q missing %q", err, want)
-		}
-	}
-	if vals[0] != 0 || vals[2] != 2 || vals[4] != 4 {
-		t.Errorf("successful element values lost: %v", vals)
-	}
-}
-
 func TestMultiFirstErrorLegacySemantics(t *testing.T) {
 	rt := NewRuntime(2)
 	defer rt.Shutdown()
@@ -295,10 +132,10 @@ func TestMultiFirstErrorLegacySemantics(t *testing.T) {
 		return i, nil
 	})
 	if _, err := m.Results(); err == nil || err.Error() != "boom" {
-		t.Fatalf("legacy aggregate = %v, want boom", err)
+		t.Fatalf("aggregate = %v, want boom", err)
 	}
 	if ran.Load() != 4 {
-		t.Errorf("legacy policy ran %d bodies, want all 4", ran.Load())
+		t.Errorf("RunMulti ran %d bodies, want all 4", ran.Load())
 	}
 }
 

@@ -110,15 +110,11 @@ type Dep interface {
 	// onDone arranges for fn to be called exactly once when the
 	// dependence completes; if already complete, fn runs immediately.
 	onDone(fn func())
-	// depErr returns the dependence's settled error (nil on success).
-	// Valid only once the dependence is done — callers reach it from
-	// inside an onDone callback, where completion is guaranteed.
-	depErr() error
 }
 
 // Task is an asynchronous computation producing a T. Create with Run,
-// RunAfter, or the failure-semantics variants RunCtx/RunAfterCtx
-// (failure.go), or as part of a multi-task.
+// RunAfter, or the context-aware RunCtx (failure.go), or as part of a
+// multi-task.
 type Task[T any] struct {
 	rt    *Runtime
 	fut   *core.Future[T]
@@ -147,19 +143,14 @@ type Task[T any] struct {
 	// ctxBody is RunCtx's body, run with ctx in place of body, for the
 	// same reason.
 	ctxBody func(context.Context) (T, error)
-	// waitDeps sits next to depPolicy so the two share a word, keeping
-	// the handle in the 144-byte size class.
+	// waitDeps counts the dependences that have not yet completed.
 	waitDeps int32
 
-	// Failure-semantics extensions (see failure.go). Legacy constructors
-	// leave these zero: DepRun policy, no context, no retry. stop undoes
-	// the context's expiry registration and cancel releases a
-	// WithDeadline timer; complete calls both once the task settles.
-	depPolicy DepPolicy
-	ctx       context.Context
-	retry     *RetryPolicy
-	stop      func() bool
-	cancel    context.CancelFunc
+	// RunCtx's context (failure.go); other constructors leave both nil.
+	// stop undoes the context's expiry registration; complete calls it
+	// once the task settles.
+	ctx  context.Context
+	stop func() bool
 }
 
 // Run submits fn for asynchronous execution and returns its task handle.
@@ -168,10 +159,9 @@ func Run[T any](rt *Runtime, fn func() (T, error)) *Task[T] {
 }
 
 // RunAfter submits fn to run only after every dependence in deps has
-// completed (whether successfully, with an error, or cancelled — the
-// dependent can inspect its dependences if it cares; use RunAfterCtx for
-// the propagating DepCancel policy). A nil or empty deps behaves like
-// Run.
+// completed, whether successfully, with an error, or cancelled: the
+// dependent runs regardless and can inspect its dependences if it cares.
+// A nil or empty deps behaves like Run.
 func RunAfter[T any](rt *Runtime, deps []Dep, fn func() (T, error)) *Task[T] {
 	t := newTask[T](rt)
 	t.body = fn
@@ -189,8 +179,7 @@ func newTask[T any](rt *Runtime) *Task[T] {
 }
 
 // wireDeps arms the dependence countdown (or enqueues immediately when
-// there are none). Shared by the legacy and failure-semantics
-// constructors.
+// there are none). Shared by every constructor.
 func (t *Task[T]) wireDeps(deps []Dep) {
 	if pr := probe.Load(); pr != nil {
 		t.tid = probe.NewTaskID(pr)
@@ -212,20 +201,13 @@ func (t *Task[T]) wireDeps(deps []Dep) {
 	t.mu.Lock()
 	t.waitDeps = int32(len(deps))
 	t.mu.Unlock()
+	done := t.depDone
 	for _, d := range deps {
-		d := d
-		d.onDone(func() { t.depDone(d.depErr()) })
+		d.onDone(done)
 	}
 }
 
-func (t *Task[T]) depDone(err error) {
-	if err != nil && t.depPolicy == DepCancel {
-		// Propagate immediately: the dependent settles as cancelled with
-		// a wrapping DepError the moment any dependence fails, which in
-		// turn fails ITS dependents — failure flows down the DAG instead
-		// of dependents running against missing inputs.
-		t.cancelWith(&DepError{Cause: err})
-	}
+func (t *Task[T]) depDone() {
 	t.mu.Lock()
 	t.waitDeps--
 	ready := t.waitDeps == 0
@@ -272,35 +254,22 @@ func (t *Task[T]) RunTask() {
 		return
 	}
 	pr := probe.Load()
-	attempt := 0
-	for {
-		err = nil
-		if perr := core.Catch(func() {
-			if pr != nil {
-				// Inside Catch: an injected panic surfaces as an error on
-				// this future, never as a crashed worker.
-				pr.Fire(probe.SiteTaskBody, -1, t.tid, 0)
-			}
-			switch {
-			case void != nil:
-				err = void()
-			case ctxBody != nil:
-				val, err = ctxBody(t.ctx)
-			default:
-				val, err = body()
-			}
-		}); perr != nil {
-			err = perr
+	if perr := core.Catch(func() {
+		if pr != nil {
+			// Inside Catch: an injected panic surfaces as an error on
+			// this future, never as a crashed worker.
+			pr.Fire(probe.SiteTaskBody, -1, t.tid, 0)
 		}
-		if err == nil || t.retry == nil || attempt >= t.retry.MaxAttempts-1 ||
-			!t.retry.retryable(err) {
-			break
+		switch {
+		case void != nil:
+			err = void()
+		case ctxBody != nil:
+			val, err = ctxBody(t.ctx)
+		default:
+			val, err = body()
 		}
-		if !sleepCtx(t.ctx, t.retry.Backoff(attempt)) {
-			err = ctxError(t.ctx.Err())
-			break
-		}
-		attempt++
+	}); perr != nil {
+		err = perr
 	}
 	t.complete(stateDone, val, err)
 }
@@ -309,14 +278,11 @@ func (t *Task[T]) complete(final int32, v T, err error) {
 	t.state.Store(final)
 	t.fut.Complete(v, err)
 	t.mu.Lock()
-	cbs, stop, cancel := t.callbacks, t.stop, t.cancel
-	t.callbacks, t.stop, t.cancel = nil, nil, nil
+	cbs, stop := t.callbacks, t.stop
+	t.callbacks, t.stop = nil, nil
 	t.mu.Unlock()
 	if stop != nil {
 		stop()
-	}
-	if cancel != nil {
-		cancel()
 	}
 	for _, cb := range cbs {
 		cb()
@@ -335,12 +301,6 @@ func (t *Task[T]) onDone(fn func()) {
 	t.mu.Unlock()
 }
 
-// depErr implements Dep.
-func (t *Task[T]) depErr() error {
-	_, err, _ := t.fut.TryGet()
-	return err
-}
-
 // Cancel attempts to cancel the task before it runs. It returns true when
 // the task will never execute (its future completes with ErrCancelled and
 // the body closure is released without running); false when the task is
@@ -350,8 +310,7 @@ func (t *Task[T]) Cancel() bool {
 }
 
 // cancelWith is Cancel carrying a specific settlement error (ErrCancelled
-// for user cancels, a DepError for DAG propagation, a deadline error for
-// expired contexts). The CAS against run()'s queued→running transition is
+// for user cancels, a ctxError for expired contexts). The CAS against run()'s queued→running transition is
 // what guarantees a queued-then-cancelled task's closure never executes.
 func (t *Task[T]) cancelWith(err error) bool {
 	if t.state.CompareAndSwap(stateWaiting, stateCancelled) ||
@@ -406,8 +365,6 @@ type MultiTask[T any] struct {
 	tasks     []*Task[T]
 	agg       *core.Future[[]T]
 	remaining atomic.Int32
-	policy    MultiPolicy
-	failFirst sync.Once
 
 	// tid is the multi-task's own trace node id; the recorder links
 	// it to every sub-task with a depend edge so the fan-out is visible
@@ -422,17 +379,10 @@ type MultiTask[T any] struct {
 // the multi-task handle. n <= 0 yields an immediately-complete empty
 // handle (a negative n must not leave remaining below zero, or the
 // aggregate future would never complete and Results would hang forever).
-// The default failure policy is MultiFirstError; RunMultiPolicy selects
-// fail-fast or collect-all semantics.
+// Every sub-task runs to settlement; the aggregate error is the first
+// sub-task error in element order.
 func RunMulti[T any](rt *Runtime, n int, fn func(i int) (T, error)) *MultiTask[T] {
-	return RunMultiPolicy(rt, n, MultiFirstError, fn)
-}
-
-// RunMultiPolicy is RunMulti with an explicit failure policy (see
-// MultiPolicy in failure.go): FailFast cancels not-yet-started siblings
-// the moment any sub-task fails, CollectAll joins every error.
-func RunMultiPolicy[T any](rt *Runtime, n int, policy MultiPolicy, fn func(i int) (T, error)) *MultiTask[T] {
-	m := &MultiTask[T]{rt: rt, agg: core.NewFuture[[]T](), policy: policy}
+	m := &MultiTask[T]{rt: rt, agg: core.NewFuture[[]T]()}
 	if n <= 0 {
 		m.agg.Complete(nil, nil)
 		return m
@@ -451,57 +401,27 @@ func RunMultiPolicy[T any](rt *Runtime, n int, policy MultiPolicy, fn func(i int
 			}
 		}
 	}
-	// Wire completions only after every sub-task exists: a fail-fast
-	// trigger walks the whole slice to cancel siblings.
+	// Wire completions only after every sub-task exists: the last one
+	// to settle reads the whole slice.
+	done := m.subDone
 	for _, tk := range m.tasks {
-		tk := tk
-		tk.onDone(func() { m.subDone(tk) })
+		tk.onDone(done)
 	}
 	return m
 }
 
-func (m *MultiTask[T]) subDone(tk *Task[T]) {
-	if m.policy == MultiFailFast {
-		if err := tk.depErr(); err != nil && !errors.Is(err, ErrCancelled) {
-			// First real failure: cancel every sibling that has not
-			// started. Cancelled siblings settle immediately with
-			// ErrCancelled, so the aggregate join still completes.
-			m.failFirst.Do(func() {
-				for _, s := range m.tasks {
-					if s != tk {
-						s.Cancel()
-					}
-				}
-			})
-		}
-	}
+func (m *MultiTask[T]) subDone() {
 	if m.remaining.Add(-1) != 0 {
 		return
 	}
 	vals := make([]T, len(m.tasks))
-	errs := make([]error, 0, len(m.tasks))
-	var firstReal error
+	var aggErr error
 	for i, t := range m.tasks {
 		v, err := t.fut.Get()
 		vals[i] = v
-		if err != nil {
-			errs = append(errs, err)
-			if firstReal == nil && !errors.Is(err, ErrCancelled) {
-				firstReal = err
-			}
+		if aggErr == nil {
+			aggErr = err
 		}
-	}
-	var aggErr error
-	switch {
-	case len(errs) == 0:
-		// all succeeded
-	case m.policy == MultiCollectAll:
-		aggErr = errors.Join(errs...)
-	case m.policy == MultiFailFast && firstReal != nil:
-		// Surface the root cause, not the ErrCancelled cascade it caused.
-		aggErr = firstReal
-	default:
-		aggErr = errs[0]
 	}
 	m.agg.Complete(vals, aggErr)
 	m.mu.Lock()
@@ -515,12 +435,6 @@ func (m *MultiTask[T]) subDone(tk *Task[T]) {
 
 // TraceTaskID implements probe.Tagged (see Task.TraceTaskID).
 func (m *MultiTask[T]) TraceTaskID() uint64 { return m.tid }
-
-// depErr implements Dep.
-func (m *MultiTask[T]) depErr() error {
-	_, err, _ := m.agg.TryGet()
-	return err
-}
 
 // onDone implements Dep.
 func (m *MultiTask[T]) onDone(fn func()) {

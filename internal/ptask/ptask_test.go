@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"parc751/internal/eventloop"
 )
@@ -632,5 +633,15 @@ func TestRuntimeSchedStats(t *testing.T) {
 	}
 	if s.Executed < 64 {
 		t.Fatalf("snapshot executed = %d, want >= 64", s.Executed)
+	}
+}
+
+// TestTaskHandleSizeGuard pins the Task handle, the one allocation of
+// every Run→Result cycle, at or below the 128-byte size class: one more
+// field would move it to the 144-byte class and raise every task's
+// allocation cost.
+func TestTaskHandleSizeGuard(t *testing.T) {
+	if got := unsafe.Sizeof(Task[int]{}); got > 128 {
+		t.Fatalf("unsafe.Sizeof(Task[int]{}) = %d bytes, want <= 128", got)
 	}
 }

@@ -214,8 +214,9 @@ func (tc *TC) ForNoWait(n int, sched Schedule, body func(i int)) {
 	})
 }
 
-// ForChunked hands the body whole chunks instead of single indices, which
-// the kernels use to amortise per-iteration overhead. Implicit barrier.
+// ForChunked hands the body whole chunks instead of single indices, so a
+// loop body can amortise per-iteration overhead over its chunk. Implicit
+// barrier.
 func (tc *TC) ForChunked(n int, sched Schedule, body func(lo, hi int)) {
 	if c, fast := tc.staticFastChunk(n, sched); fast {
 		if c.Len() > 0 {

@@ -1,5 +1,5 @@
 // Failure handling for the real downloader: per-request timeouts, retry
-// budgets with deterministic backoff (reusing ptask.RetryPolicy), and a
+// budgets with deterministic capped jittered backoff (RetryPolicy), and a
 // trip-after-K circuit breaker with half-open probing. Together with the
 // faultinject.RoundTripper these make the webfetch project the
 // transport-layer target of the A8 chaos experiment.
@@ -8,16 +8,57 @@ package webfetch
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"time"
 
 	"parc751/internal/ptask"
+	"parc751/internal/xrand"
 )
 
 // DefaultTimeout bounds each request (including retriable attempts
 // individually) when the caller does not pick a budget. Before this
 // default existed a single hung connection could wedge a fetch forever.
 const DefaultTimeout = 30 * time.Second
+
+// RetryPolicy is a fetcher's retry budget: a failed request is re-issued
+// with capped, jittered exponential backoff. Attempt k (0-based) sleeps a
+// jittered share of min(Base<<k, Max), drawn deterministically from Seed
+// — same seed, same backoff schedule, so chaos runs replay.
+type RetryPolicy struct {
+	MaxAttempts int           // total attempts including the first; < 2 disables retry
+	Base        time.Duration // first backoff step
+	Max         time.Duration // backoff cap (0 = uncapped)
+	Seed        uint64        // keys the deterministic jitter stream
+}
+
+// Backoff returns the sleep before attempt+1 (0-based): a draw in
+// (step/2, step] of the attempt's step, so a positive step never
+// jitters down to no sleep at all.
+func (p RetryPolicy) Backoff(attempt int) time.Duration {
+	d := p.step(attempt)
+	u := xrand.New(p.Seed ^ uint64(attempt)*0x9E3779B97F4A7C15).Float64()
+	return d - time.Duration(float64(d/2)*u)
+}
+
+// step is the un-jittered backoff before attempt+1: Base doubled per
+// attempt, saturating instead of wrapping once the shift would overflow,
+// then capped at Max. A zero Base steps straight to Max.
+func (p RetryPolicy) step(attempt int) time.Duration {
+	d := p.Base
+	switch {
+	case d <= 0:
+		return p.Max
+	case attempt >= 63 || d > math.MaxInt64>>uint(attempt):
+		d = math.MaxInt64
+	default:
+		d <<= uint(attempt)
+	}
+	if p.Max > 0 && d > p.Max {
+		d = p.Max
+	}
+	return d
+}
 
 // ErrCircuitOpen is returned (wrapped) for requests refused because the
 // circuit breaker is open: the origin has failed enough consecutive times
@@ -150,9 +191,9 @@ func (b *Breaker) Trips() int64 {
 func (f *Fetcher) SetTimeout(d time.Duration) { f.timeout = d }
 
 // SetRetryBudget re-issues failed requests per the policy (deterministic
-// capped jittered backoff, see ptask.RetryPolicy). Timeouts and context
+// capped jittered backoff, see RetryPolicy). Timeouts and context
 // cancellations are not retried; a zero-value policy disables retry.
-func (f *Fetcher) SetRetryBudget(p ptask.RetryPolicy) {
+func (f *Fetcher) SetRetryBudget(p RetryPolicy) {
 	if p.MaxAttempts < 2 {
 		f.retry = nil
 		return

@@ -87,7 +87,7 @@ func TestRetryBudgetRecoversInjectedErrors(t *testing.T) {
 		Base: srv.Client().Transport, Injector: in,
 	}}
 	f := NewFetcher(rt, client, 1)
-	f.SetRetryBudget(ptask.RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Seed: 7})
+	f.SetRetryBudget(RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Seed: 7})
 
 	urls := make([]string, 4)
 	for i := range urls {
@@ -115,13 +115,35 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1},
 	}})
 	f := NewFetcher(rt, &http.Client{Transport: &faultinject.RoundTripper{Injector: in}}, 1)
-	f.SetRetryBudget(ptask.RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Seed: 1})
+	f.SetRetryBudget(RetryPolicy{MaxAttempts: 3, Base: time.Millisecond, Seed: 1})
 	res := f.FetchAll([]string{"http://127.0.0.1:0/x"}, nil)
 	if !errors.Is(res[0].Err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected error after budget exhausted", res[0].Err)
 	}
 	if got := f.Retries(); got != 2 {
 		t.Errorf("retries = %d, want 2 (3 attempts total)", got)
+	}
+}
+
+// TestRetryBackoffSaturates: once Base<<attempt would overflow, the step
+// stays at the cap or the largest Duration instead of wrapping, so it
+// never decreases and no attempt's Backoff is zero or negative.
+func TestRetryBackoffSaturates(t *testing.T) {
+	for _, base := range []time.Duration{time.Nanosecond, time.Millisecond, time.Second} {
+		for _, max := range []time.Duration{0, 10 * time.Millisecond} {
+			p := RetryPolicy{MaxAttempts: 2, Base: base, Max: max, Seed: 1}
+			var prev time.Duration
+			for k := 0; k <= 100; k++ {
+				step := p.step(k)
+				if step < prev {
+					t.Fatalf("Base %v Max %v: step(%d) = %v < step(%d) = %v", base, max, k, step, k-1, prev)
+				}
+				if b := p.Backoff(k); b <= 0 {
+					t.Fatalf("Base %v Max %v: Backoff(%d) = %v, want > 0", base, max, k, b)
+				}
+				prev = step
+			}
+		}
 	}
 }
 

@@ -32,7 +32,7 @@ type Fetcher struct {
 	// Failure handling (failure.go): per-request timeout, optional retry
 	// budget with deterministic backoff, optional circuit breaker.
 	timeout time.Duration
-	retry   *ptask.RetryPolicy
+	retry   *RetryPolicy
 	breaker *Breaker
 
 	fetched atomic.Int64
