@@ -7,7 +7,9 @@
 //
 //	pquicksort -n 1000000 -workers 4
 //	pquicksort -n 500000 -impl ptask -threshold 2048
-//	pquicksort -n 200000 -chaos          # sort under seeded fault injection
+//
+// To sort under seeded fault injection, run the chaos catalogue's
+// quicksort scenario: parctrace record -workload quicksort -chaos.
 package main
 
 import (
@@ -17,8 +19,6 @@ import (
 	"sort"
 	"time"
 
-	"parc751/internal/faultinject"
-	"parc751/internal/probe"
 	"parc751/internal/ptask"
 	"parc751/internal/sortalgo"
 	"parc751/internal/workload"
@@ -31,33 +31,12 @@ func main() {
 		threshold = flag.Int("threshold", 4096, "sequential cutoff")
 		impl      = flag.String("impl", "all", "seq | ptask | pyjama | go | all")
 		seed      = flag.Uint64("seed", 751, "input seed")
-		chaos     = flag.Bool("chaos", false,
-			"inject a seeded fault plan (submit/run delays, a worker stall, barrier arrival skew) while sorting; the result must still verify")
 	)
 	flag.Parse()
 
 	base := workload.IntArray(*seed, *n, 1<<30)
 	rt := ptask.NewRuntime(*workers)
 	defer rt.Shutdown()
-
-	if *chaos {
-		plan := faultinject.Plan{Name: "pquicksort-chaos", Seed: *seed}
-		plan.Rules = append(plan.Rules,
-			faultinject.Scatter(*seed, probe.SiteSubmit, faultinject.Delay, 8, 64, 200*time.Microsecond)...)
-		plan.Rules = append(plan.Rules,
-			faultinject.Rule{Site: probe.SiteRun, Kind: faultinject.Stall,
-				Nth: *seed % 32, Count: 1, Dur: 2 * time.Millisecond},
-			faultinject.Rule{Site: probe.SiteBarrier, Kind: faultinject.Delay,
-				Every: 3, Dur: 300 * time.Microsecond})
-		injector := faultinject.New(plan)
-		// One attach reaches every runtime: the ptask pool's hooks and
-		// the Pyjama team barriers.
-		probe.CompareAndSwap(nil, injector)
-		defer func() {
-			probe.CompareAndSwap(injector, nil)
-			fmt.Printf("chaos: injected %d faults: %s\n", injector.Fired(), injector.TraceString())
-		}()
-	}
 
 	impls := map[string]func([]int){
 		"seq":    sortalgo.Sequential,

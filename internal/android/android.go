@@ -31,9 +31,6 @@ func (l *Looper) Quit() { l.loop.Close() }
 // (Looper.isCurrentThread).
 func (l *Looper) IsCurrent() bool { return l.loop.OnDispatchThread() }
 
-// Processed returns the number of messages handled.
-func (l *Looper) Processed() int64 { return l.loop.Dispatched() }
-
 // Handler posts work to a Looper — Android's Handler.
 type Handler struct {
 	looper *Looper

@@ -74,8 +74,9 @@ func TestLooperOrdering(t *testing.T) {
 			t.Fatalf("message order broken: %v", order)
 		}
 	}
-	if l.Processed() < 50 {
-		t.Fatalf("Processed = %d", l.Processed())
+	if l.loop.Dispatched() < 50 {
+		t.Fatalf("Dispatched = %d", l.loop.Dispatched())
+
 	}
 }
 

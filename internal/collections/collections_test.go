@@ -130,8 +130,9 @@ func TestChannelQueueOverflow(t *testing.T) {
 
 func TestBoundedQueue(t *testing.T) {
 	q := NewBoundedQueue[string](2)
-	if q.Cap() != 2 {
-		t.Fatalf("Cap = %d", q.Cap())
+	if q.capacity != 2 {
+		t.Fatalf("capacity = %d", q.capacity)
+
 	}
 	if !q.TryPut("a") || !q.TryPut("b") {
 		t.Fatal("puts under capacity failed")

@@ -119,16 +119,3 @@ func (c *ChannelCounter) Close() {
 		<-c.done
 	})
 }
-
-// RacyCounter increments without any synchronisation. It exists as the
-// broken baseline for the memory-model lab (project 8) and the project 9
-// tables: under contention it visibly loses updates.
-type RacyCounter struct {
-	N int64
-}
-
-// Inc implements Counter, racily.
-func (c *RacyCounter) Inc() { c.N++ }
-
-// Value implements Counter, racily.
-func (c *RacyCounter) Value() int64 { return c.N }

@@ -13,6 +13,8 @@ import (
 )
 
 // Queue is the abstract concurrent FIFO all queue variants implement.
+//
+//parcvet:ignore unused api P6/P9 queue family (DESIGN.md P-table)
 type Queue[T any] interface {
 	// Put appends v.
 	Put(v T)
@@ -30,6 +32,8 @@ type MutexQueue[T any] struct {
 }
 
 // NewMutexQueue returns an empty coarse-locked queue.
+//
+//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewMutexQueue[T any]() *MutexQueue[T] { return &MutexQueue[T]{} }
 
 // Put implements Queue.
@@ -87,6 +91,8 @@ type tlNode[T any] struct {
 }
 
 // NewTwoLockQueue returns an empty two-lock queue.
+//
+//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewTwoLockQueue[T any]() *TwoLockQueue[T] {
 	dummy := &tlNode[T]{}
 	return &TwoLockQueue[T]{head: dummy, tail: dummy}
@@ -137,6 +143,8 @@ type lfNode[T any] struct {
 }
 
 // NewLockFreeQueue returns an empty lock-free queue.
+//
+//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewLockFreeQueue[T any]() *LockFreeQueue[T] {
 	q := &LockFreeQueue[T]{}
 	dummy := &lfNode[T]{}
@@ -207,6 +215,8 @@ type ChannelQueue[T any] struct {
 }
 
 // NewChannelQueue returns a channel-backed queue with the given buffer.
+//
+//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewChannelQueue[T any](buffer int) *ChannelQueue[T] {
 	if buffer < 1 {
 		buffer = 1
@@ -321,6 +331,3 @@ func (q *BoundedQueue[T]) Len() int {
 	defer q.mu.Unlock()
 	return q.n
 }
-
-// Cap reports the capacity.
-func (q *BoundedQueue[T]) Cap() int { return q.capacity }

@@ -317,9 +317,6 @@ func (b *Barrier) ResetStats() {
 	}
 }
 
-// Parties returns the number of participants.
-func (b *Barrier) Parties() int { return len(b.party) }
-
 // PartyStats returns the cumulative wait counters recorded for party id by
 // AwaitAs.
 func (b *Barrier) PartyStats(id int) BarrierStats {

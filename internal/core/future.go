@@ -131,15 +131,6 @@ func (f *Future[T]) Get() (T, error) {
 	return f.val, f.err
 }
 
-// TryGet returns immediately; ok is false if the future is incomplete.
-func (f *Future[T]) TryGet() (v T, err error, ok bool) {
-	if f.state.Load() == futDone {
-		return f.val, f.err, true
-	}
-	var zero T
-	return zero, nil, false
-}
-
 // Gen returns the envelope's recycle generation. Holders that may outlive
 // their claim on a pooled envelope snapshot it at acquisition and guard
 // later accesses with CheckGen.

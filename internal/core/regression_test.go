@@ -237,7 +237,8 @@ func TestFuturePoolGenerationGuard(t *testing.T) {
 	if g.IsDone() {
 		t.Fatal("recycled future still reports done")
 	}
-	if _, _, ok := g.TryGet(); ok {
+	if g.val != 0 || g.err != nil {
+
 		t.Fatal("recycled future still holds a value")
 	}
 	g.Complete(7, nil)

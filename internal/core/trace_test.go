@@ -20,7 +20,7 @@ func TestStealTraceConservation(t *testing.T) {
 	rec := parctrace.NewRecorder(parctrace.Config{
 		// Tiny rings with sampling active: the equality below is on the
 		// exact per-kind counters, which shedding must never disturb.
-		Workers: workers, LaneCap: 64, SampleEvery: 4,
+		Workers: workers, LaneCap: 64,
 	})
 	detach := attach(t, rec)
 

@@ -129,6 +129,8 @@ func (pe PeerEvaluation) AdjustedMarks(groupMark float64, tol float64) map[strin
 // their commit share (below/above the equal share) by more than tol on
 // both axes — the cases an instructor investigates rather than trusting
 // either signal alone.
+//
+//parcvet:ignore unused course instructor cross-check of peer standing against commit share
 func (pe PeerEvaluation) CrossCheck(log CommitLog, tol float64) ([]string, error) {
 	shares, err := log.Shares()
 	if err != nil {

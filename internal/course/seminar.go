@@ -112,6 +112,8 @@ func (s SeminarSchedule) PresentationOrder() []int {
 }
 
 // WeeksUsed reports how many distinct weeks host at least one seminar.
+//
+//parcvet:ignore unused course seminar schedule summary
 func (s SeminarSchedule) WeeksUsed() int {
 	weeks := map[int]bool{}
 	for _, idx := range s.SlotOf {

@@ -126,6 +126,8 @@ func AmdahlSpeedup(f float64, p int) float64 {
 }
 
 // AmdahlLimit returns the p→∞ ceiling, 1/(1-f); +Inf for f = 1.
+//
+//parcvet:ignore unused course Amdahl ceiling taught in the lectures
 func AmdahlLimit(f float64) float64 {
 	if f >= 1 {
 		return inf()
@@ -135,6 +137,8 @@ func AmdahlLimit(f float64) float64 {
 
 // GustafsonSpeedup returns Gustafson's scaled speedup: s + p(1-s) for
 // serial fraction s of the scaled workload.
+//
+//parcvet:ignore unused course Gustafson scaled speedup taught in the lectures
 func GustafsonSpeedup(s float64, p int) float64 {
 	if p < 1 || s < 0 || s > 1 {
 		return 0

@@ -39,7 +39,7 @@ type Loop struct {
 	drained    chan struct{}
 	dispatched atomic.Int64
 	gid        atomic.Int64 // goroutine id of the dispatcher
-	maxQueue   int
+
 }
 
 type event struct {
@@ -108,9 +108,6 @@ func (l *Loop) post(ev event) error {
 		return ErrClosed
 	}
 	l.queue = append(l.queue, ev)
-	if len(l.queue) > l.maxQueue {
-		l.maxQueue = len(l.queue)
-	}
 	l.cond.Signal()
 	return nil
 }
@@ -140,13 +137,6 @@ func (l *Loop) QueueLen() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.queue)
-}
-
-// MaxQueueLen returns the largest backlog observed since creation.
-func (l *Loop) MaxQueueLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxQueue
 }
 
 // Close stops accepting events, waits for the backlog to drain, and shuts

@@ -28,12 +28,6 @@ type Config struct {
 	SchedStats bool
 }
 
-// DefaultConfig returns the configuration used to produce EXPERIMENTS.md.
-func DefaultConfig() Config { return Config{Seed: 751, Quick: false, Workers: 4} }
-
-// QuickConfig returns a fast configuration for tests.
-func QuickConfig() Config { return Config{Seed: 751, Quick: true, Workers: 2} }
-
 // Result is an experiment's rendered output plus machine-checkable
 // findings.
 type Result struct {
@@ -135,15 +129,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs lists the registered identifiers in order.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
-	}
-	return out
 }
 
 // header renders a uniform experiment banner.

@@ -68,6 +68,8 @@ func FFTParallel(nthreads int, xs []complex128) {
 }
 
 // IFFT computes the inverse FFT in place (sequentially), scaling by 1/n.
+//
+//parcvet:ignore unused reference inverse transform TestFFTRoundTrip checks the parallel FFT against
 func IFFT(xs []complex128) {
 	for i := range xs {
 		xs[i] = cmplx.Conj(xs[i])
@@ -81,6 +83,8 @@ func IFFT(xs []complex128) {
 
 // DFTNaive computes the O(n²) discrete Fourier transform, the oracle the
 // FFT is verified against on small inputs.
+//
+//parcvet:ignore unused reference O(n²) oracle TestFFTMatchesNaiveDFT checks the FFT against
 func DFTNaive(xs []complex128) []complex128 {
 	n := len(xs)
 	out := make([]complex128, n)

@@ -11,6 +11,8 @@ import (
 
 // BFSSequential returns each vertex's breadth-first level from src, or -1
 // for unreachable vertices.
+//
+//parcvet:ignore unused reference sequential BFS TestBFSParallelMatchesSequential checks the parallel BFS against
 func BFSSequential(g *workload.Graph, src int) []int {
 	level := make([]int, g.N)
 	for i := range level {
@@ -152,88 +154,6 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 		rank, next = next, rank
 	}
 	return rank
-}
-
-// ComponentsSequential labels the weakly connected components of g by
-// label propagation over the symmetrised edge set: every vertex starts
-// with its own id and repeatedly adopts the minimum label among itself and
-// its neighbours (both directions) until a fixpoint. Returns one label per
-// vertex; equal labels mean same component.
-func ComponentsSequential(g *workload.Graph) []int {
-	rg := Reverse(g)
-	label := make([]int, g.N)
-	for v := range label {
-		label[v] = v
-	}
-	for changed := true; changed; {
-		changed = false
-		for v := 0; v < g.N; v++ {
-			m := label[v]
-			for _, w := range g.Neighbors(v) {
-				if label[w] < m {
-					m = label[w]
-				}
-			}
-			for _, w := range rg.Neighbors(v) {
-				if label[w] < m {
-					m = label[w]
-				}
-			}
-			if m < label[v] {
-				label[v] = m
-				changed = true
-			}
-		}
-	}
-	return label
-}
-
-// ComponentsParallel is the Jacobi-style parallel label propagation: each
-// sweep computes new labels from the previous sweep's labels only (so
-// every next[v] is written by exactly one thread), iterating to fixpoint.
-// Labels converge to the same fixpoint as the sequential kernel (the
-// minimum vertex id of the component), though it may take more sweeps.
-func ComponentsParallel(nthreads int, g *workload.Graph) []int {
-	rg := Reverse(g)
-	label := make([]int, g.N)
-	next := make([]int, g.N)
-	for v := range label {
-		label[v] = v
-	}
-	var changed atomic.Bool
-	for {
-		changed.Store(false)
-		pyjama.ParallelFor(nthreads, g.N, pyjama.Dynamic(128), func(v int) {
-			m := label[v]
-			for _, w := range g.Neighbors(v) {
-				if label[w] < m {
-					m = label[w]
-				}
-			}
-			for _, w := range rg.Neighbors(v) {
-				if label[w] < m {
-					m = label[w]
-				}
-			}
-			next[v] = m
-			if m != label[v] {
-				changed.Store(true)
-			}
-		})
-		label, next = next, label
-		if !changed.Load() {
-			return label
-		}
-	}
-}
-
-// CountComponents returns the number of distinct labels.
-func CountComponents(labels []int) int {
-	seen := map[int]struct{}{}
-	for _, l := range labels {
-		seen[l] = struct{}{}
-	}
-	return len(seen)
 }
 
 // Reverse returns the transpose graph (edges flipped), preserving the

@@ -246,66 +246,6 @@ func TestPageRankConverges(t *testing.T) {
 	}
 }
 
-func TestComponentsSingleComponentRing(t *testing.T) {
-	// GenGraph always includes the ring edge, so everything is one weak
-	// component with label 0.
-	g := workload.GenGraph(61, 300, 3)
-	labels := ComponentsSequential(g)
-	if CountComponents(labels) != 1 {
-		t.Fatalf("components = %d, want 1", CountComponents(labels))
-	}
-	for v, l := range labels {
-		if l != 0 {
-			t.Fatalf("vertex %d label = %d", v, l)
-		}
-	}
-}
-
-func TestComponentsDisjointGraphs(t *testing.T) {
-	// Two disjoint rings: vertices 0..9 and 10..19.
-	n := 20
-	g := &workload.Graph{N: n, Offs: make([]int, n+1), Adj: make([]int, n)}
-	for v := 0; v < 10; v++ {
-		g.Offs[v] = v
-		g.Adj[v] = (v + 1) % 10
-	}
-	for v := 10; v < 20; v++ {
-		g.Offs[v] = v
-		g.Adj[v] = 10 + (v+1-10)%10
-	}
-	g.Offs[n] = n
-	labels := ComponentsSequential(g)
-	if CountComponents(labels) != 2 {
-		t.Fatalf("components = %d, want 2", CountComponents(labels))
-	}
-	for v := 0; v < 10; v++ {
-		if labels[v] != 0 {
-			t.Fatalf("first ring vertex %d label %d", v, labels[v])
-		}
-	}
-	for v := 10; v < 20; v++ {
-		if labels[v] != 10 {
-			t.Fatalf("second ring vertex %d label %d", v, labels[v])
-		}
-	}
-}
-
-func TestComponentsParallelMatchesSequential(t *testing.T) {
-	// Disjoint rings again plus a random graph, across thread counts.
-	for _, seed := range []uint64{3, 67} {
-		g := workload.GenGraph(seed, 400, 2)
-		want := ComponentsSequential(g)
-		for _, threads := range []int{1, 2, 4} {
-			got := ComponentsParallel(threads, g)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("seed=%d t=%d: label[%d] = %d, want %d", seed, threads, v, got[v], want[v])
-				}
-			}
-		}
-	}
-}
-
 func TestReverseGraphPreservesEdges(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := workload.GenGraph(seed, 100, 3)

@@ -143,6 +143,8 @@ func NewJacobiSystem(seed uint64, n int) *JacobiSystem {
 
 // JacobiSequential runs iters Jacobi sweeps from the zero vector and
 // returns the iterate.
+//
+//parcvet:ignore unused reference sequential Jacobi TestJacobiParallelBitIdentical checks the parallel sweep against
 func (s *JacobiSystem) JacobiSequential(iters int) []float64 {
 	n := len(s.Rhs)
 	x := make([]float64, n)

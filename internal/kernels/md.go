@@ -156,6 +156,8 @@ func (s *MDSystem) Clone() *MDSystem {
 
 // MaxDeviation returns the largest component-wise position difference
 // between two systems — the equality metric for parallel-vs-sequential.
+//
+//parcvet:ignore unused reference equality metric the MD tests compare parallel and sequential runs with
 func MaxDeviation(a, b *MDSystem) float64 {
 	m := 0.0
 	for i := range a.Pos {

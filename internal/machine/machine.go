@@ -77,14 +77,6 @@ func (c Config) WithProcs(p int) Config {
 type Task struct {
 	Cost uint64
 	Run  func(ctx *Ctx)
-	join *Join
-}
-
-// Join is a countdown latch in virtual time: when count tasks carrying the
-// join have completed, the continuation task is released.
-type Join struct {
-	remaining int
-	cont      *Task
 }
 
 // Ctx is passed to a task's Run hook at completion time.
@@ -97,24 +89,9 @@ type Ctx struct {
 // Now returns the current virtual time in nanoseconds.
 func (c *Ctx) Now() uint64 { return c.now }
 
-// Proc returns the index of the virtual processor that ran the task.
-func (c *Ctx) Proc() int { return c.proc }
-
 // Spawn schedules a child task on the current processor's queue.
 func (c *Ctx) Spawn(cost uint64, run func(*Ctx)) {
 	c.m.push(c.proc, &Task{Cost: cost, Run: run}, c.now)
-}
-
-// SpawnJoined schedules a child task that participates in join j.
-func (c *Ctx) SpawnJoined(j *Join, cost uint64, run func(*Ctx)) {
-	c.m.push(c.proc, &Task{Cost: cost, Run: run, join: j}, c.now)
-}
-
-// NewJoin creates a join over n tasks; when all n complete, a continuation
-// with the given cost and hook is released on the completing processor.
-func (c *Ctx) NewJoin(n int, contCost uint64, cont func(*Ctx)) *Join {
-	c.m.openJoins++
-	return &Join{remaining: n, cont: &Task{Cost: contCost, Run: cont}}
 }
 
 // Stats summarises a simulation run.
@@ -155,28 +132,21 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h eventHeap) peekTime() (uint64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].t, true
-}
 
 // Machine is one simulation instance. It is not safe for concurrent use;
 // the simulation itself is sequential (that is the point: it reproduces
 // parallel schedules on a serial host).
 type Machine struct {
-	cfg       Config
-	deques    []*sched.Deque[Task]
-	global    sched.FIFO[*Task]
-	victims   *sched.RoundRobinVictims
-	events    eventHeap
-	seq       uint64
-	idle      []bool
-	pending   int // tasks queued or running
-	openJoins int // joins created but not yet released
-	stats     Stats
-	trace     *Trace // nil unless EnableTrace was called
+	cfg     Config
+	deques  []*sched.Deque[Task]
+	global  sched.FIFO[*Task]
+	victims *sched.RoundRobinVictims
+	events  eventHeap
+	seq     uint64
+	idle    []bool
+	pending int // tasks queued or running
+	stats   Stats
+	trace   *Trace // nil unless EnableTrace was called
 }
 
 // New creates a machine from cfg. It panics on a non-positive processor
@@ -206,17 +176,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // Submit queues a root task on processor proc%Procs before the run starts.
 func (m *Machine) Submit(proc int, cost uint64, run func(*Ctx)) {
 	m.push(proc%m.cfg.Procs, &Task{Cost: cost, Run: run}, 0)
-}
-
-// SubmitJoined queues a root task participating in join j.
-func (m *Machine) SubmitJoined(proc int, j *Join, cost uint64, run func(*Ctx)) {
-	m.push(proc%m.cfg.Procs, &Task{Cost: cost, Run: run, join: j}, 0)
-}
-
-// NewJoin creates a join usable with SubmitJoined before the run starts.
-func (m *Machine) NewJoin(n int, contCost uint64, cont func(*Ctx)) *Join {
-	m.openJoins++
-	return &Join{remaining: n, cont: &Task{Cost: contCost, Run: cont}}
 }
 
 func (m *Machine) push(proc int, t *Task, now uint64) {
@@ -313,21 +272,11 @@ func (m *Machine) Run() Stats {
 					nextFree += uint64(spawned) * m.cfg.SpawnOverhead
 				}
 			}
-			if j := e.task.join; j != nil {
-				j.remaining--
-				if j.remaining == 0 {
-					m.openJoins--
-					m.push(e.proc, j.cont, e.t)
-				}
-			}
 			m.post(event{t: nextFree, kind: evIdle, proc: e.proc})
 		}
 	}
 	if m.pending != 0 {
 		panic(fmt.Sprintf("machine: %d tasks never ran", m.pending))
-	}
-	if m.openJoins != 0 {
-		panic(fmt.Sprintf("machine: %d joins never released (too few joined tasks completed)", m.openJoins))
 	}
 	if m.stats.Makespan > 0 {
 		m.stats.AvgUtil = float64(m.stats.BusyNs) /

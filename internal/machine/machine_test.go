@@ -126,34 +126,6 @@ func TestSpeedFactorScalesTime(t *testing.T) {
 	}
 }
 
-func TestJoinReleasesContinuation(t *testing.T) {
-	m := New(refConfig(4))
-	done := false
-	var order []string
-	j := m.NewJoin(3, 50, func(ctx *Ctx) {
-		done = true
-		order = append(order, "cont")
-	})
-	for i := 0; i < 3; i++ {
-		m.SubmitJoined(i, j, 100, func(ctx *Ctx) { order = append(order, "child") })
-	}
-	st := m.Run()
-	if !done {
-		t.Fatal("continuation never ran")
-	}
-	if order[len(order)-1] != "cont" {
-		t.Fatalf("continuation did not run last: %v", order)
-	}
-	if st.Spawns != 4 {
-		t.Errorf("Spawns = %d, want 4", st.Spawns)
-	}
-	// Children run in parallel (3 procs), then the continuation:
-	// 100 + 50 = 150 plus nothing else.
-	if st.Makespan != 150 {
-		t.Errorf("makespan = %d, want 150", st.Makespan)
-	}
-}
-
 func TestRecursiveSpawnDivideAndConquer(t *testing.T) {
 	// A binary recursive decomposition of 64 leaves, like parallel
 	// quicksort: internal nodes spawn two children.
@@ -198,30 +170,11 @@ func TestSpawnOverheadCharged(t *testing.T) {
 func TestCtxExposesProcAndTime(t *testing.T) {
 	m := New(refConfig(1))
 	var now uint64
-	proc := -1
-	m.Submit(0, 123, func(ctx *Ctx) {
-		now = ctx.Now()
-		proc = ctx.Proc()
-	})
+	m.Submit(0, 123, func(ctx *Ctx) { now = ctx.Now() })
 	m.Run()
 	if now != 123 {
 		t.Errorf("Now = %d, want 123", now)
 	}
-	if proc != 0 {
-		t.Errorf("Proc = %d, want 0", proc)
-	}
-}
-
-func TestUnreleasedJoinPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unreleased join")
-		}
-	}()
-	m := New(refConfig(2))
-	j := m.NewJoin(5, 0, nil) // five expected, only one submitted
-	m.SubmitJoined(0, j, 10, nil)
-	m.Run()
 }
 
 func TestBadConfigPanics(t *testing.T) {

@@ -30,26 +30,6 @@ func (m *Machine) EnableTrace() {
 // Trace returns the recorded trace (nil unless EnableTrace was called).
 func (m *Machine) Trace() *Trace { return m.trace }
 
-// BusyPerProc sums executed time per processor.
-func (t *Trace) BusyPerProc() []uint64 {
-	busy := make([]uint64, t.Procs)
-	for _, s := range t.Spans {
-		busy[s.Proc] += s.End - s.Start
-	}
-	return busy
-}
-
-// StolenCount reports how many spans were acquired by stealing.
-func (t *Trace) StolenCount() int {
-	n := 0
-	for _, s := range t.Spans {
-		if s.Stolen {
-			n++
-		}
-	}
-	return n
-}
-
 // Gantt renders an ASCII Gantt chart with the given width in columns.
 // '#' marks own work, 'S' stolen work, '.' idle.
 func (t *Trace) Gantt(width int) string {

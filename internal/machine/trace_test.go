@@ -41,8 +41,14 @@ func TestTraceStealsMatchStats(t *testing.T) {
 		m.Submit(0, 500, nil) // all on proc 0: others must steal
 	}
 	st := m.Run()
-	if got := int64(m.Trace().StolenCount()); got != st.Steals {
-		t.Fatalf("trace steals %d != stats steals %d", got, st.Steals)
+	var stolen int64
+	for _, s := range m.Trace().Spans {
+		if s.Stolen {
+			stolen++
+		}
+	}
+	if stolen != st.Steals {
+		t.Fatalf("trace steals %d != stats steals %d", stolen, st.Steals)
 	}
 	if st.Steals == 0 {
 		t.Fatal("expected steals")
@@ -56,7 +62,10 @@ func TestBusyPerProc(t *testing.T) {
 		m.Submit(i, 100, nil)
 	}
 	m.Run()
-	busy := m.Trace().BusyPerProc()
+	busy := make([]uint64, 2)
+	for _, s := range m.Trace().Spans {
+		busy[s.Proc] += s.End - s.Start
+	}
 	if len(busy) != 2 {
 		t.Fatalf("per-proc entries = %d", len(busy))
 	}

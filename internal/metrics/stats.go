@@ -45,9 +45,6 @@ func (s *Summary) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
 // N returns the number of observations.
 func (s *Summary) N() int { return s.n }
 
-// Mean returns the arithmetic mean, or 0 for an empty summary.
-func (s *Summary) Mean() float64 { return s.mean }
-
 // Min returns the smallest observation, or 0 for an empty summary.
 func (s *Summary) Min() float64 { return s.min }
 
@@ -73,32 +70,6 @@ func (s *Summary) CI95() float64 {
 		return 0
 	}
 	return 1.96 * s.Stddev() / math.Sqrt(float64(s.n))
-}
-
-// Merge folds another summary into s, as if every observation in o had
-// been Added to s. Min/max are exact; mean/variance use the parallel
-// variance combination rule, so Merge is the reduction operator that makes
-// Summary usable from concurrent workers.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	n1, n2 := float64(s.n), float64(o.n)
-	delta := o.mean - s.mean
-	total := n1 + n2
-	s.mean += delta * n2 / total
-	s.m2 += o.m2 + delta*delta*n1*n2/total
-	s.n += o.n
 }
 
 // String renders the summary as "mean ± ci95 [min, max] (n=N)".
@@ -152,20 +123,4 @@ func Percentile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return c[lo]*(1-frac) + c[hi]*frac
-}
-
-// GeoMean returns the geometric mean of xs, which must all be positive.
-// It returns NaN for an empty slice or any non-positive element.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return math.NaN()
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }

@@ -50,9 +50,6 @@ func formatFloat(v float64) string {
 	}
 }
 
-// NumRows reports how many data rows have been added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table with a title line, a header rule, and columns
 // padded to their widest cell.
 func (t *Table) String() string {
@@ -92,33 +89,6 @@ func (t *Table) String() string {
 	b.WriteByte('\n')
 	for _, row := range t.rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values (header row first),
-// quoting cells that contain commas or quotes — the export format for
-// plotting experiment output outside the repository.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeCSVRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, `"`, `""`))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeCSVRow(t.headers)
-	for _, row := range t.rows {
-		writeCSVRow(row)
 	}
 	return b.String()
 }

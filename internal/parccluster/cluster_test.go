@@ -140,7 +140,7 @@ func TestClusterGracefulStopDrains(t *testing.T) {
 	if err := f.Stop(); err != nil {
 		t.Fatalf("graceful stop returned %v", err)
 	}
-	if n := len(f.Runner().Dead()); n != 0 {
+	if n := len(f.runner.Dead()); n != 0 {
 		t.Fatalf("%d nodes declared dead during a graceful stop", n)
 	}
 }
@@ -167,7 +167,7 @@ func TestClusterCrashLoopRetiresNode(t *testing.T) {
 		t.Fatalf("KillNode: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(f.Runner().Dead()) == 0 {
+	for len(f.runner.Dead()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("crash-looping node never retired; events:\n%v", f.Events().Events())
 		}

@@ -68,9 +68,6 @@ func (f *Fleet) Router() *Router { return f.router }
 // Events returns the shared cluster event log.
 func (f *Fleet) Events() *EventLog { return f.events }
 
-// Runner exposes the supervisor (tests assert on Dead/Live).
-func (f *Fleet) Runner() *supervisor.Runner { return f.runner }
-
 // Start launches and supervises every node, returning once all are
 // ready and routable.
 func (f *Fleet) Start() error {

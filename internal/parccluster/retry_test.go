@@ -82,7 +82,7 @@ func TestRetryIdempotencyAcrossNodes(t *testing.T) {
 					Site: probe.SiteTransport, Kind: faultinject.Error, Nth: 0, Count: 1,
 				}},
 			})
-			rt := NewRouter(RouterConfig{Sleep: noSleep, Injector: inj, VerifyRetries: true})
+			rt := newRouter(RouterConfig{Sleep: noSleep, Injector: inj, VerifyRetries: true}, nil)
 			defer rt.Close()
 
 			// Three real nodes; the injected Error fires before the request
@@ -168,7 +168,7 @@ func TestRetryDoubleExecutionWindow(t *testing.T) {
 			hsB := httptest.NewServer(srvB)
 			defer hsB.Close()
 
-			rt := NewRouter(RouterConfig{Sleep: noSleep})
+			rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
 			defer rt.Close()
 			// Register the treacherous server as the shard primary for this
 			// kind, whichever id that is.
@@ -227,7 +227,7 @@ func TestRetryWebfetchNeverDoubleExecutes(t *testing.T) {
 	}))
 	defer hsB.Close()
 
-	rt := NewRouter(RouterConfig{Sleep: noSleep})
+	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
 	defer rt.Close()
 	scratch := newRing(64)
 	scratch.add("a")

@@ -104,13 +104,3 @@ func (r *ring) preference(key string) []string {
 	}
 	return out
 }
-
-// members returns the node set in sorted order.
-func (r *ring) members() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -99,7 +99,7 @@ type Ledger struct {
 	Mismatch  int64 `json:"verify_mismatches"`
 }
 
-// Router fronts the worker fleet. Create with NewRouter; it implements
+// Router fronts the worker fleet. NewFleet creates one; it implements
 // http.Handler with the same POST /jobs/{kind} surface as a single
 // parcserve node, so parcload and the loadtest package drive it
 // unchanged.
@@ -129,12 +129,8 @@ type Router struct {
 	pollDone chan struct{}
 }
 
-// NewRouter builds a router with no members; add nodes with SetNode.
-func NewRouter(cfg RouterConfig) *Router {
-	return newRouter(cfg, nil)
-}
-
-// newRouter is NewRouter with the fleet's kill hook wired in.
+// newRouter builds a router with no members; add nodes with SetNode.
+// onKill is the fleet's kill hook, nil for a router outside a fleet.
 func newRouter(cfg RouterConfig, onKill func(node string) error) *Router {
 	if cfg.Sleep == nil {
 		cfg.Sleep = time.Sleep

@@ -63,7 +63,7 @@ func noSleep(time.Duration) {}
 // than guessing which id hashes first.
 func newTestRouter(t *testing.T, kind string, fakes map[string]*fakeWorker) (*Router, []string) {
 	t.Helper()
-	rt := NewRouter(RouterConfig{Sleep: noSleep})
+	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
 	for id, f := range fakes {
 		rt.SetNode(id, f.srv.URL)
 	}
@@ -158,7 +158,7 @@ func TestRouterClusterSaturated429(t *testing.T) {
 // TestRouterNoNodes: a router with no routable members answers 503
 // explicitly (rejected in the ledger), it does not hang or 500.
 func TestRouterNoNodes(t *testing.T) {
-	rt := NewRouter(RouterConfig{Sleep: noSleep})
+	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
 	defer rt.Close()
 	w := postJob(t, rt, "sort", parcserve.JobRequest{})
 	if w.Code != http.StatusServiceUnavailable {
@@ -279,7 +279,7 @@ func TestRouterStatzShardsAndRefresh(t *testing.T) {
 	defer hs.Close()
 	defer func() { _ = srv.Drain(5 * time.Second) }()
 
-	rt := NewRouter(RouterConfig{Sleep: noSleep})
+	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
 	defer rt.Close()
 	rt.SetNode("real0", hs.URL)
 
@@ -334,7 +334,7 @@ func TestRouterWorkerErrorRelayed(t *testing.T) {
 
 // TestRouterEventzAndHealthz exercises the observability endpoints.
 func TestRouterEventzAndHealthz(t *testing.T) {
-	rt := NewRouter(RouterConfig{Sleep: noSleep})
+	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
 	defer rt.Close()
 	rt.SetNode("n0", "http://127.0.0.1:1") // unreachable, just membership
 

@@ -36,6 +36,8 @@ type manualTimer struct {
 }
 
 // NewManualClock returns a manual clock starting at start.
+//
+//parcvet:ignore unused fake manual clock the restart-delay tests drive
 func NewManualClock(start time.Time) *ManualClock {
 	return &ManualClock{now: start}
 }
@@ -64,6 +66,8 @@ func (c *ManualClock) After(d time.Duration) <-chan time.Time {
 
 // Advance moves the clock forward by d, firing every timer whose deadline
 // it reaches.
+//
+//parcvet:ignore unused fake manual clock the restart-delay tests drive
 func (c *ManualClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -82,6 +86,8 @@ func (c *ManualClock) Advance(d time.Duration) {
 // Waiters reports how many After timers are pending — tests use it to
 // synchronise on "the runner is now in its backoff wait" without racing
 // the control loop.
+//
+//parcvet:ignore unused fake manual clock the restart-delay tests drive
 func (c *ManualClock) Waiters() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -119,11 +119,9 @@ func (c *Config) fill() {
 
 // taskState is the runner's handle on one supervised task.
 type taskState struct {
-	id      string
-	task    Task          // live incarnation, nil while down or backing off
-	stopc   chan struct{} // closed by StopTask: wakes a backoff immediately
-	stopped bool          // individual stop requested — do not restart
-	dead    bool          // crash-loop circuit fired
+	id   string
+	task Task // live incarnation, nil while down or backing off
+	dead bool // crash-loop circuit fired
 }
 
 // Runner supervises a set of named tasks.
@@ -161,29 +159,12 @@ func (r *Runner) StartTask(id string, start StartFunc) error {
 		r.mu.Unlock()
 		return fmt.Errorf("supervisor: task %q already started", id)
 	}
-	st := &taskState{id: id, stopc: make(chan struct{})}
+	st := &taskState{id: id}
 	r.tasks[id] = st
 	r.wg.Add(1)
 	r.mu.Unlock()
 	go r.supervise(st, start)
 	return nil
-}
-
-// StopTask requests one task stop without restarting it. It does not
-// wait; a task backing off wakes and exits immediately.
-func (r *Runner) StopTask(id string) {
-	r.mu.Lock()
-	st, ok := r.tasks[id]
-	var t Task
-	if ok && !st.stopped {
-		st.stopped = true
-		close(st.stopc)
-		t = st.task
-	}
-	r.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
 }
 
 // Stop kills every task and waits for the runner to die.
@@ -210,19 +191,6 @@ func (r *Runner) Dead() []string {
 		}
 	}
 	return out
-}
-
-// Live reports how many tasks currently have a running incarnation.
-func (r *Runner) Live() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, st := range r.tasks {
-		if st.task != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // kill starts the runner dying: closes dyingc once and stops every live
@@ -263,9 +231,9 @@ func (r *Runner) isDying() bool {
 }
 
 // supervise owns one task's whole lifecycle: start, wait, back off,
-// restart — until the task is stopped, retired, or the runner
-// dies. Running the loop per task (rather than multiplexing one control
-// goroutine) keeps each backoff an honest select that Stop can wake.
+// restart — until the task is retired or the runner dies. Running the
+// loop per task (rather than multiplexing one control goroutine) keeps
+// each backoff an honest select that Stop can wake.
 func (r *Runner) supervise(st *taskState, start StartFunc) {
 	defer r.wg.Done()
 	jitter := xrand.New(hashID(st.id))
@@ -276,9 +244,8 @@ func (r *Runner) supervise(st *taskState, start StartFunc) {
 		if err == nil {
 			r.mu.Lock()
 			st.task = t
-			stopped := st.stopped
 			r.mu.Unlock()
-			if stopped || r.isDying() {
+			if r.isDying() {
 				// Stop raced the start: the new incarnation was never
 				// registered when the stoppers swept live tasks.
 				t.Stop()
@@ -300,10 +267,7 @@ func (r *Runner) supervise(st *taskState, start StartFunc) {
 		}
 		r.event(EventExited, st.id, err, 0)
 
-		r.mu.Lock()
-		stopped := st.stopped
-		r.mu.Unlock()
-		if stopped || r.isDying() {
+		if r.isDying() {
 			return
 		}
 
@@ -331,8 +295,6 @@ func (r *Runner) supervise(st *taskState, start StartFunc) {
 		select {
 		case <-r.cfg.Clock.After(delay):
 		case <-r.dyingc:
-			return
-		case <-st.stopc:
 			return
 		}
 	}

@@ -286,32 +286,6 @@ func TestStopDuringBackoffWakesImmediately(t *testing.T) {
 	s.assertNotStarted(t)
 }
 
-func TestStopTaskDuringBackoffWakesImmediately(t *testing.T) {
-	clk := NewManualClock(time.Unix(0, 0))
-	r := newTestRunner(clk, -1, nil)
-	s := newTestStarter()
-	if err := r.StartTask("id", s.start); err != nil {
-		t.Fatal(err)
-	}
-	tk := s.assertStarted(t)
-	tk.die <- errors.New("crash")
-	waitBackoffArmed(t, clk)
-	r.StopTask("id")
-	// The supervision goroutine must exit without a clock advance; a
-	// clean Stop afterwards proves nothing is still pending.
-	done := make(chan struct{})
-	go func() {
-		r.Stop()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("StopTask did not wake the backoff wait")
-	}
-	s.assertNotStarted(t)
-}
-
 func TestCrashLoopCircuitRetiresTask(t *testing.T) {
 	clk := NewManualClock(time.Unix(0, 0))
 	var mu sync.Mutex

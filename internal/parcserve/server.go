@@ -429,6 +429,3 @@ func (s *Server) Drain(d time.Duration) error {
 	}
 	return s.rt.ShutdownTimeout(rem)
 }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }

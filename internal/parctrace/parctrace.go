@@ -59,22 +59,22 @@ type Config struct {
 	// LaneCap is the per-lane ring capacity, rounded up to a power of
 	// two (default 4096).
 	LaneCap int
-	// SampleEvery thins recording once a lane has wrapped: only every
-	// SampleEvery'th event of a kind is written (default 8; 1 disables
-	// sampling). Counters stay exact regardless.
-	SampleEvery int
 }
+
+// sampleEvery thins recording once a lane has wrapped: only every
+// sampleEvery'th event of a kind is written. Counters stay exact
+// regardless.
+const sampleEvery = 8
 
 // Recorder captures scheduler events into per-worker rings. All methods
 // are safe for concurrent use; Record never allocates and never blocks.
 type Recorder struct {
-	base        time.Time
-	lanes       []*ring
-	sampleEvery uint64
-	nextID      atomic.Uint64
-	counts      [probe.NumSites]atomic.Uint64
-	sampled     atomic.Uint64 // events shed by load sampling
-	dropped     atomic.Uint64 // ring writes lost to a lap race
+	base    time.Time
+	lanes   []*ring
+	nextID  atomic.Uint64
+	counts  [probe.NumSites]atomic.Uint64
+	sampled atomic.Uint64 // events shed by load sampling
+	dropped atomic.Uint64 // ring writes lost to a lap race
 }
 
 // NewRecorder builds a detached recorder; attach it with
@@ -86,13 +86,9 @@ func NewRecorder(cfg Config) *Recorder {
 	if cfg.LaneCap <= 0 {
 		cfg.LaneCap = 4096
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 8
-	}
 	r := &Recorder{
-		base:        time.Now(),
-		lanes:       make([]*ring, cfg.Workers+1),
-		sampleEvery: uint64(cfg.SampleEvery),
+		base:  time.Now(),
+		lanes: make([]*ring, cfg.Workers+1),
 	}
 	for i := range r.lanes {
 		r.lanes[i] = newRing(cfg.LaneCap)
@@ -136,7 +132,7 @@ func (r *Recorder) Fire(s probe.Site, worker int, task, aux uint64) {
 func (r *Recorder) record(k probe.Site, worker int, task, aux uint64) {
 	n := r.counts[k].Add(1)
 	lane := r.lanes[r.laneIdx(worker)]
-	if r.sampleEvery > 1 && lane.wrapped() && n%r.sampleEvery != 0 {
+	if lane.wrapped() && n%sampleEvery != 0 {
 		r.sampled.Add(1)
 		return
 	}
@@ -153,9 +149,6 @@ func (r *Recorder) record(k probe.Site, worker int, task, aux uint64) {
 
 // Count returns the exact number of k events observed (recorded or shed).
 func (r *Recorder) Count(k probe.Site) uint64 { return r.counts[k].Load() }
-
-// SampledOut returns how many events were shed by load sampling.
-func (r *Recorder) SampledOut() uint64 { return r.sampled.Load() }
 
 // Dropped returns how many ring writes were lost to lap races.
 func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }

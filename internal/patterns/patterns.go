@@ -32,20 +32,6 @@ func (SeqMapper) Map(n int, body func(i int)) {
 	}
 }
 
-// TaskMapper runs the map as a Parallel Task multi-task.
-type TaskMapper struct {
-	RT *ptask.Runtime
-}
-
-// Map implements Mapper.
-func (m TaskMapper) Map(n int, body func(i int)) {
-	multi := ptask.RunMulti(m.RT, n, func(i int) (struct{}, error) {
-		body(i)
-		return struct{}{}, nil
-	})
-	_, _ = multi.Results()
-}
-
 // ChunkedMapper runs the map as ceil(n/Chunk) tasks over contiguous
 // blocks, amortising per-task overhead — the granularity-tuned variant.
 type ChunkedMapper struct {

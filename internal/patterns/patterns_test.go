@@ -20,9 +20,9 @@ func newRT(t *testing.T, workers int) *ptask.Runtime {
 func mapperSet(rt *ptask.Runtime) map[string]Mapper {
 	return map[string]Mapper{
 		"seq":     SeqMapper{},
-		"task":    TaskMapper{RT: rt},
+		"task":    ChunkedMapper{RT: rt, Chunk: 1},
 		"chunked": ChunkedMapper{RT: rt, Chunk: 16},
-		"switch": Switchable{Seq: SeqMapper{}, Par: TaskMapper{RT: rt},
+		"switch": Switchable{Seq: SeqMapper{}, Par: ChunkedMapper{RT: rt, Chunk: 1},
 			Threshold: 32},
 	}
 }
@@ -229,15 +229,6 @@ func TestDivideConquerSingleWorkerNoDeadlock(t *testing.T) {
 	}
 	if got := dc.Run(rng{0, 256}); got != 256 {
 		t.Fatalf("count = %d", got)
-	}
-}
-
-func BenchmarkTaskMapper(b *testing.B) {
-	rt := ptask.NewRuntime(4)
-	defer rt.Shutdown()
-	m := TaskMapper{RT: rt}
-	for i := 0; i < b.N; i++ {
-		m.Map(100, func(int) {})
 	}
 }
 

@@ -59,9 +59,6 @@ func NewRuntime(workers int) *Runtime {
 // Without one, handlers run inline on the completing worker.
 func (rt *Runtime) SetEventLoop(l *eventloop.Loop) { rt.loop = l }
 
-// EventLoop returns the registered loop, or nil.
-func (rt *Runtime) EventLoop() *eventloop.Loop { return rt.loop }
-
 // Workers returns the pool size.
 func (rt *Runtime) Workers() int { return rt.pool.Size() }
 
@@ -496,6 +493,8 @@ func (m *MultiTask[T]) Notify(fn func([]T, error)) {
 // value after t completes. If t failed, fn is skipped and the error
 // propagates — the monadic composition students reach for when wiring
 // task pipelines.
+//
+//parcvet:ignore unused api Parallel Task continuation
 func Then[T, U any](t *Task[T], fn func(T) (U, error)) *Task[U] {
 	return RunAfter(t.rt, []Dep{t}, func() (U, error) {
 		v, err := t.Result()

@@ -389,8 +389,8 @@ func TestNotifyRunsOnEventLoop(t *testing.T) {
 	loop := eventloop.New()
 	defer loop.Close()
 	rt.SetEventLoop(loop)
-	if rt.EventLoop() != loop {
-		t.Fatal("EventLoop not recorded")
+	if rt.loop != loop {
+		t.Fatal("event loop not recorded")
 	}
 	onLoop := make(chan bool, 1)
 	task := Run(rt, func() (int, error) { return 8, nil })

@@ -4,6 +4,8 @@ package pyjama
 // space is flattened and workshared as one loop, which balances far better
 // than distributing only the outer loop when n1 is small relative to the
 // team. Implicit barrier at the end.
+//
+//parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) For2D(n1, n2 int, sched Schedule, body func(i, j int)) {
 	tc.For2DNoWait(n1, n2, sched, body)
 	tc.Barrier()
@@ -24,6 +26,8 @@ func (tc *TC) For2DNoWait(n1, n2 int, sched Schedule, body func(i, j int)) {
 
 // ForRange is a convenience over For for iterating [lo, hi) rather than
 // [0, n): OpenMP canonical loops allow arbitrary bounds.
+//
+//parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) ForRange(lo, hi int, sched Schedule, body func(i int)) {
 	tc.For(hi-lo, sched, func(i int) { body(lo + i) })
 }

@@ -37,6 +37,8 @@ func (tc *TC) Master(fn func()) {
 
 // Single runs fn on exactly one (the first-arriving) team member and then
 // barriers the team — "#omp single".
+//
+//parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) Single(fn func()) {
 	tc.SingleNoWait(fn)
 	tc.Barrier()
@@ -80,6 +82,8 @@ func (tc *TC) Critical(name string, fn func()) {
 // Sections distributes the given section bodies over the team, each
 // executed exactly once, followed by the implicit barrier —
 // "#omp sections". Sections are handed out dynamically.
+//
+//parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) Sections(fns ...func()) {
 	tc.ForNoWait(len(fns), Dynamic(1), func(i int) { fns[i]() })
 	tc.Barrier()

@@ -20,6 +20,8 @@ import (
 // finishes, onDone is delivered on the event loop (inline if loop is nil
 // or closed) with the region's panic converted to an error (nil on
 // success).
+//
+//parcvet:ignore unused api Pyjama GUI-aware construct
 func Async(loop *eventloop.Loop, nthreads int, body func(tc *TC), onDone func(err error)) {
 	go func() {
 		err := core.Catch(func() { Parallel(nthreads, body) })
@@ -39,6 +41,8 @@ func Async(loop *eventloop.Loop, nthreads int, body func(tc *TC), onDone func(er
 
 // OnGUI posts fn to the event loop without waiting — "#omp gui nowait".
 // With a nil loop it runs inline (headless mode).
+//
+//parcvet:ignore unused api Pyjama GUI-aware construct
 func OnGUI(loop *eventloop.Loop, fn func()) {
 	if loop == nil {
 		fn()
@@ -51,6 +55,8 @@ func OnGUI(loop *eventloop.Loop, fn func()) {
 
 // OnGUISync runs fn on the event loop and waits for it — "#omp gui". With
 // a nil loop it runs inline.
+//
+//parcvet:ignore unused api Pyjama GUI-aware construct
 func OnGUISync(loop *eventloop.Loop, fn func()) {
 	if loop == nil {
 		fn()

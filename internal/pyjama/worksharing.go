@@ -21,6 +21,8 @@ func init() { spmdDebug.Store(os.Getenv("PYJAMA_DEBUG") != "") }
 // panics with a diagnostic instead of silently running the first
 // arrival's loop. The initial value comes from the PYJAMA_DEBUG
 // environment variable. It returns the previous setting.
+//
+//parcvet:ignore unused api Pyjama SPMD debug mode
 func SetDebug(on bool) bool { return spmdDebug.Swap(on) }
 
 // ScheduleKind selects the OpenMP loop schedule.
@@ -87,6 +89,8 @@ func Auto() Schedule { return Schedule{KindAuto, 0} }
 
 // Runtime returns schedule(runtime): the schedule set via
 // SetRuntimeSchedule (OpenMP's OMP_SCHEDULE).
+//
+//parcvet:ignore unused api Pyjama schedule(runtime)
 func Runtime() Schedule { return Schedule{KindRuntime, 0} }
 
 var runtimeSchedule atomic.Value // Schedule
@@ -96,6 +100,8 @@ func init() { runtimeSchedule.Store(Static(0)) }
 // SetRuntimeSchedule sets the schedule used by Runtime(), like the
 // OMP_SCHEDULE environment variable. Kind Runtime itself is rejected to
 // avoid recursion and maps to static.
+//
+//parcvet:ignore unused api Pyjama schedule(runtime)
 func SetRuntimeSchedule(s Schedule) {
 	if s.Kind == KindRuntime {
 		s = Static(0)
@@ -217,6 +223,8 @@ func (tc *TC) ForNoWait(n int, sched Schedule, body func(i int)) {
 // ForChunked hands the body whole chunks instead of single indices, so a
 // loop body can amortise per-iteration overhead over its chunk. Implicit
 // barrier.
+//
+//parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) ForChunked(n int, sched Schedule, body func(lo, hi int)) {
 	if c, fast := tc.staticFastChunk(n, sched); fast {
 		if c.Len() > 0 {
@@ -341,6 +349,8 @@ func (tc *TC) forEachChunk(n int, sched Schedule, run func(core.Chunk)) {
 // iteration of an enclosing For whose body was given the iteration index,
 // and iterations must reach it in increasing order within each thread
 // (which all schedules here guarantee).
+//
+//parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) Ordered(i int, fn func()) {
 	// The ordered sequence is tied to the most recent worksharing loop
 	// this thread entered; slot pairing gives all threads the same state.

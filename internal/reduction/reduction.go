@@ -33,6 +33,8 @@ type Reducer[T any] struct {
 }
 
 // Fold reduces xs sequentially — the reference semantics.
+//
+//parcvet:ignore unused api §V-B reduction
 func Fold[T any](r Reducer[T], xs []T) T {
 	acc := r.Identity()
 	for _, x := range xs {
@@ -120,6 +122,8 @@ func Sum[T Numeric]() Reducer[T] {
 }
 
 // Prod is the "*" reduction.
+//
+//parcvet:ignore unused api §V-B reduction
 func Prod[T Numeric]() Reducer[T] {
 	return Reducer[T]{
 		Identity: func() T { return T(1) },
@@ -143,6 +147,8 @@ func Min[T Numeric](identity T) Reducer[T] {
 
 // Max reduces to the largest value seen, with the caller-supplied identity
 // (typically the type's minimum).
+//
+//parcvet:ignore unused api §V-B reduction
 func Max[T Numeric](identity T) Reducer[T] {
 	return Reducer[T]{
 		Identity: func() T { return identity },
@@ -164,6 +170,8 @@ func And() Reducer[bool] {
 }
 
 // Or is the logical-or reduction.
+//
+//parcvet:ignore unused api §V-B reduction
 func Or() Reducer[bool] {
 	return Reducer[bool]{
 		Identity: func() bool { return false },
@@ -224,6 +232,8 @@ func Histogram[K comparable]() Reducer[map[K]int] {
 // TopK keeps the k largest values (by less: less(a,b) means a orders
 // before b, i.e. is smaller). The reduction value is an ascending-sorted
 // slice of at most k elements.
+//
+//parcvet:ignore unused api §V-B reduction
 func TopK[T any](k int, less func(a, b T) bool) Reducer[[]T] {
 	trim := func(xs []T) []T {
 		sort.Slice(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
@@ -239,4 +249,6 @@ func TopK[T any](k int, less func(a, b T) bool) Reducer[[]T] {
 }
 
 // Map lifts a value into a single-element reduction operand for Append.
+//
+//parcvet:ignore unused api §V-B reduction
 func Map[T any](v T) []T { return []T{v} }

@@ -73,12 +73,16 @@ func (q *FIFO[T]) Len() int {
 // workers to steal from. The PARC runtime uses randomized victim selection;
 // RoundRobinVictims is the deterministic variant used by the simulator so
 // simulated schedules are reproducible.
+//
+// Both pickers keep one state word per thief and take no lock: Next may
+// run concurrently for distinct thieves, but never for the same thief
+// from two goroutines. The pool calls it only from the thief worker's own
+// goroutine, and the simulator is single-threaded.
 
 // RoundRobinVictims cycles deterministically through workers, skipping the
 // thief itself.
 type RoundRobinVictims struct {
 	n    int
-	mu   sync.Mutex
 	next []int
 }
 
@@ -91,8 +95,6 @@ func NewRoundRobinVictims(n int) *RoundRobinVictims {
 // Next returns the next victim index for thief, never equal to thief when
 // more than one worker exists.
 func (rr *RoundRobinVictims) Next(thief int) int {
-	rr.mu.Lock()
-	defer rr.mu.Unlock()
 	if rr.n <= 1 {
 		return 0
 	}
@@ -109,7 +111,6 @@ func (rr *RoundRobinVictims) Next(thief int) int {
 // the order is uncorrelated between thieves like the PARC runtime's.
 type RandomVictims struct {
 	n      int
-	mu     sync.Mutex
 	states []uint64
 }
 
@@ -122,11 +123,9 @@ func NewRandomVictims(n int, seed uint64) *RandomVictims {
 	return rv
 }
 
-// Next returns a pseudo-random victim for thief, never the thief itself
-// when more than one worker exists.
+// Next returns a pseudo-random victim for thief, uniform over the other
+// workers when more than one exists.
 func (rv *RandomVictims) Next(thief int) int {
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
 	if rv.n <= 1 {
 		return 0
 	}
@@ -136,9 +135,10 @@ func (rv *RandomVictims) Next(thief int) int {
 	x ^= x << 25
 	x ^= x >> 27
 	rv.states[thief] = x
-	v := int((x * 0x2545F4914F6CDD1D) >> 33 % uint64(rv.n))
-	if v == thief {
-		v = (v + 1) % rv.n
+	// Draw from the n-1 other workers and step over the thief.
+	v := int((x * 0x2545F4914F6CDD1D) >> 33 % uint64(rv.n-1))
+	if v >= thief {
+		v++
 	}
 	return v
 }

@@ -501,6 +501,54 @@ func TestRandomVictimsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomVictimsUniform: every worker other than the thief is an
+// equally likely victim, whichever worker the thief is.
+func TestRandomVictimsUniform(t *testing.T) {
+	const perVictim = 50000
+	for _, n := range []int{3, 4, 8} {
+		for _, thief := range []int{0, n - 1} {
+			rv := NewRandomVictims(n, 0x5157)
+			counts := make([]int, n)
+			for i := 0; i < perVictim*(n-1); i++ {
+				counts[rv.Next(thief)]++
+			}
+			for v, c := range counts {
+				if v == thief {
+					continue
+				}
+				if c < perVictim*95/100 || c > perVictim*105/100 {
+					t.Errorf("n=%d thief=%d: victim %d drawn %d times, want %d ±5%% (counts %v)",
+						n, thief, v, c, perVictim, counts)
+				}
+			}
+		}
+	}
+}
+
+// TestVictimPickersDistinctThieves: Next takes no lock, so calls for
+// distinct thieves may run concurrently. Run under -race.
+func TestVictimPickersDistinctThieves(t *testing.T) {
+	const n = 8
+	rv := NewRandomVictims(n, 0x5157)
+	rr := NewRoundRobinVictims(n)
+	var wg sync.WaitGroup
+	for thief := 0; thief < n; thief++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				for _, v := range []int{rv.Next(thief), rr.Next(thief)} {
+					if v == thief || v < 0 || v >= n {
+						t.Errorf("thief %d drew victim %d", thief, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func BenchmarkDequePushPop(b *testing.B) {
 	d := NewDeque[int](1024)
 	v := new(int)

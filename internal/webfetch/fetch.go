@@ -26,7 +26,6 @@ type FetchResult struct {
 type Fetcher struct {
 	rt     *ptask.Runtime
 	client *http.Client
-	conns  int
 	sem    chan struct{}
 
 	// Failure handling (failure.go): per-request timeout, optional retry
@@ -35,8 +34,6 @@ type Fetcher struct {
 	retry   *RetryPolicy
 	breaker *Breaker
 
-	fetched atomic.Int64
-	bytes   atomic.Int64
 	retries atomic.Int64
 }
 
@@ -49,18 +46,9 @@ func NewFetcher(rt *ptask.Runtime, client *http.Client, conns int) *Fetcher {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Fetcher{rt: rt, client: client, conns: conns,
+	return &Fetcher{rt: rt, client: client,
 		timeout: DefaultTimeout, sem: make(chan struct{}, conns)}
 }
-
-// Conns returns the connection budget.
-func (f *Fetcher) Conns() int { return f.conns }
-
-// Fetched returns the number of completed requests.
-func (f *Fetcher) Fetched() int64 { return f.fetched.Load() }
-
-// BytesRead returns the total body bytes read.
-func (f *Fetcher) BytesRead() int64 { return f.bytes.Load() }
 
 // FetchAll downloads every URL, at most `conns` concurrently, and returns
 // results in input order. onDone, if non-nil, streams results as they
@@ -89,15 +77,12 @@ func (f *Fetcher) fetchOne(ctx context.Context, url string) FetchResult {
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			f.fetched.Add(1)
 			return FetchResult{URL: url, Err: ctx.Err()}
 		}
 		timer.Stop()
 		f.retries.Add(1)
 		attempt++
 	}
-	f.fetched.Add(1)
-	f.bytes.Add(int64(res.Bytes))
 	return res
 }
 

@@ -50,9 +50,6 @@ func mix(z uint64) uint64 {
 // Uint32 returns 32 pseudo-random bits.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
-// Int63 returns a non-negative int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns an int uniformly distributed in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -81,14 +78,6 @@ func mul128(a, b uint64) (hi, lo uint64) {
 	hi = ah*bh + w2 + (w1 >> 32)
 	lo = a * b
 	return hi, lo
-}
-
-// Int63n returns an int64 uniformly distributed in [0, n). Panics if n <= 0.
-func (r *Rand) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n called with n <= 0")
-	}
-	return int64(r.Intn(int(n)))
 }
 
 // Float64 returns a float64 uniformly distributed in [0, 1).
@@ -145,14 +134,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Zipf draws from a Zipf distribution over [0, n) with exponent s > 0
-// using inverse-CDF over precomputed weights. For repeated draws build a
-// ZipfGen instead; this convenience form recomputes the CDF each call.
-func (r *Rand) Zipf(n int, s float64) int {
-	g := NewZipfGen(r, n, s)
-	return g.Next()
 }
 
 // ZipfGen draws Zipf-distributed ranks in [0, n) with exponent s.
