@@ -3,8 +3,8 @@
 // re-exec'd in -worker mode) on localhost ports, consistent-hash
 // sharding of job kinds, least-loaded spill on saturation, failover
 // retry of idempotent jobs on node death (up to 3 further nodes per
-// request), and juju-runner-style supervision (restart with backoff,
-// crash-loop circuit).
+// request), and juju-runner-style supervision of each node (restart with
+// backoff; 5 exits within 30s retire the node).
 //
 // Usage:
 //
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"parc751/internal/parccluster"
-	"parc751/internal/parccluster/supervisor"
 	"parc751/internal/parcserve"
 )
 
@@ -53,8 +52,7 @@ func main() {
 		nodes  = flag.Int("nodes", 2, "worker node count")
 		addr   = flag.String("addr", ":8750", "router listen address")
 		evLog  = flag.String("eventlog", "", "write the cluster event log (JSON lines) here on exit")
-		resDel = flag.Duration("restart-delay", 200*time.Millisecond, "supervisor base restart backoff")
-		crashK = flag.Int("crash-loop-k", 5, "exits within the crash-loop window before a node is retired")
+		resDel = flag.Duration("restart-delay", 200*time.Millisecond, "first backoff before a crashed node restarts")
 
 		// Per-node sizing (both modes read these; the parent forwards them).
 		nWorkers = flag.Int("node-workers", 0, "ptask pool size per node (0 = GOMAXPROCS)")
@@ -96,8 +94,8 @@ func main() {
 					"-node-max-queue", strconv.Itoa(*nQueue)}
 			},
 		},
-		Router:     parccluster.RouterConfig{LoadPollEvery: 250 * time.Millisecond},
-		Supervisor: supervisor.Config{RestartDelay: *resDel, CrashLoopK: *crashK},
+		Router:       parccluster.RouterConfig{LoadPollEvery: 250 * time.Millisecond},
+		RestartDelay: *resDel,
 	})
 	if err := fleet.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "parccluster: %v\n", err)
@@ -157,8 +155,7 @@ func main() {
 }
 
 // runWorker is the child-process mode: one parcserve node that drains
-// on SIGTERM and exits 0 — the supervisor reads any other exit as a
-// crash.
+// on SIGTERM and exits 0 — the fleet reads any other exit as a crash.
 func runWorker(addr, id string, cfg parcserve.Config) int {
 	if addr == "" || id == "" {
 		fmt.Fprintln(os.Stderr, "parccluster -worker: -worker-addr and -node-id are required")

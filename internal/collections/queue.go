@@ -13,8 +13,6 @@ import (
 )
 
 // Queue is the abstract concurrent FIFO all queue variants implement.
-//
-//parcvet:ignore unused api P6/P9 queue family (DESIGN.md P-table)
 type Queue[T any] interface {
 	// Put appends v.
 	Put(v T)
@@ -32,8 +30,6 @@ type MutexQueue[T any] struct {
 }
 
 // NewMutexQueue returns an empty coarse-locked queue.
-//
-//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewMutexQueue[T any]() *MutexQueue[T] { return &MutexQueue[T]{} }
 
 // Put implements Queue.
@@ -91,8 +87,6 @@ type tlNode[T any] struct {
 }
 
 // NewTwoLockQueue returns an empty two-lock queue.
-//
-//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewTwoLockQueue[T any]() *TwoLockQueue[T] {
 	dummy := &tlNode[T]{}
 	return &TwoLockQueue[T]{head: dummy, tail: dummy}
@@ -143,8 +137,6 @@ type lfNode[T any] struct {
 }
 
 // NewLockFreeQueue returns an empty lock-free queue.
-//
-//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewLockFreeQueue[T any]() *LockFreeQueue[T] {
 	q := &LockFreeQueue[T]{}
 	dummy := &lfNode[T]{}
@@ -215,8 +207,6 @@ type ChannelQueue[T any] struct {
 }
 
 // NewChannelQueue returns a channel-backed queue with the given buffer.
-//
-//parcvet:ignore unused api P6/P9 queue variant (DESIGN.md P-table)
 func NewChannelQueue[T any](buffer int) *ChannelQueue[T] {
 	if buffer < 1 {
 		buffer = 1

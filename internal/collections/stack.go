@@ -6,8 +6,6 @@ import (
 )
 
 // Stack is the abstract concurrent LIFO.
-//
-//parcvet:ignore unused api P6/P9 stack family (DESIGN.md P-table)
 type Stack[T any] interface {
 	// Push adds v on top.
 	Push(v T)
@@ -24,8 +22,6 @@ type MutexStack[T any] struct {
 }
 
 // NewMutexStack returns an empty coarse-locked stack.
-//
-//parcvet:ignore unused api P6/P9 stack variant (DESIGN.md P-table)
 func NewMutexStack[T any]() *MutexStack[T] { return &MutexStack[T]{} }
 
 // Push implements Stack.
@@ -70,8 +66,6 @@ type tsNode[T any] struct {
 }
 
 // NewTreiberStack returns an empty lock-free stack.
-//
-//parcvet:ignore unused api P6/P9 stack variant (DESIGN.md P-table)
 func NewTreiberStack[T any]() *TreiberStack[T] { return &TreiberStack[T]{} }
 
 // Push implements Stack.

@@ -9,7 +9,6 @@ import (
 	"parc751/internal/faultinject"
 	"parc751/internal/metrics"
 	"parc751/internal/parccluster"
-	"parc751/internal/parccluster/supervisor"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
 	"parc751/internal/probe"
@@ -32,7 +31,7 @@ func init() {
 //     with node count even on a single-core host (the slots sleep).
 //  2. Survival — a node is killed mid-run under load; the no-lost-jobs
 //     ledger must balance exactly (accepted == completed + rejected,
-//     zero drops) and the supervisor must bring the node back.
+//     zero drops) and the fleet must bring the node back.
 //  3. Replay — a seeded fault plan partitions the router→node path on
 //     exact transport-event ordinals; running the identical schedule
 //     twice must produce bit-identical fault traces (the A8 determinism
@@ -123,9 +122,9 @@ func runA11(cfg Config) *Result {
 
 	// --- 2. Survival: node kill mid-run -----------------------------
 	fleet := parccluster.NewFleet(parccluster.FleetConfig{
-		Nodes:      2,
-		Starter:    &parccluster.LocalStarter{Config: nodeCfg},
-		Supervisor: supervisor.Config{RestartDelay: 50 * time.Millisecond},
+		Nodes:        2,
+		Starter:      &parccluster.LocalStarter{Config: nodeCfg},
+		RestartDelay: 50 * time.Millisecond,
 		Router: parccluster.RouterConfig{
 			LoadPollEvery: 25 * time.Millisecond,
 			VerifyRetries: true,
@@ -153,7 +152,7 @@ func runA11(cfg Config) *Result {
 		r := <-done
 		led := fleet.Router().Ledger()
 
-		// Wait for the supervisor to resurrect the victim.
+		// Wait for the fleet to resurrect the victim.
 		restarted := false
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
@@ -219,9 +218,9 @@ func runA11Chaos(cfg Config, nodeCfg parcserve.Config, requests int) (string, bo
 			faultinject.Error, 4, requests, 0),
 	})
 	fleet := parccluster.NewFleet(parccluster.FleetConfig{
-		Nodes:      2,
-		Starter:    &parccluster.LocalStarter{Config: nodeCfg},
-		Supervisor: supervisor.Config{RestartDelay: 10 * time.Millisecond},
+		Nodes:        2,
+		Starter:      &parccluster.LocalStarter{Config: nodeCfg},
+		RestartDelay: 10 * time.Millisecond,
 		Router: parccluster.RouterConfig{
 			Injector: in,
 			// No load poller: background /statz refreshes are off the

@@ -335,6 +335,23 @@ func runP9(cfg Config) *Result {
 		counterTab.AddRow(c.name, tput, exact)
 	}
 
+	// Queues and stacks: producer/consumer hand-off through each variant.
+	handoffTab := metrics.NewTable(fmt.Sprintf("Queue and stack hand-off, %d producers x %d items -> %d consumers",
+		workers/2, opsPerWorker, workers/2), "variant", "items/s", "each item out exactly once")
+	handoffExact := true
+	for _, v := range []handoffSubject{
+		queueSubject("queue: mutex", collections.NewMutexQueue[int]()),
+		queueSubject("queue: two-lock (Michael-Scott)", collections.NewTwoLockQueue[int]()),
+		queueSubject("queue: lock-free (Michael-Scott CAS)", collections.NewLockFreeQueue[int]()),
+		queueSubject("queue: channel", collections.NewChannelQueue[int](64)),
+		stackSubject("stack: mutex", collections.NewMutexStack[int]()),
+		stackSubject("stack: Treiber (lock-free)", collections.NewTreiberStack[int]()),
+	} {
+		tput, exact := handoff(v.put, v.take, workers/2, opsPerWorker)
+		handoffExact = handoffExact && exact
+		handoffTab.AddRow(v.name, tput, exact)
+	}
+
 	// The broken baseline, with a forced window so it fails even on one CPU.
 	racy := memmodel.ForcedLostUpdate(20, workers, 200)
 
@@ -343,6 +360,8 @@ func runP9(cfg Config) *Result {
 	b.WriteString(mapTab.String())
 	b.WriteString("\n")
 	b.WriteString(counterTab.String())
+	b.WriteString("\n")
+	b.WriteString(handoffTab.String())
 	fmt.Fprintf(&b, "\nunsynchronised counter (forced window): %d/%d trials lost updates\n",
 		racy.Anomalies, racy.Trials)
 	fmt.Fprintf(&b, "\nhost: %d CPUs, GOMAXPROCS %d\n", runtime.NumCPU(), runtime.GOMAXPROCS(0))
@@ -354,6 +373,7 @@ func runP9(cfg Config) *Result {
 	res.Output = b.String()
 
 	res.ok("all synchronised counters exact", exactAll)
+	res.ok("every queue and stack variant hands out exactly the items put in, none twice", handoffExact)
 	res.ok("unsynchronised counter loses updates", racy.Anomalies > 0)
 	allPos := true
 	for _, r := range rows {
@@ -363,4 +383,71 @@ func runP9(cfg Config) *Result {
 	}
 	res.ok("all map variants measurable", allPos)
 	return res
+}
+
+// handoffSubject is one P9 queue or stack variant, by its put and take
+// operations.
+type handoffSubject struct {
+	name string
+	put  func(int)
+	take func() (int, bool)
+}
+
+func queueSubject(name string, q collections.Queue[int]) handoffSubject {
+	return handoffSubject{name, q.Put, q.TryTake}
+}
+
+func stackSubject(name string, s collections.Stack[int]) handoffSubject {
+	return handoffSubject{name, s.Push, s.TryPop}
+}
+
+// handoff runs n producers putting disjoint item ranges against n
+// consumers taking until the producers are done and the structure is
+// empty. It returns items per second and whether every item came out
+// exactly once: nothing lost, nothing duplicated, nothing invented.
+func handoff(put func(int), take func() (int, bool), n, perProducer int) (float64, bool) {
+	total := n * perProducer
+	seen := make([]atomic.Int32, total)
+	var invented atomic.Bool
+	var produced sync.WaitGroup
+	var producersDone atomic.Bool
+	var consumed sync.WaitGroup
+	start := time.Now()
+	for p := 0; p < n; p++ {
+		produced.Add(1)
+		go func(p int) {
+			defer produced.Done()
+			for i := 0; i < perProducer; i++ {
+				put(p*perProducer + i)
+			}
+		}(p)
+	}
+	for c := 0; c < n; c++ {
+		consumed.Add(1)
+		go func() {
+			defer consumed.Done()
+			for {
+				v, ok := take()
+				switch {
+				case !ok && producersDone.Load():
+					return
+				case !ok:
+					runtime.Gosched()
+				case v < 0 || v >= total:
+					invented.Store(true)
+				default:
+					seen[v].Add(1)
+				}
+			}
+		}()
+	}
+	produced.Wait()
+	producersDone.Store(true)
+	consumed.Wait()
+	elapsed := time.Since(start).Seconds()
+	exact := !invented.Load()
+	for i := range seen {
+		exact = exact && seen[i].Load() == 1
+	}
+	return float64(total) / elapsed, exact
 }

@@ -1,13 +1,14 @@
 package parccluster
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"parc751/internal/parccluster/supervisor"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
 )
@@ -40,10 +41,10 @@ func startTestFleet(t *testing.T, nodes int, cfg FleetConfig) (*Fleet, *httptest
 // end: a 2-node supervised fleet under open-loop load has one node
 // murdered mid-run; every request must still be answered (loadtest
 // Dropped == 0), the ledger must balance exactly once traffic stops
-// (Lost == 0), and the supervisor must bring the victim back.
+// (Lost == 0), and the fleet must bring the victim back.
 func TestClusterKillNodeMidLoadZeroLost(t *testing.T) {
 	f, front := startTestFleet(t, 2, FleetConfig{
-		Supervisor: supervisor.Config{RestartDelay: 50 * time.Millisecond},
+		RestartDelay: 50 * time.Millisecond,
 		Router: RouterConfig{
 			LoadPollEvery: 25 * time.Millisecond,
 			VerifyRetries: true,
@@ -95,7 +96,7 @@ func TestClusterKillNodeMidLoadZeroLost(t *testing.T) {
 		t.Fatalf("no request succeeded at all: %v", res.Codes)
 	}
 
-	// The supervisor must restart node0: poll until it is alive and ready
+	// The fleet must restart node0: poll until it is alive and ready
 	// again in the router's membership.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -124,9 +125,33 @@ func TestClusterKillNodeMidLoadZeroLost(t *testing.T) {
 	}
 }
 
+// TestChaosKillEndpointLogsOnce: POST /chaos/kill/{node} logs exactly one
+// node-kill for a live node, and none for an unknown node, which gets
+// 404.
+func TestChaosKillEndpointLogsOnce(t *testing.T) {
+	f, _ := startTestFleet(t, 1, FleetConfig{})
+	kill := func(node string) int {
+		w := httptest.NewRecorder()
+		f.Router().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/chaos/kill/"+node, nil))
+		return w.Code
+	}
+	if code := kill("node0"); code != http.StatusOK {
+		t.Fatalf("kill node0: %d", code)
+	}
+	if n := f.Events().Count(EvNodeKill); n != 1 {
+		t.Fatalf("%d node-kill events for one kill, want 1: %v", n, f.Events().Events())
+	}
+	if code := kill("node7"); code != http.StatusNotFound {
+		t.Fatalf("kill of an unknown node: %d, want 404", code)
+	}
+	if n := f.Events().Count(EvNodeKill); n != 1 {
+		t.Fatalf("%d node-kill events after an unknown-node kill, want 1: %v", n, f.Events().Events())
+	}
+}
+
 // TestClusterGracefulStopDrains: Stop() takes the polite path — nodes
-// drain, incarnations exit clean (no errKilled), and the supervisor
-// returns nil.
+// drain, incarnations exit clean (no errKilled), no node is retired, and
+// Stop returns nil.
 func TestClusterGracefulStopDrains(t *testing.T) {
 	f := NewFleet(FleetConfig{Nodes: 2, Starter: &LocalStarter{Config: parcserve.Config{
 		Workers: 2, MaxConcurrent: 2,
@@ -140,7 +165,7 @@ func TestClusterGracefulStopDrains(t *testing.T) {
 	if err := f.Stop(); err != nil {
 		t.Fatalf("graceful stop returned %v", err)
 	}
-	if n := len(f.runner.Dead()); n != 0 {
+	if n := f.Events().Count(EvNodeDead); n != 0 {
 		t.Fatalf("%d nodes declared dead during a graceful stop", n)
 	}
 }
@@ -152,13 +177,8 @@ func TestClusterCrashLoopRetiresNode(t *testing.T) {
 	inner := &LocalStarter{Config: parcserve.Config{Workers: 2, MaxConcurrent: 2}}
 	f, front := startTestFleet(t, 2, FleetConfig{
 		Starter: &sabotageStarter{inner: inner, victim: "node1"},
-		// Fast supervision so the circuit trips in test time.
-		Supervisor: supervisor.Config{
-			RestartDelay:    time.Millisecond,
-			MaxDelay:        2 * time.Millisecond,
-			CrashLoopK:      3,
-			CrashLoopWindow: time.Minute,
-		},
+		// Fast restarts so the circuit trips in test time.
+		RestartDelay: time.Millisecond,
 	})
 
 	// Kill the victim once; every restart incarnation self-destructs, so
@@ -167,11 +187,26 @@ func TestClusterCrashLoopRetiresNode(t *testing.T) {
 		t.Fatalf("KillNode: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for len(f.runner.Dead()) == 0 {
+	for f.Events().Count(EvNodeDead) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("crash-looping node never retired; events:\n%v", f.Events().Events())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Exactly one retirement, and its detail says why.
+	dead := f.Events().Events()
+	n := 0
+	for _, e := range dead {
+		if e.Type == EvNodeDead {
+			n++
+			if e.Node != "node1" || !strings.Contains(e.Detail, fmt.Sprintf("%d exits", crashLoopK)) {
+				t.Fatalf("node-dead event %+v does not name node1's exit count", e)
+			}
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d node-dead events, want 1: %v", n, dead)
 	}
 
 	// The dead node is out of the membership entirely…

@@ -11,11 +11,11 @@ import (
 // events (spill, failover, saturated) are logged because they are rare
 // and each one is a diagnosis clue; per-request routing is not.
 const (
-	EvNodeStart   = "node-start"   // supervisor started an incarnation
+	EvNodeStart   = "node-start"   // fleet started an incarnation
 	EvNodeReady   = "node-ready"   // node answered /healthz and joined the router
 	EvNodeExit    = "node-exit"    // incarnation exited (detail: error)
 	EvNodeRestart = "node-restart" // restart scheduled (detail: backoff)
-	EvNodeDead    = "node-dead"    // crash-loop circuit retired the node
+	EvNodeDead    = "node-dead"    // crash-loop circuit retired the node (detail: why)
 	EvNodeKill    = "node-kill"    // chaos: abrupt kill requested
 	EvMarkDown    = "mark-down"    // router stopped routing to the node
 	EvMarkUp      = "mark-up"      // router resumed routing to the node

@@ -2,11 +2,12 @@
 // router fronting N worker nodes (separate processes speaking HTTP on
 // localhost) with consistent-hash sharding of job kinds, least-loaded
 // spill on saturation, failover retry of idempotent seed→checksum jobs
-// on node death, and a supervised fleet (supervisor subpackage, juju
-// runner style) that restarts crashed nodes with backoff and retires
-// crash-loopers. This is ROADMAP item 1 — the "millions of users" layer:
-// parcserve bounds one process's admission; parccluster makes the
-// admission bound a per-node property and survivability a cluster one.
+// on node death, and a fleet that supervises each node in its own loop
+// (juju runner style), restarting crashed nodes with backoff and
+// retiring crash-loopers. This is ROADMAP item 1 — the "millions of
+// users" layer: parcserve bounds one process's admission; parccluster
+// makes the admission bound a per-node property and survivability a
+// cluster one.
 //
 // The no-lost-jobs contract (ablation A11): every request the router
 // accepts is eventually answered exactly once, either 200 (completed) or
@@ -199,13 +200,12 @@ func (rt *Router) SetNode(id, url string) {
 }
 
 // RemoveNode deletes a node entirely (crash-looped dead): its shard
-// arcs redistribute to the survivors.
+// arcs redistribute to the survivors. The fleet logs the retirement.
 func (rt *Router) RemoveNode(id string) {
 	rt.mu.Lock()
 	delete(rt.nodes, id)
 	rt.ring.remove(id)
 	rt.mu.Unlock()
-	rt.events.Add(EvNodeDead, id, "removed from ring")
 }
 
 // MarkDown stops routing to a node without removing it from the ring.
@@ -615,7 +615,6 @@ func (rt *Router) handleEventz(w http.ResponseWriter, _ *http.Request) {
 
 func (rt *Router) handleKill(w http.ResponseWriter, r *http.Request) {
 	node := r.PathValue("node")
-	rt.events.Add(EvNodeKill, node, "via /chaos/kill")
 	if err := rt.onKill(node); err != nil {
 		w.WriteHeader(http.StatusNotFound)
 		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())

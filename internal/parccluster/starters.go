@@ -20,8 +20,8 @@ import (
 // (the chaos path: connections reset, in-flight jobs lost from the
 // cluster's point of view); Shutdown is the polite path (readiness
 // flips, drain, exit). Wait blocks until the incarnation is gone and
-// returns nil only for a clean exit — the supervisor classifies the
-// error.
+// returns nil only for a clean exit; the fleet logs the error as the
+// node-exit detail.
 type NodeHandle interface {
 	URL() string
 	Kill() error
@@ -36,7 +36,7 @@ type NodeStarter interface {
 }
 
 // errKilled is what a killed incarnation's Wait returns — a crash to
-// the supervisor, which restarts the node with backoff.
+// the fleet, which restarts the node with backoff.
 var errKilled = errors.New("parccluster: node killed")
 
 // ---------------------------------------------------------------------

@@ -66,7 +66,7 @@ type Config struct {
 	// rejected with 429 (default 4×MaxConcurrent).
 	MaxQueue int
 	// NodeID names this server instance in /statz, /healthz and /readyz —
-	// the identity the parccluster supervisor and router key on. Default
+	// the identity the parccluster fleet and router key on. Default
 	// "solo" (a standalone server).
 	NodeID string
 	// DrainGrace is how long /readyz advertises 503 before Drain actually

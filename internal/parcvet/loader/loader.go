@@ -167,7 +167,8 @@ func (l *Loader) absDir(p string) string {
 }
 
 // expand walks root for directories containing buildable Go files,
-// skipping testdata, vendor, and hidden directories.
+// skipping testdata, vendor, and hidden directories, and nested modules
+// (a directory below root with its own go.mod), as go build ./... does.
 func (l *Loader) expand(root string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -177,9 +178,14 @@ func (l *Loader) expand(root string) ([]string, error) {
 		if !d.IsDir() {
 			return nil
 		}
-		name := d.Name()
-		if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return filepath.SkipDir
+		if p != root {
+			name := d.Name()
+			if name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
 		}
 		if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
 			out = append(out, p)

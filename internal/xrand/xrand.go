@@ -47,9 +47,6 @@ func mix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns 32 pseudo-random bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns an int uniformly distributed in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
