@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -211,7 +212,7 @@ func runP3(cfg Config) *Result {
 	var prSeq, prPar []float64
 	dSeq = timeIt(func() { prSeq = kernels.PageRankSequential(g, 0.85, 20) })
 	dPar = timeIt(func() { prPar = kernels.PageRankParallel(cfg.Workers, g, 0.85, 20) })
-	prSame := kernels.L1Distance(prSeq, prPar) < 1e-12
+	prSame := slices.Equal(prSeq, prPar)
 	tab.AddRow("pagerank", grN, dSeq.String(), dPar.String(), prSame)
 
 	// Matrix multiply.

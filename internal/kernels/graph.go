@@ -111,25 +111,25 @@ func PageRankSequential(g *workload.Graph, d float64, iters int) []float64 {
 	return rank
 }
 
-// PageRankParallel is the pull-based parallel formulation: it needs the
-// reverse graph so each vertex gathers from its in-neighbours, making
-// every next[v] written by exactly one thread (and thus bit-deterministic
-// given the fixed in-neighbour order).
+// PageRankParallel is the pull-based parallel formulation: each vertex
+// gathers from its in-neighbours over the graph's cached transpose, so
+// every next[v] is written by exactly one thread and sums in the same
+// order as the sequential push (bit-identical output). All iterations
+// run inside one Pyjama region.
 func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []float64 {
 	n := g.N
-	rg := Reverse(g)
+	rg := g.Transpose()
 	rank := make([]float64, n)
 	next := make([]float64, n)
 	contrib := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / float64(n)
 	}
-	for it := 0; it < iters; it++ {
-		var danglingShared float64
-		pyjama.Parallel(nthreads, func(tc *pyjama.TC) {
+	pyjama.Parallel(nthreads, func(tc *pyjama.TC) {
+		for it := 0; it < iters; it++ {
 			// Phase 1: per-vertex contributions plus a dangling-mass
-			// reduction.
-			dang := pyjama.ForReduce(tc, n, pyjama.Static(0),
+			// reduction; ForReduce hands the sum to every member.
+			dangling := pyjama.ForReduce(tc, n, pyjama.Static(0),
 				reduction.Sum[float64](), func(v int, acc float64) float64 {
 					deg := g.OutDegree(v)
 					if deg == 0 {
@@ -139,9 +139,7 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 					contrib[v] = rank[v] / float64(deg)
 					return acc
 				})
-			tc.Master(func() { danglingShared = dang })
-			tc.Barrier()
-			base := (1-d)/float64(n) + d*danglingShared/float64(n)
+			base := (1-d)/float64(n) + d*dangling/float64(n)
 			// Phase 2: gather along in-edges.
 			tc.For(n, pyjama.Dynamic(128), func(v int) {
 				sum := base
@@ -150,38 +148,11 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 				}
 				next[v] = sum
 			})
-		})
-		rank, next = next, rank
-	}
+			tc.Master(func() { rank, next = next, rank })
+			tc.Barrier()
+		}
+	})
 	return rank
-}
-
-// Reverse returns the transpose graph (edges flipped), preserving the
-// order of in-neighbours by source vertex so gathers are deterministic.
-func Reverse(g *workload.Graph) *workload.Graph {
-	indeg := make([]int, g.N)
-	for v := 0; v < g.N; v++ {
-		for _, w := range g.Neighbors(v) {
-			indeg[w]++
-		}
-	}
-	rg := &workload.Graph{N: g.N, Offs: make([]int, g.N+1)}
-	total := 0
-	for v := 0; v < g.N; v++ {
-		rg.Offs[v] = total
-		total += indeg[v]
-	}
-	rg.Offs[g.N] = total
-	rg.Adj = make([]int, total)
-	fill := make([]int, g.N)
-	copy(fill, rg.Offs[:g.N])
-	for v := 0; v < g.N; v++ {
-		for _, w := range g.Neighbors(v) {
-			rg.Adj[fill[w]] = v
-			fill[w]++
-		}
-	}
-	return rg
 }
 
 // L1Distance returns the L1 distance of two equal-length vectors.

@@ -308,8 +308,9 @@ func (f *Fleet) KillNode(id string) error {
 }
 
 // Stop shuts the fleet down: supervision ends, every node drains, the
-// router's poller stops. It always returns nil; the error result is kept
-// for callers that check it.
+// router's poller stops. The nodes drain concurrently, so Stop takes as
+// long as the slowest node, not the sum of them. It always returns nil;
+// the error result is kept for callers that check it.
 func (f *Fleet) Stop() error {
 	f.events.Add(EvFleetStop, "", "")
 	f.mu.Lock()
@@ -323,9 +324,15 @@ func (f *Fleet) Stop() error {
 		}
 	}
 	f.mu.Unlock()
+	var drained sync.WaitGroup
 	for _, h := range live {
-		_ = h.Shutdown()
+		drained.Add(1)
+		go func() {
+			defer drained.Done()
+			_ = h.Shutdown()
+		}()
 	}
+	drained.Wait()
 	f.wg.Wait()
 	f.router.Close()
 	return nil

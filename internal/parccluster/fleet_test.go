@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,10 +95,11 @@ func (c *ManualClock) Waiters() int {
 // fakeNode is a controllable incarnation: the test makes it die by
 // sending on die; Shutdown makes Wait return nil.
 type fakeNode struct {
-	url  string
-	die  chan error
-	stop chan struct{}
-	once sync.Once
+	url        string
+	die        chan error
+	stop       chan struct{}
+	once       sync.Once
+	onShutdown func() // when set, Shutdown calls it first
 }
 
 func (n *fakeNode) URL() string { return n.url }
@@ -111,6 +113,9 @@ func (n *fakeNode) Kill() error {
 }
 
 func (n *fakeNode) Shutdown() error {
+	if n.onShutdown != nil {
+		n.onShutdown()
+	}
 	n.once.Do(func() { close(n.stop) })
 	return nil
 }
@@ -432,6 +437,41 @@ func TestStopShutsDownIncarnationStartedDuringStop(t *testing.T) {
 	case <-n.stop:
 	default:
 		t.Fatal("incarnation started during Stop was never shut down")
+	}
+}
+
+// TestStopShutsDownNodesConcurrently: Stop drains every node at once, so
+// each node's Shutdown is still running when the others enter theirs.
+// Each fake Shutdown waits until all have entered or 2 s have passed; a
+// Stop that shuts the nodes down one after another times the first ones out.
+func TestStopShutsDownNodesConcurrently(t *testing.T) {
+	const nodes = 3
+	s := newFakeStarter(t)
+	f := NewFleet(FleetConfig{Nodes: nodes, Starter: s, RestartDelay: testDelay})
+	f.clock = NewManualClock(time.Unix(0, 0))
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var entered, timedOut atomic.Int32
+	all := make(chan struct{})
+	for range nodes {
+		s.assertStarted(t).onShutdown = func() {
+			if entered.Add(1) == nodes {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(2 * time.Second):
+				timedOut.Add(1)
+			}
+		}
+	}
+	_ = f.Stop()
+	if got := entered.Load(); got != nodes {
+		t.Fatalf("Stop shut down %d nodes, want %d", got, nodes)
+	}
+	if got := timedOut.Load(); got != 0 {
+		t.Fatalf("%d of %d Shutdown calls waited 2 s for the others: Stop shuts nodes down one at a time", got, nodes)
 	}
 }
 

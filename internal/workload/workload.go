@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"parc751/internal/xrand"
 )
@@ -143,11 +144,15 @@ func NearlySorted(seed uint64, n int, swapFrac float64) []int {
 }
 
 // Graph is a directed graph in compact adjacency form (CSR-like), the
-// input for the graph-processing kernels.
+// input for the graph-processing kernels. A Graph is read-only once
+// built: no code writes N, Offs or Adj after the constructor returns,
+// which is what lets it keep its transpose (see Transpose).
 type Graph struct {
 	N    int
 	Offs []int // len N+1
 	Adj  []int
+
+	transpose atomic.Pointer[Graph] // built on first Transpose call
 }
 
 // OutDegree returns the out-degree of vertex v.
@@ -155,6 +160,46 @@ func (g *Graph) OutDegree(v int) int { return g.Offs[v+1] - g.Offs[v] }
 
 // Neighbors returns the adjacency slice of vertex v (not a copy).
 func (g *Graph) Neighbors(v int) []int { return g.Adj[g.Offs[v]:g.Offs[v+1]] }
+
+// Transpose returns the in-edge graph (every edge flipped), with each
+// vertex's in-neighbours in source-vertex order so a gather over them
+// sums in the same order as a push over the out-edges. It is built on
+// the first call and kept: callers racing on that first call each build
+// a copy and one CompareAndSwap wins, so every caller gets the same
+// pointer and the losers' copies are garbage.
+func (g *Graph) Transpose() *Graph {
+	if t := g.transpose.Load(); t != nil {
+		return t
+	}
+	g.transpose.CompareAndSwap(nil, g.buildTranspose())
+	return g.transpose.Load()
+}
+
+func (g *Graph) buildTranspose() *Graph {
+	indeg := make([]int, g.N)
+	for v := 0; v < g.N; v++ {
+		for _, w := range g.Neighbors(v) {
+			indeg[w]++
+		}
+	}
+	t := &Graph{N: g.N, Offs: make([]int, g.N+1)}
+	total := 0
+	for v := 0; v < g.N; v++ {
+		t.Offs[v] = total
+		total += indeg[v]
+	}
+	t.Offs[g.N] = total
+	t.Adj = make([]int, total)
+	fill := indeg // reused as each vertex's next free slot
+	copy(fill, t.Offs[:g.N])
+	for v := 0; v < g.N; v++ {
+		for _, w := range g.Neighbors(v) {
+			t.Adj[fill[w]] = v
+			fill[w]++
+		}
+	}
+	return t
+}
 
 // GenGraph builds a random directed graph with n vertices and average
 // out-degree deg. Edge endpoints follow a mild power-law preference so

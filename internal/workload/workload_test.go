@@ -3,6 +3,7 @@ package workload
 import (
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -127,6 +128,35 @@ func TestGenGraphStructure(t *testing.T) {
 		if !ring {
 			t.Fatalf("vertex %d missing ring edge", v)
 		}
+	}
+}
+
+// TestTransposeConcurrentFirstUse: goroutines racing on a graph's first
+// Transpose call may each build a copy, but all of them get the one copy
+// that was stored.
+func TestTransposeConcurrentFirstUse(t *testing.T) {
+	g := GenGraph(11, 2000, 4)
+	const callers = 8
+	got := make([]*Graph, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i] = g.Transpose()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, rg := range got {
+		if rg == nil || rg != got[0] {
+			t.Fatalf("caller %d got transpose %p, caller 0 got %p", i, rg, got[0])
+		}
+	}
+	if g.Transpose() != got[0] {
+		t.Fatal("a later call did not return the stored transpose")
 	}
 }
 
