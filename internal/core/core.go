@@ -36,6 +36,8 @@ func (e *PanicError) Error() string { return fmt.Sprintf("task panicked: %v", e.
 // Unwrap exposes the panic value when it is itself an error, so callers
 // can errors.Is/As through a captured panic (e.g. to an injected fault or
 // a sentinel the panicking code chose deliberately).
+//
+//parcvet:ignore unused api errors.Is/As call it through interface{ Unwrap() error }, which package errors declares inside a function
 func (e *PanicError) Unwrap() error {
 	if err, ok := e.Value.(error); ok {
 		return err

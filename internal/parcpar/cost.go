@@ -307,7 +307,7 @@ func (w *costWalker) call(call *ast.CallExpr) float64 {
 	if tv, ok := w.info.Types[call.Fun]; ok && tv.IsType() {
 		return ns // conversion
 	}
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isB := w.info.Uses[id].(*types.Builtin); isB {
 			return ns + t.op("int_arith")
 		}

@@ -7,6 +7,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -34,7 +35,7 @@ func (a *analyzer) classifyLoop(fn *ast.FuncDecl, s ast.Stmt) (Loop, bool) {
 		lp.Reason = "early exit: " + reason + " — trip count is data-dependent"
 		return lp, true
 	}
-	red, mems, reason, dep := a.checkWrites(sh, s)
+	red, mems, reason, dep := a.checkWrites(sh)
 	if dep {
 		lp.Class = ClassDependence
 		lp.Reason = "loop-carried dependence: " + reason
@@ -181,12 +182,6 @@ const (
 	localAlias                    // pointer-shaped local aliasing outer memory
 )
 
-// writeSite is one write to a shared array.
-type writeSite struct {
-	base  string // exprString of the indexed base
-	index ast.Expr
-}
-
 // writtenMem records one piece of shared memory the loop writes, for
 // the call-aliasing check: the root object of the written chain, the
 // field the chain goes through (empty for a plain slice), and — for
@@ -201,7 +196,7 @@ type writtenMem struct {
 // provably private to one iteration, an iteration-distinct slot of a
 // shared slice, or a recognized reduction update of a single shared
 // scalar accumulator.
-func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writtenMem, string, bool) {
+func (a *analyzer) checkWrites(sh *loopShape) (*Reduction, []writtenMem, string, bool) {
 	locals, rowInits := a.classifyLocals(sh)
 
 	type scalarWrite struct {
@@ -219,7 +214,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 		sharedScalars = append(sharedScalars, &scalarWrite{obj: obj, stmts: []ast.Stmt{stmt}})
 	}
 
-	writesByBase := map[string][]writeSite{}
+	var writtenBases []string
 	var mems []writtenMem
 	memSeen := map[string]bool{}
 	recordMem := func(m writtenMem, key string) {
@@ -242,7 +237,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 			if lhs.Name == "_" {
 				return
 			}
-			obj := a.objOf(lhs)
+			obj := a.info.ObjectOf(lhs)
 			if obj == nil {
 				fail(fmt.Sprintf("write to unresolved %q", lhs.Name))
 				return
@@ -254,7 +249,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 			if obj == sh.valueObj {
 				return // writing the range value copy is iteration-private
 			}
-			if declaredWithin(obj, sh.body) {
+			if DeclaredWithin(obj, sh.body) {
 				return // body-local: fresh storage each iteration
 			}
 			recordScalar(obj, stmt)
@@ -265,7 +260,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 				fail(fmt.Sprintf("write through compound expression %q", a.exprString(base)))
 				return
 			}
-			root := a.rootIdentObj(base)
+			root := a.info.ObjectOf(RootIdent(base))
 			if root == nil {
 				fail(fmt.Sprintf("write through unresolved base %q", baseStr))
 				return
@@ -276,7 +271,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 					return
 				}
 			}
-			if declaredWithin(root, sh.body) {
+			if DeclaredWithin(root, sh.body) {
 				switch locals[root] {
 				case localPrivate:
 					return
@@ -284,7 +279,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 					// Writes stay inside this iteration's row, but other
 					// calls receiving the view's owner could still read it.
 					init := rowInits[root]
-					if owner := a.rootIdentObj(init.Fun); owner != nil {
+					if owner := a.info.ObjectOf(RootIdent(init.Fun)); owner != nil {
 						recordMem(writtenMem{root: owner, exempt: init}, "view:"+owner.Name())
 					}
 					return
@@ -299,19 +294,21 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 				fail(fmt.Sprintf("write through range element %q aliases the ranged data", baseStr))
 				return
 			}
-			if _, ok := a.injectiveIndex(idx, sh, loop); !ok {
+			if !a.injectiveIndex(idx, []types.Object{sh.indexObj}, sh.body) {
 				fail(fmt.Sprintf("cannot prove iteration-distinct write slots for %s[%s]", baseStr, a.exprString(idx)))
 				return
 			}
-			writesByBase[baseStr] = append(writesByBase[baseStr], writeSite{base: baseStr, index: idx})
+			if !slices.Contains(writtenBases, baseStr) {
+				writtenBases = append(writtenBases, baseStr)
+			}
 			field := ""
 			if dot := strings.LastIndex(baseStr, "."); dot >= 0 {
 				field = baseStr[dot+1:]
 			}
 			recordMem(writtenMem{root: root, field: field}, "slot:"+baseStr)
 		case *ast.SelectorExpr:
-			root := a.rootIdentObj(lhs)
-			if root != nil && (declaredWithin(root, sh.body) && locals[root] == localPrivate || root == sh.valueObj) {
+			root := a.info.ObjectOf(RootIdent(lhs))
+			if root != nil && (DeclaredWithin(root, sh.body) && locals[root] == localPrivate || root == sh.valueObj) {
 				return // field of a private value copy
 			}
 			fail(fmt.Sprintf("write to shared field %q", a.exprString(lhs)))
@@ -338,7 +335,7 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				// Taking an address creates an untracked alias.
-				if root := a.rootIdentObj(n.X); root != nil && !declaredWithin(root, sh.body) {
+				if root := a.info.ObjectOf(RootIdent(n.X)); root != nil && !DeclaredWithin(root, sh.body) {
 					fail(fmt.Sprintf("address of shared %q taken in body", a.exprString(n.X)))
 				}
 			}
@@ -352,29 +349,8 @@ func (a *analyzer) checkWrites(sh *loopShape, loop ast.Stmt) (*Reduction, []writ
 	// Cross-iteration read/write aliasing: every read of a written base
 	// must land on one of that base's (injective) write index shapes, so
 	// an iteration only ever touches its own slots.
-	for base, writes := range writesByBase {
-		wshapes := map[string]bool{}
-		for _, w := range writes {
-			wshapes[a.exprString(w.index)] = true
-		}
-		bad := ""
-		ast.Inspect(sh.body, func(n ast.Node) bool {
-			if bad != "" {
-				return false
-			}
-			ie, ok := n.(*ast.IndexExpr)
-			if !ok {
-				return true
-			}
-			if bs, _ := a.simpleExpr(ie.X); bs != base {
-				return true
-			}
-			if !wshapes[a.exprString(ie.Index)] {
-				bad = a.exprString(ie.Index)
-			}
-			return bad == ""
-		})
-		if bad != "" {
+	for _, base := range writtenBases {
+		if bad := a.foreignIndex(sh.body, base); bad != "" {
 			return nil, nil, fmt.Sprintf("read of %s[%s] may alias another iteration's write to %s", base, bad, base), true
 		}
 	}
@@ -430,13 +406,13 @@ func (a *analyzer) checkCallAliasing(sh *loopShape, mems []writtenMem) (string, 
 		// Root objects the call can reach: the receiver chain and every
 		// argument chain.
 		var roots []types.Object
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if r := a.rootIdentObj(sel.X); r != nil {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			if r := a.info.ObjectOf(RootIdent(sel.X)); r != nil {
 				roots = append(roots, r)
 			}
 		}
 		for _, arg := range call.Args {
-			if r := a.rootIdentObj(arg); r != nil {
+			if r := a.info.ObjectOf(RootIdent(arg)); r != nil {
 				roots = append(roots, r)
 			}
 		}
@@ -449,7 +425,7 @@ func (a *analyzer) checkCallAliasing(sh *loopShape, mems []writtenMem) (string, 
 					reason = fmt.Sprintf("written %q is passed to %s, which may read another iteration's slot", m.root.Name(), a.exprString(call.Fun))
 					return false
 				}
-				callee := a.calleeFunc(call)
+				callee := staticCallee(a.info, call)
 				if callee == nil || a.purity.readsField(callee, m.field) {
 					reason = fmt.Sprintf("%s receives %q while the loop writes its %q field", a.exprString(call.Fun), m.root.Name(), m.field)
 					return false
@@ -459,21 +435,6 @@ func (a *analyzer) checkCallAliasing(sh *loopShape, mems []writtenMem) (string, 
 		return true
 	})
 	return reason, reason != ""
-}
-
-// calleeFunc resolves a call's target function object, if static.
-func (a *analyzer) calleeFunc(call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := a.info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := a.info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 // classifyLocals assigns a localKind to every pointer-shaped variable
@@ -533,7 +494,7 @@ func (a *analyzer) classifyLocals(sh *loopShape) (map[types.Object]localKind, ma
 					continue
 				}
 				obj := a.info.Defs[id]
-				if obj == nil || !declaredWithin(obj, sh.body) {
+				if obj == nil || !DeclaredWithin(obj, sh.body) {
 					continue
 				}
 				var rhs ast.Expr
@@ -627,66 +588,106 @@ func pointerShaped(t types.Type) bool {
 	return false
 }
 
-// injectiveIndex reports whether idx provably hits a different slot in
-// every iteration of the candidate loop: the loop index itself, the
-// index ± a loop-invariant constant, or the row-major delinearized form
-// i*S + j where j is an inner canonical loop over [0, S).
-func (a *analyzer) injectiveIndex(idx ast.Expr, sh *loopShape, loop ast.Stmt) (string, bool) {
-	idx = unparen(idx)
-	if sh.indexObj == nil {
-		return "", false
-	}
-	if id, ok := idx.(*ast.Ident); ok {
-		if a.info.Uses[id] == sh.indexObj {
-			return "i", true
+// OwnSlot is the iteration-distinctness test of parcpar's dependence
+// analysis, exported so parcvet's sharedwrite asks the same question of
+// worksharing bodies. It reports whether the element write w, made in the
+// body of a loop whose iteration variables are index, stays in its own
+// iteration: w's index is injective in the iteration (injectiveIndex),
+// and every index the body applies to w's base is one of the shapes the
+// body writes that base with (foreignIndex).
+func OwnSlot(info *types.Info, fset *token.FileSet, body *ast.BlockStmt, index []types.Object, w *ast.IndexExpr) bool {
+	a := &analyzer{info: info, fset: fset}
+	base, ok := a.simpleExpr(w.X)
+	return ok && a.injectiveIndex(w.Index, index, body) && a.foreignIndex(body, base) == ""
+}
+
+// foreignIndex returns the first index the body applies to base that is
+// not among the index shapes the body writes base with — an access that
+// may land on another iteration's slot — or "" when every access stays
+// on the written slots.
+func (a *analyzer) foreignIndex(body *ast.BlockStmt, base string) string {
+	shapes := map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		var targets []ast.Expr
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			targets = n.Lhs
+		case *ast.IncDecStmt:
+			targets = []ast.Expr{n.X}
 		}
-		return "", false
-	}
-	be, ok := idx.(*ast.BinaryExpr)
-	if !ok {
-		return "", false
-	}
-	switch be.Op {
-	case token.ADD, token.SUB:
-		// i ± c with c a compile-time constant.
-		if id, ok := unparen(be.X).(*ast.Ident); ok && a.info.Uses[id] == sh.indexObj {
-			if _, isConst := a.constIntValue(be.Y); isConst {
-				return "i±c", true
-			}
-		}
-		if be.Op == token.ADD {
-			if id, ok := unparen(be.Y).(*ast.Ident); ok && a.info.Uses[id] == sh.indexObj {
-				if _, isConst := a.constIntValue(be.X); isConst {
-					return "i±c", true
+		for _, t := range targets {
+			if ie, ok := ast.Unparen(t).(*ast.IndexExpr); ok {
+				if b, _ := a.simpleExpr(ie.X); b == base {
+					shapes[a.exprString(ie.Index)] = true
 				}
 			}
-			// Delinearized i*S + j (either operand order).
-			if a.isDelinearized(be.X, be.Y, sh, loop) || a.isDelinearized(be.Y, be.X, sh, loop) {
-				return "i*S+j", true
+		}
+		return true
+	})
+	bad := ""
+	ast.Inspect(body, func(n ast.Node) bool {
+		if ie, ok := n.(*ast.IndexExpr); ok && bad == "" {
+			if bs, _ := a.simpleExpr(ie.X); bs == base && !shapes[a.exprString(ie.Index)] {
+				bad = a.exprString(ie.Index)
 			}
 		}
+		return bad == ""
+	})
+	return bad
+}
+
+// injectiveIndex reports whether idx provably hits a different slot in
+// every iteration of a loop whose iteration variables are index: an
+// index variable itself, one ± a compile-time constant, or the row-major
+// delinearized form i*S + j where j is an inner canonical loop of body
+// over [0, S).
+func (a *analyzer) injectiveIndex(idx ast.Expr, index []types.Object, body *ast.BlockStmt) bool {
+	isConst := func(e ast.Expr) bool {
+		_, ok := a.constIntValue(e)
+		return ok
 	}
-	return "", false
+	if a.isIndex(idx, index) {
+		return true
+	}
+	be, ok := ast.Unparen(idx).(*ast.BinaryExpr)
+	if !ok {
+		return false
+	}
+	switch be.Op {
+	case token.SUB:
+		return a.isIndex(be.X, index) && isConst(be.Y)
+	case token.ADD:
+		return a.isIndex(be.X, index) && isConst(be.Y) || a.isIndex(be.Y, index) && isConst(be.X) ||
+			a.isDelinearized(be.X, be.Y, index, body) || a.isDelinearized(be.Y, be.X, index, body)
+	}
+	return false
+}
+
+// isIndex reports whether e is one of the iteration variables.
+func (a *analyzer) isIndex(e ast.Expr, index []types.Object) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && a.info.Uses[id] != nil && slices.Contains(index, a.info.Uses[id])
 }
 
 // isDelinearized matches mul = i*S (or S*i) and rest = j, where j is
 // the index of an inner canonical loop `for j := 0; j < S'; j++` with
 // S' textually identical to S — the row-major proof that i*S+j is
 // injective over the (i, j) iteration space.
-func (a *analyzer) isDelinearized(mul, rest ast.Expr, sh *loopShape, loop ast.Stmt) bool {
-	me, ok := unparen(mul).(*ast.BinaryExpr)
+func (a *analyzer) isDelinearized(mul, rest ast.Expr, index []types.Object, body *ast.BlockStmt) bool {
+	me, ok := ast.Unparen(mul).(*ast.BinaryExpr)
 	if !ok || me.Op != token.MUL {
 		return false
 	}
 	var stride ast.Expr
-	if id, ok := unparen(me.X).(*ast.Ident); ok && a.info.Uses[id] == sh.indexObj {
+	switch {
+	case a.isIndex(me.X, index):
 		stride = me.Y
-	} else if id, ok := unparen(me.Y).(*ast.Ident); ok && a.info.Uses[id] == sh.indexObj {
+	case a.isIndex(me.Y, index):
 		stride = me.X
-	} else {
+	default:
 		return false
 	}
-	jIdent, ok := unparen(rest).(*ast.Ident)
+	jIdent, ok := ast.Unparen(rest).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -697,7 +698,7 @@ func (a *analyzer) isDelinearized(mul, rest ast.Expr, sh *loopShape, loop ast.St
 	strideStr := a.exprString(stride)
 	// Find the inner canonical loop binding j with bound == stride.
 	found := false
-	ast.Inspect(sh.body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
@@ -780,7 +781,7 @@ func (a *analyzer) reductionKind(acc types.Object, s ast.Stmt) (string, bool) {
 		case token.MUL_ASSIGN:
 			return "product", !mentionsAcc(rhs)
 		case token.ASSIGN:
-			be, ok := unparen(rhs).(*ast.BinaryExpr)
+			be, ok := ast.Unparen(rhs).(*ast.BinaryExpr)
 			if !ok {
 				return "", false
 			}
@@ -793,7 +794,7 @@ func (a *analyzer) reductionKind(acc types.Object, s ast.Stmt) (string, bool) {
 			default:
 				return "", false
 			}
-			x, y := unparen(be.X), unparen(be.Y)
+			x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
 			if id, isID := x.(*ast.Ident); isID && a.info.Uses[id] == acc && !mentionsAcc(y) {
 				return kind, true
 			}
@@ -808,7 +809,7 @@ func (a *analyzer) reductionKind(acc types.Object, s ast.Stmt) (string, bool) {
 // simpleExpr renders base when it is an ident or a selector chain of
 // idents — the only base forms the array-identity model tracks.
 func (a *analyzer) simpleExpr(e ast.Expr) (string, bool) {
-	switch e := unparen(e).(type) {
+	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		return e.Name, true
 	case *ast.SelectorExpr:
@@ -824,34 +825,6 @@ func (a *analyzer) simpleExpr(e ast.Expr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// rootIdentObj finds the root identifier's object of an lvalue chain.
-func (a *analyzer) rootIdentObj(e ast.Expr) types.Object {
-	for {
-		switch x := unparen(e).(type) {
-		case *ast.Ident:
-			return a.objOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }
 
 // exprString renders an expression for shape comparison and messages.

@@ -279,7 +279,7 @@ func (a *analyzer) mentionsBodyWrite(e ast.Expr, body *ast.BlockStmt) bool {
 	written := map[types.Object]bool{}
 	record := func(lhs ast.Expr) {
 		if id, ok := lhs.(*ast.Ident); ok {
-			if obj := a.objOf(id); obj != nil {
+			if obj := a.info.ObjectOf(id); obj != nil {
 				written[obj] = true
 			}
 		}
@@ -307,21 +307,14 @@ func (a *analyzer) mentionsBodyWrite(e ast.Expr, body *ast.BlockStmt) bool {
 	return found
 }
 
-// objOf resolves an identifier's object through either map.
-func (a *analyzer) objOf(id *ast.Ident) types.Object {
-	if obj := a.info.Uses[id]; obj != nil {
-		return obj
-	}
-	return a.info.Defs[id]
-}
-
 // within reports whether pos lies in [node.Pos(), node.End()].
 func within(pos token.Pos, node ast.Node) bool {
 	return pos >= node.Pos() && pos <= node.End()
 }
 
-// declaredWithin reports whether obj is declared inside node's span —
-// the locality test separating private per-iteration state from shared.
-func declaredWithin(obj types.Object, node ast.Node) bool {
+// DeclaredWithin reports whether obj is declared inside node's span —
+// the locality test separating private per-iteration state from shared,
+// and, in parcvet, a closure's locals from its captures.
+func DeclaredWithin(obj types.Object, node ast.Node) bool {
 	return obj != nil && obj.Pos() != token.NoPos && within(obj.Pos(), node)
 }

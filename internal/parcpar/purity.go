@@ -111,7 +111,7 @@ func (p *purityChecker) callPure(info *types.Info, call *ast.CallExpr) (bool, st
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return true, ""
 	}
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch obj := info.Uses[fun].(type) {
 		case *types.Builtin:
@@ -191,25 +191,19 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 	fail := func(r string) { reason = r }
 	reads := map[string]bool{}
 	readsClosed := true
-	localTo := func(obj types.Object) bool {
-		// Declared inside the body (not a param/receiver: those live in
-		// the declaration's signature, outside Body's span).
-		return obj != nil && obj.Pos() >= decl.Body.Pos() && obj.Pos() <= decl.Body.End()
-	}
 	var checkTarget func(lhs ast.Expr)
 	checkTarget = func(lhs ast.Expr) {
-		switch lhs := unparen(lhs).(type) {
+		switch lhs := ast.Unparen(lhs).(type) {
 		case *ast.Ident:
 			if lhs.Name == "_" {
 				return
 			}
-			obj := info.Uses[lhs]
-			if obj == nil {
-				obj = info.Defs[lhs]
-			}
-			if _, isPkgVar := obj.(*types.Var); isPkgVar && !localTo(obj) {
-				// Reassigning a parameter's own copy is local; writing a
-				// package variable is not. Distinguish by scope parent.
+			obj := info.ObjectOf(lhs)
+			if _, isPkgVar := obj.(*types.Var); isPkgVar && !DeclaredWithin(obj, decl.Body) {
+				// Reassigning a parameter's own copy is local (a param or
+				// receiver lives in the signature, outside Body's span);
+				// writing a package variable is not. Distinguish by scope
+				// parent.
 				if v := obj.(*types.Var); v.Parent() == v.Pkg().Scope() {
 					fail("writes package variable " + v.Name())
 					return
@@ -218,16 +212,13 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 		case *ast.IndexExpr, *ast.StarExpr, *ast.SelectorExpr:
 			// A write through any chain rooted outside the body reaches
 			// caller-visible memory.
-			root := rootIdent(lhs)
+			root := RootIdent(lhs)
 			if root == nil {
 				fail("writes through a compound expression")
 				return
 			}
-			obj := info.Uses[root]
-			if obj == nil {
-				obj = info.Defs[root]
-			}
-			if !localTo(obj) {
+			obj := info.ObjectOf(root)
+			if !DeclaredWithin(obj, decl.Body) {
 				fail("writes through " + root.Name)
 				return
 			}
@@ -286,7 +277,7 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 				}
 			} else if tv, ok := info.Types[n.Fun]; !ok || !tv.IsType() {
 				readsClosed = false // builtins resolve here too; be lenient
-				if id, isID := unparen(n.Fun).(*ast.Ident); isID {
+				if id, isID := ast.Unparen(n.Fun).(*ast.Ident); isID {
 					if _, isB := info.Uses[id].(*types.Builtin); isB {
 						readsClosed = true
 					}
@@ -314,7 +305,7 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 // staticCallee resolves a call's target as a declared function, or nil
 // for builtins, conversions, and calls through function values.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
 			return fn
@@ -343,7 +334,7 @@ func (p *purityChecker) freshLocal(decl *ast.FuncDecl, info *types.Info, obj typ
 				continue
 			}
 			seen = true
-			switch rhs := unparen(as.Rhs[i]).(type) {
+			switch rhs := ast.Unparen(as.Rhs[i]).(type) {
 			case *ast.CallExpr:
 				if fid, isID := rhs.Fun.(*ast.Ident); isID {
 					if b, isB := info.Uses[fid].(*types.Builtin); isB && (b.Name() == "make" || b.Name() == "new") {
@@ -391,10 +382,11 @@ func (p *purityChecker) findDecl(fn *types.Func) (*ast.FuncDecl, *types.Info) {
 	return nil, nil
 }
 
-// rootIdent finds the root identifier of an lvalue chain, or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
+// RootIdent finds the root identifier of an lvalue chain (x in x.f[i],
+// *x or (x)[j]), or nil.
+func RootIdent(e ast.Expr) *ast.Ident {
 	for {
-		switch x := unparen(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
 			return x
 		case *ast.SelectorExpr:

@@ -135,21 +135,6 @@ func isAsyncTaskType(pass *analysis.Pass, comp *ast.CompositeLit) bool {
 	return ok && n.Obj().Name() == "AsyncTask" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgAndroid
 }
 
-// objOf resolves an identifier to its object (use or def).
-func objOf(info *types.Info, id *ast.Ident) types.Object {
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
-}
-
-// declaredInside reports whether obj's declaration position lies within
-// node's source range — i.e. whether a variable referenced inside a
-// closure is local to it (false means captured from an enclosing scope).
-func declaredInside(obj types.Object, node ast.Node) bool {
-	return obj != nil && obj.Pos() != 0 && node.Pos() <= obj.Pos() && obj.Pos() < node.End()
-}
-
 // isWorksharingBody reports whether the callee/arg pair is the body
 // closure of a Pyjama worksharing construct or parallel region.
 func isWorksharingBody(c callee, arg int) bool {

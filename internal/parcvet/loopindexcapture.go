@@ -158,7 +158,7 @@ func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []l
 					if !ok || id.Name == "_" {
 						continue
 					}
-					if obj := objOf(info, id); obj != nil {
+					if obj := info.ObjectOf(id); obj != nil {
 						out = append(out, loopVar{
 							obj:        obj,
 							fixable:    info.Defs[id] != nil,
@@ -173,7 +173,7 @@ func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []l
 				if !ok || id.Name == "_" {
 					continue
 				}
-				if obj := objOf(info, id); obj != nil {
+				if obj := info.ObjectOf(id); obj != nil {
 					out = append(out, loopVar{
 						obj:        obj,
 						fixable:    info.Defs[id] != nil,

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"parc751/internal/parcpar"
 	"parc751/internal/parcvet/analysis"
 	"parc751/internal/report"
 )
@@ -105,15 +106,15 @@ func checkCombinePurity(pass *analysis.Pass, combine *ast.FuncLit) {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if root := rootIdent(lhs); root != nil {
-					if v, ok := objOf(info, root).(*types.Var); ok && !declaredInside(v, combine) {
+				if root := parcpar.RootIdent(lhs); root != nil {
+					if v, ok := info.ObjectOf(root).(*types.Var); ok && !parcpar.DeclaredWithin(v, combine) {
 						report(root, lhs.Pos())
 					}
 				}
 			}
 		case *ast.IncDecStmt:
-			if root := rootIdent(n.X); root != nil {
-				if v, ok := objOf(info, root).(*types.Var); ok && !declaredInside(v, combine) {
+			if root := parcpar.RootIdent(n.X); root != nil {
+				if v, ok := info.ObjectOf(root).(*types.Var); ok && !parcpar.DeclaredWithin(v, combine) {
 					report(root, n.X.Pos())
 				}
 			}
@@ -132,12 +133,12 @@ func checkIdentityFresh(pass *analysis.Pass, identity *ast.FuncLit) {
 			return true
 		}
 		for _, res := range ret.Results {
-			root := rootIdent(res)
+			root := parcpar.RootIdent(res)
 			if root == nil {
 				continue
 			}
-			v, ok := objOf(info, root).(*types.Var)
-			if !ok || declaredInside(v, identity) {
+			v, ok := info.ObjectOf(root).(*types.Var)
+			if !ok || parcpar.DeclaredWithin(v, identity) {
 				continue
 			}
 			if isReferenceType(typeOf(pass, res)) {
@@ -231,27 +232,6 @@ func constantReturn(pass *analysis.Pass, identity *ast.FuncLit) (constant.Value,
 		return nil, 0, false
 	}
 	return tv.Value, ret.Results[0].Pos(), true
-}
-
-// rootIdent unwraps selectors/indexes/stars/parens to the base
-// identifier, or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.ParenExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }
 
 // isReferenceType reports whether mutating a value of this type is

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 
+	"parc751/internal/parcpar"
 	"parc751/internal/parcvet/analysis"
 	"parc751/internal/report"
 )
@@ -29,8 +30,11 @@ anything declared in the member's own frame (the region body, a helper
 taking the tc) is private; a pyjama.Parallel region body or ParallelFor
 body is one closure shared by the whole team, so only its own locals are
 private; a task closure created inside a loop owns that iteration's
-locals. Recognised-safe patterns: element writes indexed by the loop
-variable, tc.ThreadNum(), or a per-instance local (distinct slots); writes
+locals. Recognised-safe patterns: element writes that parcpar's
+dependence test keeps in their own iteration (index i, i±c or i*S+j over
+the construct's iteration parameters, and no access to the same slice at
+another index); element writes indexed by tc.ThreadNum() or a
+per-instance local (distinct slots); writes
 inside tc.Critical/Single/SingleNoWait/Master/Ordered closures; writes
 preceded by a sync.Mutex Lock in the same statement sequence; and closures
 delivered on the GUI thread (serialised by the single looper). Captured
@@ -79,10 +83,31 @@ func runSharedWrite(pass *analysis.Pass) error {
 		default:
 			return true
 		}
-		checkConcurrentBody(pass, lit, kind, localNodes)
+		checkConcurrentBody(pass, lit, kind, localNodes, iterationParams(info, c, arg, lit))
 		return true
 	})
 	return nil
+}
+
+// iterationParams returns the body parameters that name one iteration of
+// a worksharing construct or ptask.RunMulti: both of For2D's (i, j) and
+// ForChunked's (lo, hi), the first parameter of every other construct
+// (ForReduce's second is the member's accumulator, which two members can
+// share a value of). Other bodies have none.
+func iterationParams(info *types.Info, c callee, arg int, lit *ast.FuncLit) []types.Object {
+	if !isWorksharingBody(c, arg) && !(c.is(pkgPtask, "RunMulti") && arg == 2) {
+		return nil
+	}
+	var params []types.Object
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			params = append(params, info.Defs[name])
+		}
+	}
+	if len(params) > 1 && c.name != "For2D" && c.name != "For2DNoWait" && c.name != "ForChunked" {
+		params = params[:1]
+	}
+	return params
 }
 
 // isTCWorksharingBody reports whether the callee/arg pair is the body of a
@@ -120,23 +145,9 @@ func enclosingLoops(stack []ast.Node) []ast.Node {
 }
 
 // checkConcurrentBody scans one concurrently-executed closure for
-// captured-variable writes.
-func checkConcurrentBody(pass *analysis.Pass, body *ast.FuncLit, kind string, localNodes []ast.Node) {
+// captured-variable writes; index holds its iteration parameters.
+func checkConcurrentBody(pass *analysis.Pass, body *ast.FuncLit, kind string, localNodes []ast.Node, index []types.Object) {
 	info := pass.TypesInfo
-
-	// The loop-index parameters of the body (i in func(i int), (i, j) in
-	// For2D, (lo, hi) in ForChunked): indexing by them addresses distinct
-	// elements per iteration.
-	indexParams := map[types.Object]bool{}
-	for _, field := range body.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := info.Defs[name]; obj != nil {
-				if basic, ok := obj.Type().Underlying().(*types.Basic); ok && basic.Info()&types.IsInteger != 0 {
-					indexParams[obj] = true
-				}
-			}
-		}
-	}
 
 	// Walk the body carrying the "serialised" state: once we are inside a
 	// closure passed to Critical/Single/Master/Ordered or delivered on the
@@ -178,13 +189,13 @@ func checkConcurrentBody(pass *analysis.Pass, body *ast.FuncLit, kind string, lo
 			case *ast.AssignStmt:
 				if !serialised {
 					for _, lhs := range n.Lhs {
-						checkWrite(pass, body, lhs, indexParams, kind, localNodes)
+						checkWrite(pass, body, lhs, index, kind, localNodes)
 					}
 				}
 				return true
 			case *ast.IncDecStmt:
 				if !serialised {
-					checkWrite(pass, body, n.X, indexParams, kind, localNodes)
+					checkWrite(pass, body, n.X, index, kind, localNodes)
 				}
 				return true
 			}
@@ -228,12 +239,12 @@ func isGUIDelivered(c callee, arg int) bool {
 }
 
 // checkWrite analyses one assignment target inside a concurrent body.
-func checkWrite(pass *analysis.Pass, body *ast.FuncLit, lhs ast.Expr, indexParams map[types.Object]bool, kind string, localNodes []ast.Node) {
+func checkWrite(pass *analysis.Pass, body *ast.FuncLit, lhs ast.Expr, index []types.Object, kind string, localNodes []ast.Node) {
 	info := pass.TypesInfo
 
 	// Unwrap the access path down to the root identifier, remembering the
-	// index expressions and whether any step goes through a map.
-	var indexes []ast.Expr
+	// element steps (outermost first) and whether any goes through a map.
+	var steps []*ast.IndexExpr
 	mapWrite := false
 	expr := lhs
 unwrap:
@@ -251,7 +262,7 @@ unwrap:
 					mapWrite = true
 				}
 			}
-			indexes = append(indexes, e.Index)
+			steps = append(steps, e)
 			expr = e.X
 		default:
 			break unwrap
@@ -261,8 +272,7 @@ unwrap:
 	if !ok || root.Name == "_" {
 		return
 	}
-	obj := objOf(info, root)
-	v, ok := obj.(*types.Var)
+	v, ok := info.ObjectOf(root).(*types.Var)
 	if !ok {
 		return
 	}
@@ -281,16 +291,20 @@ unwrap:
 			"concurrent write to captured map %q in %s: map writes race even on distinct keys; merge per-thread maps with pyjama.ForReduce or guard with tc.Critical", root.Name, kind)
 		return
 	}
-	// Slice/array element writes addressed by the loop index or the
-	// thread id hit distinct slots — the idiomatic safe output pattern.
-	for _, idx := range indexes {
-		if indexIsDistinct(pass, idx, indexParams, localNodes) {
+	// An element write stays in its own iteration when parcpar's
+	// dependence test says so, or when it goes through the thread id or a
+	// per-execution local (the DESIGN.md §9 escapes).
+	if len(steps) > 0 {
+		for _, st := range steps {
+			if perExecutionIndex(pass, body, st.Index, localNodes) {
+				return
+			}
+		}
+		if parcpar.OwnSlot(info, pass.Fset, body.Body, index, steps[0]) {
 			return
 		}
-	}
-	if len(indexes) > 0 {
 		pass.Reportf(lhs.Pos(),
-			"write to element of captured %q in %s with an index that is not derived from the loop variable or tc.ThreadNum(): concurrent iterations may hit the same slot; index by the loop variable, or reduce with pyjama.ForReduce", root.Name, kind)
+			"write to element of captured %q in %s may hit another iteration's slot: the index is not the loop variable (i, i±c, i*S+j) or tc.ThreadNum(), or the body reads the same element at another index; index by the loop variable, or reduce with pyjama.ForReduce", root.Name, kind)
 		return
 	}
 	pass.Reportf(lhs.Pos(),
@@ -301,7 +315,7 @@ unwrap:
 // nodes.
 func declaredInsideAny(obj types.Object, nodes []ast.Node) bool {
 	for _, n := range nodes {
-		if declaredInside(obj, n) {
+		if parcpar.DeclaredWithin(obj, n) {
 			return true
 		}
 	}
@@ -380,21 +394,20 @@ func mutexOp(info *types.Info, s ast.Stmt) string {
 	return ""
 }
 
-// indexIsDistinct reports whether the index expression plausibly
-// addresses a distinct element per concurrent execution: it mentions a
-// loop-index parameter, a tc.ThreadNum() call, or a variable private to
-// this execution (which the lint assumes was derived from one — the
-// deliberate false-negative documented in DESIGN.md §9).
-func indexIsDistinct(pass *analysis.Pass, idx ast.Expr, indexParams map[types.Object]bool, localNodes []ast.Node) bool {
+// perExecutionIndex reports whether the index expression goes through
+// tc.ThreadNum() or a variable private to this execution of the body,
+// which the lint assumes was derived from the iteration — the deliberate
+// false negative documented in DESIGN.md §9. The body's own parameters
+// are not such variables: iteration parameters are parcpar.OwnSlot's to
+// judge, and ForReduce's accumulator is a value two members can share.
+func perExecutionIndex(pass *analysis.Pass, body *ast.FuncLit, idx ast.Expr, localNodes []ast.Node) bool {
 	info := pass.TypesInfo
 	distinct := false
 	ast.Inspect(idx, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
-			if obj := objOf(info, n); obj != nil {
-				if indexParams[obj] || declaredInsideAny(obj, localNodes) {
-					distinct = true
-				}
+			if obj := info.ObjectOf(n); declaredInsideAny(obj, localNodes) && !parcpar.DeclaredWithin(obj, body.Type) {
+				distinct = true
 			}
 		case *ast.CallExpr:
 			if c, ok := calleeOf(info, n); ok && c.isMethod(pkgPyjama, "TC", "ThreadNum") {

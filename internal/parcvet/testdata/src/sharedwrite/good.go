@@ -3,6 +3,7 @@ package sharedwrite
 import (
 	"sync"
 
+	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
 	"parc751/internal/reduction"
 )
@@ -65,4 +66,64 @@ func threadSlots(xs []int, nthreads int) []int {
 		})
 	})
 	return partial
+}
+
+// butterfly is the FFT stage: each block b owns xs[start : start+size],
+// reached through the body-local start and the inner k (the body-local
+// escape of DESIGN.md §9).
+func butterfly(xs []complex128, size int) {
+	half := size / 2
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		tc.For(len(xs)/size, pyjama.Static(0), func(b int) {
+			start := b * size
+			for k := 0; k < half; k++ {
+				x, y := xs[start+k], xs[start+k+half]
+				xs[start+k] = x + y
+				xs[start+k+half] = x - y
+			}
+		})
+	})
+}
+
+// chunked writes its own [lo, hi) range through the inner loop's k.
+func chunked(xs, out []int) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		tc.ForChunked(len(xs), pyjama.Static(0), func(lo, hi int) {
+			for k := lo; k < hi; k++ {
+				out[k] = xs[k] * 2
+			}
+		})
+	})
+}
+
+// grid writes cell (i, j) of a collapsed 2-D loop.
+func grid(g [][]float64) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		tc.For2D(len(g), len(g[0]), pyjama.Static(0), func(i, j int) {
+			g[i][j] = float64(i * j)
+		})
+	})
+}
+
+type jacobi struct{ a [][]float64 }
+
+func (s *jacobi) sweepRow(i int, x []float64) float64 { return s.a[i][i] * x[i] }
+
+// sweep is Jacobi's row update: next[i] depends on the previous x only.
+func (s *jacobi) sweep(x, next []float64) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		tc.For(len(next), pyjama.Static(0), func(i int) {
+			next[i] = s.sweepRow(i, x)
+		})
+	})
+}
+
+// perTask writes each RunMulti task's own slot: the task index is an
+// iteration parameter too.
+func perTask(rt *ptask.Runtime, out []int) {
+	m := ptask.RunMulti(rt, len(out), func(i int) (struct{}, error) {
+		out[i] = i * i
+		return struct{}{}, nil
+	})
+	_, _ = m.Results()
 }

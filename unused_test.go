@@ -67,9 +67,11 @@ type candidate struct {
 //     modules) and is only parsed. A package-level name must appear as
 //     <import name>.<Name>; a method name as any selector .Name.
 //
-// A method whose name an interface type declares (in a loaded package or any
-// package they import) is exempt. So is any identifier under a keep directive
-// whose reason opens with a key of keepReasons.
+// A method is exempt when its receiver type T or *T implements an interface
+// that declares the method (one in a loaded package, named or literal, or a
+// named one in any package they import); a generic interface is first
+// instantiated with the receiver's type arguments. So is any identifier under
+// a keep directive whose reason opens with a key of keepReasons.
 func findUnused(fset *token.FileSet, pkgs []*loader.Package, extra map[string]string) ([]unusedFinding, error) {
 	byObj := map[types.Object]*candidate{}
 	var cands []*candidate
@@ -209,14 +211,14 @@ func findUnused(fset *token.FileSet, pkgs []*loader.Package, extra map[string]st
 		return false
 	}
 
-	ifaceMethods := interfaceMethodNames(pkgs)
+	ifaces := interfacesByMethod(pkgs)
 	var out []unusedFinding
 	for _, c := range cands {
 		if c.used {
 			continue
 		}
 		if fn, ok := c.obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
-			if ifaceMethods[fn.Name()] || mentionedElsewhere(selectors[fn.Name()], c.dir) {
+			if implementsDeclaring(fn, ifaces[fn.Name()]) || mentionedElsewhere(selectors[fn.Name()], c.dir) {
 				continue
 			}
 		} else if mentionedElsewhere(qualified[c.pkg+"."+c.obj.Name()], c.dir) {
@@ -261,16 +263,20 @@ func recvTypeName(info *types.Info, d *ast.FuncDecl) *types.TypeName {
 	return nil
 }
 
-// interfaceMethodNames collects the method names declared by every interface
-// type in the loaded packages (named or literal) and in every package they
-// import, transitively.
-func interfaceMethodNames(pkgs []*loader.Package) map[string]bool {
-	names := map[string]bool{}
+// interfacesByMethod indexes, by method name, every interface type declared
+// in the loaded packages (named or literal) and every named one in the
+// packages they import, transitively.
+func interfacesByMethod(pkgs []*loader.Package) map[string][]types.Type {
+	byName := map[string][]types.Type{}
+	seenType := map[types.Type]bool{}
 	addIface := func(t types.Type) {
-		if it, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < it.NumMethods(); i++ {
-				names[it.Method(i).Name()] = true
-			}
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seenType[t] {
+			return
+		}
+		seenType[t] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			byName[it.Method(i).Name()] = append(byName[it.Method(i).Name()], t)
 		}
 	}
 	seen := map[*types.Package]bool{}
@@ -298,7 +304,43 @@ func interfaceMethodNames(pkgs []*loader.Package) map[string]bool {
 			}
 		}
 	}
-	return names
+	return byName
+}
+
+// implementsDeclaring reports whether the receiver type T or *T of method fn
+// implements one of ifaces. A generic interface is instantiated with the
+// receiver's type arguments (the method's receiver type parameters), so
+// MutexMap[K, V] is checked against Map[K, V].
+func implementsDeclaring(fn *types.Func, ifaces []types.Type) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	var targs []types.Type
+	for i := 0; i < named.TypeArgs().Len(); i++ {
+		targs = append(targs, named.TypeArgs().At(i))
+	}
+	for _, t := range ifaces {
+		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > 0 && n.TypeArgs().Len() == 0 {
+			if n.TypeParams().Len() != len(targs) {
+				continue
+			}
+			inst, err := types.Instantiate(nil, n, targs, true)
+			if err != nil {
+				continue // the receiver's type arguments break a constraint
+			}
+			t = inst
+		}
+		it := t.Underlying().(*types.Interface)
+		if types.Implements(named, it) || types.Implements(types.NewPointer(named), it) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestEveryIdentifierHasACaller runs the check over the whole module: every
@@ -383,6 +425,19 @@ func (b *Box[T]) Get() T { return b.v }
 
 func (b *Box[T]) Put(v T) { b.v = v }
 
+func (b *Box[T]) Peek() T { return b.v }
+
+type Peeker[T any] interface{ Peek() T }
+
+type Sized[T any] interface {
+	Len() int
+	Cap() T
+}
+
+type Slab struct{}
+
+func (Slab) Len() int { return 0 }
+
 func Recursive(n int) int {
 	if n == 0 {
 		return 0
@@ -417,6 +472,12 @@ import "parc751/internal/unusedfix/lib"
 func Use() int { return lib.NewBox(1).Get() }
 
 func Describe(n lib.Namer) string { return n.Name() }
+
+func Size(s lib.Sized[int]) int { return s.Len() }
+
+func First(p lib.Peeker[int]) int { return p.Peek() }
+
+func NewSlab() lib.Slab { return lib.Slab{} }
 `,
 	})
 	if err != nil {
@@ -448,7 +509,9 @@ import (
 	"parc751/internal/unusedfix/lib"
 )
 
-func TestOther(t *testing.T) { lib.UsedByOtherTest(); u.Use(); u.Describe(nil) }
+func TestOther(t *testing.T) {
+	lib.UsedByOtherTest(); u.Use(); u.Describe(nil); u.Size(nil); u.First(nil); u.NewSlab()
+}
 `,
 	}
 	found, err := findUnused(l.Fset(), []*loader.Package{lib, user}, extra)
@@ -461,7 +524,11 @@ func TestOther(t *testing.T) { lib.UsedByOtherTest(); u.Use(); u.Describe(nil) }
 	}
 	// Box.Put is mentioned only by a test in its own directory; Orphan is
 	// referenced only by its own method, and Recursive only by itself.
-	want := []string{"Unused", "UsedByOwnTest", "Box.Put", "Recursive", "Orphan",
+	// Box.Peek is exempt because *Box[T] implements Peeker[T]; Slab.Len is
+	// not, because Slab lacks Sized's Cap although Sized declares Len (and
+	// the generic Sized cannot be instantiated from Slab's no type
+	// arguments).
+	want := []string{"Unused", "UsedByOwnTest", "Box.Put", "Slab.Len", "Recursive", "Orphan",
 		"KeptWithoutReason", "KeptWithUnknownReason"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("reported %v\nwant     %v", got, want)
