@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"time"
 
-	"parc751/internal/faultinject"
 	"parc751/internal/metrics"
 	"parc751/internal/parccluster"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
-	"parc751/internal/probe"
+	"parc751/internal/parctrace"
+	"parc751/internal/parctrace/replay"
 )
 
 func init() {
@@ -32,10 +33,10 @@ func init() {
 //  2. Survival — a node is killed mid-run under load; the no-lost-jobs
 //     ledger must balance exactly (accepted == completed + rejected,
 //     zero drops) and the fleet must bring the node back.
-//  3. Replay — a seeded fault plan partitions the router→node path on
-//     exact transport-event ordinals; running the identical schedule
-//     twice must produce bit-identical fault traces (the A8 determinism
-//     model applied to routing).
+//  3. Chaos — the replay catalogue's partition scenario: a seeded plan
+//     partitions the router→node path on exact transport-event ordinals.
+//     Its run checks the ledger, and replay.Verify checks that a replay
+//     of the recording reproduces its counts and faults bit for bit.
 func runA11(cfg Config) *Result {
 	res := &Result{ID: "A11", Title: "Cluster scaling, node-kill survival, chaos replay"}
 
@@ -185,83 +186,31 @@ func runA11(cfg Config) *Result {
 	}
 	res.ok("node kill mid-run loses zero jobs and the node restarts", killOK)
 
-	// --- 3. Replay: bit-identical chaos schedule ---------------------
-	chaosReqs := 40
+	// --- 3. Chaos: the catalogue's partition scenario ---------------
+	spec := parctrace.WorkloadSpec{Kind: replay.KindPartition, Seed: cfg.Seed, Workers: cfg.Workers, Chaos: true}
 	if cfg.Quick {
-		chaosReqs = 20
+		spec.N = replay.QuickN(replay.KindPartition)
 	}
-	trace1, ok1 := runA11Chaos(cfg, nodeCfg, chaosReqs)
-	trace2, ok2 := runA11Chaos(cfg, nodeCfg, chaosReqs)
-	res.ok("chaos runs answer every request and balance the ledger", ok1 && ok2)
-	res.ok("same seed replays the identical fault schedule", trace1 == trace2 && trace1 != "")
+	rec, err := replay.Record(spec, 0)
+	var rep *parctrace.Dump
+	if err == nil {
+		rep, err = replay.Replay(rec, 0)
+	}
+	res.ok("chaos runs answer every request and balance the ledger", err == nil)
+	if err == nil {
+		err = replay.Verify(rec, rep)
+	}
+	res.ok("same seed replays the identical fault schedule", err == nil && rec.FaultCount() > 0)
+	chaosNote := fmt.Sprint(err)
+	if err == nil {
+		chaosNote = fmt.Sprintf("%d of %d jobs ran under faults %s; replay bit-identical",
+			rec.Counts["run"], rec.Workload.N, strings.Join(rec.Faults, " "))
+	}
 
 	res.Output = "A11 — the cluster layer: scaling, survival, replay (DESIGN.md §14)\n\n" +
 		tab.String() + "\n" +
 		fmt.Sprintf("4-node vs 1-node throughput: %.2fx (floor 1.5x, %d CPUs)\n\n", scaling, runtime.NumCPU()) +
 		killNote + "\n\n" +
-		"Chaos replay (seeded transport partitions, run twice):\n" +
-		"  run 1: " + trace1 + "\n" +
-		"  run 2: " + trace2 + "\n"
+		"Chaos (replay catalogue kind partition, recorded then replayed):\n  " + chaosNote + "\n"
 	return res
-}
-
-// runA11Chaos drives one seeded chaos run: sequential idempotent jobs
-// through a 2-node fleet whose router transport is partitioned by a
-// Scatter plan. Sequential submission makes transport-event ordinals a
-// deterministic function of the schedule, so the fired-fault trace is
-// the replay coordinate: same seed, same trace, bit for bit.
-func runA11Chaos(cfg Config, nodeCfg parcserve.Config, requests int) (string, bool) {
-	in := faultinject.New(faultinject.Plan{
-		Name: fmt.Sprintf("cluster-partition-%d", cfg.Seed),
-		Seed: cfg.Seed,
-		Rules: faultinject.Scatter(cfg.Seed, probe.SiteTransport,
-			faultinject.Error, 4, requests, 0),
-	})
-	fleet := parccluster.NewFleet(parccluster.FleetConfig{
-		Nodes:        2,
-		Starter:      &parccluster.LocalStarter{Config: nodeCfg},
-		RestartDelay: 10 * time.Millisecond,
-		Router: parccluster.RouterConfig{
-			Injector: in,
-			// No load poller: background /statz refreshes are off the
-			// chaos transport anyway, but their timing would still move
-			// mark-up events around — the replay run keeps the schedule
-			// strictly request-driven.
-		},
-	})
-	if err := fleet.Start(); err != nil {
-		_ = fleet.Stop()
-		return "", false
-	}
-	front := httptest.NewServer(fleet.Router())
-	okAll := true
-	for i := 0; i < requests; i++ {
-		r := loadtest.Run(loadtest.Config{
-			BaseURL:  front.URL,
-			Seed:     cfg.Seed + uint64(i),
-			Requests: 1,
-			Rate:     1000,
-			Mix: []loadtest.JobSpec{
-				{Kind: "spin", Body: map[string]any{"spin_ms": 1, "deadline_ms": 30_000}, Weight: 1},
-			},
-		})
-		// The request must be ANSWERED, not necessarily succeed: when the
-		// scatter lands injected errors on consecutive ordinals, one
-		// request can eat a partition on every node and the explicit 502
-		// is exactly the contract (rejected, never lost).
-		if r.Dropped != 0 {
-			okAll = false
-		}
-		// Resurrect any node the injected partition marked down — a
-		// synchronous, request-driven substitute for the background
-		// poller, so the schedule stays deterministic.
-		fleet.Router().RefreshLoad()
-	}
-	led := fleet.Router().Ledger()
-	front.Close()
-	_ = fleet.Stop()
-	if led.Lost != 0 || led.Accepted != led.Completed+led.Rejected {
-		okAll = false
-	}
-	return in.TraceString(), okAll
 }

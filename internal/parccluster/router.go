@@ -57,7 +57,8 @@ const (
 // RouterConfig tunes the router. Zero values take the defaults.
 type RouterConfig struct {
 	// Injector, when set, is wired into the router's HTTP transport via
-	// faultinject.RoundTripper — the chaos hook for A11.
+	// faultinject.RoundTripper — the chaos hook of the replay
+	// catalogue's partition scenario.
 	Injector *faultinject.Injector
 	// VerifyRetries makes the router double-check every successful
 	// failover: the job is re-executed on a different node and the two

@@ -346,12 +346,12 @@ func (a *analyzer) checkWrites(sh *loopShape) (*Reduction, []writtenMem, string,
 		return nil, nil, reason, true
 	}
 
-	// Cross-iteration read/write aliasing: every read of a written base
-	// must land on one of that base's (injective) write index shapes, so
-	// an iteration only ever touches its own slots.
+	// Cross-iteration aliasing: every access to a written base must use
+	// that base's one (injective) write index shape, so an iteration
+	// only ever touches its own slot.
 	for _, base := range writtenBases {
 		if bad := a.foreignIndex(sh.body, base); bad != "" {
-			return nil, nil, fmt.Sprintf("read of %s[%s] may alias another iteration's write to %s", base, bad, base), true
+			return nil, nil, fmt.Sprintf("access to %s[%s] may alias another iteration's write to %s", base, bad, base), true
 		}
 	}
 
@@ -593,8 +593,8 @@ func pointerShaped(t types.Type) bool {
 // worksharing bodies. It reports whether the element write w, made in the
 // body of a loop whose iteration variables are index, stays in its own
 // iteration: w's index is injective in the iteration (injectiveIndex),
-// and every index the body applies to w's base is one of the shapes the
-// body writes that base with (foreignIndex).
+// and every index the body applies to w's base is the one shape the body
+// writes that base with (foreignIndex).
 func OwnSlot(info *types.Info, fset *token.FileSet, body *ast.BlockStmt, index []types.Object, w *ast.IndexExpr) bool {
 	a := &analyzer{info: info, fset: fset}
 	base, ok := a.simpleExpr(w.X)
@@ -602,11 +602,13 @@ func OwnSlot(info *types.Info, fset *token.FileSet, body *ast.BlockStmt, index [
 }
 
 // foreignIndex returns the first index the body applies to base that is
-// not among the index shapes the body writes base with — an access that
+// not the one index shape the body writes base with — an access that
 // may land on another iteration's slot — or "" when every access stays
-// on the written slots.
+// on the written slot. Two write shapes are foreign to each other even
+// when each is injective alone: with xs[i] and xs[i+1] both written,
+// iterations i and i+1 write the same slot.
 func (a *analyzer) foreignIndex(body *ast.BlockStmt, base string) string {
-	shapes := map[string]bool{}
+	shape, bad := "", ""
 	ast.Inspect(body, func(n ast.Node) bool {
 		var targets []ast.Expr
 		switch n := n.(type) {
@@ -618,16 +620,20 @@ func (a *analyzer) foreignIndex(body *ast.BlockStmt, base string) string {
 		for _, t := range targets {
 			if ie, ok := ast.Unparen(t).(*ast.IndexExpr); ok {
 				if b, _ := a.simpleExpr(ie.X); b == base {
-					shapes[a.exprString(ie.Index)] = true
+					switch s := a.exprString(ie.Index); {
+					case shape == "":
+						shape = s
+					case s != shape && bad == "":
+						bad = s
+					}
 				}
 			}
 		}
 		return true
 	})
-	bad := ""
 	ast.Inspect(body, func(n ast.Node) bool {
 		if ie, ok := n.(*ast.IndexExpr); ok && bad == "" {
-			if bs, _ := a.simpleExpr(ie.X); bs == base && !shapes[a.exprString(ie.Index)] {
+			if bs, _ := a.simpleExpr(ie.X); bs == base && a.exprString(ie.Index) != shape {
 				bad = a.exprString(ie.Index)
 			}
 		}

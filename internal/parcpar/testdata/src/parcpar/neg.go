@@ -101,3 +101,12 @@ func (s *sys) avgForce(i int) float64 {
 	}
 	return 0.5 * (s.force[i] + s.force[i-1])
 }
+
+// Spread writes xs with two shapes, each injective alone: iterations i
+// and i+1 both write xs[i+1].
+func Spread(xs, ys []float64) {
+	for i := 0; i < len(xs)-1; i++ { // want `access to xs\[i \+ 1\] may alias another iteration's write to xs`
+		xs[i] = ys[i] * 2.5
+		xs[i+1] = ys[i] * 3.5
+	}
+}

@@ -1,8 +1,9 @@
 // Package replay is the catalogue of seeded chaos scenarios and the
 // schedule-replay debugger built on it. A scenario is a workload kind
-// over one of the paper's projects: its default fault plan
-// (DefaultPlan), its default size (Normalize), and its invariants,
-// checked inside its run function so every recording asserts them.
+// over one of the paper's projects or the layer that serves them: its
+// default fault plan (DefaultPlan), its default size (Normalize), and
+// its invariants, checked inside its run function so every recording
+// asserts them.
 //
 // A dump carries the workload spec and the faultinject plan that
 // produced it, which together are a complete schedule coordinate: the
@@ -20,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -27,6 +29,8 @@ import (
 	"time"
 
 	"parc751/internal/faultinject"
+	"parc751/internal/parccluster"
+	"parc751/internal/parcserve"
 	"parc751/internal/parctrace"
 	"parc751/internal/probe"
 	"parc751/internal/ptask"
@@ -50,6 +54,7 @@ const (
 	KindWebfetch  = "webfetch"
 	KindWebRetry  = "webretry"
 	KindWebHang   = "webhang"
+	KindPartition = "partition"
 )
 
 // scenario is one catalogue entry: a default size, a quick size for
@@ -68,8 +73,9 @@ var catalogue = []scenario{
 	{KindBarrier, 4, 2, barrierRules, runBarrier},
 	{KindThumbs, 32, 10, thumbsRules, runThumbs},
 	{KindWebfetch, 12, 6, breakerRules, runBreaker},
-	{KindWebRetry, 12, 6, retryRules, runRetry},
+	{KindWebRetry, 12, 6, transportErrors(webFaults), runRetry},
 	{KindWebHang, 12, 6, hangRules, runHang},
+	{KindPartition, 40, 20, transportErrors(4), runPartition},
 }
 
 func lookup(kind string) (scenario, bool) {
@@ -412,9 +418,12 @@ func origin(n int) (*httptest.Server, []string) {
 	return srv, urls
 }
 
-// retryRules fails seeded transport attempts.
-func retryRules(spec parctrace.WorkloadSpec) []faultinject.Rule {
-	return faultinject.Scatter(spec.Seed, probe.SiteTransport, faultinject.Error, webFaults, spec.N, 0)
+// transportErrors fails k seeded transport attempts among the first N;
+// every item makes at least one attempt, so all k fire at any N.
+func transportErrors(k int) func(parctrace.WorkloadSpec) []faultinject.Rule {
+	return func(spec parctrace.WorkloadSpec) []faultinject.Rule {
+		return faultinject.Scatter(spec.Seed, probe.SiteTransport, faultinject.Error, k, spec.N, 0)
+	}
 }
 
 // runRetry gives the fetcher a retry budget large enough to absorb every
@@ -476,4 +485,46 @@ func runHang(spec parctrace.WorkloadSpec, plan faultinject.Plan, in *faultinject
 			failed, hung, len(plan.Rules))
 	}
 	return rt.ShutdownTimeout(quiesceDeadline)
+}
+
+// runPartition is the serving layer with its router→node path
+// partitioned on the plan's transport ordinals: N sequential idempotent
+// spin jobs through a 2-node in-process fleet. Sequential requests, no
+// load poller and a RefreshLoad after each request (which resurrects any
+// node a fault marked down, off the chaos transport) keep every ordinal
+// a function of the plan. Under any plan every request is answered 200
+// or 502 (rejected, never lost), the ledger balances, each injected
+// error cost exactly one failover, and exactly the completed jobs ran.
+func runPartition(spec parctrace.WorkloadSpec, _ faultinject.Plan, in *faultinject.Injector) error {
+	fleet := parccluster.NewFleet(parccluster.FleetConfig{
+		Nodes:   2,
+		Starter: &parccluster.LocalStarter{Config: parcserve.Config{Workers: spec.Workers}},
+		Router:  parccluster.RouterConfig{Injector: in},
+	})
+	defer fleet.Stop()
+	if err := fleet.Start(); err != nil {
+		return err
+	}
+	front := httptest.NewServer(fleet.Router())
+	defer front.Close()
+	for i := 0; i < spec.N; i++ {
+		resp, err := http.Post(front.URL+"/jobs/spin", "application/json", strings.NewReader(`{"spin_ms":1}`))
+		if err != nil {
+			return fmt.Errorf("replay: partition request %d dropped: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadGateway {
+			return fmt.Errorf("replay: partition request %d answered %d", i, resp.StatusCode)
+		}
+		fleet.Router().RefreshLoad()
+	}
+	led := fleet.Router().Ledger()
+	injected, ran := in.FiredAt(probe.SiteTransport, faultinject.Error), in.Seen(probe.SiteRun)
+	if led.Accepted != int64(spec.N) || led.Completed+led.Rejected != led.Accepted || led.Lost != 0 ||
+		led.Failovers != int64(injected) || ran != uint64(led.Completed) {
+		return fmt.Errorf("replay: partition ledger %+v for %d requests, %d injected errors, %d jobs run",
+			led, spec.N, injected, ran)
+	}
+	return nil
 }

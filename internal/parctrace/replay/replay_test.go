@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"parc751/internal/faultinject"
 	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 )
 
 // TestReplayDeterminism is the package contract end to end: for every
@@ -111,7 +113,7 @@ func TestReplayCommittedDumps(t *testing.T) {
 // Chaos cleared the default plan is empty, yet the recorded faults must
 // fire again.
 func TestReplayRunsDumpPlan(t *testing.T) {
-	for _, kind := range []string{KindQuicksort, KindThumbs, KindWebfetch} {
+	for _, kind := range []string{KindQuicksort, KindThumbs, KindWebfetch, KindPartition} {
 		t.Run(kind, func(t *testing.T) {
 			rec, err := Record(parctrace.WorkloadSpec{Kind: kind, Seed: 852, Workers: 2, Chaos: true}, 256)
 			if err != nil {
@@ -129,6 +131,28 @@ func TestReplayRunsDumpPlan(t *testing.T) {
 				t.Fatalf("replay ignored the dump's plan: %v", err)
 			}
 		})
+	}
+}
+
+// TestReplayPartitionedEverywhere replays a partition dump whose stored plan
+// fails every router→node attempt: each request tries both nodes and is
+// answered 502. The scenario's invariants (every answer 200 or 502, the
+// ledger balanced with Lost = 0, completed jobs = jobs run) then leave
+// only Rejected = N with no task run on a node: rejected, never lost.
+func TestReplayPartitionedEverywhere(t *testing.T) {
+	spec := parctrace.WorkloadSpec{Kind: KindPartition, Seed: 751, N: QuickN(KindPartition), Workers: 2}
+	plan := faultinject.Plan{Name: "partitioned-everywhere", Seed: spec.Seed,
+		Rules: []faultinject.Rule{{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1}}}
+	rep, err := Replay(&parctrace.Dump{Schema: parctrace.SchemaV1, Name: plan.Name,
+		Workload: &spec, Plan: parctrace.SpecFromPlan(plan)}, 256)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if rep.Counts["submit"] != 0 || rep.Counts["run"] != 0 {
+		t.Errorf("a job ran on a partitioned node: counts %v", rep.Counts)
+	}
+	if want := 2 * spec.N; rep.FaultCount() != want {
+		t.Errorf("%d transport faults, want %d (both nodes tried per request)", rep.FaultCount(), want)
 	}
 }
 

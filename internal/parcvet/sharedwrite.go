@@ -304,7 +304,7 @@ unwrap:
 			return
 		}
 		pass.Reportf(lhs.Pos(),
-			"write to element of captured %q in %s may hit another iteration's slot: the index is not the loop variable (i, i±c, i*S+j) or tc.ThreadNum(), or the body reads the same element at another index; index by the loop variable, or reduce with pyjama.ForReduce", root.Name, kind)
+			"write to element of captured %q in %s may hit another iteration's slot: the index is not the loop variable (i, i±c, i*S+j) or tc.ThreadNum(), or the body reads or writes the same base at another index; index by the loop variable, or reduce with pyjama.ForReduce", root.Name, kind)
 		return
 	}
 	pass.Reportf(lhs.Pos(),

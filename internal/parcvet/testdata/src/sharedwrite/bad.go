@@ -80,3 +80,12 @@ func accumulatorIndex(xs []int, seen []bool) int {
 		return acc + xs[i]
 	})
 }
+
+// spread writes xs at i and at i+1, each shape injective alone:
+// iterations i and i+1 both write xs[i+1].
+func spread(xs, ys []float64) {
+	pyjama.ParallelFor(4, len(xs)-1, pyjama.Static(0), func(i int) {
+		xs[i] = ys[i] * 2.5   // want `may hit another iteration.s slot`
+		xs[i+1] = ys[i] * 3.5 // want `may hit another iteration.s slot`
+	})
+}
