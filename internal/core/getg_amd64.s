@@ -1,3 +1,5 @@
+//go:build !parc_stackid
+
 #include "textflag.h"
 
 // func getg() uintptr

@@ -1,4 +1,4 @@
-//go:build !amd64 && !arm64
+//go:build (!amd64 && !arm64 && !386) || parc_stackid
 
 package core
 
@@ -14,8 +14,9 @@ import (
 var stackBufs = sync.Pool{New: func() any { return new([64]byte) }}
 
 // goroutineKey is the worker registry's goroutine key on architectures
-// without a getg stub: the goroutine id parsed from the runtime.Stack
-// header ("goroutine N [running]: ..."). It costs microseconds per call,
+// without a getg stub, and on every architecture under the parc_stackid
+// build tag: the goroutine id parsed from the runtime.Stack header
+// ("goroutine N [running]: ..."). It costs microseconds per call,
 // against nanoseconds for getg, but it is stdlib-only, allocation-free
 // once warm, and correct everywhere. Ids are never reused, so a dead
 // worker's key can never match a live goroutine.

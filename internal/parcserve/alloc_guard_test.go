@@ -77,12 +77,35 @@ func TestWriteJSONResultAllocGuard(t *testing.T) {
 // decode, admission, one RunCtx task with its deadline context, the
 // sort itself, and the response encode.
 func TestEnqueueAllocGuard(t *testing.T) {
-	const budget = 48
+	jobAllocGuard(t, "sort", `{"n":64,"seed":751}`, 48)
+}
+
+// TestTextSearchAllocGuard pins one in-process POST /jobs/textsearch of
+// one file: the serving shape above plus the folder synthesis, which
+// allocates per file (path, one text string, its line headers), not per
+// line, and the search.
+func TestTextSearchAllocGuard(t *testing.T) {
+	jobAllocGuard(t, "textsearch", `{"n":1,"seed":751}`, 68)
+}
+
+// TestPDFSearchAllocGuard pins one in-process POST /jobs/pdfsearch of one
+// document: the serving shape plus the corpus synthesis, which allocates
+// per document (name, one text string, its page headers), not per page,
+// and the hybrid search.
+func TestPDFSearchAllocGuard(t *testing.T) {
+	jobAllocGuard(t, "pdfsearch", `{"n":1,"seed":751}`, 71)
+}
+
+// jobAllocGuard posts payload to /jobs/{kind} in process until the pools
+// are warm, then fails if one more post allocates more than budget
+// objects on average.
+func jobAllocGuard(t *testing.T, kind, payload string, budget float64) {
+	t.Helper()
 	s := NewServer(Config{Workers: 4})
 	defer func() { _ = s.Drain(5 * time.Second) }()
-	payload := []byte(`{"n":64,"seed":751}`)
+	body := []byte(payload)
 	post := func() {
-		req := httptest.NewRequest("POST", "/jobs/sort", bytes.NewReader(payload))
+		req := httptest.NewRequest("POST", "/jobs/"+kind, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
@@ -93,6 +116,6 @@ func TestEnqueueAllocGuard(t *testing.T) {
 		post()
 	}
 	if got := testing.AllocsPerRun(200, post); got > budget {
-		t.Fatalf("in-process POST /jobs/sort allocates %v objects/op, want <= %d", got, budget)
+		t.Fatalf("in-process POST /jobs/%s allocates %v objects/op, want <= %v", kind, got, budget)
 	}
 }

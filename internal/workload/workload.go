@@ -13,6 +13,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -30,7 +31,10 @@ var Dictionary = []string{
 	"auckland", "engineering", "software", "java", "pyjama", "parc",
 }
 
-// TextFile is one synthetic file in a folder tree.
+// TextFile is one synthetic file in a folder tree. GenFolder builds a
+// file's lines as slices of one backing string, so holding any one line
+// (a retained textsearch.Match.Text, say) keeps the whole file's text
+// alive.
 type TextFile struct {
 	Path  string
 	Lines []string
@@ -71,14 +75,18 @@ func DefaultFolderSpec(seed uint64) FolderSpec {
 func GenFolder(spec FolderSpec) (*Folder, int) {
 	r := xrand.New(spec.Seed)
 	f := &Folder{Files: make([]TextFile, 0, spec.NumFiles)}
+	words := make([]int, spec.WordsPerLn)
 	needles := 0
 	for i := 0; i < spec.NumFiles; i++ {
-		var sb strings.Builder
+		path := make([]byte, 0, 64)
 		depth := 1 + r.Intn(maxInt(spec.Depth, 1))
 		for d := 0; d < depth; d++ {
-			fmt.Fprintf(&sb, "dir%d/", r.Intn(4))
+			path = append(path, "dir"...)
+			path = append(path, byte('0'+r.Intn(4)), '/')
 		}
-		fmt.Fprintf(&sb, "file%04d.txt", i)
+		path = append(path, "file"...)
+		path = appendPadded(path, i, 4)
+		path = append(path, ".txt"...)
 
 		span := spec.MaxLines - spec.MinLines + 1
 		n := spec.MinLines
@@ -91,21 +99,91 @@ func GenFolder(spec FolderSpec) (*Folder, int) {
 				n += r.Intn(span)
 			}
 		}
-		lines := make([]string, n)
-		for l := range lines {
-			words := make([]string, spec.WordsPerLn)
-			for w := range words {
-				words[w] = Dictionary[r.Intn(len(Dictionary))]
-			}
-			if spec.NeedleWord != "" && r.Float64() < spec.NeedleRate {
-				words[r.Intn(len(words))] = spec.NeedleWord
-				needles++
-			}
-			lines[l] = strings.Join(words, " ")
-		}
-		f.Files = append(f.Files, TextFile{Path: sb.String(), Lines: lines})
+		lines, planted := genText(r, n, words, spec.NeedleWord, spec.NeedleRate)
+		needles += planted
+		f.Files = append(f.Files, TextFile{Path: string(path), Lines: lines})
 	}
 	return f, needles
+}
+
+// needleWord marks the planted needle in a unit's word draws.
+const needleWord = -1
+
+// genText synthesises n units (the lines of a file or the pages of a
+// document) of len(words) dictionary words each, joined by single
+// spaces. With probability rate a unit has one word replaced by needle.
+// It returns the units and how many of them carry the needle.
+//
+// The units are slices of one string built with one exact-size
+// allocation: a first pass makes every draw to size the text, then r is
+// rewound and a second pass makes the same draws again and writes them.
+// Per unit the draws are the word indices, then the needle coin (only
+// when needle is set), then the needle's position. words is scratch for
+// one unit's draws.
+func genText(r *xrand.Rand, n int, words []int, needle string, rate float64) ([]string, int) {
+	saved := *r
+	size, planted := 0, 0
+	for u := 0; u < n; u++ {
+		if drawUnit(r, words, needle, rate) {
+			planted++
+		}
+		for w, i := range words {
+			if w > 0 {
+				size++
+			}
+			size += len(wordAt(i, needle))
+		}
+	}
+	*r = saved
+
+	units := make([]string, n)
+	var sb strings.Builder
+	sb.Grow(size)
+	for u := range units {
+		start := sb.Len()
+		drawUnit(r, words, needle, rate)
+		for w, i := range words {
+			if w > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(wordAt(i, needle))
+		}
+		// sb never grows past size, so its buffer never moves and every
+		// earlier unit still points into it.
+		units[u] = sb.String()[start:]
+	}
+	return units, planted
+}
+
+// drawUnit draws one unit's words into words and reports whether the
+// needle replaced one of them.
+func drawUnit(r *xrand.Rand, words []int, needle string, rate float64) bool {
+	for w := range words {
+		words[w] = r.Intn(len(Dictionary))
+	}
+	if needle != "" && r.Float64() < rate {
+		words[r.Intn(len(words))] = needleWord
+		return true
+	}
+	return false
+}
+
+func wordAt(i int, needle string) string {
+	if i == needleWord {
+		return needle
+	}
+	return Dictionary[i]
+}
+
+// appendPadded appends i (i >= 0) in decimal, zero-padded to width
+// digits, as fmt's %0*d does.
+func appendPadded(b []byte, i, width int) []byte {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(i), 10)
+	for n := len(digits); n < width; n++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // TotalLines reports the number of lines across all files.
@@ -287,6 +365,8 @@ func GenImageSet(seed uint64, n, minDim, maxDim int) []*Image {
 }
 
 // Document is a paged text document standing in for a PDF (project 7).
+// GenDocs builds a document's pages as slices of one backing string, so
+// holding any one page keeps the whole document's text alive.
 type Document struct {
 	Name  string
 	Pages []string
@@ -314,6 +394,7 @@ func DefaultDocSpec(seed uint64) DocSpec {
 func GenDocs(spec DocSpec) ([]*Document, int) {
 	r := xrand.New(spec.Seed)
 	docs := make([]*Document, spec.NumDocs)
+	words := make([]int, spec.WordsPage)
 	hits := 0
 	for i := range docs {
 		span := spec.MaxPages - spec.MinPages + 1
@@ -321,19 +402,13 @@ func GenDocs(spec DocSpec) ([]*Document, int) {
 		if span > 1 {
 			np += r.Intn(span)
 		}
-		pages := make([]string, np)
-		for p := range pages {
-			words := make([]string, spec.WordsPage)
-			for w := range words {
-				words[w] = Dictionary[r.Intn(len(Dictionary))]
-			}
-			if spec.Needle != "" && r.Float64() < spec.NeedleRate {
-				words[r.Intn(len(words))] = spec.Needle
-				hits++
-			}
-			pages[p] = strings.Join(words, " ")
-		}
-		docs[i] = &Document{Name: fmt.Sprintf("doc%03d.pdf", i), Pages: pages}
+		pages, planted := genText(r, np, words, spec.Needle, spec.NeedleRate)
+		hits += planted
+		name := make([]byte, 0, 16)
+		name = append(name, "doc"...)
+		name = appendPadded(name, i, 3)
+		name = append(name, ".pdf"...)
+		docs[i] = &Document{Name: string(name), Pages: pages}
 	}
 	return docs, hits
 }

@@ -9,7 +9,10 @@
 // draw numbers without sharing state or locks.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // golden is the 64-bit golden-ratio increment used by splitmix64.
 const golden = 0x9E3779B97F4A7C15
@@ -65,16 +68,7 @@ func (r *Rand) Intn(n int) int {
 
 // mul128 returns the 128-bit product of a and b as (hi, lo).
 func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xFFFFFFFF
-	al, ah := a&mask, a>>32
-	bl, bh := b&mask, b>>32
-	t := al*bh + (al*bl)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += ah * bl
-	hi = ah*bh + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
+	return bits.Mul64(a, b)
 }
 
 // Float64 returns a float64 uniformly distributed in [0, 1).
