@@ -30,9 +30,18 @@ import (
 	"parc751/internal/perfbench"
 )
 
+// experimentIDs lists the registered experiment ids in paper order.
+func experimentIDs() string {
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(ids, ", ")
+}
+
 func main() {
 	var (
-		expID   = flag.String("e", "all", "experiment id (F1, F2, TASSESS, EALLOC, ELIKERT, P1..P10, A1, A6, A7, A8, A9, A10, A11, A12) or 'all'")
+		expID   = flag.String("e", "all", "experiment id ("+experimentIDs()+") or 'all'")
 		quick   = flag.Bool("quick", false, "use small problem sizes")
 		seed    = flag.Uint64("seed", 751, "workload seed")
 		workers = flag.Int("workers", 4, "worker threads for real parallel execution")

@@ -14,7 +14,7 @@
 // record executes one of the replay catalogue's workloads (quicksort,
 // barrier, thumbs, webfetch, webretry, webhang, partition) under a
 // fresh recorder — with -chaos, under the kind's seeded fault plan, the
-// one A8 and A11 run — and writes the dump. replay re-executes a dump's
+// one experiment A12 runs — and writes the dump. replay re-executes a dump's
 // recorded coordinate (its workload spec under the fault plan stored in
 // the dump) and verifies the canonical projections are bit-identical:
 // exit 0 means the schedule reproduced, exit 1 with a diff means it did

@@ -271,7 +271,7 @@ type worker struct {
 
 // workerRegistry maps a goroutine to the pool worker running on it, so
 // Submit can push onto the caller's own deque and a join can help. The
-// key is goroutineKey: the goroutine's g address where a getg stub
+// key is GoroutineKey: the goroutine's g address where a getg stub
 // exists (workerid_getg.go), its parsed id elsewhere
 // (workerid_fallback.go). Workers are never pinned to OS threads. A
 // lookup is an atomic load of a copy-on-write map plus one map access;
@@ -287,7 +287,7 @@ type workerRegistry struct {
 // and unbind before that goroutine exits: once it has exited, the
 // runtime may hand its key to a new goroutine.
 func (r *workerRegistry) bind(w *worker) (unbind func()) {
-	key := goroutineKey()
+	key := GoroutineKey()
 	r.set(key, w)
 	return func() { r.set(key, nil) }
 }
@@ -316,7 +316,7 @@ func (r *workerRegistry) current() *worker {
 	if m == nil || len(*m) == 0 {
 		return nil
 	}
-	return (*m)[goroutineKey()]
+	return (*m)[GoroutineKey()]
 }
 
 // NewPool starts a pool with n workers (n < 1 is treated as 1).

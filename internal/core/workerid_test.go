@@ -12,6 +12,23 @@ import (
 // give for free: only a pool's own worker goroutines resolve to a worker,
 // and a goroutine that inherits a dead worker's key passes for nobody.
 
+// TestGoroutineKeyStable: a goroutine's key is nonzero and the same on
+// every call, and two live goroutines never share one.
+func TestGoroutineKeyStable(t *testing.T) {
+	a, b := GoroutineKey(), GoroutineKey()
+	if a != b || a == 0 {
+		t.Fatalf("GoroutineKey unstable or zero: %#x, %#x", a, b)
+	}
+	ch := make(chan uint64)
+	release := make(chan struct{})
+	go func() { ch <- GoroutineKey(); <-release }()
+	other := <-ch
+	close(release)
+	if other == a {
+		t.Fatal("two live goroutines share a key")
+	}
+}
+
 // TestOnWorkerExcludesPlainGoroutines checks that neither an external
 // goroutine nor a plain goroutine started from inside a task (which may
 // well run on the worker's OS thread) is taken for a worker.

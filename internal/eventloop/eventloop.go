@@ -13,15 +13,13 @@
 package eventloop
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"parc751/internal/core"
 	"parc751/internal/metrics"
 	"parc751/internal/probe"
 )
@@ -38,8 +36,7 @@ type Loop struct {
 	closed     bool
 	drained    chan struct{}
 	dispatched atomic.Int64
-	gid        atomic.Int64 // goroutine id of the dispatcher
-
+	dispatcher atomic.Uint64 // core.GoroutineKey of the dispatcher; 0 once it exits
 }
 
 type event struct {
@@ -59,7 +56,7 @@ func New() *Loop {
 }
 
 func (l *Loop) run(started chan struct{}) {
-	l.gid.Store(goroutineID())
+	l.dispatcher.Store(core.GoroutineKey())
 	close(started)
 	for {
 		l.mu.Lock()
@@ -68,6 +65,8 @@ func (l *Loop) run(started chan struct{}) {
 		}
 		if len(l.queue) == 0 && l.closed {
 			l.mu.Unlock()
+			// A new goroutine may reuse this one's key once it exits.
+			l.dispatcher.Store(0)
 			close(l.drained)
 			return
 		}
@@ -92,7 +91,7 @@ func (l *Loop) run(started chan struct{}) {
 // dispatcher. Handlers use this to assert UI-access discipline, exactly as
 // SwingUtilities.isEventDispatchThread does.
 func (l *Loop) OnDispatchThread() bool {
-	return goroutineID() == l.gid.Load()
+	return core.GoroutineKey() == l.dispatcher.Load()
 }
 
 // InvokeLater enqueues fn to run on the dispatch thread and returns
@@ -222,22 +221,4 @@ func (p *ProbeResult) Dropped() int { return p.dropped }
 // String renders the probe outcome for harness tables.
 func (p *ProbeResult) String() string {
 	return fmt.Sprintf("n=%d max=%v p95=%v", len(p.latencies), p.Max(), p.P95())
-}
-
-// goroutineID extracts the current goroutine's id from the runtime stack
-// header ("goroutine N [running]:"). This is the standard stdlib-only way
-// to identify the dispatch thread; it is called only on slow paths
-// (posting and assertions), never per-pixel.
-func goroutineID() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	fields := bytes.Fields(buf[:n])
-	if len(fields) < 2 {
-		return -1
-	}
-	id, err := strconv.ParseInt(string(fields[1]), 10, 64)
-	if err != nil {
-		return -1
-	}
-	return id
 }

@@ -1,6 +1,7 @@
 package eventloop
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,6 +67,34 @@ func TestOnDispatchThread(t *testing.T) {
 	l.InvokeAndWait(func() { inside = l.OnDispatchThread() })
 	if !inside {
 		t.Fatal("handler did not run on dispatch thread")
+	}
+}
+
+// TestOnDispatchThreadAfterClose: once the dispatcher has exited, the
+// runtime may build a fresh goroutine on its recycled g and so hand it
+// the dispatcher's key. The loop forgets the key before it reports
+// drained, so no fresh goroutine passes for the dispatcher, and
+// InvokeAndWait from one returns ErrClosed instead of running inline.
+func TestOnDispatchThreadAfterClose(t *testing.T) {
+	const cycles, fresh = 50, 20
+	for i := 0; i < cycles; i++ {
+		l := New()
+		l.Close()
+		var wg sync.WaitGroup
+		var bad atomic.Int32
+		wg.Add(fresh)
+		for j := 0; j < fresh; j++ {
+			go func() {
+				defer wg.Done()
+				if l.OnDispatchThread() || !errors.Is(l.InvokeAndWait(func() {}), ErrClosed) {
+					bad.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := bad.Load(); n > 0 {
+			t.Fatalf("cycle %d: %d fresh goroutines passed for a closed loop's dispatcher", i, n)
+		}
 	}
 }
 
@@ -188,18 +217,6 @@ func TestProbeString(t *testing.T) {
 	res := l.Probe(0, 3)
 	if s := res.String(); s == "" {
 		t.Error("empty probe string")
-	}
-}
-
-func TestGoroutineIDStable(t *testing.T) {
-	a, b := goroutineID(), goroutineID()
-	if a != b || a <= 0 {
-		t.Fatalf("goroutineID unstable or invalid: %d, %d", a, b)
-	}
-	ch := make(chan int64)
-	go func() { ch <- goroutineID() }()
-	if other := <-ch; other == a {
-		t.Fatal("different goroutines share an id")
 	}
 }
 

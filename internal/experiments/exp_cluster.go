@@ -4,27 +4,24 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"time"
 
 	"parc751/internal/metrics"
 	"parc751/internal/parccluster"
 	"parc751/internal/parcserve"
 	"parc751/internal/parcserve/loadtest"
-	"parc751/internal/parctrace"
-	"parc751/internal/parctrace/replay"
 )
 
 func init() {
 	register(Experiment{
 		ID:    "A11",
-		Title: "Cluster ablation: sharded routing, node-kill survival, chaos replay",
+		Title: "Cluster ablation: sharded routing and node-kill survival",
 		Paper: "DESIGN.md §14 (A11); the serving layer scaled horizontally",
 		Run:   runA11,
 	})
 }
 
-// runA11 is the cluster-layer ablation, three claims in one exhibit:
+// runA11 is the cluster-layer ablation, two claims in one exhibit:
 //
 //  1. Scaling — the same offered load against 1-, 2- and 4-node fleets.
 //     Spin jobs hold an admission slot for a known time, so per-node
@@ -33,12 +30,11 @@ func init() {
 //  2. Survival — a node is killed mid-run under load; the no-lost-jobs
 //     ledger must balance exactly (accepted == completed + rejected,
 //     zero drops) and the fleet must bring the node back.
-//  3. Chaos — the replay catalogue's partition scenario: a seeded plan
-//     partitions the router→node path on exact transport-event ordinals.
-//     Its run checks the ledger, and replay.Verify checks that a replay
-//     of the recording reproduces its counts and faults bit for bit.
+//
+// The fleet under seeded router→node partitions is the replay
+// catalogue's partition kind, recorded and replayed by A12.
 func runA11(cfg Config) *Result {
-	res := &Result{ID: "A11", Title: "Cluster scaling, node-kill survival, chaos replay"}
+	res := &Result{ID: "A11", Title: "Cluster scaling and node-kill survival"}
 
 	const (
 		slots  = 2
@@ -186,31 +182,9 @@ func runA11(cfg Config) *Result {
 	}
 	res.ok("node kill mid-run loses zero jobs and the node restarts", killOK)
 
-	// --- 3. Chaos: the catalogue's partition scenario ---------------
-	spec := parctrace.WorkloadSpec{Kind: replay.KindPartition, Seed: cfg.Seed, Workers: cfg.Workers, Chaos: true}
-	if cfg.Quick {
-		spec.N = replay.QuickN(replay.KindPartition)
-	}
-	rec, err := replay.Record(spec, 0)
-	var rep *parctrace.Dump
-	if err == nil {
-		rep, err = replay.Replay(rec, 0)
-	}
-	res.ok("chaos runs answer every request and balance the ledger", err == nil)
-	if err == nil {
-		err = replay.Verify(rec, rep)
-	}
-	res.ok("same seed replays the identical fault schedule", err == nil && rec.FaultCount() > 0)
-	chaosNote := fmt.Sprint(err)
-	if err == nil {
-		chaosNote = fmt.Sprintf("%d of %d jobs ran under faults %s; replay bit-identical",
-			rec.Counts["run"], rec.Workload.N, strings.Join(rec.Faults, " "))
-	}
-
-	res.Output = "A11 — the cluster layer: scaling, survival, replay (DESIGN.md §14)\n\n" +
+	res.Output = "A11 — the cluster layer: scaling and survival (DESIGN.md §14)\n\n" +
 		tab.String() + "\n" +
 		fmt.Sprintf("4-node vs 1-node throughput: %.2fx (floor 1.5x, %d CPUs)\n\n", scaling, runtime.NumCPU()) +
-		killNote + "\n\n" +
-		"Chaos (replay catalogue kind partition, recorded then replayed):\n  " + chaosNote + "\n"
+		killNote + "\n"
 	return res
 }

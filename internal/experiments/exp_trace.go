@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"parc751/internal/metrics"
 	"parc751/internal/parctrace"
@@ -11,19 +12,26 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "A12",
-		Title: "Schedule replay: recorded chaos runs reproduce bit-identically",
-		Paper: "DESIGN.md §15 (A12); parctrace recorder + replay debugger",
+		Title: "Chaos replay: seeded faults surface once, never deadlock, and replay bit-identically",
+		Paper: "DESIGN.md §10 and §15 (A12); faultinject + parctrace recorder + replay debugger",
 		Run:   runA12,
 	})
 }
 
-// runA12 is the replay-debugger ablation: for each of the replayable
-// workloads under a seeded chaos plan, record a run, replay the dump's
-// coordinate, and verify the contract —
+// runA12 is the one exhibit over the replay catalogue: for every
+// scenario kind and three seeds, record a run under the kind's seeded
+// chaos plan, replay the dump's coordinate, and check
 //
+//   - the scenario's invariants (DESIGN.md §10): no deadlock, no lost
+//     future, the pool quiesces within its deadline, every injected
+//     fault surfaces as exactly one error — a violated invariant fails
+//     the recording, and the row;
+//   - at least one fault fired;
 //   - the canonical projections (deterministic event counts, workload,
-//     plan, fault trace) are bit-identical between recording and replay;
-//   - the replay surfaced exactly the recorded fault ordinals;
+//     plan, fault trace) are bit-identical between recording and a
+//     replay under the plan stored in the dump, with the same fault
+//     ordinals: same seed ⇒ same injected schedule ⇒ same surfaced
+//     errors;
 //   - the recorder's accounting conserves: for the whole recording,
 //     sum(counts) == recorded + lost + sampled-out.
 //
@@ -31,12 +39,13 @@ func init() {
 // fault plan) no longer pins the execution — the reproduce-a-failure
 // debugging loop of DESIGN.md §15 would be broken.
 func runA12(cfg Config) *Result {
-	res := &Result{ID: "A12", Title: "Schedule replay: record → replay → verify"}
-	tab := metrics.NewTable("Recorded chaos runs replayed (canonical projections compared)",
-		"workload", "seed", "events", "faults", "identical", "conserved")
+	res := &Result{ID: "A12", Title: "Chaos replay: record → replay → verify"}
+	tab := metrics.NewTable("Seeded chaos runs recorded, then replayed (canonical projections compared)",
+		"workload", "seed", "invariants", "events", "faults", "identical", "conserved")
 
 	seeds := []uint64{cfg.Seed, cfg.Seed + 101, cfg.Seed + 202}
 	var runs, identical int
+	var notes strings.Builder
 	for _, kind := range replay.Kinds() {
 		for _, seed := range seeds {
 			label := fmt.Sprintf("%s seed=%d", kind, seed)
@@ -47,8 +56,9 @@ func runA12(cfg Config) *Result {
 			}
 			rec, err := replay.Record(spec, 0)
 			if err != nil {
-				res.ok(label+": recorded", false)
-				tab.AddRow(kind, seed, "-", "-", false, false)
+				res.ok(label+": recorded, invariants hold", false)
+				fmt.Fprintf(&notes, "%s: %v\n", label, err)
+				tab.AddRow(kind, seed, false, "-", "-", false, false)
 				continue
 			}
 			rep, err := replay.Replay(rec, 0)
@@ -68,18 +78,25 @@ func runA12(cfg Config) *Result {
 			res.ok(label+": replay bit-identical", verr == nil)
 			res.ok(label+": faults fired", rec.FaultCount() > 0)
 			res.ok(label+": accounting conserved", conserved)
-			tab.AddRow(kind, seed, rec.Recorded, rec.FaultCount(), verr == nil, conserved)
+			if verr != nil {
+				fmt.Fprintf(&notes, "%s: %v\n", label, verr)
+			}
+			tab.AddRow(kind, seed, true, rec.Recorded, rec.FaultCount(), verr == nil, conserved)
 		}
 	}
 	res.metric("replays", float64(runs))
 	res.metric("bit_identical", float64(identical))
 
-	res.Output = "A12 — the schedule-replay debugger (DESIGN.md §15)\n\n" +
+	res.Output = "A12 — chaos replay over the scenario catalogue (DESIGN.md §10, §15)\n\n" +
 		tab.String() +
-		"\nEach row records one seeded chaos run with the parctrace recorder\n" +
-		"attached, re-executes the dump's replay coordinate (workload spec +\n" +
-		"fault plan), and compares canonical projections byte for byte. The\n" +
-		"conservation column checks sum(counts) == recorded + lost + sampled-out\n" +
-		"— exact counters survive ring shedding.\n"
+		"\nEach row records one catalogue scenario under its seeded fault plan with\n" +
+		"the parctrace recorder attached. 'invariants' means the run neither\n" +
+		"deadlocked nor lost a future, the pool quiesced in time, and every\n" +
+		"injected fault surfaced as exactly one error. The dump's replay\n" +
+		"coordinate (workload spec + stored fault plan) is then re-executed and\n" +
+		"the canonical projections compared byte for byte: same seed, same\n" +
+		"injected schedule, same surfaced errors. The conservation column checks\n" +
+		"sum(counts) == recorded + lost + sampled-out — exact counters survive\n" +
+		"ring shedding.\n" + notes.String()
 	return res
 }

@@ -94,7 +94,7 @@ var registry []Experiment
 // first, then the ten projects. (init functions run in file-name order,
 // so raw registration order is arbitrary.)
 var canonicalOrder = []string{"F1", "F2", "TASSESS", "EALLOC", "EPROTO", "ECURR", "ELIKERT",
-	"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "A1", "A6", "A7", "A8", "A9", "A10", "A11", "A12"}
+	"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "A1", "A6", "A7", "A9", "A10", "A11", "A12"}
 
 func register(e Experiment) { registry = append(registry, e) }
 

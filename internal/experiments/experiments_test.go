@@ -13,7 +13,7 @@ func TestRegistryComplete(t *testing.T) {
 	// Every exhibit from DESIGN.md's per-experiment index must be
 	// registered.
 	want := []string{"F1", "F2", "TASSESS", "EALLOC", "EPROTO", "ECURR", "ELIKERT",
-		"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "A1", "A6", "A7", "A8", "A9", "A10", "A11", "A12"}
+		"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "A1", "A6", "A7", "A9", "A10", "A11", "A12"}
 	var ids []string
 	have := map[string]bool{}
 	for _, e := range All() {

@@ -1,7 +1,8 @@
-// Package faultinject is the deterministic chaos harness behind the A8
-// experiment: seeded, schedule-replayable fault plans injected into the
-// runtime. An *Injector is a probe.Probe: attached through the one probe
-// seam it sees every chaos site (pool submit/steal/run, barrier arrival,
+// Package faultinject is the deterministic chaos harness behind the
+// replay catalogue's scenarios (experiment A12): seeded,
+// schedule-replayable fault plans injected into the runtime. An
+// *Injector is a probe.Probe: attached through the one probe seam it
+// sees every chaos site (pool submit/steal/run, barrier arrival,
 // event-loop dispatch, ptask task body); the webfetch transport reaches
 // it through RoundTripper. Detached, the runtime's hooks cost one atomic
 // pointer load (the guard test in internal/core asserts this).
@@ -60,8 +61,8 @@ func (k Kind) String() string {
 }
 
 // InjectedPanic is the panic value of a Panic-class fault. Carrying the
-// site ordinal makes every injected failure uniquely attributable, so A8
-// can assert "every injected fault surfaced as exactly one error".
+// site ordinal makes every injected failure uniquely attributable, so a
+// chaos scenario can assert "every injected fault surfaced as exactly one error".
 type InjectedPanic struct {
 	Ordinal uint64
 }
@@ -109,8 +110,8 @@ type Plan struct {
 }
 
 // Scatter builds count one-shot rules at site, with ordinals drawn
-// deterministically from seed in [0, span) — the standard way A8 derives
-// "fail the Nth task" schedules from a seed. Duplicate ordinals are
+// deterministically from seed in [0, span) — the standard way a chaos
+// scenario derives "fail the Nth task" schedules from a seed. Duplicate ordinals are
 // re-drawn so exactly count distinct events fault.
 func Scatter(seed uint64, site probe.Site, kind Kind, count, span int, dur time.Duration) []Rule {
 	if count > span {

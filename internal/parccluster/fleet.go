@@ -244,11 +244,7 @@ func (f *Fleet) incarnation(id string) (time.Duration, error) {
 // node's own stream so simultaneous crashers do not restart in
 // lockstep.
 func restartBackoff(base time.Duration, consecutive int, jitter *xrand.Rand) time.Duration {
-	d := base
-	for i := 1; i < consecutive && d < maxRestartDelay; i++ {
-		d *= 2
-	}
-	d = min(d, maxRestartDelay)
+	d := cappedDoubling(base, maxRestartDelay, consecutive)
 	return d + time.Duration(jitter.Uint64()%uint64(d/2+1)) - d/4
 }
 

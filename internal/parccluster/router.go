@@ -22,7 +22,8 @@
 // wrapped in faultinject.RoundTripper, so a seeded plan can partition
 // (Error), stall (Delay/Stall) or wedge (Hang) the router→node path on
 // exact event ordinals, and the same seed replays the same fault
-// schedule bit-for-bit (the A8 determinism model, applied to routing).
+// schedule bit-for-bit (the faultinject determinism model, applied to
+// routing).
 package parccluster
 
 import (
@@ -499,15 +500,16 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // retryDelay is the capped exponential failover backoff before the nth
 // transport-error retry.
-func retryDelay(n int) time.Duration {
-	d := retryBackoff
-	for i := 1; i < n; i++ {
+func retryDelay(n int) time.Duration { return cappedDoubling(retryBackoff, retryBackoffMax, n) }
+
+// cappedDoubling returns min(base·2^(n−1), limit), doubling no further
+// than the cap so a large n cannot overflow.
+func cappedDoubling(base, limit time.Duration, n int) time.Duration {
+	d := base
+	for i := 1; i < n && d < limit; i++ {
 		d *= 2
-		if d >= retryBackoffMax {
-			return retryBackoffMax
-		}
 	}
-	return d
+	return min(d, limit)
 }
 
 // relay copies a worker's definitive answer to the client and settles

@@ -8,13 +8,14 @@
 // A dump carries the workload spec and the faultinject plan that
 // produced it, which together are a complete schedule coordinate: the
 // fault schedule is pinned to per-site event ordinals (deterministic by
-// construction, A8) and the task DAG is pinned by the seeded workload.
+// construction, DESIGN.md §10) and the task DAG is pinned by the seeded
+// workload.
 // Record executes a spec under its default plan with a fresh recorder;
 // Replay re-executes a dump under the dump's own plan, so editing the
 // catalogue never stops an older dump from replaying; Verify asserts the
 // two recordings' canonical projections are bit-identical and surfaced
 // the same fault ordinals — the reproduce-a-production-failure contract
-// of DESIGN.md §15, A8 and A12.
+// of DESIGN.md §15, which experiment A12 checks for every kind.
 package replay
 
 import (
@@ -68,10 +69,13 @@ type scenario struct {
 	run      func(spec parctrace.WorkloadSpec, plan faultinject.Plan, in *faultinject.Injector) error
 }
 
+// The default sizes reach the rule branches the quick sizes miss:
+// quicksort's 1024-element leaves (N ≥ 20000) and thumbs' five panics
+// (N ≥ 96).
 var catalogue = []scenario{
-	{KindQuicksort, 6000, 3000, quicksortRules, runQuicksort},
-	{KindBarrier, 4, 2, barrierRules, runBarrier},
-	{KindThumbs, 32, 10, thumbsRules, runThumbs},
+	{KindQuicksort, 40000, 3000, quicksortRules, runQuicksort},
+	{KindBarrier, 8, 2, barrierRules, runBarrier},
+	{KindThumbs, 96, 10, thumbsRules, runThumbs},
 	{KindWebfetch, 12, 6, breakerRules, runBreaker},
 	{KindWebRetry, 12, 6, transportErrors(webFaults), runRetry},
 	{KindWebHang, 12, 6, hangRules, runHang},

@@ -111,13 +111,22 @@ func TestReplayCommittedDumps(t *testing.T) {
 // TestReplayRunsDumpPlan: a dump whose plan differs from what
 // DefaultPlan derives for its spec replays under the stored plan. With
 // Chaos cleared the default plan is empty, yet the recorded faults must
-// fire again.
+// fire again. The recordings run at the catalogue's default sizes, so
+// they also pin that those sizes reach quicksort's 1024-element leaves
+// (its plan: 4 submit delays + 1 run stall) and thumbs' five panics.
 func TestReplayRunsDumpPlan(t *testing.T) {
+	wantRules := map[string]int{KindQuicksort: 5, KindThumbs: 5}
 	for _, kind := range []string{KindQuicksort, KindThumbs, KindWebfetch, KindPartition} {
 		t.Run(kind, func(t *testing.T) {
 			rec, err := Record(parctrace.WorkloadSpec{Kind: kind, Seed: 852, Workers: 2, Chaos: true}, 256)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if want, ok := wantRules[kind]; ok && len(rec.Plan.Rules) != want {
+				t.Fatalf("default-size plan has %d rules, want %d: %+v", len(rec.Plan.Rules), want, rec.Plan.Rules)
+			}
+			if kind == KindQuicksort && quicksortThreshold(rec.Workload.N) != 1024 {
+				t.Fatalf("default N %d sorts %d-element leaves, want 1024", rec.Workload.N, quicksortThreshold(rec.Workload.N))
 			}
 			rec.Workload.Chaos = false
 			if len(DefaultPlan(*rec.Workload).Rules) != 0 || rec.FaultCount() == 0 {

@@ -2,7 +2,7 @@
 // budgets with deterministic capped jittered backoff (RetryPolicy), and a
 // trip-after-K circuit breaker with half-open probing. Together with the
 // faultinject.RoundTripper these make the webfetch project the
-// transport-layer target of the A8 chaos experiment.
+// transport-layer target of the chaos scenarios (experiment A12).
 package webfetch
 
 import (
