@@ -31,12 +31,11 @@ func main() {
 	)
 	flag.Parse()
 
-	vs, err := repohygiene.AuditFS(repohygiene.PARCDefaults(), os.DirFS(*dir), *maxBytes)
+	findings, err := repohygiene.AuditFS(repohygiene.PARCDefaults(), os.DirFS(*dir), *maxBytes)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parcaudit: %v\n", err)
 		os.Exit(2)
 	}
-	findings := repohygiene.Findings(vs)
 	if *errorsOnly {
 		findings = report.Errors(findings)
 	}

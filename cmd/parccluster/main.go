@@ -87,12 +87,10 @@ func main() {
 		Starter: &parccluster.ProcStarter{
 			Bin:    bin,
 			Stderr: os.Stderr,
-			Args: func(id, waddr string) []string {
-				return []string{"-worker", "-worker-addr", waddr, "-node-id", id,
-					"-node-workers", strconv.Itoa(*nWorkers),
-					"-node-max-concurrent", strconv.Itoa(*nConc),
-					"-node-max-queue", strconv.Itoa(*nQueue)}
-			},
+			Extra: []string{
+				"-node-workers", strconv.Itoa(*nWorkers),
+				"-node-max-concurrent", strconv.Itoa(*nConc),
+				"-node-max-queue", strconv.Itoa(*nQueue)},
 		},
 		Router:       parccluster.RouterConfig{LoadPollEvery: 250 * time.Millisecond},
 		RestartDelay: *resDel,

@@ -305,6 +305,9 @@ func (b *Barrier) Abort() {
 	b.wakeAll()
 }
 
+// Aborted reports whether Abort has been called.
+func (b *Barrier) Aborted() bool { return b.aborted.Load() }
+
 // ResetStats zeroes every party's counters, so a barrier reused for a
 // new team run reports that run alone. Only legal while no party is
 // inside the barrier.

@@ -86,16 +86,21 @@ const latencySampleMask = 63
 // heap allocation the escape analyser can never elide.
 type Runnable interface{ RunTask() }
 
-// task is the pool's internal task envelope: the submitted function (or
-// Runnable — exactly one of fn/r is set) plus the submit timestamp for
-// the sampled latency probe (zero when this submission was not
-// sampled). Envelopes are recycled through taskPool and passed by
-// pointer through the deques and the global queue, so a steady-state
-// Submit→run cycle performs no allocation — the envelope, the queue
-// slot, and the wake are all reused storage. The old design
+// funcTask is the Runnable a plain Submit enqueues. A func value is
+// pointer-shaped, so converting one to the interface allocates nothing.
+type funcTask func()
+
+// RunTask runs the function.
+func (f funcTask) RunTask() { f() }
+
+// task is the pool's internal task envelope: the submitted Runnable plus
+// the submit timestamp for the sampled latency probe (zero when this
+// submission was not sampled). Envelopes are recycled through taskPool
+// and passed by pointer through the deques and the global queue, so a
+// steady-state Submit→run cycle performs no allocation — the envelope,
+// the queue slot, and the wake are all reused storage. The old design
 // heap-allocated a closure per sampled task and boxed every queue push.
 type task struct {
-	fn func()
 	r  Runnable
 	t0 time.Time
 	// tid is the task's DAG node id, set only while a node-naming probe
@@ -144,11 +149,9 @@ type Pool struct {
 	idle   []*parkSlot
 	nidle  atomic.Int32
 
-	// Quiesce waiters park on qcond; runTask only broadcasts when
-	// qwaiters says someone is listening.
-	qmu      sync.Mutex
-	qcond    *sync.Cond
-	qwaiters atomic.Int32
+	// drained is installed by a waiting drain and closed by the task
+	// that brings inflight to zero; nil while nobody waits.
+	drained atomic.Pointer[chan struct{}]
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -181,7 +184,9 @@ const (
 // wake channel, and the worker that owns it (nil for a Parker or a
 // barrier party; only worker slots enter the pool's idle list). Every
 // blocking wait in core parks on one: idle and joining workers, barrier
-// parties, and Parker owners. A slot has a single owner, the only
+// parties, and Parker owners (a blocking Future.Get among them); only a
+// Pool drain waits on a channel, with the same register → re-check →
+// wait handshake (see drain). A slot has a single owner, the only
 // goroutine that registers, retracts or waits on it.
 //
 // Invariant: ch is empty whenever state is slotFree — the owner drains
@@ -226,9 +231,10 @@ func (s *parkSlot) wait() {
 
 // Parker is a park slot for goroutines a Pool does not own: the same
 // CAS-arbitrated free → parked → claimed word and one-token channel the
-// pool's workers park on, for runtimes that keep long-lived goroutines of
-// their own (Pyjama's persistent teams). The owner parks with ParkUntil;
-// any goroutine may Wake it after making the owner's condition true.
+// pool's workers park on, for goroutines that are not pool workers:
+// Pyjama's team members and a Future.Get called off the pool. The owner
+// parks with ParkUntil; any goroutine may Wake it after making the
+// owner's condition true.
 type Parker struct{ s parkSlot }
 
 // NewParker returns a free park slot.
@@ -329,7 +335,6 @@ func NewPool(n int) *Pool {
 		victims: sched.NewRandomVictims(n, 0x5157),
 		stop:    make(chan struct{}),
 	}
-	p.qcond = sync.NewCond(&p.qmu)
 	for i := range p.workers {
 		w := &worker{id: i, deque: sched.NewDeque[task](64), pool: p}
 		w.slot = &parkSlot{ch: make(chan struct{}, 1), w: w}
@@ -356,15 +361,13 @@ func (p *Pool) Executed() int64 { return p.executed.Load() }
 // Steady-state Submit is allocation-free: the envelope comes from
 // taskPool, the deque stores it by pointer, and the latency probe is a
 // timestamp in the envelope rather than a wrapper closure.
-func (p *Pool) Submit(fn func()) { p.submit(fn, nil) }
+func (p *Pool) Submit(fn func()) { p.SubmitRunnable(funcTask(fn)) }
 
 // SubmitRunnable schedules r.RunTask with the same semantics as Submit
 // but without the caller having to form a closure: passing a pointer
 // into the Runnable interface is allocation-free, so a layer that owns
 // a per-task object (ptask) submits at zero additional allocations.
-func (p *Pool) SubmitRunnable(r Runnable) { p.submit(nil, r) }
-
-func (p *Pool) submit(fn func(), r Runnable) {
+func (p *Pool) SubmitRunnable(r Runnable) {
 	if p.down.Load() {
 		panic("core: Submit on a Pool after Shutdown (task would never run)")
 	}
@@ -386,7 +389,6 @@ func (p *Pool) submit(fn func(), r Runnable) {
 		panic("core: Submit on a Pool after Shutdown (task would never run)")
 	}
 	t := taskPool.Get().(*task)
-	t.fn = fn
 	t.r = r
 	w := p.reg.current()
 	if pr := probe.Load(); pr != nil {
@@ -609,10 +611,8 @@ func (p *Pool) runTask(w *worker, t *task) {
 	if !t.t0.IsZero() {
 		p.lat.Observe(time.Since(t.t0))
 	}
-	fn := t.fn
 	r := t.r
 	tid := t.tid
-	t.fn = nil
 	t.r = nil
 	t.t0 = time.Time{}
 	t.tid = 0
@@ -626,21 +626,18 @@ func (p *Pool) runTask(w *worker, t *task) {
 	// Panics are contained per-task; the task wrapper (e.g. a ptask
 	// future) is responsible for recording them. A bare Submit that
 	// panics must still not kill the worker.
-	if r != nil {
-		_ = catchRunnable(r)
-	} else {
-		_ = Catch(fn)
-	}
+	_ = catchRunnable(r)
 	if pr != nil {
 		// Same probe as the run event: a probe swapped mid-task must not
 		// see a complete without its run.
 		pr.Fire(probe.SiteComplete, w.id, tid, 0)
 	}
 	p.executed.Add(1)
-	if p.inflight.Add(-1) == 0 && p.qwaiters.Load() > 0 {
-		p.qmu.Lock()
-		p.qcond.Broadcast()
-		p.qmu.Unlock()
+	// The plain load keeps the swap off the hot path when nobody drains.
+	if p.inflight.Add(-1) == 0 && p.drained.Load() != nil {
+		if ch := p.drained.Swap(nil); ch != nil {
+			close(*ch)
+		}
 	}
 }
 
@@ -660,8 +657,8 @@ type Joinable interface {
 // complete on pools of any size. With no work available the helper
 // registers its worker's park slot on j, and j's completion wakes that
 // slot with the same claim CAS a submitter uses, so the join allocates
-// nothing; if another helper already holds j's registration, this one
-// falls back to j's Done channel. Called from a goroutine that is not one
+// nothing; if another joiner (a helper or a blocking Get) already holds
+// j's registration, this one falls back to j's Done channel. Called from a goroutine that is not one
 // of p's workers, HelpJoin returns false at once and leaves the caller to
 // block its own way; the one identity lookup serves as both the
 // on-worker test and the helper's identity.
@@ -736,17 +733,34 @@ func (p *Pool) help(w *worker, j Joinable) {
 // Quiesce blocks until no tasks are queued or running. It must not be
 // called from a worker. The wait is event-driven: the last finishing
 // task signals waiters instead of waiters polling a timer.
-func (p *Pool) Quiesce() {
-	if p.inflight.Load() == 0 {
-		return
-	}
-	p.qwaiters.Add(1)
-	defer p.qwaiters.Add(-1)
-	p.qmu.Lock()
+func (p *Pool) Quiesce() { p.drain(nil) }
+
+// drain waits until inflight is zero or timeout fires (a nil timeout
+// never fires) and reports whether the pool drained. It installs the
+// drained channel, re-checks inflight, and only then waits: the task
+// that brings inflight to zero decrements before it reads the pointer,
+// so either it sees the channel or the re-check sees the zero. A wake
+// is a hint; the loop re-checks, since a submit can follow the zero.
+func (p *Pool) drain(timeout <-chan time.Time) bool {
 	for p.inflight.Load() != 0 {
-		p.qcond.Wait()
+		ch := p.drained.Load()
+		if ch == nil {
+			c := make(chan struct{})
+			if !p.drained.CompareAndSwap(nil, &c) {
+				continue
+			}
+			ch = &c
+		}
+		if p.inflight.Load() == 0 {
+			break
+		}
+		select {
+		case <-*ch:
+		case <-timeout:
+			return p.inflight.Load() == 0
+		}
 	}
-	p.qmu.Unlock()
+	return true
 }
 
 // Shutdown waits for all submitted work to finish, then stops the workers.
@@ -780,7 +794,9 @@ func (p *Pool) ShutdownTimeout(d time.Duration) error {
 	if p.down.Load() {
 		return nil
 	}
-	drained := p.quiesceTimeout(d)
+	timer := time.NewTimer(d)
+	drained := p.drain(timer.C)
+	timer.Stop()
 	if p.down.CompareAndSwap(false, true) {
 		close(p.stop)
 	}
@@ -796,40 +812,6 @@ func (p *Pool) ShutdownTimeout(d time.Duration) error {
 	n := p.inflight.Load()
 	return fmt.Errorf("%w: abandoned %d task(s) still queued or running after %v",
 		ErrShutdownTimeout, n, d)
-}
-
-// quiesceTimeout waits for the pool to drain, giving up after d. The wait
-// itself is event-driven (the qcond waiter used by Quiesce); the timeout
-// path broadcasts so the helper goroutine always exits promptly instead
-// of leaking on a pool that never drains.
-func (p *Pool) quiesceTimeout(d time.Duration) bool {
-	if p.inflight.Load() == 0 {
-		return true
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	var timedOut atomic.Bool
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		p.qwaiters.Add(1)
-		defer p.qwaiters.Add(-1)
-		p.qmu.Lock()
-		for p.inflight.Load() != 0 && !timedOut.Load() {
-			p.qcond.Wait()
-		}
-		p.qmu.Unlock()
-	}()
-	select {
-	case <-done:
-	case <-timer.C:
-		timedOut.Store(true)
-		p.qmu.Lock()
-		p.qcond.Broadcast()
-		p.qmu.Unlock()
-		<-done
-	}
-	return p.inflight.Load() == 0
 }
 
 // Stats assembles a point-in-time scheduler snapshot: per-worker deque

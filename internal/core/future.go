@@ -18,12 +18,14 @@ const (
 // FuturePool.
 //
 // The envelope is built for reuse: completion is an atomic state machine
-// plus a condition variable (both reusable across recycle cycles), and
-// the Done channel — the one piece that cannot be reused once closed —
-// is created lazily only for callers that actually select on it. A
-// future that is completed and joined with Get therefore allocates
-// nothing beyond its own struct, and a pooled future allocates nothing
-// at all in steady state.
+// plus one park-slot registration (both reusable across recycle cycles),
+// and the Done channel — the one piece that cannot be reused once closed
+// — is created lazily only for callers that actually select on it. A
+// joiner registers a park slot (a worker's own, or a pooled Parker for
+// any other goroutine), re-checks the state, and only then waits, so a
+// future that is completed and joined with Get allocates nothing beyond
+// its own struct, and a pooled future allocates nothing at all in steady
+// state.
 type Future[T any] struct {
 	state atomic.Uint32
 	// gen is the envelope's recycle generation, bumped by FuturePool.Put.
@@ -32,16 +34,14 @@ type Future[T any] struct {
 	// instead of silently reading another task's result.
 	gen atomic.Uint64
 
-	mu   sync.Mutex
-	cond sync.Cond // lazily bound to mu on first blocking Get
-
 	// done is the lazily created completion channel; chClosed arbitrates
 	// the close between a racing completer and installer.
 	done     atomic.Pointer[chan struct{}]
 	chClosed atomic.Uint32
 
-	// waiter is the park slot of a helper joining through
-	// Pool.HelpJoin; Complete takes it and wakes it.
+	// waiter is the park slot of the joiner that registered first (a
+	// helper in Pool.HelpJoin or a blocking Get); Complete takes it and
+	// wakes it.
 	waiter atomic.Pointer[parkSlot]
 
 	val T
@@ -49,11 +49,7 @@ type Future[T any] struct {
 }
 
 // NewFuture returns an incomplete future.
-func NewFuture[T any]() *Future[T] {
-	f := &Future[T]{}
-	f.cond.L = &f.mu
-	return f
-}
+func NewFuture[T any]() *Future[T] { return &Future[T]{} }
 
 // Complete fulfils the future. Later completions are ignored (write-once).
 func (f *Future[T]) Complete(v T, err error) {
@@ -61,17 +57,12 @@ func (f *Future[T]) Complete(v T, err error) {
 		return
 	}
 	f.val, f.err = v, err
-	// Publish under the mutex: blocking getters check state with mu held
-	// before waiting, so the store→broadcast pair cannot slip between
-	// their check and their wait.
-	f.mu.Lock()
 	f.state.Store(futDone)
-	f.mu.Unlock()
-	f.cond.Broadcast()
 	// Read the registration only after publishing futDone (see help's
-	// re-check). A slow completer may find a registration made on the
-	// envelope's next life; the wake it sends is spurious, and the helper
-	// it woke re-registers before it parks again.
+	// and Get's re-checks). A slow completer may find a registration made
+	// on the envelope's next life, or wake a Parker already back in its
+	// pool; the wake is spurious, and the slot's owner re-checks before
+	// it parks again.
 	if s := f.waiter.Swap(nil); s != nil {
 		s.wake()
 	}
@@ -81,7 +72,7 @@ func (f *Future[T]) Complete(v T, err error) {
 }
 
 // watch registers s to be woken by Complete. It fails when another
-// helper's slot holds the registration.
+// joiner's slot holds the registration.
 func (f *Future[T]) watch(s *parkSlot) bool {
 	return f.waiter.CompareAndSwap(nil, s) || f.waiter.Load() == s
 }
@@ -118,16 +109,29 @@ func (f *Future[T]) Done() <-chan struct{} {
 // IsDone reports completion without blocking.
 func (f *Future[T]) IsDone() bool { return f.state.Load() == futDone }
 
-// Get blocks until completion and returns the value and error.
+// getParkers recycles the park slots of blocking Gets, so a goroutine
+// that is not a pool worker joins without allocating.
+var getParkers = sync.Pool{New: func() any { return NewParker() }}
+
+// Get blocks until completion and returns the value and error. A pending
+// Get registers a pooled Parker on the future, exactly as a helper
+// registers its worker's slot, and parks until the future is done; a
+// second concurrent waiter finds the registration taken and waits on
+// Done instead.
 func (f *Future[T]) Get() (T, error) {
-	if f.state.Load() == futDone {
-		return f.val, f.err
+	if !f.IsDone() {
+		p := getParkers.Get().(*Parker)
+		if f.watch(&p.s) {
+			// ParkUntil registers the slot and re-checks IsDone before it
+			// waits; Complete publishes futDone before it reads the
+			// registration, so one of them sees the other.
+			p.ParkUntil(f.IsDone)
+			f.unwatch(&p.s)
+		} else {
+			<-f.Done()
+		}
+		getParkers.Put(p)
 	}
-	f.mu.Lock()
-	for f.state.Load() != futDone {
-		f.cond.Wait()
-	}
-	f.mu.Unlock()
 	return f.val, f.err
 }
 

@@ -115,6 +115,80 @@ func TestNoLostWakeupHelpJoin(t *testing.T) {
 	}
 }
 
+// TestNoLostWakeupGet is TestNoLostWakeupHelpJoin from a goroutine that
+// is not a pool worker: Get registers a pooled Parker on the future and
+// only Complete can wake it. Futures and Parkers are both recycled, so a
+// late completer's wake can land on a slot's next owner; it must cost a
+// re-check, never a lost join.
+func TestNoLostWakeupGet(t *testing.T) {
+	var fp FuturePool[int]
+	for iter := 0; iter < 2000; iter++ {
+		f := fp.Get()
+		joined := make(chan int, 1)
+		go func() {
+			v, _ := f.Get()
+			joined <- v
+		}()
+		// Sweep the completion across Get's register/re-check window:
+		// from before the getter starts to after it parks.
+		go func(delay int) {
+			for i := 0; i < delay; i++ {
+				runtime.Gosched()
+			}
+			f.Complete(iter, nil)
+		}(iter % 64 * 8)
+		select {
+		case v := <-joined:
+			if v != iter {
+				t.Fatalf("iteration %d: joined value %d", iter, v)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("iteration %d: lost wakeup — Get stayed parked on a completed future", iter)
+		}
+		fp.Put(f)
+	}
+}
+
+// TestQuiesceConcurrentWaiters drains a backlog under eight concurrent
+// Quiesce callers: every one must return, and only once nothing is
+// queued or running.
+func TestQuiesceConcurrentWaiters(t *testing.T) {
+	p := NewPool(2)
+	defer p.Shutdown()
+	for round := 0; round < 200; round++ {
+		// The gate holds the backlog until the waiters are on their way.
+		gate := make(chan struct{})
+		for i := 0; i < 32; i++ {
+			p.Submit(func() { <-gate })
+		}
+		var wg sync.WaitGroup
+		early := make(chan int64, 8)
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Quiesce()
+				if n := p.inflight.Load(); n != 0 {
+					early <- n
+				}
+			}()
+		}
+		runtime.Gosched()
+		close(gate)
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(15 * time.Second):
+			t.Fatalf("round %d: a Quiesce caller never returned", round)
+		}
+		close(early)
+		for n := range early {
+			t.Fatalf("round %d: Quiesce returned with %d task(s) in flight", round, n)
+		}
+	}
+}
+
 // TestBarrierAbortWhileFirstParker pins the barrier park/abort race fix.
 //
 // One party arrives and parks (its sibling never arrives); Abort fires

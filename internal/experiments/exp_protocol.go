@@ -5,6 +5,7 @@ import (
 
 	"parc751/internal/metrics"
 	"parc751/internal/repohygiene"
+	"parc751/internal/report"
 	"parc751/internal/xrand"
 )
 
@@ -84,11 +85,11 @@ func runEProto(cfg Config) *Result {
 
 	res.Output = header(res, "§IV-A") + tab.String() +
 		fmt.Sprintf("\nclean repository: %d violations; dirty repository: %d violations (%d errors)\n",
-			len(cleanViolations), len(dirtyViolations), len(repohygiene.Errors(dirtyViolations)))
+			len(cleanViolations), len(dirtyViolations), len(report.Errors(dirtyViolations)))
 	res.ok("clean repository passes", len(cleanViolations) == 0)
 	res.ok("every planted violation caught", allCaught)
 	res.ok("errors ranked before warnings", len(dirtyViolations) == 0 ||
-		dirtyViolations[0].Severity == repohygiene.Error)
+		dirtyViolations[0].Severity == report.Error)
 	res.metric("violations_caught", float64(len(dirtyViolations)))
 	return res
 }

@@ -66,8 +66,6 @@ type RouterConfig struct {
 	// checksums compared (event + counter on mismatch). Expensive —
 	// meant for chaos tests and the A11 ablation, not production.
 	VerifyRetries bool
-	// Sleep is the backoff sleeper, injectable so tests don't wait.
-	Sleep func(time.Duration)
 	// LoadPollEvery, when > 0, starts a background /statz poller that
 	// refreshes per-node queue depths and readiness (the fleet sets
 	// this; bare test routers call RefreshLoad themselves).
@@ -109,6 +107,8 @@ type Ledger struct {
 type Router struct {
 	cfg    RouterConfig
 	client *http.Client
+	// sleep is the failover backoff sleeper; tests silence it.
+	sleep  func(time.Duration)
 	events *EventLog
 	mux    *http.ServeMux
 	// onKill, when set (by NewFleet), enables POST /chaos/kill/{node} —
@@ -135,11 +135,9 @@ type Router struct {
 // newRouter builds a router with no members; add nodes with SetNode.
 // onKill is the fleet's kill hook, nil for a router outside a fleet.
 func newRouter(cfg RouterConfig, onKill func(node string) error) *Router {
-	if cfg.Sleep == nil {
-		cfg.Sleep = time.Sleep
-	}
 	rt := &Router{
-		cfg: cfg,
+		cfg:   cfg,
+		sleep: time.Sleep,
 		client: &http.Client{
 			Transport: &faultinject.RoundTripper{Injector: cfg.Injector},
 			Timeout:   2 * time.Minute,
@@ -479,7 +477,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			// Back off only after transport errors: the replacement node
 			// is healthy but the cluster just lost capacity, and a
 			// stampede of instant retries is how thundering herds start.
-			rt.cfg.Sleep(retryDelay(transportErrs))
+			rt.sleep(retryDelay(transportErrs))
 		}
 		node = next
 	}

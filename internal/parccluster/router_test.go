@@ -54,8 +54,13 @@ func (f *fakeWorker) set(status, retryAfter int) {
 	f.mu.Unlock()
 }
 
-// noSleep silences the failover backoff so tests run instantly.
-func noSleep(time.Duration) {}
+// newQuietRouter is a router outside a fleet whose failover backoff is
+// silenced, so tests run instantly.
+func newQuietRouter(cfg RouterConfig) *Router {
+	rt := newRouter(cfg, nil)
+	rt.sleep = func(time.Duration) {}
+	return rt
+}
 
 // newTestRouter fronts the fakes with backoff sleeping disabled and
 // returns the router plus the ring's preference order for kind, so each
@@ -63,7 +68,7 @@ func noSleep(time.Duration) {}
 // than guessing which id hashes first.
 func newTestRouter(t *testing.T, kind string, fakes map[string]*fakeWorker) (*Router, []string) {
 	t.Helper()
-	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
+	rt := newQuietRouter(RouterConfig{})
 	for id, f := range fakes {
 		rt.SetNode(id, f.srv.URL)
 	}
@@ -158,7 +163,7 @@ func TestRouterClusterSaturated429(t *testing.T) {
 // TestRouterNoNodes: a router with no routable members answers 503
 // explicitly (rejected in the ledger), it does not hang or 500.
 func TestRouterNoNodes(t *testing.T) {
-	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
+	rt := newQuietRouter(RouterConfig{})
 	defer rt.Close()
 	w := postJob(t, rt, "sort", parcserve.JobRequest{})
 	if w.Code != http.StatusServiceUnavailable {
@@ -279,7 +284,7 @@ func TestRouterStatzShardsAndRefresh(t *testing.T) {
 	defer hs.Close()
 	defer func() { _ = srv.Drain(5 * time.Second) }()
 
-	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
+	rt := newQuietRouter(RouterConfig{})
 	defer rt.Close()
 	rt.SetNode("real0", hs.URL)
 
@@ -334,7 +339,7 @@ func TestRouterWorkerErrorRelayed(t *testing.T) {
 
 // TestRouterEventzAndHealthz exercises the observability endpoints.
 func TestRouterEventzAndHealthz(t *testing.T) {
-	rt := newRouter(RouterConfig{Sleep: noSleep}, nil)
+	rt := newQuietRouter(RouterConfig{})
 	defer rt.Close()
 	rt.SetNode("n0", "http://127.0.0.1:1") // unreachable, just membership
 

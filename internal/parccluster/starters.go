@@ -132,12 +132,11 @@ func (n *localNode) Wait() error {
 type ProcStarter struct {
 	// Bin is the executable to run.
 	Bin string
-	// Args builds the argv (after Bin) for a node with the given id
-	// listening on addr. Default: ["-worker", "-worker-addr", addr,
-	// "-node-id", id].
-	Args func(id, addr string) []string
-	// Stdout/Stderr receive the child's output (default: discarded).
-	Stdout, Stderr io.Writer
+	// Extra is appended to each node's fixed argv, ["-worker",
+	// "-worker-addr", addr, "-node-id", id].
+	Extra []string
+	// Stderr receives the child's error output (default: discarded).
+	Stderr io.Writer
 }
 
 // Start implements NodeStarter: picks a free localhost port, spawns the
@@ -150,12 +149,8 @@ func (s *ProcStarter) Start(id string) (NodeHandle, error) {
 	}
 	addr := ln.Addr().String()
 	_ = ln.Close() // tiny window; the child rebinds the same port
-	args := []string{"-worker", "-worker-addr", addr, "-node-id", id}
-	if s.Args != nil {
-		args = s.Args(id, addr)
-	}
+	args := append([]string{"-worker", "-worker-addr", addr, "-node-id", id}, s.Extra...)
 	cmd := exec.Command(s.Bin, args...)
-	cmd.Stdout = s.Stdout
 	cmd.Stderr = s.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("parccluster: starting node %s: %w", id, err)

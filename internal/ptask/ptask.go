@@ -91,9 +91,10 @@ func (rt *Runtime) dispatch(fn func()) {
 // join blocks until f completes and returns its value and error. Called
 // from a worker it helps the pool (core.Pool.HelpJoin), so arbitrary
 // recursive joins are safe: the worker parks its own slot on f. Called
-// from any other goroutine, or on a finished future, it blocks (if at
-// all) on the future's internal condition. No join materialises the
-// future's Done channel.
+// from any other goroutine it parks a pooled core.Parker on f (Get), the
+// same register → re-check → wait protocol. No join materialises the
+// future's Done channel unless a second waiter finds f's registration
+// taken.
 func join[T any](rt *Runtime, f *core.Future[T]) (T, error) {
 	if !f.IsDone() {
 		rt.pool.HelpJoin(f)

@@ -63,6 +63,20 @@ type region struct {
 	// RegionStats. Each slot is written only by its owning team member;
 	// the region join publishes them to the stats reader.
 	counters []threadCounters
+
+	// parkers holds each member's park slot: member id parks on its own
+	// for the next epoch between regions and for its turn in an ordered
+	// section; [0] is also the caller's join slot. A wake is a hint to
+	// re-check, so one slot serves every wait its owner makes.
+	parkers []*core.Parker
+}
+
+// wakeAll wakes every member's park slot. A Wake on an unparked slot is
+// one failed CAS, and a stale one costs its owner a re-check.
+func (r *region) wakeAll() {
+	for _, p := range r.parkers {
+		p.Wake()
+	}
 }
 
 // Parallel executes body on a team of nthreads concurrent members — the
@@ -100,7 +114,6 @@ type team struct {
 	region
 	tcs     []TC
 	errs    []error
-	parkers []*core.Parker // [0] is the caller's join slot
 	work    work
 	epoch   atomic.Uint64 // regions posted; members run epoch by epoch
 	pending atomic.Int32  // members still running the posted region
@@ -121,10 +134,11 @@ func acquireTeam(n int) *team {
 			return t
 		}
 	}
-	t := &team{tcs: make([]TC, n), errs: make([]error, n), parkers: make([]*core.Parker, n)}
+	t := &team{tcs: make([]TC, n), errs: make([]error, n)}
 	t.n = n
 	t.barrier = core.NewBarrier(n)
 	t.counters = make([]threadCounters, n)
+	t.parkers = make([]*core.Parker, n)
 	for i := range t.parkers {
 		t.parkers[i] = core.NewParker()
 	}
@@ -144,12 +158,11 @@ func (t *team) release() {
 	t.post()
 }
 
-// post publishes the next epoch and wakes every parked member.
+// post publishes the next epoch and wakes every parked member (the
+// caller's own slot, which is not parked, costs one failed CAS).
 func (t *team) post() {
 	t.epoch.Add(1)
-	for _, p := range t.parkers[1:] {
-		p.Wake()
-	}
+	t.wakeAll()
 }
 
 // serve is member id's goroutine: park until the next epoch is posted,
@@ -168,8 +181,9 @@ func (t *team) serve(id int) {
 }
 
 // member runs the posted work as member id. A panicking member aborts
-// the barrier so siblings blocked there fail fast instead of waiting for
-// an arrival that can never come.
+// the barrier and wakes every slot, so siblings blocked at the barrier
+// or in an ordered section fail fast instead of waiting for an arrival
+// or a turn that can never come.
 func (t *team) member(id int) {
 	tc := &t.tcs[id]
 	*tc = TC{id: id, reg: &t.region}
@@ -183,6 +197,7 @@ func (t *team) member(id int) {
 	if err != nil {
 		t.errs[id] = err
 		t.barrier.Abort()
+		t.wakeAll()
 	}
 }
 
@@ -218,7 +233,7 @@ func runRegion(nthreads int, w work, stats *RegionStats) {
 	if err == nil && stats != nil {
 		*stats = t.statsSnapshot(c)
 	}
-	t.reset(err != nil, c)
+	t.reset(c)
 	t.release()
 	if err != nil {
 		panic(err)
@@ -258,19 +273,16 @@ func (t *team) constructs() (c constructCounts) {
 
 // reset readies the team for its next region. The join is the sole
 // ownership point — every member has returned — so construct state can
-// be recycled. A failed region's state is dropped instead (a member may
-// have died holding an ordered section's lock), and its aborted barrier
-// is replaced.
-func (t *team) reset(failed bool, c constructCounts) {
-	if failed {
-		t.loops.drain(c.loops, dropSlot)
-		t.reds.drain(c.reds, dropSlot)
+// be recycled, a failed region's included: no construct holds a lock
+// across user code. Only a failed region's aborted barrier is replaced.
+func (t *team) reset(c constructCounts) {
+	if t.barrier.Aborted() {
 		t.barrier = core.NewBarrier(t.n)
 	} else {
-		t.loops.drain(c.loops, releaseLoopState)
-		t.reds.drain(c.reds, releaseRedState)
 		t.barrier.ResetStats()
 	}
+	t.loops.drain(c.loops, releaseLoopState)
+	t.reds.drain(c.reds, releaseRedState)
 	t.singles.drain(c.singles, dropSlot)
 	clear(t.counters)
 	clear(t.errs)

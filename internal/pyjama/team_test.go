@@ -1,6 +1,7 @@
 package pyjama
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,6 +75,48 @@ func TestPanickingMemberDoesNotPoisonTeam(t *testing.T) {
 				t.Errorf("round %d: sum = %d, want %d", round, got, want)
 			}
 		})
+	}
+}
+
+// TestOrderedPanicAbortsTeam panics inside an ordered section: members
+// waiting for a later turn must be released by the abort, the region must
+// re-raise the body's own panic, and the cached team must then sequence a
+// fresh ordered loop.
+func TestOrderedPanicAbortsTeam(t *testing.T) {
+	for _, threads := range []int{2, 3, 4} {
+		within(t, "region with a panicking ordered section", func() {
+			defer func() {
+				var pe *core.PanicError
+				if err, _ := recover().(error); !errors.As(err, &pe) || pe.Value != "ordered body died" {
+					t.Errorf("team of %d: re-raised %v, want the ordered body's panic", threads, err)
+				}
+			}()
+			Parallel(threads, func(tc *TC) {
+				tc.For(8, Static(1), func(i int) {
+					tc.Ordered(i, func() {
+						if i == 0 {
+							panic("ordered body died")
+						}
+					})
+				})
+			})
+		})
+		var order []int
+		within(t, "ordered loop after a failure", func() {
+			Parallel(threads, func(tc *TC) {
+				tc.For(20, Dynamic(1), func(i int) {
+					tc.Ordered(i, func() { order = append(order, i) })
+				})
+			})
+		})
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("team of %d: ordered broke at %d: %v", threads, i, order)
+			}
+		}
+		if len(order) != 20 {
+			t.Fatalf("team of %d: %d ordered entries, want 20", threads, len(order))
+		}
 	}
 }
 

@@ -135,15 +135,8 @@ type loopState struct {
 	_         [56]byte
 	remaining atomic.Int64 // guided: iterations not yet claimed
 
-	_   [56]byte
-	omu sync.Mutex // ordered section sequencing
-	// ocond is created lazily by the first Ordered arrival (under omu):
-	// most loops never enter an ordered section, and the eager
-	// sync.NewCond was one of the two allocations every dynamic/guided
-	// construct paid. Once created it persists across recycling — it is
-	// bound to omu, which lives as long as the state itself.
-	ocond *sync.Cond
-	onext int
+	_     [56]byte
+	onext atomic.Int64 // ordered: the iteration whose turn it is
 }
 
 // loopStatePool recycles loop states across regions. A state is
@@ -160,7 +153,7 @@ func newLoopState(n int, sched Schedule, team int) *loopState {
 	ls.auto = nil
 	ls.next.Store(0)
 	ls.remaining.Store(int64(n))
-	ls.onext = 0
+	ls.onext.Store(0)
 	if sched.Kind == KindAuto {
 		ls.auto = newAutoState(n, team)
 	}
@@ -169,8 +162,7 @@ func newLoopState(n int, sched Schedule, team int) *loopState {
 
 // releaseLoopState returns a state to the pool at the region join. The
 // auto-calibration state is dropped (its samples are per-loop and the
-// stats path retains it when the caller asked for a snapshot); the
-// ordered condvar is kept, bound to the state's own mutex.
+// stats path retains it when the caller asked for a snapshot).
 func releaseLoopState(ls *loopState) {
 	ls.auto = nil
 	loopStatePool.Put(ls)
@@ -244,7 +236,7 @@ func (tc *TC) ForChunked(n int, sched Schedule, body func(lo, hi int)) {
 // instead of through forEachChunk's chunk closure) no per-call closure.
 // fast is false when the schedule needs the general machinery. The slot
 // is still consumed so later constructs pair correctly; Ordered creates
-// the slot's state lazily if it needs the sequencing condvar. Debug mode
+// the slot's state lazily if it needs the sequencing counter. Debug mode
 // declines the fast path: the SPMD-mismatch check needs the registered
 // (n, sched) to compare against.
 func (tc *TC) staticFastChunk(n int, sched Schedule) (c core.Chunk, fast bool) {
@@ -350,6 +342,11 @@ func (tc *TC) forEachChunk(n int, sched Schedule, run func(core.Chunk)) {
 // and iterations must reach it in increasing order within each thread
 // (which all schedules here guarantee).
 //
+// A member waits for its turn on its own park slot; the member whose turn
+// ends advances onext and wakes the team. A member's panic aborts the
+// team's barrier and wakes every slot too, so a waiter whose turn can
+// never come panics with core.ErrBarrierAborted instead of hanging.
+//
 //parcvet:ignore unused api Pyjama worksharing construct
 func (tc *TC) Ordered(i int, fn func()) {
 	// The ordered sequence is tied to the most recent worksharing loop
@@ -366,17 +363,14 @@ func (tc *TC) Ordered(i int, fn func()) {
 	ls, _ := tc.reg.loops.getOrCreate(slot, func() *loopState {
 		return newLoopState(0, Static(0), tc.reg.n)
 	})
-	ls.omu.Lock()
-	if ls.ocond == nil {
-		ls.ocond = sync.NewCond(&ls.omu)
-	}
-	for ls.onext != i {
-		ls.ocond.Wait()
+	turn, b := int64(i), tc.reg.barrier
+	tc.reg.parkers[tc.id].ParkUntil(func() bool { return ls.onext.Load() == turn || b.Aborted() })
+	if ls.onext.Load() != turn {
+		panic(core.ErrBarrierAborted)
 	}
 	fn()
-	ls.onext++
-	ls.ocond.Broadcast()
-	ls.omu.Unlock()
+	ls.onext.Store(turn + 1)
+	tc.reg.wakeAll()
 }
 
 // ParallelFor is the combined "#omp parallel for" convenience: it runs a

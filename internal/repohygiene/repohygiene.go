@@ -5,7 +5,9 @@
 // and keeping everything working on Linux ("taking minor differences such
 // as file separators and new lines into consideration"). This package is
 // the checker the instructors could have pointed at a group's tree: it
-// audits a project layout (in memory or on disk) and reports violations.
+// audits a project layout (in memory or on disk) and reports violations
+// as findings in the shared course-report vocabulary (internal/report),
+// so parcaudit and parcvet findings compose into one report.
 package repohygiene
 
 import (
@@ -26,50 +28,6 @@ import (
 // newline escape) and format strings ("%d" + colon + escape) from being
 // mistaken for paths.
 var driveLetterRe = regexp.MustCompile(`(^|[^A-Za-z0-9_%])[A-Za-z]:\\`)
-
-// Severity ranks a finding. It is the shared course-report severity, so
-// parcaudit and parcvet findings compose into one report (see
-// internal/report).
-type Severity = report.Severity
-
-// Severity levels.
-const (
-	Warning = report.Warning
-	Error   = report.Error
-)
-
-// Violation is one hygiene finding.
-type Violation struct {
-	Rule     string
-	Path     string
-	Severity Severity
-	Detail   string
-}
-
-// String renders the violation.
-func (v Violation) String() string {
-	return fmt.Sprintf("%s: %s: %s (%s)", v.Severity, v.Rule, v.Path, v.Detail)
-}
-
-// Finding converts the violation into the shared course-report vocabulary.
-func (v Violation) Finding() report.Finding {
-	return report.Finding{
-		Tool:     "parcaudit",
-		Rule:     v.Rule,
-		Pos:      v.Path,
-		Severity: v.Severity,
-		Detail:   v.Detail,
-	}
-}
-
-// Findings converts a violation list for report.Render.
-func Findings(vs []Violation) []report.Finding {
-	out := make([]report.Finding, len(vs))
-	for i, v := range vs {
-		out[i] = v.Finding()
-	}
-	return out
-}
 
 // File is one file in the audited tree: a slash-separated path plus
 // (optionally) its content for the portability checks.
@@ -103,20 +61,21 @@ func PARCDefaults() Config {
 	}
 }
 
-// Audit checks the tree against the config and returns violations sorted
-// by (severity desc, path).
-func Audit(cfg Config, files []File) []Violation {
-	var out []Violation
+// Audit checks the tree against the config and returns its violations,
+// sorted by (severity desc, path, rule).
+func Audit(cfg Config, files []File) []report.Finding {
+	var out []report.Finding
+	add := func(rule, p string, sev report.Severity, detail string) {
+		out = append(out, report.Finding{Tool: "parcaudit", Rule: rule, Pos: p, Severity: sev, Detail: detail})
+	}
 	seenLower := map[string]string{}
 	topLevel := map[string]bool{}
 
 	for _, f := range files {
 		p := f.Path
 		if strings.Contains(p, "\\") {
-			out = append(out, Violation{
-				Rule: "path-separator", Path: p, Severity: Error,
-				Detail: "backslash in committed path breaks Linux checkouts",
-			})
+			add("path-separator", p, report.Error,
+				"backslash in committed path breaks Linux checkouts")
 		}
 		clean := path.Clean(strings.ReplaceAll(p, "\\", "/"))
 		segs := strings.Split(clean, "/")
@@ -125,20 +84,16 @@ func Audit(cfg Config, files []File) []Violation {
 		// Artifact suffixes.
 		for _, suf := range cfg.ArtifactSuffixes {
 			if strings.HasSuffix(clean, suf) {
-				out = append(out, Violation{
-					Rule: "committed-artifact", Path: p, Severity: Error,
-					Detail: fmt.Sprintf("%s files must be excluded from version control", suf),
-				})
+				add("committed-artifact", p, report.Error,
+					fmt.Sprintf("%s files must be excluded from version control", suf))
 			}
 		}
 		// Artifact directories.
 		for _, seg := range segs[:maxInt(len(segs)-1, 0)] {
 			for _, bad := range cfg.ArtifactDirs {
 				if seg == bad {
-					out = append(out, Violation{
-						Rule: "committed-build-dir", Path: p, Severity: Error,
-						Detail: fmt.Sprintf("directory %q is a build output", bad),
-					})
+					add("committed-build-dir", p, report.Error,
+						fmt.Sprintf("directory %q is a build output", bad))
 				}
 			}
 		}
@@ -146,10 +101,8 @@ func Audit(cfg Config, files []File) []Violation {
 		// the shared repository).
 		lower := strings.ToLower(clean)
 		if prev, ok := seenLower[lower]; ok && prev != clean {
-			out = append(out, Violation{
-				Rule: "case-collision", Path: p, Severity: Error,
-				Detail: fmt.Sprintf("collides with %q on case-insensitive filesystems", prev),
-			})
+			add("case-collision", p, report.Error,
+				fmt.Sprintf("collides with %q on case-insensitive filesystems", prev))
 		} else {
 			seenLower[lower] = clean
 		}
@@ -158,28 +111,20 @@ func Audit(cfg Config, files []File) []Violation {
 		if len(f.Content) > 0 {
 			if isScript(clean) {
 				if strings.Contains(string(f.Content), "\r\n") {
-					out = append(out, Violation{
-						Rule: "crlf-line-endings", Path: p, Severity: Error,
-						Detail: "CRLF newlines break shell scripts on the PARC Linux systems",
-					})
+					add("crlf-line-endings", p, report.Error,
+						"CRLF newlines break shell scripts on the PARC Linux systems")
 				}
 				if !strings.HasPrefix(string(f.Content), "#!") {
-					out = append(out, Violation{
-						Rule: "missing-shebang", Path: p, Severity: Warning,
-						Detail: "scripts need an interpreter line to run on Linux",
-					})
+					add("missing-shebang", p, report.Warning,
+						"scripts need an interpreter line to run on Linux")
 				}
 			} else if isSource(clean) && strings.Contains(string(f.Content), "\r\n") {
-				out = append(out, Violation{
-					Rule: "crlf-line-endings", Path: p, Severity: Warning,
-					Detail: "mixed newline conventions churn the subversion history",
-				})
+				add("crlf-line-endings", p, report.Warning,
+					"mixed newline conventions churn the subversion history")
 			}
 			if isSource(clean) && driveLetterRe.Match(f.Content) {
-				out = append(out, Violation{
-					Rule: "hardcoded-windows-path", Path: p, Severity: Error,
-					Detail: "drive-letter paths cannot work on the PARC Linux systems",
-				})
+				add("hardcoded-windows-path", p, report.Error,
+					"drive-letter paths cannot work on the PARC Linux systems")
 			}
 		}
 	}
@@ -196,17 +141,13 @@ func Audit(cfg Config, files []File) []Violation {
 				hasSrc = true
 			}
 			if !allowed[d] && !strings.HasPrefix(d, ".") && strings.Contains(d, ".") == false {
-				out = append(out, Violation{
-					Rule: "layout-separation", Path: d, Severity: Warning,
-					Detail: fmt.Sprintf("top-level directory %q is outside the agreed layout %v", d, cfg.SourceDirs),
-				})
+				add("layout-separation", d, report.Warning,
+					fmt.Sprintf("top-level directory %q is outside the agreed layout %v", d, cfg.SourceDirs))
 			}
 		}
 		if !hasSrc && len(files) > 0 {
-			out = append(out, Violation{
-				Rule: "layout-separation", Path: ".", Severity: Error,
-				Detail: "no src/ directory: source must be separated from tests and benchmarks",
-			})
+			add("layout-separation", ".", report.Error,
+				"no src/ directory: source must be separated from tests and benchmarks")
 		}
 	}
 
@@ -214,28 +155,17 @@ func Audit(cfg Config, files []File) []Violation {
 		if out[i].Severity != out[j].Severity {
 			return out[i].Severity > out[j].Severity
 		}
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
+		if out[i].Pos != out[j].Pos {
+			return out[i].Pos < out[j].Pos
 		}
 		return out[i].Rule < out[j].Rule
 	})
 	return out
 }
 
-// Errors filters the violations to severity Error.
-func Errors(vs []Violation) []Violation {
-	var out []Violation
-	for _, v := range vs {
-		if v.Severity == Error {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // AuditFS loads a tree from an fs.FS (reading contents of files up to
 // maxBytes each) and audits it — the on-disk entry point used by the CLI.
-func AuditFS(cfg Config, fsys fs.FS, maxBytes int64) ([]Violation, error) {
+func AuditFS(cfg Config, fsys fs.FS, maxBytes int64) ([]report.Finding, error) {
 	var files []File
 	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {

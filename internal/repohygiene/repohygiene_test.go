@@ -1,13 +1,14 @@
 package repohygiene
 
 import (
-	"strings"
 	"testing"
 	"testing/fstest"
+
+	"parc751/internal/report"
 )
 
-func findRule(vs []Violation, rule string) []Violation {
-	var out []Violation
+func findRule(vs []report.Finding, rule string) []report.Finding {
+	var out []report.Finding
 	for _, v := range vs {
 		if v.Rule == rule {
 			out = append(out, v)
@@ -45,7 +46,7 @@ func TestCommittedArtifacts(t *testing.T) {
 		t.Fatalf("artifact violations = %d: %v", len(arts), vs)
 	}
 	for _, v := range arts {
-		if v.Severity != Error {
+		if v.Severity != report.Error {
 			t.Errorf("artifact severity = %v", v.Severity)
 		}
 	}
@@ -72,7 +73,7 @@ func TestCRLFInScriptIsError(t *testing.T) {
 		File{Path: "scripts/deploy.sh", Content: []byte("#!/bin/sh\r\necho win\r\n")})
 	vs := Audit(PARCDefaults(), files)
 	crlf := findRule(vs, "crlf-line-endings")
-	if len(crlf) != 1 || crlf[0].Severity != Error {
+	if len(crlf) != 1 || crlf[0].Severity != report.Error {
 		t.Fatalf("script CRLF handling wrong: %v", vs)
 	}
 }
@@ -82,7 +83,7 @@ func TestCRLFInSourceIsWarning(t *testing.T) {
 		File{Path: "src/Windowsy.java", Content: []byte("class W {}\r\n")})
 	vs := Audit(PARCDefaults(), files)
 	crlf := findRule(vs, "crlf-line-endings")
-	if len(crlf) != 1 || crlf[0].Severity != Warning {
+	if len(crlf) != 1 || crlf[0].Severity != report.Warning {
 		t.Fatalf("source CRLF handling wrong: %v", vs)
 	}
 }
@@ -125,7 +126,7 @@ func TestMissingSrcLayout(t *testing.T) {
 	}
 	foundError := false
 	for _, v := range layout {
-		if v.Severity == Error {
+		if v.Severity == report.Error {
 			foundError = true
 		}
 	}
@@ -151,7 +152,7 @@ func TestSeveritySortOrder(t *testing.T) {
 	if len(vs) < 2 {
 		t.Fatalf("violations = %v", vs)
 	}
-	if vs[0].Severity != Error {
+	if vs[0].Severity != report.Error {
 		t.Fatalf("errors must sort first: %v", vs)
 	}
 }
@@ -162,9 +163,9 @@ func TestErrorsFilter(t *testing.T) {
 		File{Path: "src/Main.class"},
 	)
 	vs := Audit(PARCDefaults(), files)
-	es := Errors(vs)
+	es := report.Errors(vs)
 	for _, v := range es {
-		if v.Severity != Error {
+		if v.Severity != report.Error {
 			t.Fatalf("Errors returned %v", v)
 		}
 	}
@@ -188,19 +189,6 @@ func TestAuditFS(t *testing.T) {
 	}
 	if len(findRule(vs, "committed-build-dir")) != 1 {
 		t.Fatalf("fs audit missed build dir: %v", vs)
-	}
-}
-
-func TestViolationString(t *testing.T) {
-	v := Violation{Rule: "r", Path: "p", Severity: Error, Detail: "d"}
-	s := v.String()
-	for _, want := range []string{"error", "r", "p", "d"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("violation string %q missing %q", s, want)
-		}
-	}
-	if Warning.String() != "warning" {
-		t.Error("warning string wrong")
 	}
 }
 
