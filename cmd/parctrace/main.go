@@ -107,7 +107,7 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "recorded %s: %d events in window, counts %v, %d fault(s)\n",
-		d.Name, d.Recorded, d.Counts, d.FaultCount())
+		d.Name, d.Recorded, d.Counts, len(d.Faults))
 	return nil
 }
 
@@ -208,6 +208,6 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	fmt.Printf("replay of %s reproduced the recorded schedule: canonical traces bit-identical, %d fault ordinal(s) matched\n",
-		recorded.Name, recorded.FaultCount())
+		recorded.Name, len(recorded.Faults))
 	return nil
 }

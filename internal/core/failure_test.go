@@ -187,7 +187,7 @@ func TestPoolHooksInjectAndTrace(t *testing.T) {
 		t.Errorf("run events = %d, want 20", in.Seen(probe.SiteRun))
 	}
 	if in.Fired() != 2 {
-		t.Errorf("fired = %d, want 2 (%s)", in.Fired(), in.TraceString())
+		t.Errorf("fired = %d, want 2 (%v)", in.Fired(), in.Trace())
 	}
 }
 

@@ -35,7 +35,7 @@ func TestDispatchHookCountsAndDelays(t *testing.T) {
 		t.Errorf("dispatch events seen = %d, want 11", in.Seen(probe.SiteDispatch))
 	}
 	if in.Fired() != 1 {
-		t.Errorf("fired = %d, want 1 (%s)", in.Fired(), in.TraceString())
+		t.Errorf("fired = %d, want 1 (%v)", in.Fired(), in.Trace())
 	}
 
 	// Detached again, dispatch proceeds untouched.

@@ -76,12 +76,12 @@ func runA12(cfg Config) *Result {
 				identical++
 			}
 			res.ok(label+": replay bit-identical", verr == nil)
-			res.ok(label+": faults fired", rec.FaultCount() > 0)
+			res.ok(label+": faults fired", len(rec.Faults) > 0)
 			res.ok(label+": accounting conserved", conserved)
 			if verr != nil {
 				fmt.Fprintf(&notes, "%s: %v\n", label, verr)
 			}
-			tab.AddRow(kind, seed, true, rec.Recorded, rec.FaultCount(), verr == nil, conserved)
+			tab.AddRow(kind, seed, true, rec.Recorded, len(rec.Faults), verr == nil, conserved)
 		}
 	}
 	res.metric("replays", float64(runs))

@@ -60,6 +60,28 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
+// MarshalText encodes the kind as its short name, so a plan serializes
+// its rules by name.
+func (k Kind) MarshalText() ([]byte, error) {
+	if int(k) >= len(kindNames) {
+		return nil, fmt.Errorf("faultinject: kind %d out of range", uint8(k))
+	}
+	return []byte(kindNames[k]), nil
+}
+
+// UnmarshalText is the inverse of MarshalText. An unknown name is an
+// error: silently dropping a rule would replay a different schedule
+// than the one recorded.
+func (k *Kind) UnmarshalText(text []byte) error {
+	for i, n := range kindNames {
+		if n == string(text) {
+			*k = Kind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("faultinject: unknown fault kind %q", text)
+}
+
 // InjectedPanic is the panic value of a Panic-class fault. Carrying the
 // site ordinal makes every injected failure uniquely attributable, so a
 // chaos scenario can assert "every injected fault surfaced as exactly one error".
@@ -78,14 +100,15 @@ var ErrInjected = errors.New("faultinject: injected transport error")
 
 // Rule is one line of a fault plan: at the rule's Site, fire on event
 // ordinal Nth and every Every events after that (Every == 0 means fire on
-// Nth only), at most Count times (Count == 0 means unlimited).
+// Nth only), at most Count times (Count == 0 means unlimited). Its JSON
+// form, a trace dump's plan, names the site and kind and gives Dur in ns.
 type Rule struct {
-	Site  probe.Site
-	Kind  Kind
-	Nth   uint64 // first firing ordinal (0-based)
-	Every uint64 // period after Nth; 0 = one-shot
-	Count uint64 // max firings; 0 = unlimited
-	Dur   time.Duration
+	Site  probe.Site    `json:"site"`
+	Kind  Kind          `json:"kind"`
+	Nth   uint64        `json:"nth,omitempty"`   // first firing ordinal (0-based)
+	Every uint64        `json:"every,omitempty"` // period after Nth; 0 = one-shot
+	Count uint64        `json:"count,omitempty"` // max firings; 0 = unlimited
+	Dur   time.Duration `json:"dur_ns,omitempty"`
 }
 
 // matches reports whether the rule fires on event ordinal n (ignoring the
@@ -104,9 +127,9 @@ func (r Rule) matches(n uint64) bool {
 // were derived (plan builders draw ordinals from it) and keys the
 // deterministic backoff jitter used elsewhere in the failure stack.
 type Plan struct {
-	Name  string
-	Seed  uint64
-	Rules []Rule
+	Name  string `json:"name"`
+	Seed  uint64 `json:"seed"`
+	Rules []Rule `json:"rules,omitempty"`
 }
 
 // Scatter builds count one-shot rules at site, with ordinals drawn
@@ -140,7 +163,8 @@ type Event struct {
 	Rule    int // index into Plan.Rules
 }
 
-// String renders the event for experiment output.
+// String renders the event as site@ordinal:kind, the form a trace
+// dump's fault list stores.
 func (e Event) String() string {
 	return fmt.Sprintf("%s@%d:%s", e.Site, e.Ordinal, e.Kind)
 }
@@ -284,6 +308,7 @@ func (in *Injector) FiredAt(site probe.Site, kind Kind) int {
 // Trace returns a copy of the fired events in (site, ordinal) order — the
 // canonical replay coordinate, independent of wall-clock interleaving.
 // Two runs of the same plan over the same workload produce equal traces.
+// It is the fault record: a trace dump stores one Event.String per entry.
 func (in *Injector) Trace() []Event {
 	in.mu.Lock()
 	out := append([]Event(nil), in.trace...)
@@ -295,18 +320,4 @@ func (in *Injector) Trace() []Event {
 		return out[i].Ordinal < out[j].Ordinal
 	})
 	return out
-}
-
-// TraceString renders the canonical trace as one line, for experiment
-// tables and replay-equality assertions.
-func (in *Injector) TraceString() string {
-	evs := in.Trace()
-	parts := make([]string, len(evs))
-	for i, e := range evs {
-		parts[i] = e.String()
-	}
-	if len(parts) == 0 {
-		return "(no faults fired)"
-	}
-	return fmt.Sprint(parts)
 }

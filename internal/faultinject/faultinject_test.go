@@ -137,7 +137,7 @@ func TestCountCapUnderConcurrency(t *testing.T) {
 
 func TestReplayProducesEqualTraces(t *testing.T) {
 	plan := Plan{Seed: 9, Rules: Scatter(9, probe.SiteTaskBody, Panic, 4, 64, 0)}
-	run := func() string {
+	run := func() []Event {
 		in := New(plan)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
@@ -153,11 +153,11 @@ func TestReplayProducesEqualTraces(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		return in.TraceString()
+		return in.Trace()
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Fatalf("replay diverged:\n  %s\n  %s", a, b)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("replay diverged:\n  %v\n  %v", a, b)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
-	"time"
 
 	"parc751/internal/faultinject"
 	"parc751/internal/probe"
@@ -19,30 +17,25 @@ import (
 const SchemaV1 = "parc751/trace/v1"
 
 // Dump is the serialized form of a recording: metadata, exact per-kind
-// counters, the shedding accounting, the fault-ordinal trace, and the
-// recorded event window merged across lanes in time order.
+// counters, the shedding accounting, the fired faults, and the recorded
+// event window merged across lanes in time order. The plan and the
+// events are the owners' own types, faultinject.Plan and Event, each
+// serializing its site and kind by name; Faults holds one
+// faultinject.Event.String (site@ordinal:kind) per fired fault, in the
+// injector's (site, ordinal) order, and is empty when nothing fired.
 type Dump struct {
 	Schema     string            `json:"schema"`
 	Name       string            `json:"name"`
 	Seed       uint64            `json:"seed"`
 	Workers    int               `json:"workers"`
 	Workload   *WorkloadSpec     `json:"workload,omitempty"`
-	Plan       *PlanSpec         `json:"plan,omitempty"`
+	Plan       *faultinject.Plan `json:"plan,omitempty"`
 	Counts     map[string]uint64 `json:"counts"`
 	Recorded   uint64            `json:"recorded"`
 	Lost       uint64            `json:"lost"`
 	SampledOut uint64            `json:"sampled_out"`
 	Faults     []string          `json:"faults,omitempty"`
-	Events     []DumpEvent       `json:"events"`
-}
-
-// DumpEvent is one event in dump form; kinds use their schema names.
-type DumpEvent struct {
-	TNs    int64  `json:"t_ns"`
-	Kind   string `json:"kind"`
-	Worker int32  `json:"w"`
-	Task   uint64 `json:"task,omitempty"`
-	Aux    uint64 `json:"aux,omitempty"`
+	Events     []Event           `json:"events"`
 }
 
 // WorkloadSpec names a re-executable workload: together with the plan it
@@ -55,79 +48,12 @@ type WorkloadSpec struct {
 	Chaos   bool   `json:"chaos,omitempty"`
 }
 
-// PlanSpec is a faultinject.Plan in dump form (string site/kind names).
-type PlanSpec struct {
-	Name  string     `json:"name"`
-	Seed  uint64     `json:"seed"`
-	Rules []RuleSpec `json:"rules,omitempty"`
-}
-
-// RuleSpec is one fault rule in dump form.
-type RuleSpec struct {
-	Site  string `json:"site"`
-	Kind  string `json:"kind"`
-	Nth   uint64 `json:"nth,omitempty"`
-	Every uint64 `json:"every,omitempty"`
-	Count uint64 `json:"count,omitempty"`
-	DurNs int64  `json:"dur_ns,omitempty"`
-}
-
-// SpecFromPlan converts a live fault plan to its dump form.
-func SpecFromPlan(p faultinject.Plan) *PlanSpec {
-	spec := &PlanSpec{Name: p.Name, Seed: p.Seed}
-	for _, r := range p.Rules {
-		spec.Rules = append(spec.Rules, RuleSpec{
-			Site:  r.Site.String(),
-			Kind:  r.Kind.String(),
-			Nth:   r.Nth,
-			Every: r.Every,
-			Count: r.Count,
-			DurNs: int64(r.Dur),
-		})
-	}
-	return spec
-}
-
-var faultKindByName = map[string]faultinject.Kind{
-	"delay": faultinject.Delay,
-	"stall": faultinject.Stall,
-	"panic": faultinject.Panic,
-	"error": faultinject.Error,
-	"hang":  faultinject.Hang,
-}
-
-// PlanFromSpec rebuilds a live fault plan from its dump form. Unknown
-// site or kind names are errors: silently dropping a rule would replay a
-// different schedule than the one recorded.
-func PlanFromSpec(spec *PlanSpec) (faultinject.Plan, error) {
-	p := faultinject.Plan{Name: spec.Name, Seed: spec.Seed}
-	for i, r := range spec.Rules {
-		site, ok := probe.ParseSite(r.Site)
-		if !ok || site >= probe.NumChaosSites {
-			return p, fmt.Errorf("parctrace: plan rule %d: unknown site %q", i, r.Site)
-		}
-		kind, ok := faultKindByName[r.Kind]
-		if !ok {
-			return p, fmt.Errorf("parctrace: plan rule %d: unknown fault kind %q", i, r.Kind)
-		}
-		p.Rules = append(p.Rules, faultinject.Rule{
-			Site:  site,
-			Kind:  kind,
-			Nth:   r.Nth,
-			Every: r.Every,
-			Count: r.Count,
-			Dur:   time.Duration(r.DurNs),
-		})
-	}
-	return p, nil
-}
-
 // Meta carries the identifying context a Snapshot stamps onto the dump.
 type Meta struct {
 	Name     string
 	Seed     uint64
 	Workload *WorkloadSpec
-	Plan     *PlanSpec
+	Plan     *faultinject.Plan
 	Faults   []string
 }
 
@@ -146,6 +72,7 @@ func (r *Recorder) Snapshot(meta Meta) *Dump {
 		Plan:     meta.Plan,
 		Counts:   map[string]uint64{},
 		Faults:   meta.Faults,
+		Events:   []Event{},
 	}
 	for s := probe.Site(0); s < probe.NumSites; s++ {
 		if c := r.counts[s].Load(); c > 0 {
@@ -153,38 +80,13 @@ func (r *Recorder) Snapshot(meta Meta) *Dump {
 		}
 	}
 	d.SampledOut = r.sampled.Load()
-	type laneEv struct {
-		ev   Event
-		lane int
-		idx  int
-	}
-	var all []laneEv
-	for li, lane := range r.lanes {
+	for _, lane := range r.lanes {
 		evs, lost := lane.snapshot()
 		d.Lost += lost
-		for i, ev := range evs {
-			all = append(all, laneEv{ev, li, i})
-		}
+		d.Events = append(d.Events, evs...)
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].ev.TNs != all[j].ev.TNs {
-			return all[i].ev.TNs < all[j].ev.TNs
-		}
-		if all[i].lane != all[j].lane {
-			return all[i].lane < all[j].lane
-		}
-		return all[i].idx < all[j].idx
-	})
-	d.Events = make([]DumpEvent, len(all))
-	for i, le := range all {
-		d.Events[i] = DumpEvent{
-			TNs:    le.ev.TNs,
-			Kind:   le.ev.Kind.String(),
-			Worker: le.ev.Worker,
-			Task:   le.ev.Task,
-			Aux:    le.ev.Aux,
-		}
-	}
+	// Stable, so events of one instant keep their lane and ring order.
+	sort.SliceStable(d.Events, func(i, j int) bool { return d.Events[i].TNs < d.Events[j].TNs })
 	d.Recorded = uint64(len(d.Events))
 	return d
 }
@@ -197,8 +99,9 @@ func WriteDump(w io.Writer, d *Dump) error {
 	return enc.Encode(d)
 }
 
-// ReadDump parses and validates a dump. Unknown schemas and malformed
-// event kinds are errors — a trace written by a future format must fail
+// ReadDump parses and validates a dump. Unknown schemas, unknown site or
+// fault-kind names, untraced event kinds and plan rules at trace-only
+// sites are errors — a trace written by a future format must fail
 // loudly here, not render garbage.
 func ReadDump(data []byte) (*Dump, error) {
 	var d Dump
@@ -210,8 +113,15 @@ func ReadDump(data []byte) (*Dump, error) {
 		return nil, fmt.Errorf("parctrace: unsupported schema %q (want %q)", d.Schema, SchemaV1)
 	}
 	for i, ev := range d.Events {
-		if s, ok := probe.ParseSite(ev.Kind); !ok || !traced(s) {
-			return nil, fmt.Errorf("parctrace: event %d: unknown kind %q", i, ev.Kind)
+		if !traced(ev.Kind) {
+			return nil, fmt.Errorf("parctrace: event %d: %s is not a traced kind", i, ev.Kind)
+		}
+	}
+	if d.Plan != nil {
+		for i, r := range d.Plan.Rules {
+			if r.Site >= probe.NumChaosSites {
+				return nil, fmt.Errorf("parctrace: plan rule %d: %s is not a chaos site", i, r.Site)
+			}
 		}
 	}
 	return &d, nil
@@ -238,7 +148,7 @@ func (d *Dump) Canonical() []byte {
 		Schema   string            `json:"schema"`
 		Name     string            `json:"name"`
 		Workload *WorkloadSpec     `json:"workload,omitempty"`
-		Plan     *PlanSpec         `json:"plan,omitempty"`
+		Plan     *faultinject.Plan `json:"plan,omitempty"`
 		Counts   map[string]uint64 `json:"counts"`
 		Faults   []string          `json:"faults"`
 	}
@@ -263,27 +173,4 @@ func (d *Dump) Canonical() []byte {
 		panic("parctrace: canonical marshal: " + err.Error())
 	}
 	return b
-}
-
-// FaultCount returns how many fault events the dump's trace holds. The
-// trace is the injector's TraceString split into fields, which reads
-// "(no faults fired)" when nothing fired; every real event is
-// site@ordinal:kind.
-func (d *Dump) FaultCount() int {
-	n := 0
-	for _, f := range d.Faults {
-		if strings.Contains(f, "@") {
-			n++
-		}
-	}
-	return n
-}
-
-// FaultSet returns the dump's fault-ordinal trace as a set.
-func (d *Dump) FaultSet() map[string]bool {
-	set := make(map[string]bool, len(d.Faults))
-	for _, f := range d.Faults {
-		set[f] = true
-	}
-	return set
 }

@@ -29,11 +29,11 @@ func goldenDump() *Dump {
 		Workload: &WorkloadSpec{
 			Kind: "quicksort", Seed: 751, N: 64, Workers: 2, Chaos: true,
 		},
-		Plan: &PlanSpec{
+		Plan: &faultinject.Plan{
 			Name: "golden-plan", Seed: 751,
-			Rules: []RuleSpec{
-				{Site: "submit", Kind: "delay", Nth: 3, Count: 1, DurNs: 200000},
-				{Site: "taskbody", Kind: "panic", Every: 7},
+			Rules: []faultinject.Rule{
+				{Site: probe.SiteSubmit, Kind: faultinject.Delay, Nth: 3, Count: 1, Dur: 200 * time.Microsecond},
+				{Site: probe.SiteTaskBody, Kind: faultinject.Panic, Every: 7},
 			},
 		},
 		Counts: map[string]uint64{
@@ -45,13 +45,13 @@ func goldenDump() *Dump {
 		Lost:       1,
 		SampledOut: 15,
 		Faults:     []string{"submit@3:delay", "taskbody@7:panic"},
-		Events: []DumpEvent{
-			{TNs: 100, Kind: "region_start", Worker: -1, Task: 1, Aux: 2},
-			{TNs: 220, Kind: "submit", Worker: -1, Task: 2},
-			{TNs: 300, Kind: "steal", Worker: 1, Task: 2},
-			{TNs: 410, Kind: "run", Worker: 1, Task: 2},
-			{TNs: 900, Kind: "complete", Worker: 1, Task: 2},
-			{TNs: 1000, Kind: "region_end", Worker: -1, Task: 1, Aux: 2},
+		Events: []Event{
+			{TNs: 100, Kind: probe.SiteRegionStart, Worker: -1, Task: 1, Aux: 2},
+			{TNs: 220, Kind: probe.SiteSubmit, Worker: -1, Task: 2},
+			{TNs: 300, Kind: probe.SiteSteal, Worker: 1, Task: 2},
+			{TNs: 410, Kind: probe.SiteRun, Worker: 1, Task: 2},
+			{TNs: 900, Kind: probe.SiteComplete, Worker: 1, Task: 2},
+			{TNs: 1000, Kind: probe.SiteRegionEnd, Worker: -1, Task: 1, Aux: 2},
 		},
 	}
 }
@@ -177,7 +177,10 @@ func TestReadDumpErrors(t *testing.T) {
 	}{
 		{"garbage", "{not json", "parsing dump"},
 		{"wrong schema", `{"schema":"parc751/trace/v0"}`, "unsupported schema"},
-		{"unknown kind", `{"schema":"parc751/trace/v1","events":[{"t_ns":1,"kind":"teleport","w":0}]}`, "unknown kind"},
+		{"unknown kind", `{"schema":"parc751/trace/v1","events":[{"t_ns":1,"kind":"teleport","w":0}]}`, `unknown site "teleport"`},
+		{"unknown rule site", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"warp","kind":"delay"}]}}`, `unknown site "warp"`},
+		{"unknown fault kind", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"submit","kind":"glitter"}]}}`, `unknown fault kind "glitter"`},
+		{"rule at complete", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"complete","kind":"delay"}]}}`, "complete is not a chaos site"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,9 +192,9 @@ func TestReadDumpErrors(t *testing.T) {
 	}
 }
 
-// TestPlanSpecRoundTrip: every site and fault-kind name survives
-// Plan→Spec→Plan, so a replayed schedule is built from the same rules.
-func TestPlanSpecRoundTrip(t *testing.T) {
+// TestPlanRoundTrip: every chaos site and fault-kind name survives
+// WriteDump→ReadDump, so a replayed schedule is built from the same rules.
+func TestPlanRoundTrip(t *testing.T) {
 	p := faultinject.Plan{
 		Name: "all-sites", Seed: 9,
 		Rules: []faultinject.Rule{
@@ -204,21 +207,16 @@ func TestPlanSpecRoundTrip(t *testing.T) {
 			{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1},
 		},
 	}
-	back, err := PlanFromSpec(SpecFromPlan(p))
+	var buf bytes.Buffer
+	if err := WriteDump(&buf, &Dump{Schema: SchemaV1, Plan: &p}); err != nil {
+		t.Fatalf("WriteDump: %v", err)
+	}
+	back, err := ReadDump(buf.Bytes())
 	if err != nil {
-		t.Fatalf("PlanFromSpec: %v", err)
+		t.Fatalf("ReadDump: %v", err)
 	}
-	if !reflect.DeepEqual(p, back) {
-		t.Fatalf("plan round trip lost rules:\n got %+v\nwant %+v", back, p)
-	}
-}
-
-func TestPlanFromSpecRejectsUnknownNames(t *testing.T) {
-	if _, err := PlanFromSpec(&PlanSpec{Rules: []RuleSpec{{Site: "warp", Kind: "delay"}}}); err == nil {
-		t.Fatal("unknown site accepted")
-	}
-	if _, err := PlanFromSpec(&PlanSpec{Rules: []RuleSpec{{Site: "submit", Kind: "glitter"}}}); err == nil {
-		t.Fatal("unknown fault kind accepted")
+	if !reflect.DeepEqual(p, *back.Plan) {
+		t.Fatalf("plan round trip lost rules:\n got %+v\nwant %+v", *back.Plan, p)
 	}
 }
 
@@ -247,14 +245,16 @@ func TestCanonicalExcludesAccidents(t *testing.T) {
 }
 
 // TestKindStringRoundTrip pins the v1 event-kind set against the probe
-// vocabulary: every site name round trips, exactly the nine traced sites
-// are legal event kinds in a dump, and the chaos-only sites are not.
+// vocabulary: every site name round trips through the text methods,
+// exactly the nine traced sites are legal event kinds in a dump, and the
+// chaos-only sites are not.
 func TestKindStringRoundTrip(t *testing.T) {
 	var kinds []string
 	for s := probe.Site(0); s < probe.NumSites; s++ {
-		got, ok := probe.ParseSite(s.String())
-		if !ok || got != s {
-			t.Fatalf("site %d (%q) does not round trip: got %d ok=%v", s, s.String(), got, ok)
+		text, err := s.MarshalText()
+		var got probe.Site
+		if err != nil || string(text) != s.String() || got.UnmarshalText(text) != nil || got != s {
+			t.Fatalf("site %d (%q) does not round trip: text %q err %v, got %d", s, s.String(), text, err, got)
 		}
 		dump := `{"schema":"parc751/trace/v1","counts":{},"events":[{"t_ns":1,"kind":"` + s.String() + `","w":0}]}`
 		if _, err := ReadDump([]byte(dump)); (err == nil) != traced(s) {
@@ -268,10 +268,14 @@ func TestKindStringRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("v1 event kinds = %v, want %v", kinds, want)
 	}
-	if _, ok := probe.ParseSite("unknown"); ok {
-		t.Fatal("ParseSite accepted the out-of-range placeholder name")
+	var s probe.Site
+	if s.UnmarshalText([]byte("unknown")) == nil {
+		t.Fatal("UnmarshalText accepted the out-of-range placeholder name")
 	}
 	if probe.Site(200).String() != "unknown" {
 		t.Fatal("out-of-range site must stringify as unknown")
+	}
+	if _, err := probe.Site(200).MarshalText(); err == nil {
+		t.Fatal("out-of-range site marshaled")
 	}
 }

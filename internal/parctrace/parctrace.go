@@ -16,6 +16,10 @@
 // — exact per-kind counters are always maintained, so accounting is
 // conserved even when events are shed.
 //
+// A dump stores the owners' own types: the faultinject.Plan that ran and
+// the recorded Events, whose sites and fault kinds serialize by name,
+// and the injector's fired faults, one site@ordinal:kind per entry.
+//
 // Replay lives in internal/parctrace/replay: a dump carries the workload
 // spec and the faultinject plan that produced it, which together are a
 // complete schedule coordinate — re-executing them pins the fault
@@ -41,14 +45,15 @@ func traced(s probe.Site) bool {
 	return s < probe.NumSites
 }
 
-// Event is one recorded edge. TNs is nanoseconds since the recorder
+// Event is one recorded edge, and one entry of a dump's event list (its
+// kind serialized by site name). TNs is nanoseconds since the recorder
 // started; Worker is -1 for events from goroutines outside the pool.
 type Event struct {
-	TNs    int64
-	Kind   probe.Site
-	Worker int32
-	Task   uint64
-	Aux    uint64
+	TNs    int64      `json:"t_ns"`
+	Kind   probe.Site `json:"kind"`
+	Worker int32      `json:"w"`
+	Task   uint64     `json:"task,omitempty"`
+	Aux    uint64     `json:"aux,omitempty"`
 }
 
 // Config sizes a Recorder. Zero values take the documented defaults.

@@ -7,6 +7,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"parc751/internal/probe"
 )
 
 // Rendering caps: the viewer is a debugger, not a database. Beyond these
@@ -29,7 +31,7 @@ type span struct {
 type timelineModel struct {
 	workers []int32 // sorted distinct worker ids present
 	spans   map[int32][]span
-	marks   map[int32][]DumpEvent // submit/steal/park/wake ticks
+	marks   map[int32][]Event // submit/steal/park/wake ticks
 	tMin    int64
 	tMax    int64
 }
@@ -37,7 +39,7 @@ type timelineModel struct {
 func buildTimeline(d *Dump) *timelineModel {
 	m := &timelineModel{
 		spans: map[int32][]span{},
-		marks: map[int32][]DumpEvent{},
+		marks: map[int32][]Event{},
 		tMin:  1<<63 - 1,
 	}
 	open := map[uint64]*span{} // task -> currently running span
@@ -55,19 +57,19 @@ func buildTimeline(d *Dump) *timelineModel {
 		}
 		seen[ev.Worker] = true
 		switch ev.Kind {
-		case "run":
+		case probe.SiteRun:
 			s := span{task: ev.Task, startNs: ev.TNs, endNs: ev.TNs}
 			m.spans[ev.Worker] = append(m.spans[ev.Worker], s)
 			if ev.Task != 0 {
 				open[ev.Task] = &m.spans[ev.Worker][len(m.spans[ev.Worker])-1]
 			}
-		case "complete":
+		case probe.SiteComplete:
 			if s := open[ev.Task]; s != nil {
 				s.endNs = ev.TNs
 				s.complete = true
 				delete(open, ev.Task)
 			}
-		case "submit", "steal", "park", "wake":
+		case probe.SiteSubmit, probe.SiteSteal, probe.SitePark, probe.SiteWake:
 			m.marks[ev.Worker] = append(m.marks[ev.Worker], ev)
 		}
 	}
@@ -120,11 +122,11 @@ func buildDAG(d *Dump) *dagModel {
 	deps := map[uint64][]uint64{} // dependent -> dependences
 	for _, ev := range d.Events {
 		switch ev.Kind {
-		case "submit", "run":
+		case probe.SiteSubmit, probe.SiteRun:
 			note(ev.Task, "task")
-		case "region_start":
+		case probe.SiteRegionStart:
 			note(ev.Task, "region")
-		case "depend":
+		case probe.SiteDepend:
 			note(ev.Task, "task")
 			note(ev.Aux, "task")
 			if _, ok := nodeKind[ev.Task]; ok {
@@ -274,8 +276,8 @@ func renderTimelineSVG(b *strings.Builder, tl *timelineModel) {
 		}
 		for _, ev := range tl.marks[wid] {
 			x := scale(ev.TNs)
-			color := map[string]string{
-				"submit": "#666", "steal": "#e08a00", "park": "#bbb", "wake": "#3aa35c",
+			color := map[probe.Site]string{
+				probe.SiteSubmit: "#666", probe.SiteSteal: "#e08a00", probe.SitePark: "#bbb", probe.SiteWake: "#3aa35c",
 			}[ev.Kind]
 			fmt.Fprintf(b, "<line x1=\"%.1f\" y1=\"%d\" x2=\"%.1f\" y2=\"%d\" stroke=\"%s\"><title>%s task %d</title></line>\n",
 				x, y+3, x, y+rowH-3, color, ev.Kind, ev.Task)
@@ -377,7 +379,7 @@ func RenderASCII(d *Dump, width int) string {
 			}
 		}
 		for _, ev := range tl.marks[wid] {
-			if ev.Kind == "steal" {
+			if ev.Kind == probe.SiteSteal {
 				row[bucket(ev.TNs)] = 'S'
 			}
 		}

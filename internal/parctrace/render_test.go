@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"parc751/internal/probe"
 )
 
 // TestRenderHTMLSelfContained: the /tracez page is one self-contained
@@ -91,7 +93,7 @@ func TestRenderASCII(t *testing.T) {
 func TestBuildDAGTruncation(t *testing.T) {
 	d := &Dump{Schema: SchemaV1, Counts: map[string]uint64{}}
 	for i := 0; i < maxDAGNodes+50; i++ {
-		d.Events = append(d.Events, DumpEvent{TNs: int64(i), Kind: "submit", Task: uint64(i + 1)})
+		d.Events = append(d.Events, Event{TNs: int64(i), Kind: probe.SiteSubmit, Task: uint64(i + 1)})
 	}
 	g := buildDAG(d)
 	if len(g.Nodes) > maxDAGNodes {

@@ -161,15 +161,11 @@ func Replay(d *parctrace.Dump, laneCap int) (*parctrace.Dump, error) {
 	if d.Workload == nil || d.Plan == nil {
 		return nil, fmt.Errorf("replay: dump %q carries no workload spec or plan — not replayable", d.Name)
 	}
-	plan, err := parctrace.PlanFromSpec(d.Plan)
-	if err != nil {
-		return nil, err
-	}
 	spec, err := Normalize(*d.Workload)
 	if err != nil {
 		return nil, err
 	}
-	return record(spec, plan, laneCap)
+	return record(spec, *d.Plan, laneCap)
 }
 
 func record(spec parctrace.WorkloadSpec, plan faultinject.Plan, laneCap int) (*parctrace.Dump, error) {
@@ -187,32 +183,27 @@ func record(spec parctrace.WorkloadSpec, plan faultinject.Plan, laneCap int) (*p
 	if err != nil {
 		return nil, err
 	}
+	var faults []string
+	for _, ev := range in.Trace() {
+		faults = append(faults, ev.String())
+	}
 	return rec.Snapshot(parctrace.Meta{
 		Name:     plan.Name,
 		Seed:     spec.Seed,
 		Workload: &spec,
-		Plan:     parctrace.SpecFromPlan(plan),
-		Faults:   strings.Fields(in.TraceString()),
+		Plan:     &plan,
+		Faults:   faults,
 	}), nil
 }
 
 // Verify asserts the replay contract between two recordings of the same
 // coordinate: byte-identical canonical projections (schema, coordinate,
-// deterministic event counts, fault trace) and identical fault-ordinal
-// sets. A nil error means the replay reproduced the recording.
+// deterministic event counts, sorted fault list). A nil error means the
+// replay reproduced the recording.
 func Verify(recorded, replayed *parctrace.Dump) error {
 	a, b := recorded.Canonical(), replayed.Canonical()
 	if string(a) != string(b) {
 		return fmt.Errorf("replay: canonical traces differ:\n recorded: %s\n replayed: %s", a, b)
-	}
-	fa, fb := recorded.FaultSet(), replayed.FaultSet()
-	if len(fa) != len(fb) {
-		return fmt.Errorf("replay: fault sets differ: %d recorded vs %d replayed", len(fa), len(fb))
-	}
-	for f := range fa {
-		if !fb[f] {
-			return fmt.Errorf("replay: fault %s recorded but not replayed", f)
-		}
 	}
 	return nil
 }

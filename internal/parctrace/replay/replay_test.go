@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,7 +31,7 @@ func TestReplayDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Record: %v", err)
 				}
-				if rec.FaultCount() == 0 {
+				if len(rec.Faults) == 0 {
 					t.Fatalf("chaos run surfaced no fault ordinals: plan %+v", rec.Plan)
 				}
 				if rec.Counts["submit"] == 0 && rec.Counts["region_start"] == 0 {
@@ -58,9 +60,9 @@ func TestQuicksortPlanFiresAtSmallN(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: Record: %v", n, seed, err)
 			}
-			if planned := len(rec.Plan.Rules); rec.FaultCount() != planned {
+			if planned := len(rec.Plan.Rules); len(rec.Faults) != planned {
 				t.Errorf("n=%d seed=%d: %d of %d planned faults fired: %v",
-					n, seed, rec.FaultCount(), planned, rec.Faults)
+					n, seed, len(rec.Faults), planned, rec.Faults)
 			}
 		}
 	}
@@ -129,7 +131,7 @@ func TestReplayRunsDumpPlan(t *testing.T) {
 				t.Fatalf("default N %d sorts %d-element leaves, want 1024", rec.Workload.N, quicksortThreshold(rec.Workload.N))
 			}
 			rec.Workload.Chaos = false
-			if len(DefaultPlan(*rec.Workload).Rules) != 0 || rec.FaultCount() == 0 {
+			if len(DefaultPlan(*rec.Workload).Rules) != 0 || len(rec.Faults) == 0 {
 				t.Fatalf("want a recorded plan that differs from the default: %+v", rec.Plan)
 			}
 			rep, err := Replay(rec, 256)
@@ -153,15 +155,51 @@ func TestReplayPartitionedEverywhere(t *testing.T) {
 	plan := faultinject.Plan{Name: "partitioned-everywhere", Seed: spec.Seed,
 		Rules: []faultinject.Rule{{Site: probe.SiteTransport, Kind: faultinject.Error, Every: 1}}}
 	rep, err := Replay(&parctrace.Dump{Schema: parctrace.SchemaV1, Name: plan.Name,
-		Workload: &spec, Plan: parctrace.SpecFromPlan(plan)}, 256)
+		Workload: &spec, Plan: &plan}, 256)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if rep.Counts["submit"] != 0 || rep.Counts["run"] != 0 {
 		t.Errorf("a job ran on a partitioned node: counts %v", rep.Counts)
 	}
-	if want := 2 * spec.N; rep.FaultCount() != want {
-		t.Errorf("%d transport faults, want %d (both nodes tried per request)", rep.FaultCount(), want)
+	if want := 2 * spec.N; len(rep.Faults) != want {
+		t.Errorf("%d transport faults, want %d (both nodes tried per request)", len(rep.Faults), want)
+	}
+}
+
+// TestRecordFaultsAreFiredEvents: a dump's fault list holds one
+// site@ordinal:kind entry per fired fault and nothing else. A run without
+// chaos has none (and the viewer shows no fault section); a thumbs run
+// with chaos fires every planned panic, so the list is exactly the
+// plan's rules at their ordinals.
+func TestRecordFaultsAreFiredEvents(t *testing.T) {
+	spec := parctrace.WorkloadSpec{Kind: KindThumbs, Seed: 751, N: QuickN(KindThumbs), Workers: 2}
+	clean, err := Record(spec, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Faults) != 0 {
+		t.Fatalf("fault-free run recorded faults %q", clean.Faults)
+	}
+	var page strings.Builder
+	if err := parctrace.RenderHTML(&page, clean); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(page.String(), "Injected faults") {
+		t.Fatal("viewer shows injected faults for a fault-free run")
+	}
+
+	spec.Chaos = true
+	chaos, err := Record(spec, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, r := range chaos.Plan.Rules {
+		want = append(want, fmt.Sprintf("%s@%d:%s", r.Site, r.Nth, r.Kind))
+	}
+	if len(want) == 0 || !reflect.DeepEqual(chaos.Faults, want) {
+		t.Fatalf("faults = %q, want the plan's fired events %q", chaos.Faults, want)
 	}
 }
 

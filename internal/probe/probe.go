@@ -11,7 +11,10 @@
 // implementation.
 package probe
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Site names one instrumented event. The chaos sites come first, in the
 // order (and so with the numeric values) that fault plans and their
@@ -66,14 +69,24 @@ func (s Site) String() string {
 	return "unknown"
 }
 
-// ParseSite is the inverse of Site.String; ok is false for other names.
-func ParseSite(name string) (Site, bool) {
+// MarshalText encodes the site as its schema name, so fault plans and
+// trace dumps serialize sites by name.
+func (s Site) MarshalText() ([]byte, error) {
+	if s >= NumSites {
+		return nil, fmt.Errorf("probe: site %d out of range", uint8(s))
+	}
+	return []byte(siteNames[s]), nil
+}
+
+// UnmarshalText is the inverse of MarshalText; other names are errors.
+func (s *Site) UnmarshalText(text []byte) error {
 	for i, n := range siteNames {
-		if n == name {
-			return Site(i), true
+		if n == string(text) {
+			*s = Site(i)
+			return nil
 		}
 	}
-	return 0, false
+	return fmt.Errorf("probe: unknown site %q", text)
 }
 
 // Probe observes site events, with the operands of the Site table. Fire
