@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"parc751/internal/pyjama"
@@ -76,7 +77,9 @@ func BFSParallel(nthreads int, g *workload.Graph, src int) []int {
 // PageRankSequential runs iters iterations of power-method PageRank with
 // damping d, returning the rank vector. Dangling mass is redistributed
 // uniformly (our generated graphs have no dangling vertices, but the
-// kernel handles them for generality).
+// kernel handles them for generality). It works in two vectors: each
+// iteration first turns rank[v] into v's contribution in place (the old
+// rank is not read again), then pushes the contributions into next.
 func PageRankSequential(g *workload.Graph, d float64, iters int) []float64 {
 	n := g.N
 	rank := make([]float64, n)
@@ -84,16 +87,15 @@ func PageRankSequential(g *workload.Graph, d float64, iters int) []float64 {
 	for i := range rank {
 		rank[i] = 1 / float64(n)
 	}
-	contrib := make([]float64, n)
 	for it := 0; it < iters; it++ {
 		dangling := 0.0
 		for v := 0; v < n; v++ {
 			deg := g.OutDegree(v)
 			if deg == 0 {
 				dangling += rank[v]
-				contrib[v] = 0
+				rank[v] = 0
 			} else {
-				contrib[v] = rank[v] / float64(deg)
+				rank[v] /= float64(deg)
 			}
 		}
 		base := (1-d)/float64(n) + d*dangling/float64(n)
@@ -101,7 +103,7 @@ func PageRankSequential(g *workload.Graph, d float64, iters int) []float64 {
 			next[v] = base
 		}
 		for v := 0; v < n; v++ {
-			c := d * contrib[v]
+			c := d * rank[v]
 			for _, w := range g.Neighbors(v) {
 				next[w] += c
 			}
@@ -111,40 +113,53 @@ func PageRankSequential(g *workload.Graph, d float64, iters int) []float64 {
 	return rank
 }
 
+// pagerankScratch holds PageRankParallel's second vector between calls.
+// What it keeps is bounded by sync.Pool: about two vectors per P, dropped
+// after two GCs without use.
+var pagerankScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // PageRankParallel is the pull-based parallel formulation: each vertex
 // gathers from its in-neighbours over the graph's cached transpose, so
 // every next[v] is written by exactly one thread and sums in the same
 // order as the sequential push (bit-identical output). All iterations
-// run inside one Pyjama region.
+// run inside one Pyjama region. Like the sequential kernel it works in
+// two vectors, turning rank into contributions in place; the second
+// vector comes from pagerankScratch, and whichever of the two is not
+// returned goes back there, so the caller owns the result.
 func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []float64 {
 	n := g.N
 	rg := g.Transpose()
 	rank := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / float64(n)
 	}
+	scratch := pagerankScratch.Get().(*[]float64)
+	if cap(*scratch) < n {
+		*scratch = make([]float64, n)
+	}
+	next := (*scratch)[:n]
 	pyjama.Parallel(nthreads, func(tc *pyjama.TC) {
 		for it := 0; it < iters; it++ {
-			// Phase 1: per-vertex contributions plus a dangling-mass
-			// reduction; ForReduce hands the sum to every member.
+			// Phase 1: rank[v] becomes v's contribution, plus a
+			// dangling-mass reduction; ForReduce hands the sum to every
+			// member.
 			dangling := pyjama.ForReduce(tc, n, pyjama.Static(0),
 				reduction.Sum[float64](), func(v int, acc float64) float64 {
 					deg := g.OutDegree(v)
 					if deg == 0 {
-						contrib[v] = 0
-						return acc + rank[v]
+						acc += rank[v]
+						rank[v] = 0
+					} else {
+						rank[v] /= float64(deg)
 					}
-					contrib[v] = rank[v] / float64(deg)
 					return acc
 				})
 			base := (1-d)/float64(n) + d*dangling/float64(n)
-			// Phase 2: gather along in-edges.
+			// Phase 2: gather contributions along in-edges.
 			tc.For(n, pyjama.Dynamic(128), func(v int) {
 				sum := base
 				for _, u := range rg.Neighbors(v) {
-					sum += d * contrib[u]
+					sum += d * rank[u]
 				}
 				next[v] = sum
 			})
@@ -152,7 +167,9 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 			tc.Barrier()
 		}
 	})
-	return rank
+	*scratch = next
+	pagerankScratch.Put(scratch)
+	return rank[:n:n]
 }
 
 // L1Distance returns the L1 distance of two equal-length vectors.

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -229,18 +230,103 @@ func TestPageRankSumsToOne(t *testing.T) {
 // TestPageRankParallelMatchesSequential: the pull-based kernel sums each
 // vertex's in-edges in the order the sequential kernel pushes them, so
 // the ranks are bit-identical, on the first call (which builds the
-// graph's transpose) and on a repeat call (which reuses it).
+// graph's transpose) and on repeat calls (which reuse it and the pooled
+// second vector). An odd iteration count returns the pooled vector and
+// pools the fresh one; every earlier result is checked again after each
+// call, so a vector pooled while its caller still holds it shows.
 func TestPageRankParallelMatchesSequential(t *testing.T) {
 	g := workload.GenGraph(37, 600, 4)
-	want := PageRankSequential(g, 0.85, 20)
-	for _, threads := range []int{1, 2, 3, 4} {
-		for call := 0; call < 2; call++ {
-			got := PageRankParallel(threads, g, 0.85, 20)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("t=%d call %d: rank[%d] = %v, want %v", threads, call, v, got[v], want[v])
+	for _, iters := range []int{0, 1, 2, 3, 7, 20} {
+		want := PageRankSequential(g, 0.85, iters)
+		var held [][]float64 // checked again after later calls
+		for _, threads := range []int{1, 2, 3, 4} {
+			for call := 0; call < 2; call++ {
+				got := PageRankParallel(threads, g, 0.85, iters)
+				if len(got) != len(want) || cap(got) != len(want) {
+					t.Fatalf("iters=%d t=%d call %d: len %d cap %d, want %d", iters, threads, call, len(got), cap(got), len(want))
+				}
+				held = append(held, got)
+				for k, r := range held {
+					for v := range want {
+						if r[v] != want[v] {
+							t.Fatalf("iters=%d t=%d call %d: result %d has rank[%d] = %v, want %v", iters, threads, call, k, v, r[v], want[v])
+						}
+					}
 				}
 			}
+		}
+	}
+}
+
+// TestPageRankConcurrentCallers: callers sharing one graph each own what
+// PageRankParallel returns. A vector handed out while it is still in the
+// pool, or pooled while a caller holds it, would let one call overwrite
+// another's result.
+func TestPageRankConcurrentCallers(t *testing.T) {
+	g := workload.GenGraph(43, 500, 4)
+	iterCounts := []int{3, 4, 5, 8}
+	want := make(map[int][]float64)
+	for _, iters := range iterCounts {
+		want[iters] = PageRankSequential(g, 0.85, iters)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var held [][]float64
+			var heldIters []int
+			for call := 0; call < 5; call++ {
+				iters := iterCounts[(c+call)%len(iterCounts)]
+				held = append(held, PageRankParallel(2, g, 0.85, iters))
+				heldIters = append(heldIters, iters)
+			}
+			for k, got := range held {
+				w := want[heldIters[k]]
+				for v := range w {
+					if got[v] != w[v] {
+						t.Errorf("caller %d call %d (iters=%d): rank[%d] = %v, want %v", c, k, heldIters[k], v, got[v], w[v])
+						return
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// TestPageRankDangling: generated graphs have no zero-out-degree vertex,
+// so this graph is built by hand. Vertices 2, 5 and 6 are dangling;
+// their mass is spread uniformly. One thread reduces the dangling mass
+// in vertex order, as the sequential kernel does, so the ranks are
+// bit-identical; more threads add it in per-chunk partial sums, so the
+// ranks may differ in the last bits but still sum to one.
+func TestPageRankDangling(t *testing.T) {
+	out := [][]int{{1, 3}, {2}, {}, {0, 4, 5}, {6}, {}, {}, {0, 1, 2, 3}}
+	g := &workload.Graph{N: len(out), Offs: make([]int, len(out)+1)}
+	for v, ws := range out {
+		g.Adj = append(g.Adj, ws...)
+		g.Offs[v+1] = len(g.Adj)
+	}
+	want := PageRankSequential(g, 0.85, 30)
+	for _, threads := range []int{1, 2, 3, 4} {
+		got := PageRankParallel(threads, g, 0.85, 30)
+		if threads == 1 {
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("t=1: rank[%d] = %v, want %v", v, got[v], want[v])
+				}
+			}
+		}
+		if d := L1Distance(got, want); d > 1e-12 {
+			t.Fatalf("t=%d: L1 distance %g from the sequential ranks", threads, d)
+		}
+		sum := 0.0
+		for _, r := range got {
+			sum += r
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("t=%d: rank sum = %v", threads, sum)
 		}
 	}
 }

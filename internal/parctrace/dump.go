@@ -100,9 +100,9 @@ func WriteDump(w io.Writer, d *Dump) error {
 }
 
 // ReadDump parses and validates a dump. Unknown schemas, unknown site or
-// fault-kind names, untraced event kinds and plan rules at trace-only
-// sites are errors — a trace written by a future format must fail
-// loudly here, not render garbage.
+// fault-kind names, absent ones, untraced event kinds and plan rules at
+// trace-only sites are errors — a trace written by a future format, or
+// cut short, must fail loudly here, not render garbage.
 func ReadDump(data []byte) (*Dump, error) {
 	var d Dump
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -111,6 +111,9 @@ func ReadDump(data []byte) (*Dump, error) {
 	}
 	if d.Schema != SchemaV1 {
 		return nil, fmt.Errorf("parctrace: unsupported schema %q (want %q)", d.Schema, SchemaV1)
+	}
+	if err := requireNames(data); err != nil {
+		return nil, err
 	}
 	for i, ev := range d.Events {
 		if !traced(ev.Kind) {
@@ -125,6 +128,43 @@ func ReadDump(data []byte) (*Dump, error) {
 		}
 	}
 	return &d, nil
+}
+
+// requireNames rejects an event without a "kind" and a plan rule without
+// a "site" or "kind". Decoding leaves an absent name at its zero value,
+// and Site(0) and Kind(0) are valid names (submit, delay), so the Dump
+// decode alone would read such an entry as a submit event or rule.
+func requireNames(data []byte) error {
+	type named struct {
+		Site json.RawMessage `json:"site"`
+		Kind json.RawMessage `json:"kind"`
+	}
+	var keys struct {
+		Plan *struct {
+			Rules []named `json:"rules"`
+		} `json:"plan"`
+		Events []named `json:"events"`
+	}
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&keys); err != nil {
+		return fmt.Errorf("parctrace: parsing dump: %w", err)
+	}
+	absent := func(v json.RawMessage) bool { return v == nil || string(v) == "null" }
+	for i, ev := range keys.Events {
+		if absent(ev.Kind) {
+			return fmt.Errorf("parctrace: event %d has no kind", i)
+		}
+	}
+	if keys.Plan != nil {
+		for i, r := range keys.Plan.Rules {
+			if absent(r.Site) {
+				return fmt.Errorf("parctrace: plan rule %d has no site", i)
+			}
+			if absent(r.Kind) {
+				return fmt.Errorf("parctrace: plan rule %d has no kind", i)
+			}
+		}
+	}
+	return nil
 }
 
 // deterministicKinds are the event classes whose exact counts are a

@@ -181,6 +181,9 @@ func TestReadDumpErrors(t *testing.T) {
 		{"unknown rule site", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"warp","kind":"delay"}]}}`, `unknown site "warp"`},
 		{"unknown fault kind", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"submit","kind":"glitter"}]}}`, `unknown fault kind "glitter"`},
 		{"rule at complete", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"complete","kind":"delay"}]}}`, "complete is not a chaos site"},
+		{"event without kind", `{"schema":"parc751/trace/v1","events":[{"t_ns":1,"w":0}]}`, "event 0 has no kind"},
+		{"rule without site", `{"schema":"parc751/trace/v1","plan":{"rules":[{"kind":"delay","nth":1}]}}`, "plan rule 0 has no site"},
+		{"rule without kind", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"submit","nth":1}]}}`, "plan rule 0 has no kind"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
