@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -13,31 +12,24 @@ const (
 	futDone                     // value and error are published
 )
 
-// Future is a write-once result container. The zero value is not usable;
-// create with NewFuture, or acquire a recycled envelope from a
-// FuturePool.
+// Future is a write-once result container. The zero value is an
+// incomplete future, so a Future can live inside the struct that
+// completes it (a ptask.Task holds its own); NewFuture allocates one on
+// its own.
 //
-// The envelope is built for reuse: completion is an atomic state machine
-// plus one park-slot registration (both reusable across recycle cycles),
-// and the Done channel — the one piece that cannot be reused once closed
-// — is created lazily only for callers that actually select on it. A
-// joiner registers a park slot (a worker's own, or a pooled Parker for
-// any other goroutine), re-checks the state, and only then waits, so a
-// future that is completed and joined with Get allocates nothing beyond
-// its own struct, and a pooled future allocates nothing at all in steady
-// state.
+// Completion is an atomic state machine plus one park-slot registration,
+// and the Done channel is created lazily only for callers that actually
+// select on it. A joiner registers a park slot (a worker's own, or a
+// pooled Parker for any other goroutine), re-checks the state, and only
+// then waits, so a future that is completed and joined with Get
+// allocates nothing beyond the struct that holds it.
 type Future[T any] struct {
 	state atomic.Uint32
-	// gen is the envelope's recycle generation, bumped by FuturePool.Put.
-	// A holder that captured Gen() at acquisition can detect that its
-	// envelope was recycled out from under it (see CheckGen) and panic
-	// instead of silently reading another task's result.
-	gen atomic.Uint64
-
-	// done is the lazily created completion channel; chClosed arbitrates
-	// the close between a racing completer and installer.
-	done     atomic.Pointer[chan struct{}]
+	// chClosed arbitrates the close of done between a racing completer
+	// and installer.
 	chClosed atomic.Uint32
+	// done is the lazily created completion channel.
+	done atomic.Pointer[chan struct{}]
 
 	// waiter is the park slot of the joiner that registered first (a
 	// helper in Pool.HelpJoin or a blocking Get); Complete takes it and
@@ -59,9 +51,9 @@ func (f *Future[T]) Complete(v T, err error) {
 	f.val, f.err = v, err
 	f.state.Store(futDone)
 	// Read the registration only after publishing futDone (see help's
-	// and Get's re-checks). A slow completer may find a registration made
-	// on the envelope's next life, or wake a Parker already back in its
-	// pool; the wake is spurious, and the slot's owner re-checks before
+	// and Get's re-checks). A slow completer may wake a Parker already
+	// back in its pool, or a worker slot that has moved on to another
+	// join; the wake is spurious, and the slot's owner re-checks before
 	// it parks again.
 	if s := f.waiter.Swap(nil); s != nil {
 		s.wake()
@@ -133,56 +125,4 @@ func (f *Future[T]) Get() (T, error) {
 		getParkers.Put(p)
 	}
 	return f.val, f.err
-}
-
-// Gen returns the envelope's recycle generation. Holders that may outlive
-// their claim on a pooled envelope snapshot it at acquisition and guard
-// later accesses with CheckGen.
-func (f *Future[T]) Gen() uint64 { return f.gen.Load() }
-
-// CheckGen panics if the envelope has been recycled since the holder
-// captured gen — a stale handle touching a reused future is a lifetime
-// bug that must fail loudly rather than corrupt an unrelated task's
-// result.
-func (f *Future[T]) CheckGen(gen uint64) {
-	if g := f.gen.Load(); g != gen {
-		panic(fmt.Sprintf(
-			"core: stale future handle (generation %d, envelope now %d): the future was released to its pool and recycled",
-			gen, g))
-	}
-}
-
-// FuturePool recycles Future envelopes. Get returns a reset, incomplete
-// future; Put recycles a completed one, bumping its generation so stale
-// handles fail loudly (CheckGen) instead of reading a successor's result.
-// The zero value is ready to use.
-type FuturePool[T any] struct {
-	p sync.Pool
-}
-
-// Get returns an incomplete future, recycled when one is available.
-func (fp *FuturePool[T]) Get() *Future[T] {
-	v := fp.p.Get()
-	if v == nil {
-		return NewFuture[T]()
-	}
-	return v.(*Future[T])
-}
-
-// Put recycles f. The caller must own the only live handle: after Put,
-// every other holder's access panics via CheckGen at best and races the
-// next owner at worst. Incomplete futures are rejected (a waiter could
-// still be parked on them).
-func (fp *FuturePool[T]) Put(f *Future[T]) {
-	if f.state.Load() != futDone {
-		panic("core: FuturePool.Put of an incomplete future (a waiter could still be parked on it)")
-	}
-	f.gen.Add(1)
-	var zero T
-	f.val, f.err = zero, nil
-	f.done.Store(nil) // the old closed channel belongs to old waiters
-	f.waiter.Store(nil)
-	f.chClosed.Store(0)
-	f.state.Store(futPending)
-	fp.p.Put(f)
 }

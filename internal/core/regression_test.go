@@ -76,9 +76,10 @@ func TestNoLostWakeupStress(t *testing.T) {
 // TestNoLostWakeupHelpJoin pins the parking join. A worker joins a future
 // that an outside goroutine completes, with no pool work anywhere, so the
 // helper parks its slot on the future and only Complete can wake it. The
-// futures are recycled as soon as the join returns, so a completer that
-// reads the registration late meets the envelope's next join: its wake
-// is spurious, and the next Complete must still reach the new joiner.
+// worker's slot moves on to the next iteration's join as soon as this one
+// returns, so a completer that reads the registration late meets the
+// slot's next join: its wake is spurious, and the next Complete must
+// still reach the new joiner.
 func TestNoLostWakeupHelpJoin(t *testing.T) {
 	p := NewPool(2)
 	defer func() {
@@ -86,9 +87,8 @@ func TestNoLostWakeupHelpJoin(t *testing.T) {
 			p.Shutdown()
 		}
 	}()
-	var fp FuturePool[int]
 	for iter := 0; iter < 2000; iter++ {
-		f := fp.Get()
+		f := NewFuture[int]()
 		joined := make(chan int, 1)
 		p.Submit(func() {
 			p.HelpJoin(f)
@@ -111,19 +111,17 @@ func TestNoLostWakeupHelpJoin(t *testing.T) {
 		case <-time.After(15 * time.Second):
 			t.Fatalf("iteration %d: lost wakeup — the joining worker stayed parked on a completed future", iter)
 		}
-		fp.Put(f)
 	}
 }
 
 // TestNoLostWakeupGet is TestNoLostWakeupHelpJoin from a goroutine that
 // is not a pool worker: Get registers a pooled Parker on the future and
-// only Complete can wake it. Futures and Parkers are both recycled, so a
-// late completer's wake can land on a slot's next owner; it must cost a
-// re-check, never a lost join.
+// only Complete can wake it. Parkers are recycled, so a late completer's
+// wake can land on a slot's next owner; it must cost a re-check, never a
+// lost join.
 func TestNoLostWakeupGet(t *testing.T) {
-	var fp FuturePool[int]
 	for iter := 0; iter < 2000; iter++ {
-		f := fp.Get()
+		f := NewFuture[int]()
 		joined := make(chan int, 1)
 		go func() {
 			v, _ := f.Get()
@@ -145,7 +143,6 @@ func TestNoLostWakeupGet(t *testing.T) {
 		case <-time.After(15 * time.Second):
 			t.Fatalf("iteration %d: lost wakeup — Get stayed parked on a completed future", iter)
 		}
-		fp.Put(f)
 	}
 }
 
@@ -284,54 +281,6 @@ func TestBarrierAbortRacesFirstParkerInjected(t *testing.T) {
 			t.Fatalf("seed %d: %d parties completed without the rest aborting", seed, completed.Load())
 		}
 	}
-}
-
-// TestFuturePoolGenerationGuard pins the recycled-envelope safety
-// contract: a stale handle that captured the pre-recycle generation must
-// panic on CheckGen, not read the successor's result.
-func TestFuturePoolGenerationGuard(t *testing.T) {
-	var fp FuturePool[int]
-	f := fp.Get()
-	gen := f.Gen()
-	f.Complete(42, nil)
-	if v, _ := f.Get(); v != 42 {
-		t.Fatalf("Get = %d, want 42", v)
-	}
-	fp.Put(f)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("CheckGen on a recycled future did not panic")
-			}
-		}()
-		f.CheckGen(gen)
-	}()
-	// The recycled envelope is a fresh future for its next owner.
-	g := fp.Get()
-	if g.IsDone() {
-		t.Fatal("recycled future still reports done")
-	}
-	if g.val != 0 || g.err != nil {
-
-		t.Fatal("recycled future still holds a value")
-	}
-	g.Complete(7, nil)
-	if v, _ := g.Get(); v != 7 {
-		t.Fatalf("recycled future Get = %d, want 7", v)
-	}
-}
-
-// TestFuturePoolPutIncompletePanics: recycling a future someone could
-// still be parked on must fail loudly.
-func TestFuturePoolPutIncompletePanics(t *testing.T) {
-	var fp FuturePool[int]
-	f := fp.Get()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put of an incomplete future did not panic")
-		}
-	}()
-	fp.Put(f)
 }
 
 // TestFutureDoneAfterComplete covers the lazy done-channel install race:

@@ -117,13 +117,12 @@ func TestWorkerIdentityNotReusedAfterShutdown(t *testing.T) {
 func TestWorkerIdentityNestedHelpJoin(t *testing.T) {
 	p := NewPool(1)
 	defer p.Shutdown()
-	var fp FuturePool[int]
 	var order []int // written only by the single worker
 	// spawn submits children base..base+2, each recording its id, and
 	// joins the first submitted; body runs inside child base+2.
 	var spawn func(base int, body func())
 	spawn = func(base int, body func()) {
-		first := fp.Get()
+		first := NewFuture[int]()
 		for i := 0; i < 3; i++ {
 			id := base + i
 			p.Submit(func() {
@@ -139,7 +138,6 @@ func TestWorkerIdentityNestedHelpJoin(t *testing.T) {
 		if !p.HelpJoin(first) {
 			t.Error("HelpJoin: task not recognised as on-worker")
 		}
-		fp.Put(first)
 	}
 	done := make(chan struct{})
 	p.Submit(func() {

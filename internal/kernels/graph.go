@@ -124,8 +124,9 @@ var pagerankScratch = sync.Pool{New: func() any { return new([]float64) }}
 // order as the sequential push (bit-identical output). All iterations
 // run inside one Pyjama region. Like the sequential kernel it works in
 // two vectors, turning rank into contributions in place; the second
-// vector comes from pagerankScratch, and whichever of the two is not
-// returned goes back there, so the caller owns the result.
+// vector comes from pagerankScratch when its size fits (reuseScratch),
+// and whichever of the two is not returned goes back there, so the
+// caller owns the result.
 func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []float64 {
 	n := g.N
 	rg := g.Transpose()
@@ -134,10 +135,7 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 		rank[i] = 1 / float64(n)
 	}
 	scratch := pagerankScratch.Get().(*[]float64)
-	if cap(*scratch) < n {
-		*scratch = make([]float64, n)
-	}
-	next := (*scratch)[:n]
+	next := reuseScratch(*scratch, n)
 	pyjama.Parallel(nthreads, func(tc *pyjama.TC) {
 		for it := 0; it < iters; it++ {
 			// Phase 1: rank[v] becomes v's contribution, plus a
@@ -170,6 +168,17 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 	*scratch = next
 	pagerankScratch.Put(scratch)
 	return rank[:n:n]
+}
+
+// reuseScratch returns buf resliced to n elements when n <= cap(buf) <=
+// 2n, and a new n-element vector otherwise. PageRankParallel returns this
+// vector to its caller after an odd number of iterations, so reusing a
+// much larger pooled array would pin all of it behind an n-element result.
+func reuseScratch(buf []float64, n int) []float64 {
+	if n <= cap(buf) && cap(buf) <= 2*n {
+		return buf[:n]
+	}
+	return make([]float64, n)
 }
 
 // L1Distance returns the L1 distance of two equal-length vectors.

@@ -295,6 +295,33 @@ func TestPageRankConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPageRankScratchReuseRule pins when PageRankParallel reuses its
+// pooled second vector: only when the pooled capacity is between n and 2n.
+// A call may return that vector, so a small graph's result must not keep
+// a large graph's array alive.
+func TestPageRankScratchReuseRule(t *testing.T) {
+	const n = 100
+	for _, tc := range []struct {
+		cap   int
+		reuse bool
+	}{
+		{0, false}, {n - 1, false}, {n, true}, {2 * n, true}, {2*n + 1, false}, {20000, false},
+	} {
+		buf := make([]float64, tc.cap)
+		got := reuseScratch(buf, n)
+		if len(got) != n {
+			t.Fatalf("cap %d: len = %d, want %d", tc.cap, len(got), n)
+		}
+		reused := tc.cap > 0 && &got[0] == &buf[:1][0]
+		if reused != tc.reuse {
+			t.Errorf("cap %d: reused = %v, want %v", tc.cap, reused, tc.reuse)
+		}
+		if !reused && cap(got) != n {
+			t.Errorf("cap %d: new vector has cap %d, want %d", tc.cap, cap(got), n)
+		}
+	}
+}
+
 // TestPageRankDangling: generated graphs have no zero-out-degree vertex,
 // so this graph is built by hand. Vertices 2, 5 and 6 are dangling;
 // their mass is spread uniformly. One thread reduces the dangling mass

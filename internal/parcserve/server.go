@@ -312,10 +312,6 @@ func (s *Server) runSingle(r *http.Request, start time.Time, kind Kind, req *Job
 		return s.execute(ctx, kind, req)
 	})
 	res, err := t.Result()
-	// The task settled (Result joined it), so its future can go back to
-	// the typed pool; res survives the release — Put only zeroes the
-	// future's own value word.
-	t.Release()
 	if err != nil {
 		return nil, err, statusFor(err)
 	}

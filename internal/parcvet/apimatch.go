@@ -170,6 +170,7 @@ func isRegionBody(c callee, arg int) bool {
 func isTaskBody(c callee, arg int) bool {
 	switch {
 	case c.is(pkgPtask, "Run") && arg == 1,
+		c.is(pkgPtask, "RunWith") && arg == 2,
 		c.is(pkgPtask, "RunAfter") && arg == 2,
 		c.is(pkgPtask, "RunMulti") && arg == 2,
 		c.is(pkgPtask, "Invoke") && arg == 1,

@@ -21,11 +21,11 @@ var LostFutureAnalyzer = &analysis.Analyzer{
 	Name: "lostfuture",
 	Doc: `report ptask futures that are never awaited
 
-A value returned by ptask.Run/RunAfter/RunMulti/Invoke/Then carries the
-task's result and error. Discarding it, or returning from the function on
-some path without consuming it (Result, Results, Done, Notify, Cancel, use
-as a dependence, or passing it on), loses the error — and the lab's
-deliberately-failing tasks go unnoticed. Futures that escape the function
+A value returned by ptask.Run/RunWith/RunAfter/RunMulti/Invoke/Then
+carries the task's result and error. Discarding it, or returning from the
+function on some path without consuming it (Result, Results, Done,
+Notify, Cancel, use as a dependence, or passing it on), loses the error —
+and the lab's deliberately-failing tasks go unnoticed. Futures that escape the function
 (returned, stored, captured by a closure) are assumed consumed elsewhere.`,
 	Severity: report.Warning,
 	Run:      runLostFuture,
@@ -34,7 +34,7 @@ deliberately-failing tasks go unnoticed. Futures that escape the function
 // futureCreators produce a value that must eventually be consumed.
 func isFutureCreator(c callee) bool {
 	switch {
-	case c.is(pkgPtask, "Run"), c.is(pkgPtask, "RunAfter"),
+	case c.is(pkgPtask, "Run"), c.is(pkgPtask, "RunWith"), c.is(pkgPtask, "RunAfter"),
 		c.is(pkgPtask, "RunMulti"), c.is(pkgPtask, "Invoke"),
 		c.is(pkgPtask, "Then"):
 		return true

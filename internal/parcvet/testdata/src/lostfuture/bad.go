@@ -23,3 +23,7 @@ func earlyReturn(rt *ptask.Runtime, flaky bool) (int, error) {
 func multiDiscarded(rt *ptask.Runtime) {
 	ptask.RunMulti(rt, 4, func(i int) (int, error) { return i, nil }) // want `is discarded`
 }
+
+func withDiscarded(rt *ptask.Runtime) {
+	ptask.RunWith(rt, 7, func(n int) (int, error) { return n * 2, nil }) // want `is discarded`
+}

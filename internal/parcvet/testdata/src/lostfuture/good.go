@@ -35,3 +35,10 @@ func everyPath(rt *ptask.Runtime, flaky bool) (int, error) {
 	}
 	return t.Result()
 }
+
+// withJoined awaits a task that carries its input as an argument.
+func withJoined(rt *ptask.Runtime) int {
+	t := ptask.RunWith(rt, 7, func(n int) (int, error) { return n * 2, nil })
+	v, _ := t.Result()
+	return v
+}

@@ -34,8 +34,8 @@ func Suite() (specs []Spec, cleanup func()) {
 		}
 	}})
 
-	// ptask_result: spawn, join, recycle — the Parallel Task API's
-	// fork/join cycle including the pooled future envelope.
+	// ptask_result: spawn and join — the Parallel Task API's fork/join
+	// cycle, one Task allocation with its future inside.
 	rt := ptask.NewRuntime(4)
 	taskBody := func() (int, error) { return 42, nil }
 	specs = append(specs, Spec{Name: "ptask_result", Bench: func(n int) {
@@ -44,7 +44,6 @@ func Suite() (specs []Spec, cleanup func()) {
 			if _, err := t.Result(); err != nil {
 				panic(err)
 			}
-			t.Release()
 		}
 	}})
 

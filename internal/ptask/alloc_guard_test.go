@@ -1,11 +1,11 @@
 //go:build !race
 
-// Allocation-budget guard for the task hot path: a steady-state
-// Run→Result→Release cycle allocates exactly the Task handle — the
-// future comes from the generation-guarded pool, the pool submission
-// rides SubmitRunnable (no wrapper closure), and the worker-side
-// envelope cycles through the scheduler's freelist. Excluded under -race
-// because the race runtime's instrumentation allocates.
+// Allocation-budget guards for the task hot paths: a steady-state
+// Run→Result cycle allocates exactly the Task handle — the future lives
+// inside it, the pool submission rides SubmitRunnable (no wrapper
+// closure), and the worker-side envelope cycles through the scheduler's
+// freelist. Excluded under -race because the race runtime's
+// instrumentation allocates.
 
 package ptask
 
@@ -23,17 +23,15 @@ func TestRunResultReleaseAllocGuard(t *testing.T) {
 	defer rt.Shutdown()
 	fn := func() (int, error) { return 42, nil }
 	cycle := func() {
-		tk := Run(rt, fn)
-		if v, err := tk.Result(); err != nil || v != 42 {
+		if v, err := Run(rt, fn).Result(); err != nil || v != 42 {
 			t.Fatalf("Result = (%v, %v)", v, err)
 		}
-		tk.Release()
 	}
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
 	if got := testing.AllocsPerRun(200, cycle); got > 1 {
-		t.Fatalf("steady-state Run→Result→Release allocates %v objects/op, want <= 1", got)
+		t.Fatalf("steady-state Run→Result allocates %v objects/op, want <= 1", got)
 	}
 }
 
@@ -46,11 +44,9 @@ func TestWorkerJoinAllocGuard(t *testing.T) {
 	defer rt.Shutdown()
 	fn := func() (int, error) { return 42, nil }
 	cycle := func() {
-		tk := Run(rt, fn)
-		if v, err := tk.Result(); err != nil || v != 42 {
+		if v, err := Run(rt, fn).Result(); err != nil || v != 42 {
 			panic("wrong child result")
 		}
-		tk.Release()
 	}
 	got, err := Run(rt, func() (float64, error) {
 		for i := 0; i < 256; i++ {
@@ -62,17 +58,41 @@ func TestWorkerJoinAllocGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got > 1 {
-		t.Fatalf("worker-side Run→Result→Release allocates %v objects/op, want <= 1", got)
+		t.Fatalf("worker-side Run→Result allocates %v objects/op, want <= 1", got)
+	}
+}
+
+// TestRunWithAllocGuard pins RunWith's promise: with a non-capturing
+// function, the argument rides in the task, so the spawn allocates the
+// task and nothing else.
+func TestRunWithAllocGuard(t *testing.T) {
+	rt := NewRuntime(2)
+	defer rt.Shutdown()
+	type span struct{ lo, hi int }
+	width := func(s span) (int, error) { return s.hi - s.lo, nil }
+	cycle := func() {
+		if v, err := RunWith(rt, span{3, 45}, width).Result(); err != nil || v != 42 {
+			t.Fatalf("Result = (%v, %v)", v, err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > 1 {
+		t.Fatalf("steady-state RunWith→Result allocates %v objects/op, want <= 1", got)
 	}
 }
 
 // TestMultiResultsAllocGuard pins the fan-out join's budget: a steady-state
-// RunMulti(rt, 4, fn).Results() allocates the handle, its aggregate
-// future and slices, and four sub-task handles with their closures, but
-// no Done channel — Results joins through the aggregate future like
-// Task.Result does, from an external caller and from a worker alike.
+// RunMulti(rt, 4, fn).Results() allocates the handle (with its aggregate
+// future inside), the sub-task slice, four sub-tasks, and the results
+// slice. A sub-task carries its index as its RunWith argument and reports
+// to the handle directly, so it needs no closure and no callback slice;
+// and no Done channel appears — Results joins through the aggregate
+// future like Task.Result does, from an external caller and from a
+// worker alike.
 func TestMultiResultsAllocGuard(t *testing.T) {
-	const budget = 25
+	const budget = 7
 	rt := NewRuntime(2)
 	defer rt.Shutdown()
 	fn := func(i int) (int, error) { return i, nil }
@@ -102,10 +122,10 @@ func TestMultiResultsAllocGuard(t *testing.T) {
 }
 
 // TestRunCtxAllocGuard pins the context-aware task's budget, the path
-// every served job takes. The body and the expiry stop live in typed
-// Task fields, so beyond the handle a steady-state
-// RunCtx→Result→Release on a cancellable context pays only for the
-// context.AfterFunc registration.
+// every served job takes. The context, body and expiry stop share one
+// allocation with the handle, so beyond it a steady-state RunCtx→Result
+// on a cancellable context pays only for the context.AfterFunc
+// registration.
 func TestRunCtxAllocGuard(t *testing.T) {
 	const budget = 4
 	rt := NewRuntime(2)
@@ -114,16 +134,14 @@ func TestRunCtxAllocGuard(t *testing.T) {
 	defer cancel()
 	fn := func(context.Context) (int, error) { return 42, nil }
 	cycle := func() {
-		tk := RunCtx(rt, ctx, fn)
-		if v, err := tk.Result(); err != nil || v != 42 {
+		if v, err := RunCtx(rt, ctx, fn).Result(); err != nil || v != 42 {
 			t.Fatalf("Result = (%v, %v)", v, err)
 		}
-		tk.Release()
 	}
 	for i := 0; i < 256; i++ {
 		cycle()
 	}
 	if got := testing.AllocsPerRun(200, cycle); got > budget {
-		t.Fatalf("steady-state RunCtx→Result→Release allocates %v objects/op, want <= %d", got, budget)
+		t.Fatalf("steady-state RunCtx→Result allocates %v objects/op, want <= %d", got, budget)
 	}
 }

@@ -33,31 +33,55 @@ func RunCtx[T any](rt *Runtime, ctx context.Context, fn func(context.Context) (T
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t := newTask[T](rt)
-	t.ctx, t.ctxBody = ctx, fn
+	c := &ctxTask[T]{ctx: ctx, fn: fn}
+	c.rt, c.body = rt, c
 	// An expiring context cancels a queued task outright; a running one
 	// is reached through ctx inside the body. A context that can never
 	// expire needs no registration. If the task settled before the
-	// registration landed, complete found no stop to call, so undo it
+	// registration landed, unregister found no stop to call, so undo it
 	// here.
 	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, t.expire)
-		t.mu.Lock()
-		settled := t.fut.IsDone()
+		stop := context.AfterFunc(ctx, c.expire)
+		c.mu.Lock()
+		settled := c.fut.IsDone()
 		if !settled {
-			t.stop = stop
+			c.stop = stop
 		}
-		t.mu.Unlock()
+		c.mu.Unlock()
 		if settled {
 			stop()
 		}
 	}
-	t.wireDeps(nil)
-	return t
+	c.wireDeps(nil)
+	return &c.Task
 }
 
+// ctxTask is RunCtx's task: the handle, the context and the function in
+// one allocation.
+type ctxTask[T any] struct {
+	Task[T]
+	ctx context.Context
+	fn  func(context.Context) (T, error)
+	// stop undoes the context's expiry registration; the task calls it
+	// once it settles.
+	stop func() bool
+}
+
+func (c *ctxTask[T]) run() (T, error) { return c.fn(c.ctx) }
+
 // expire settles a task whose context ended before it ran.
-func (t *Task[T]) expire() { t.cancelWith(ctxError(t.ctx.Err())) }
+func (c *ctxTask[T]) expire() { c.cancelWith(ctxError(c.ctx.Err())) }
+
+// unregister drops the expiry registration of a settled task.
+func (c *ctxTask[T]) unregister() {
+	c.mu.Lock()
+	stop := c.stop
+	c.stop = nil
+	c.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+}
 
 // ctxError maps a context error to the package's failure vocabulary.
 func ctxError(err error) error {

@@ -4,7 +4,8 @@
 // original extends the language with a TASK keyword; this Go reproduction
 // provides the same runtime semantics as a library:
 //
-//   - tasks are futures executed by a work-stealing pool (Run);
+//   - tasks are futures executed by a work-stealing pool (Run, or
+//     RunWith for a task that takes its input as an argument);
 //   - tasks may depend on other tasks and start only when every
 //     dependence has completed (RunAfter) — the task-DAG model;
 //   - multi-tasks fan one logical task out into one sub-task per element
@@ -16,10 +17,16 @@
 //     crashed worker (the asynchronous-exception model);
 //   - joins "help": a goroutine waiting on a task executes other queued
 //     tasks, so recursive decompositions run on pools of any size.
+//
+// A TASK method called with its arguments maps to RunWith. The argument
+// is stored in the task, so with a function that captures nothing the
+// spawn is a single allocation:
+//
+//	t := ptask.RunWith(rt, span{lo, hi}, countPrimes)
+//	n, err := t.Result()
 package ptask
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -111,20 +118,15 @@ type Dep interface {
 }
 
 // Task is an asynchronous computation producing a T. Create with Run,
-// RunAfter, or the context-aware RunCtx (failure.go), or as part of a
-// multi-task.
+// RunWith, RunAfter, Invoke, or the context-aware RunCtx (failure.go), or
+// as part of a multi-task. Every constructor makes exactly one heap
+// object: the handle holds its future by value, and RunWith and RunCtx
+// embed the handle in the struct that carries their body.
 type Task[T any] struct {
 	rt    *Runtime
-	fut   *core.Future[T]
 	state atomic.Int32
-
-	// gen snapshots the pooled future envelope's recycle generation at
-	// acquisition; accessors re-check it so a handle whose envelope was
-	// Released and recycled panics instead of reading a successor task's
-	// result. released makes Release single-shot; it sits next to state
-	// so the two share a word.
-	released atomic.Bool
-	gen      uint64
+	// waitDeps counts the dependences that have not yet completed.
+	waitDeps int32
 
 	// tid is the trace task id, assigned at construction while a
 	// recorder is attached (0 otherwise). The scheduler reuses it for
@@ -134,26 +136,67 @@ type Task[T any] struct {
 
 	mu        sync.Mutex
 	callbacks []func()
-	body      func() (T, error)
-	// void is Invoke's body, run in place of body: holding it directly
-	// spares a wrapper closure per void task.
-	void func() error
-	// ctxBody is RunCtx's body, run with ctx in place of body, for the
-	// same reason.
-	ctxBody func(context.Context) (T, error)
-	// waitDeps counts the dependences that have not yet completed.
-	waitDeps int32
+	// body is the computation, run at most once and dropped when the
+	// task settles. The queued→running and →cancelled state CASes admit
+	// exactly one settler, which alone reads and clears it.
+	body body[T]
+	// multi is the multi-task this is a sub-task of (nil otherwise);
+	// the task reports its settlement to it directly.
+	multi *MultiTask[T]
 
-	// RunCtx's context (failure.go); other constructors leave both nil.
-	// stop undoes the context's expiry registration; complete calls it
-	// once the task settles.
-	ctx  context.Context
-	stop func() bool
+	fut core.Future[T]
 }
+
+// body is a task's computation: a function together with whatever it was
+// spawned with. Run's closure, Invoke's void closure, and the RunWith and
+// RunCtx structs that embed their Task all implement it, so the runtime
+// has one path from submission to settlement.
+type body[T any] interface {
+	run() (T, error)
+}
+
+// fnBody is Run's and RunAfter's body: a closure over its arguments.
+type fnBody[T any] func() (T, error)
+
+func (f fnBody[T]) run() (T, error) { return f() }
+
+// voidBody is Invoke's body. Holding the void closure directly spares a
+// wrapper closure per void task.
+type voidBody func() error
+
+func (f voidBody) run() (struct{}, error) { return struct{}{}, f() }
+
+// withTask is RunWith's task: the handle, the argument and the function
+// in one allocation, the way a TASK method call carries its arguments.
+// The argument stays reachable while the handle is.
+type withTask[A, T any] struct {
+	Task[T]
+	arg A
+	fn  func(A) (T, error)
+}
+
+func (w *withTask[A, T]) run() (T, error) { return w.fn(w.arg) }
 
 // Run submits fn for asynchronous execution and returns its task handle.
 func Run[T any](rt *Runtime, fn func() (T, error)) *Task[T] {
 	return RunAfter(rt, nil, fn)
+}
+
+// RunWith submits fn(arg) for asynchronous execution and returns its task
+// handle. It is Run for a function that takes its input as an argument
+// rather than capturing it: the argument is stored in the task itself, so
+// with a non-capturing fn the spawn allocates only the task.
+func RunWith[A, T any](rt *Runtime, arg A, fn func(A) (T, error)) *Task[T] {
+	t := with(rt, arg, fn)
+	t.wireDeps(nil)
+	return t
+}
+
+// with returns RunWith's task, waiting, without wiring it.
+func with[A, T any](rt *Runtime, arg A, fn func(A) (T, error)) *Task[T] {
+	w := &withTask[A, T]{arg: arg, fn: fn}
+	w.rt, w.body = rt, w
+	return &w.Task
 }
 
 // RunAfter submits fn to run only after every dependence in deps has
@@ -161,23 +204,14 @@ func Run[T any](rt *Runtime, fn func() (T, error)) *Task[T] {
 // dependent runs regardless and can inspect its dependences if it cares.
 // A nil or empty deps behaves like Run.
 func RunAfter[T any](rt *Runtime, deps []Dep, fn func() (T, error)) *Task[T] {
-	t := newTask[T](rt)
-	t.body = fn
+	t := &Task[T]{rt: rt, body: fnBody[T](fn)}
 	t.wireDeps(deps)
 	return t
 }
 
-// newTask returns a waiting task on a pooled future envelope; the caller
-// sets its body and then wires its dependences.
-func newTask[T any](rt *Runtime) *Task[T] {
-	fut := futurePoolFor[T]().Get()
-	t := &Task[T]{rt: rt, fut: fut, gen: fut.Gen()}
-	t.state.Store(stateWaiting)
-	return t
-}
-
 // wireDeps arms the dependence countdown (or enqueues immediately when
-// there are none). Shared by every constructor.
+// there are none). Shared by every constructor; a new task is in
+// stateWaiting, the zero state.
 func (t *Task[T]) wireDeps(deps []Dep) {
 	if pr := probe.Load(); pr != nil {
 		t.tid = probe.NewTaskID(pr)
@@ -221,9 +255,7 @@ func (t *Task[T]) enqueue() {
 	}
 	// SubmitRunnable, not Submit(t.RunTask): the method-value expression
 	// would allocate a closure per task, while the Task pointer enters
-	// the Runnable interface allocation-free. This is half of the old
-	// 2 allocs/op on the Run→Result path (the other is the handle
-	// itself, which is deliberately not pooled — see futurepool.go).
+	// the Runnable interface allocation-free.
 	t.rt.pool.SubmitRunnable(t)
 }
 
@@ -237,18 +269,16 @@ func (t *Task[T]) TraceTaskID() uint64 { return t.tid }
 // harmless no-op — the queued→running CAS admits exactly one execution.
 func (t *Task[T]) RunTask() {
 	if !t.state.CompareAndSwap(stateQueued, stateRunning) {
-		return // cancelled while queued: the closure must not execute
+		return // cancelled while queued: the body must not execute
 	}
-	t.mu.Lock()
-	body, void, ctxBody := t.body, t.void, t.ctxBody
-	t.body, t.void, t.ctxBody = nil, nil, nil // the task owns at most one execution; release the closure
-	t.mu.Unlock()
+	b := t.body
+	t.body = nil // the task owns at most one execution; release the closure
 	var val T
 	var err error
-	if t.ctx != nil && t.ctx.Err() != nil {
+	if c, ok := b.(*ctxTask[T]); ok && c.ctx.Err() != nil {
 		// The context expired between enqueue and execution; settle
 		// without running the body.
-		t.complete(stateCancelled, val, ctxError(t.ctx.Err()))
+		t.complete(b, stateCancelled, val, ctxError(c.ctx.Err()))
 		return
 	}
 	pr := probe.Load()
@@ -258,30 +288,28 @@ func (t *Task[T]) RunTask() {
 			// this future, never as a crashed worker.
 			pr.Fire(probe.SiteTaskBody, -1, t.tid, 0)
 		}
-		switch {
-		case void != nil:
-			err = void()
-		case ctxBody != nil:
-			val, err = ctxBody(t.ctx)
-		default:
-			val, err = body()
-		}
+		val, err = b.run()
 	}); perr != nil {
 		err = perr
 	}
-	t.complete(stateDone, val, err)
+	t.complete(b, stateDone, val, err)
 }
 
-func (t *Task[T]) complete(final int32, v T, err error) {
+// complete settles the task whose body was b and notifies everything
+// waiting on it.
+func (t *Task[T]) complete(b body[T], final int32, v T, err error) {
 	t.state.Store(final)
 	t.fut.Complete(v, err)
-	t.mu.Lock()
-	cbs, stop := t.callbacks, t.stop
-	t.callbacks, t.stop = nil, nil
-	t.mu.Unlock()
-	if stop != nil {
-		stop()
+	if c, ok := b.(*ctxTask[T]); ok {
+		c.unregister()
 	}
+	if t.multi != nil {
+		t.multi.subDone()
+	}
+	t.mu.Lock()
+	cbs := t.callbacks
+	t.callbacks = nil
+	t.mu.Unlock()
 	for _, cb := range cbs {
 		cb()
 	}
@@ -308,16 +336,16 @@ func (t *Task[T]) Cancel() bool {
 }
 
 // cancelWith is Cancel carrying a specific settlement error (ErrCancelled
-// for user cancels, a ctxError for expired contexts). The CAS against run()'s queued→running transition is
-// what guarantees a queued-then-cancelled task's closure never executes.
+// for user cancels, a ctxError for expired contexts). The CAS against
+// RunTask's queued→running transition is what guarantees a
+// queued-then-cancelled task's body never executes.
 func (t *Task[T]) cancelWith(err error) bool {
 	if t.state.CompareAndSwap(stateWaiting, stateCancelled) ||
 		t.state.CompareAndSwap(stateQueued, stateCancelled) {
-		t.mu.Lock()
-		t.body, t.void, t.ctxBody = nil, nil, nil // never runs; release captured state eagerly
-		t.mu.Unlock()
+		b := t.body
+		t.body = nil // never runs; release captured state eagerly
 		var zero T
-		t.complete(stateCancelled, zero, err)
+		t.complete(b, stateCancelled, zero, err)
 		return true
 	}
 	return false
@@ -327,24 +355,15 @@ func (t *Task[T]) cancelWith(err error) bool {
 func (t *Task[T]) Cancelled() bool { return t.state.Load() == stateCancelled }
 
 // Done returns a channel closed when the task completes (or is cancelled).
-func (t *Task[T]) Done() <-chan struct{} {
-	t.fut.CheckGen(t.gen)
-	return t.fut.Done()
-}
+func (t *Task[T]) Done() <-chan struct{} { return t.fut.Done() }
 
 // IsDone reports completion without blocking.
-func (t *Task[T]) IsDone() bool {
-	t.fut.CheckGen(t.gen)
-	return t.fut.IsDone()
-}
+func (t *Task[T]) IsDone() bool { return t.fut.IsDone() }
 
 // Result joins the task: it blocks until completion and returns the value
 // and error. Called from inside another task it helps the pool, so
 // arbitrary recursive joins are safe (see join).
-func (t *Task[T]) Result() (T, error) {
-	t.fut.CheckGen(t.gen)
-	return join(t.rt, t.fut)
-}
+func (t *Task[T]) Result() (T, error) { return join(t.rt, &t.fut) }
 
 // Notify registers a completion handler delivered on the runtime's event
 // loop (or inline when none is registered). Registering after completion
@@ -359,9 +378,10 @@ func (t *Task[T]) Notify(fn func(T, error)) {
 // MultiTask is Parallel Task's TASK(*): one logical task expanded into n
 // sub-tasks, with per-element interim results and an aggregate join.
 type MultiTask[T any] struct {
-	rt        *Runtime
-	tasks     []*Task[T]
-	agg       *core.Future[[]T]
+	rt    *Runtime
+	tasks []*Task[T]
+	// remaining counts unsettled sub-tasks, plus one that RunMulti holds
+	// until every sub-task exists: the last to settle reads them all.
 	remaining atomic.Int32
 
 	// tid is the multi-task's own trace node id; the recorder links
@@ -371,25 +391,30 @@ type MultiTask[T any] struct {
 
 	mu        sync.Mutex
 	callbacks []func()
+
+	agg core.Future[[]T]
 }
 
 // RunMulti launches fn(i) for every i in [0, n) as sub-tasks and returns
-// the multi-task handle. n <= 0 yields an immediately-complete empty
-// handle (a negative n must not leave remaining below zero, or the
-// aggregate future would never complete and Results would hang forever).
-// Every sub-task runs to settlement; the aggregate error is the first
-// sub-task error in element order.
+// the multi-task handle. Each sub-task is a RunWith task whose argument
+// is its index. n <= 0 yields an immediately-complete empty handle (a
+// negative n must not leave remaining below zero, or the aggregate
+// future would never complete and Results would hang forever). Every
+// sub-task runs to settlement; the aggregate error is the first sub-task
+// error in element order.
 func RunMulti[T any](rt *Runtime, n int, fn func(i int) (T, error)) *MultiTask[T] {
-	m := &MultiTask[T]{rt: rt, agg: core.NewFuture[[]T]()}
+	m := &MultiTask[T]{rt: rt}
 	if n <= 0 {
 		m.agg.Complete(nil, nil)
 		return m
 	}
-	m.remaining.Store(int32(n))
+	m.remaining.Store(int32(n) + 1)
 	m.tasks = make([]*Task[T], n)
-	for i := 0; i < n; i++ {
-		i := i
-		m.tasks[i] = Run(rt, func() (T, error) { return fn(i) })
+	for i := range m.tasks {
+		t := with(rt, i, fn)
+		t.multi = m
+		m.tasks[i] = t
+		t.wireDeps(nil)
 	}
 	if pr := probe.Load(); pr != nil {
 		m.tid = probe.NewTaskID(pr)
@@ -399,12 +424,7 @@ func RunMulti[T any](rt *Runtime, n int, fn func(i int) (T, error)) *MultiTask[T
 			}
 		}
 	}
-	// Wire completions only after every sub-task exists: the last one
-	// to settle reads the whole slice.
-	done := m.subDone
-	for _, tk := range m.tasks {
-		tk.onDone(done)
-	}
+	m.subDone() // every sub-task exists: drop RunMulti's count
 	return m
 }
 
@@ -455,7 +475,7 @@ func (m *MultiTask[T]) Done() <-chan struct{} { return m.agg.Done() }
 // Results joins all sub-tasks and returns their values in element order,
 // along with the first error encountered (nil when all succeeded). It
 // joins like Task.Result.
-func (m *MultiTask[T]) Results() ([]T, error) { return join(m.rt, m.agg) }
+func (m *MultiTask[T]) Results() ([]T, error) { return join(m.rt, &m.agg) }
 
 // NotifyEach registers an interim-result handler invoked (on the event
 // loop, when registered) as each sub-task completes — the mechanism the
@@ -509,8 +529,7 @@ func Then[T, U any](t *Task[T], fn func(T) (U, error)) *Task[U] {
 
 // Invoke is a convenience for void tasks: it runs fn as a Task[struct{}].
 func Invoke(rt *Runtime, fn func() error) *Task[struct{}] {
-	t := newTask[struct{}](rt)
-	t.void = fn
+	t := &Task[struct{}]{rt: rt, body: voidBody(fn)}
 	t.wireDeps(nil)
 	return t
 }

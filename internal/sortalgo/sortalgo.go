@@ -91,38 +91,46 @@ func partition(xs []int, lo, hi int) int {
 // PTask sorts xs using the Parallel Task model: ranges above threshold
 // spawn one child task for the left half and recurse on the right, joining
 // via the helping Result. This is the expression the paper's students
-// wrote with the TASK keyword.
+// wrote with the TASK keyword; each task's arguments are its range.
 func PTask(rt *ptask.Runtime, xs []int, threshold int) {
 	if threshold < insertionThreshold {
 		threshold = insertionThreshold
 	}
-	root := ptask.Invoke(rt, func() error {
-		ptaskQuick(rt, xs, 0, len(xs)-1, threshold)
-		return nil
-	})
+	s := &ptaskSort{rt: rt, xs: xs, threshold: threshold}
+	root := ptask.RunWith(rt, ptaskRange{s, 0, len(xs) - 1}, ptaskQuick)
 	if _, err := root.Result(); err != nil {
 		panic(err)
 	}
 }
 
+// ptaskSort is what every task of one PTask call shares.
+type ptaskSort struct {
+	rt        *ptask.Runtime
+	xs        []int
+	threshold int
+}
+
+// ptaskRange is one task's argument: the range xs[lo..hi] it sorts.
+type ptaskRange struct {
+	s      *ptaskSort
+	lo, hi int
+}
+
 // ptaskQuick spawns the left part as a child task, handles the right part
-// itself, then joins the child and recycles its future. A child's error
-// panics on the parent.
-func ptaskQuick(rt *ptask.Runtime, xs []int, lo, hi, threshold int) {
-	if hi-lo < threshold {
-		seqQuick(xs, lo, hi)
-		return
+// itself, then joins the child. A child's error panics on the parent.
+func ptaskQuick(r ptaskRange) (struct{}, error) {
+	s := r.s
+	if r.hi-r.lo < s.threshold {
+		seqQuick(s.xs, r.lo, r.hi)
+		return struct{}{}, nil
 	}
-	p := partition(xs, lo, hi)
-	child := ptask.Invoke(rt, func() error {
-		ptaskQuick(rt, xs, lo, p, threshold)
-		return nil
-	})
-	ptaskQuick(rt, xs, p+1, hi, threshold)
+	p := partition(s.xs, r.lo, r.hi)
+	child := ptask.RunWith(s.rt, ptaskRange{s, r.lo, p}, ptaskQuick)
+	ptaskQuick(ptaskRange{s, p + 1, r.hi})
 	if _, err := child.Result(); err != nil {
 		panic(err)
 	}
-	child.Release()
+	return struct{}{}, nil
 }
 
 // Pyjama sorts xs with an OpenMP-2.5-style expression: a parallel region
