@@ -207,7 +207,7 @@ func (f *Fleet) incarnation(id string) (time.Duration, error) {
 		return 0, err
 	}
 	f.events.Add(EvNodeStart, id, h.URL())
-	if err := waitHealthy(h.URL(), id); err != nil {
+	if err := waitHealthy(f.router.transport, h.URL(), id); err != nil {
 		_ = h.Kill()
 		return 0, err
 	}
@@ -250,10 +250,12 @@ func restartBackoff(base time.Duration, consecutive int, jitter *xrand.Rand) tim
 
 // waitHealthy polls /healthz until it answers 200 with the expected
 // node_id — the identity check that catches a port collision handing us
-// somebody else's server.
-func waitHealthy(url, id string) error {
+// somebody else's server. It goes through the router's transport, not
+// its chaos wrapper, so the keep-alive connection a check leaves is the
+// one the node's first forward reuses, and Router.Close closes it.
+func waitHealthy(tr http.RoundTripper, url, id string) error {
 	deadline := time.Now().Add(readyTimeout)
-	client := &http.Client{Timeout: time.Second}
+	client := &http.Client{Timeout: time.Second, Transport: tr}
 	for {
 		resp, err := client.Get(url + "/healthz")
 		if err == nil {

@@ -131,7 +131,8 @@ func (n *fakeNode) Wait() error {
 
 // fakeStarter hands each started incarnation to the test. Every node's
 // URL points into one httptest server that answers /{id}/healthz with
-// that node_id, so the fleet's identity check passes.
+// that node_id, so the fleet's identity check passes, and every job
+// with a fixed 200.
 type fakeStarter struct {
 	health  *httptest.Server
 	started chan *fakeNode
@@ -146,6 +147,9 @@ func newFakeStarter(t *testing.T) *fakeStarter {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{id}/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"node_id\":%q}\n", r.PathValue("id"))
+	})
+	mux.HandleFunc("POST /{id}/jobs/{kind}", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "{\"kind\":%q,\"checksum\":1}\n", r.PathValue("kind"))
 	})
 	s := &fakeStarter{health: httptest.NewServer(mux), started: make(chan *fakeNode, 16)}
 	t.Cleanup(s.health.Close)

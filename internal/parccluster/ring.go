@@ -71,36 +71,27 @@ func (r *ring) remove(node string) {
 	r.points = kept
 }
 
-// primary returns the node owning key, or "" on an empty ring.
-func (r *ring) primary(key string) string {
+// first returns the index of key's primary point, the first point
+// clockwise from key's hash, or -1 on an empty ring. Walking the points
+// from there, wrapping around, meets every member in one deterministic
+// order: the router's fallback order before load enters the picture.
+func (r *ring) first(key string) int {
 	if len(r.points) == 0 {
-		return ""
+		return -1
 	}
 	h := hash64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
 	}
-	return r.points[i].node
+	return i
 }
 
-// preference returns every member node in ring order starting from key's
-// primary — the deterministic fallback order before load enters the
-// picture.
-func (r *ring) preference(key string) []string {
-	if len(r.points) == 0 {
-		return nil
+// primary returns the node owning key, or "" on an empty ring.
+func (r *ring) primary(key string) string {
+	i := r.first(key)
+	if i < 0 {
+		return ""
 	}
-	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := map[string]bool{}
-	out := make([]string, 0, len(r.nodes))
-	for i := 0; i < len(r.points) && len(out) < len(r.nodes); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
+	return r.points[i].node
 }

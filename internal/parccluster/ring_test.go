@@ -38,24 +38,40 @@ func TestRingPrimaryStableUnderMembershipChange(t *testing.T) {
 	}
 }
 
+// walkOrder walks r's points from key's primary, wrapping around, and
+// lists each member the first time the walk meets it: the order in
+// which Router.pickFirst tries nodes.
+func walkOrder(r *ring, key string) []string {
+	start := r.first(key)
+	seen := map[string]bool{}
+	var out []string
+	for i := range r.points {
+		if n := r.points[(start+i)%len(r.points)].node; !seen[n] {
+			seen[n] = true
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 func TestRingPreferenceCoversAllMembers(t *testing.T) {
 	r := newRing(16)
 	for i := 0; i < 3; i++ {
 		r.add(fmt.Sprintf("n%d", i))
 	}
-	pref := r.preference("sort")
+	pref := walkOrder(r, "sort")
 	if len(pref) != 3 {
-		t.Fatalf("preference lists %d nodes, want 3: %v", len(pref), pref)
+		t.Fatalf("walk meets %d nodes, want 3: %v", len(pref), pref)
 	}
 	seen := map[string]bool{}
 	for _, n := range pref {
 		if seen[n] {
-			t.Fatalf("preference repeats %s: %v", n, pref)
+			t.Fatalf("walk order repeats %s: %v", n, pref)
 		}
 		seen[n] = true
 	}
 	if pref[0] != r.primary("sort") {
-		t.Fatalf("preference[0] = %s, primary = %s", pref[0], r.primary("sort"))
+		t.Fatalf("walk starts at %s, primary = %s", pref[0], r.primary("sort"))
 	}
 }
 
@@ -64,8 +80,11 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	if p := r.primary("x"); p != "" {
 		t.Fatalf("empty ring primary = %q", p)
 	}
-	if pref := r.preference("x"); pref != nil {
-		t.Fatalf("empty ring preference = %v", pref)
+	if i := r.first("x"); i != -1 {
+		t.Fatalf("empty ring first = %d, want -1", i)
+	}
+	if pref := walkOrder(r, "x"); pref != nil {
+		t.Fatalf("empty ring walk = %v", pref)
 	}
 	r.add("only")
 	for _, k := range []string{"a", "b", "c"} {

@@ -18,8 +18,8 @@
 // it on another node provably returns the same checksum) and into an
 // explicit 502 when it is not.
 //
-// Chaos enters through the router's own HTTP client: the transport is
-// wrapped in faultinject.RoundTripper, so a seeded plan can partition
+// Chaos enters through the router's own transport: it is wrapped in
+// faultinject.RoundTripper, so a seeded plan can partition
 // (Error), stall (Delay/Stall) or wedge (Hang) the router→node path on
 // exact event ordinals, and the same seed replays the same fault
 // schedule bit-for-bit (the faultinject determinism model, applied to
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -53,6 +54,23 @@ const (
 	retryMax        = 3
 	retryBackoff    = 10 * time.Millisecond
 	retryBackoffMax = 250 * time.Millisecond
+)
+
+// forwardHeaderTimeout bounds how long a forward waits for a node's
+// response headers once its request is written (DESIGN.md §14, "Router
+// transport"). maxForwardBody caps a buffered node answer.
+const (
+	forwardHeaderTimeout = 2 * time.Minute
+	maxForwardBody       = 4 << 20
+)
+
+// jobHeader is every forward's request header and jsonContentType the
+// relayed answer's Content-Type. Both are shared and read-only: a
+// RoundTripper must not modify its request, and relay assigns the slice
+// rather than appending to it.
+var (
+	jsonContentType = []string{"application/json"}
+	jobHeader       = http.Header{"Content-Type": jsonContentType}
 )
 
 // RouterConfig tunes the router. Zero values take the defaults.
@@ -78,10 +96,14 @@ type RouterConfig struct {
 // must hold for the node to receive work.
 type nodeState struct {
 	id    string
+	idHdr []string // relay's X-Parccluster-Node value
 	url   string
-	alive bool
-	ready bool
-	depth int64 // waiting + running from the last /statz refresh
+	// jobURLs holds url's POST /jobs/{kind} target for every served
+	// kind, parsed once per SetNode; forward parses any other kind.
+	jobURLs map[string]*url.URL
+	alive   bool
+	ready   bool
+	depth   int64 // waiting + running from the last /statz refresh
 }
 
 // Ledger is the router's accounting: Accepted requests split exactly
@@ -105,8 +127,11 @@ type Ledger struct {
 // parcserve node, so parcload and the loadtest package drive it
 // unchanged.
 type Router struct {
-	cfg    RouterConfig
-	client *http.Client
+	cfg RouterConfig
+	// transport carries every forward; hop wraps it in the chaos
+	// injector. Each forward is exactly one hop.RoundTrip.
+	transport *http.Transport
+	hop       faultinject.RoundTripper
 	// sleep is the failover backoff sleeper; tests silence it.
 	sleep  func(time.Duration)
 	events *EventLog
@@ -135,18 +160,18 @@ type Router struct {
 // newRouter builds a router with no members; add nodes with SetNode.
 // onKill is the fleet's kill hook, nil for a router outside a fleet.
 func newRouter(cfg RouterConfig, onKill func(node string) error) *Router {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.ResponseHeaderTimeout = forwardHeaderTimeout
 	rt := &Router{
-		cfg:   cfg,
-		sleep: time.Sleep,
-		client: &http.Client{
-			Transport: &faultinject.RoundTripper{Injector: cfg.Injector},
-			Timeout:   2 * time.Minute,
-		},
-		events: NewEventLog(),
-		mux:    http.NewServeMux(),
-		onKill: onKill,
-		nodes:  map[string]*nodeState{},
-		ring:   newRing(ringReplicas),
+		cfg:       cfg,
+		sleep:     time.Sleep,
+		transport: tr,
+		hop:       faultinject.RoundTripper{Base: tr, Injector: cfg.Injector},
+		events:    NewEventLog(),
+		mux:       http.NewServeMux(),
+		onKill:    onKill,
+		nodes:     map[string]*nodeState{},
+		ring:      newRing(ringReplicas),
 	}
 	rt.mux.HandleFunc("POST /jobs/{kind}", rt.handleJob)
 	rt.mux.HandleFunc("GET /statz", rt.handleStatz)
@@ -169,7 +194,8 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // Events returns the router's event log.
 func (rt *Router) Events() *EventLog { return rt.events }
 
-// Close stops the background poller (if any). It does not touch nodes.
+// Close stops the background poller (if any) and closes the idle
+// keep-alive connections to the nodes. It does not touch nodes.
 func (rt *Router) Close() {
 	if rt.pollStop != nil {
 		select {
@@ -179,24 +205,32 @@ func (rt *Router) Close() {
 			<-rt.pollDone
 		}
 	}
+	rt.transport.CloseIdleConnections()
 }
 
 // SetNode adds a node or updates its URL, marking it alive and ready.
 // The ring gains the node on first sight and keeps it across mark-downs
 // so a restarted node reclaims its old shard arcs.
-func (rt *Router) SetNode(id, url string) {
+func (rt *Router) SetNode(id, nodeURL string) {
+	jobURLs := make(map[string]*url.URL, len(parcserve.Kinds()))
+	for _, k := range parcserve.Kinds() {
+		if u, err := jobURL(nodeURL, string(k)); err == nil {
+			jobURLs[string(k)] = u
+		}
+	}
 	rt.mu.Lock()
 	st, ok := rt.nodes[id]
 	if !ok {
-		st = &nodeState{id: id}
+		st = &nodeState{id: id, idHdr: []string{id}}
 		rt.nodes[id] = st
 		rt.ring.add(id)
 	}
-	st.url = url
+	st.url = nodeURL
+	st.jobURLs = jobURLs
 	st.alive = true
 	st.ready = true
 	rt.mu.Unlock()
-	rt.events.Add(EvMarkUp, id, url)
+	rt.events.Add(EvMarkUp, id, nodeURL)
 }
 
 // RemoveNode deletes a node entirely (crash-looped dead): its shard
@@ -322,15 +356,17 @@ func (rt *Router) pollLoop(every time.Duration) {
 	}
 }
 
-// pickFirst returns the consistent-hash primary for kind among routable
-// nodes; pickSpill returns the least-loaded routable node not yet tried.
-// Together they implement the routing policy: shard by kind, spill by
-// load.
+// pickFirst returns the first routable node met walking the ring from
+// kind's primary; pickSpill returns the least-loaded routable node not
+// yet tried. Together they implement the routing policy: shard by kind,
+// spill by load.
 func (rt *Router) pickFirst(kind string) *nodeState {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	for _, id := range rt.ring.preference(kind) {
-		if st := rt.nodes[id]; st != nil && st.alive && st.ready {
+	pts := rt.ring.points
+	start := rt.ring.first(kind)
+	for i := range pts {
+		if st := rt.nodes[pts[(start+i)%len(pts)].node]; st != nil && st.alive && st.ready {
 			return st
 		}
 	}
@@ -360,27 +396,57 @@ type forwarded struct {
 	retryAfter int
 }
 
+// jobURL is the node at base's POST /jobs/{kind} target.
+func jobURL(base, kind string) (*url.URL, error) { return url.Parse(base + "/jobs/" + kind) }
+
+// jobBody is a forward's request body: the buffered job, closable as
+// the transport requires, in one allocation.
+type jobBody struct{ bytes.Reader }
+
+func (*jobBody) Close() error { return nil }
+
 // forward sends the job to one node and reads the full answer (the body
-// must be buffered anyway — it may be replayed on another node).
-func (rt *Router) forward(r *http.Request, node *nodeState, kind string, body []byte) (*forwarded, error) {
+// must be buffered anyway — it may be replayed on another node). It is
+// one RoundTrip on the router's own transport, cancelled by the inbound
+// request's context; an http.Client's timeout would cost a timer and a
+// goroutine per request around the chaos wrapper (DESIGN.md §14). A
+// RoundTrip error reads as http.Client's would: Post "<url>": <cause>.
+func (rt *Router) forward(r *http.Request, node *nodeState, kind string, body []byte) (forwarded, error) {
 	rt.mu.RLock()
-	url := node.url
+	base, u := node.url, node.jobURLs[kind]
 	rt.mu.RUnlock()
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		url+"/jobs/"+kind, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	if u == nil {
+		var err error
+		if u, err = jobURL(base, kind); err != nil {
+			return forwarded{}, err
+		}
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Header:        jobHeader,
+		Body:          http.NoBody,
+		ContentLength: int64(len(body)),
+	}).WithContext(r.Context())
+	if len(body) > 0 {
+		b := new(jobBody)
+		b.Reset(body)
+		req.Body = b
+	}
+	resp, err := rt.hop.RoundTrip(req)
 	if err != nil {
-		return nil, err
+		return forwarded{}, &url.Error{Op: "Post", URL: u.String(), Err: err}
 	}
 	defer resp.Body.Close()
-	out := &forwarded{status: resp.StatusCode}
-	out.body, err = io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	out := forwarded{status: resp.StatusCode}
+	if n := resp.ContentLength; n >= 0 && n <= maxForwardBody {
+		out.body = make([]byte, n)
+		_, err = io.ReadFull(resp.Body, out.body)
+	} else {
+		out.body, err = io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
+	}
 	if err != nil {
-		return nil, err
+		return forwarded{}, err
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		out.retryAfter, _ = strconv.Atoi(ra)
@@ -463,7 +529,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 			sawNon429 = true
 		default:
 			// A definitive answer (200 or a real worker error): relay it.
-			rt.relay(w, r, kind, node.id, firstNode, fwd, body, failedOver, tried)
+			rt.relay(w, r, kind, node, firstNode, fwd, body, failedOver, tried)
 			return
 		}
 		if attempt >= retryMax {
@@ -513,16 +579,17 @@ func cappedDoubling(base, limit time.Duration, n int) time.Duration {
 // relay copies a worker's definitive answer to the client and settles
 // the ledger. A successful failed-over job optionally gets its checksum
 // re-verified on a different node (VerifyRetries).
-func (rt *Router) relay(w http.ResponseWriter, r *http.Request, kind, nodeID, firstNode string,
-	fwd *forwarded, body []byte, failedOver bool, tried map[string]bool) {
+func (rt *Router) relay(w http.ResponseWriter, r *http.Request, kind string, node *nodeState, firstNode string,
+	fwd forwarded, body []byte, failedOver bool, tried map[string]bool) {
 	if fwd.status == http.StatusOK && failedOver && rt.cfg.VerifyRetries {
-		rt.verifyRetry(r, kind, nodeID, fwd, body, tried)
+		rt.verifyRetry(r, kind, node.id, fwd, body, tried)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Parccluster-Node", nodeID)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["X-Parccluster-Node"] = node.idHdr
 	if failedOver {
-		w.Header().Set("X-Parccluster-Retried", "1")
-		w.Header().Set("X-Parccluster-First-Node", firstNode)
+		h.Set("X-Parccluster-Retried", "1")
+		h.Set("X-Parccluster-First-Node", firstNode)
 	}
 	w.WriteHeader(fwd.status)
 	_, _ = w.Write(fwd.body)
@@ -537,7 +604,7 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, kind, nodeID, fi
 // compares checksums — the runtime proof that a retried job is the same
 // answer. Mismatches are counted, logged, and (in the A11 ablation)
 // fatal to the experiment.
-func (rt *Router) verifyRetry(r *http.Request, kind, nodeID string, fwd *forwarded, body []byte, tried map[string]bool) {
+func (rt *Router) verifyRetry(r *http.Request, kind, nodeID string, fwd forwarded, body []byte, tried map[string]bool) {
 	var got struct {
 		Checksum uint64 `json:"checksum"`
 	}
@@ -572,9 +639,11 @@ func (rt *Router) verifyRetry(r *http.Request, kind, nodeID string, fwd *forward
 // rejected — the "explicitly-rejected" half of the no-lost-jobs ledger.
 func (rt *Router) reject(w http.ResponseWriter, code int, msg string) {
 	rt.rejected.Add(1)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	_ = json.NewEncoder(w).Encode(struct {
+		Error string `json:"error"`
+	}{msg})
 }
 
 // ClusterStatz is the router's /statz document.

@@ -63,7 +63,7 @@ func newQuietRouter(cfg RouterConfig) *Router {
 }
 
 // newTestRouter fronts the fakes with backoff sleeping disabled and
-// returns the router plus the ring's preference order for kind, so each
+// returns the router plus the ring's walk order for kind, so each
 // test can script the primary and the spill target by position rather
 // than guessing which id hashes first.
 func newTestRouter(t *testing.T, kind string, fakes map[string]*fakeWorker) (*Router, []string) {
@@ -73,10 +73,10 @@ func newTestRouter(t *testing.T, kind string, fakes map[string]*fakeWorker) (*Ro
 		rt.SetNode(id, f.srv.URL)
 	}
 	rt.mu.RLock()
-	pref := append([]string(nil), rt.ring.preference(kind)...)
+	pref := walkOrder(rt.ring, kind)
 	rt.mu.RUnlock()
 	if len(pref) != len(fakes) {
-		t.Fatalf("preference %v does not cover all %d nodes", pref, len(fakes))
+		t.Fatalf("walk order %v does not cover all %d nodes", pref, len(fakes))
 	}
 	return rt, pref
 }

@@ -27,7 +27,8 @@ import (
 //	barrier       a party arrives at a core.Barrier  -
 //	dispatch      the event loop runs an event       -
 //	taskbody      a ptask body is about to run       task
-//	transport     a webfetch request is sent         - (faultinject.RoundTripper)
+//	transport     a webfetch request or a router     - (faultinject.RoundTripper)
+//	              forward is sent
 //	complete      a task finished, panics included   task
 //	depend        a dependence edge                  task waits on aux
 //	park, wake    a worker parked / was woken        worker
