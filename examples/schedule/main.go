@@ -1,7 +1,8 @@
 // Schedule-visualisation example: run the simulated PARC machine over an
-// imbalanced task set and render the Gantt chart of the resulting
-// work-stealing schedule — the teaching visual behind the speedup tables
-// in EXPERIMENTS.md. Run with:
+// imbalanced task set and draw the resulting work-stealing schedule with
+// parctrace's ASCII timeline, the same renderer and record (a
+// parctrace.Dump in virtual nanoseconds) used for real runs — the
+// teaching visual behind the speedup tables in EXPERIMENTS.md. Run with:
 //
 //	go run ./examples/schedule
 package main
@@ -10,6 +11,7 @@ import (
 	"fmt"
 
 	"parc751/internal/machine"
+	"parc751/internal/parctrace"
 )
 
 func main() {
@@ -39,7 +41,7 @@ func main() {
 		fmt.Printf("sequential %d ns, makespan %d ns, speedup %.2f, util %.0f%%, steals %d\n",
 			seq, st.Makespan, float64(seq)/float64(st.Makespan)/cfg.SpeedFactor,
 			st.AvgUtil*100, st.Steals)
-		fmt.Print(m.Trace().Gantt(64))
+		fmt.Print(parctrace.RenderASCII(m.Trace(), 64))
 		fmt.Println()
 	}
 }

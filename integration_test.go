@@ -23,6 +23,7 @@ import (
 	"parc751/internal/kernels"
 	"parc751/internal/machine"
 	"parc751/internal/patterns"
+	"parc751/internal/probe"
 	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
 	"parc751/internal/reduction"
@@ -193,8 +194,14 @@ func TestSimulatorAgainstAnalyticBounds(t *testing.T) {
 			t.Fatalf("p=%d makespan = %d, want %d", p, st.Makespan, want)
 		}
 		var traced uint64
-		for _, s := range m.Trace().Spans {
-			traced += s.End - s.Start
+		started := map[uint64]int64{} // task id -> run time
+		for _, ev := range m.Trace().Events {
+			switch ev.Kind {
+			case probe.SiteRun:
+				started[ev.Task] = ev.TNs
+			case probe.SiteComplete:
+				traced += uint64(ev.TNs - started[ev.Task])
+			}
 		}
 		if traced != st.BusyNs {
 			t.Fatalf("p=%d traced busy %d != stats %d", p, traced, st.BusyNs)

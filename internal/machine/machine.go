@@ -20,6 +20,8 @@ import (
 	"container/heap"
 	"fmt"
 
+	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 	"parc751/internal/sched"
 )
 
@@ -77,6 +79,7 @@ func (c Config) WithProcs(p int) Config {
 type Task struct {
 	Cost uint64
 	Run  func(ctx *Ctx)
+	id   uint64 // trace task id, numbered from 1 in push order
 }
 
 // Ctx is passed to a task's Run hook at completion time.
@@ -111,13 +114,11 @@ const (
 )
 
 type event struct {
-	t      uint64
-	seq    uint64 // tie-break for determinism
-	kind   int
-	proc   int
-	task   *Task
-	start  uint64 // execution start (evDone only, for tracing)
-	stolen bool   // task was acquired by stealing (evDone only)
+	t    uint64
+	seq  uint64 // tie-break for determinism
+	kind int
+	proc int
+	task *Task
 }
 
 type eventHeap []event
@@ -144,9 +145,10 @@ type Machine struct {
 	events  eventHeap
 	seq     uint64
 	idle    []bool
-	pending int // tasks queued or running
+	pending int    // tasks queued or running
+	pushed  uint64 // tasks pushed so far, the last one's trace id
 	stats   Stats
-	trace   *Trace // nil unless EnableTrace was called
+	trace   *parctrace.Dump // nil unless EnableTrace was called
 }
 
 // New creates a machine from cfg. It panics on a non-positive processor
@@ -180,6 +182,8 @@ func (m *Machine) Submit(proc int, cost uint64, run func(*Ctx)) {
 
 func (m *Machine) push(proc int, t *Task, now uint64) {
 	m.pending++
+	m.pushed++
+	t.id = m.pushed
 	if m.cfg.GlobalQueue {
 		m.global.Push(t)
 		if q := m.global.Len(); q > m.stats.PeakQueue {
@@ -207,27 +211,28 @@ func (m *Machine) post(e event) {
 }
 
 // acquire tries to obtain a task for processor p at time t, returning the
-// task, the virtual time at which execution can begin (acquisition
-// overheads included), and whether the task was stolen.
-func (m *Machine) acquire(p int, t uint64) (task *Task, start uint64, stolen, ok bool) {
+// task and the virtual time at which execution can begin (acquisition
+// overheads included). A steal is recorded on the thief at time t.
+func (m *Machine) acquire(p int, t uint64) (task *Task, start uint64, ok bool) {
 	if m.cfg.GlobalQueue {
 		if task, ok := m.global.Pop(); ok {
-			return task, t + m.cfg.GlobalQueueNs, false, true
+			return task, t + m.cfg.GlobalQueueNs, true
 		}
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	if task, ok := m.deques[p].PopBottom(); ok {
-		return task, t, false, true
+		return task, t, true
 	}
 	// One steal round: try every other processor once, deterministically.
 	for i := 1; i < m.cfg.Procs; i++ {
 		v := m.victims.Next(p)
 		if task, ok := m.deques[v].Steal(); ok {
 			m.stats.Steals++
-			return task, t + m.cfg.StealLatency, true, true
+			m.record(t, probe.SiteSteal, p, task.id, uint64(v))
+			return task, t + m.cfg.StealLatency, true
 		}
 	}
-	return nil, 0, false, false
+	return nil, 0, false
 }
 
 // Run executes the simulation to completion and returns the statistics.
@@ -243,25 +248,22 @@ func (m *Machine) Run() Stats {
 			if m.idle[e.proc] {
 				continue // already parked; a wake event will reactivate it
 			}
-			task, start, stolen, ok := m.acquire(e.proc, e.t)
+			task, start, ok := m.acquire(e.proc, e.t)
 			if !ok {
 				m.idle[e.proc] = true
 				continue
 			}
 			dur := uint64(float64(task.Cost) / m.cfg.SpeedFactor)
 			m.stats.BusyNs += dur
-			m.post(event{t: start + dur, kind: evDone, proc: e.proc, task: task,
-				start: start, stolen: stolen})
+			m.record(start, probe.SiteRun, e.proc, task.id, 0)
+			m.post(event{t: start + dur, kind: evDone, proc: e.proc, task: task})
 		case evDone:
 			m.pending--
 			m.stats.Spawns++
 			if e.t > m.stats.Makespan {
 				m.stats.Makespan = e.t
 			}
-			if m.trace != nil {
-				m.trace.Spans = append(m.trace.Spans,
-					Span{Proc: e.proc, Start: e.start, End: e.t, Stolen: e.stolen})
-			}
+			m.record(e.t, probe.SiteComplete, e.proc, e.task.id, 0)
 			nextFree := e.t
 			if e.task.Run != nil {
 				ctx := &Ctx{m: m, proc: e.proc, now: e.t}
@@ -278,6 +280,7 @@ func (m *Machine) Run() Stats {
 	if m.pending != 0 {
 		panic(fmt.Sprintf("machine: %d tasks never ran", m.pending))
 	}
+	m.finishTrace()
 	if m.stats.Makespan > 0 {
 		m.stats.AvgUtil = float64(m.stats.BusyNs) /
 			(float64(m.stats.Makespan) * float64(m.cfg.Procs))

@@ -1,77 +1,42 @@
 package machine
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+
+	"parc751/internal/parctrace"
+	"parc751/internal/probe"
 )
 
-// Span is one executed task interval on a virtual processor.
-type Span struct {
-	Proc   int
-	Start  uint64
-	End    uint64
-	Stolen bool // acquired by stealing rather than from the own deque
-}
-
-// Trace records the schedule a simulation produced, enabling the Gantt
-// rendering used to teach scheduling behaviour (idle bubbles, steal
-// migration, stragglers).
-type Trace struct {
-	Procs int
-	Spans []Span
-}
-
-// EnableTrace turns on span recording for this machine. Call before Run.
+// EnableTrace turns on schedule recording for this machine. Call before
+// Run. It stays off by default so parameter sweeps, which read only the
+// Stats, allocate nothing per simulated task.
 func (m *Machine) EnableTrace() {
-	m.trace = &Trace{Procs: m.cfg.Procs}
+	m.trace = &parctrace.Dump{Schema: parctrace.SchemaV1, Name: m.cfg.Name,
+		Workers: m.cfg.Procs, Counts: map[string]uint64{}, Events: []parctrace.Event{}}
 }
 
-// Trace returns the recorded trace (nil unless EnableTrace was called).
-func (m *Machine) Trace() *Trace { return m.trace }
+// Trace returns the recorded schedule (nil unless EnableTrace was called)
+// as a parctrace dump in the real pool's vocabulary, with processors as
+// workers and virtual nanoseconds as t_ns: a steal on the thief when it
+// acquires the task (aux = victim), a run when execution starts (after
+// the steal latency), a complete when it ends. So the one renderer and
+// the dump tooling draw simulated schedules like recorded ones.
+func (m *Machine) Trace() *parctrace.Dump { return m.trace }
 
-// Gantt renders an ASCII Gantt chart with the given width in columns.
-// '#' marks own work, 'S' stolen work, '.' idle.
-func (t *Trace) Gantt(width int) string {
-	if width < 10 {
-		width = 10
+func (m *Machine) record(t uint64, k probe.Site, proc int, task, aux uint64) {
+	if m.trace != nil {
+		m.trace.Events = append(m.trace.Events, parctrace.Event{
+			TNs: int64(t), Kind: k, Worker: int32(proc), Task: task, Aux: aux})
+		m.trace.Counts[k.String()]++
 	}
-	var makespan uint64
-	for _, s := range t.Spans {
-		if s.End > makespan {
-			makespan = s.End
-		}
+}
+
+// finishTrace puts the events in time order. A run is recorded when its
+// task is acquired, ahead of its start, so emission order is not time
+// order; the stable sort keeps one instant's events as emitted.
+func (m *Machine) finishTrace() {
+	if d := m.trace; d != nil {
+		sort.SliceStable(d.Events, func(i, j int) bool { return d.Events[i].TNs < d.Events[j].TNs })
+		d.Recorded = uint64(len(d.Events))
 	}
-	if makespan == 0 {
-		return "(empty trace)\n"
-	}
-	rows := make([][]byte, t.Procs)
-	for p := range rows {
-		rows[p] = []byte(strings.Repeat(".", width))
-	}
-	spans := append([]Span(nil), t.Spans...)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
-	for _, s := range spans {
-		lo := int(s.Start * uint64(width) / makespan)
-		hi := int(s.End * uint64(width) / makespan)
-		if hi == lo {
-			hi = lo + 1
-		}
-		if hi > width {
-			hi = width
-		}
-		mark := byte('#')
-		if s.Stolen {
-			mark = 'S'
-		}
-		for c := lo; c < hi; c++ {
-			rows[s.Proc][c] = mark
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Gantt (makespan %d virtual ns; # own, S stolen, . idle)\n", makespan)
-	for p, row := range rows {
-		fmt.Fprintf(&b, "p%02d |%s|\n", p, row)
-	}
-	return b.String()
 }

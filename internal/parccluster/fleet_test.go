@@ -131,8 +131,8 @@ func (n *fakeNode) Wait() error {
 
 // fakeStarter hands each started incarnation to the test. Every node's
 // URL points into one httptest server that answers /{id}/healthz with
-// that node_id, so the fleet's identity check passes, and every job
-// with a fixed 200.
+// that node_id, so the fleet's identity check passes, /{id}/statz with
+// a ready node holding 7 waiting jobs, and every job with a fixed 200.
 type fakeStarter struct {
 	health  *httptest.Server
 	started chan *fakeNode
@@ -147,6 +147,9 @@ func newFakeStarter(t *testing.T) *fakeStarter {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /{id}/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"node_id\":%q}\n", r.PathValue("id"))
+	})
+	mux.HandleFunc("GET /{id}/statz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, "{\"node_id\":%q,\"ready\":true,\"admission\":{\"waiting\":7}}\n", r.PathValue("id"))
 	})
 	mux.HandleFunc("POST /{id}/jobs/{kind}", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "{\"kind\":%q,\"checksum\":1}\n", r.PathValue("kind"))

@@ -166,6 +166,26 @@ func TestFleetStopClosesRouterConnections(t *testing.T) {
 		t.Fatal("no keep-alive connection after three forwards; the check below would prove nothing")
 	}
 	_ = f.Stop()
+	waitNoPersistConns(t)
+}
+
+// TestFleetStopClosesPollerConnections: the load poller's /statz
+// requests ride the router's transport, so the keep-alive connection a
+// poll leaves closes with the fleet too.
+func TestFleetStopClosesPollerConnections(t *testing.T) {
+	f, _, _, _ := startFakeFleet(t)
+	f.Router().RefreshLoad()
+	if n := f.Router().Nodes(); len(n) != 1 || n[0].Depth != 7 {
+		t.Fatalf("poll did not read the node's /statz: %+v", n)
+	}
+	_ = f.Stop()
+	waitNoPersistConns(t)
+}
+
+// waitNoPersistConns polls for up to 5 s until no client keep-alive
+// connection remains.
+func waitNoPersistConns(t *testing.T) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for persistConns() > 0 {
 		if time.Now().After(deadline) {

@@ -28,6 +28,7 @@ package parccluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,10 +59,12 @@ const (
 
 // forwardHeaderTimeout bounds how long a forward waits for a node's
 // response headers once its request is written (DESIGN.md §14, "Router
-// transport"). maxForwardBody caps a buffered node answer.
+// transport"). maxForwardBody caps a buffered node answer. statzTimeout
+// bounds one load poll, start to finish.
 const (
 	forwardHeaderTimeout = 2 * time.Minute
 	maxForwardBody       = 4 << 20
+	statzTimeout         = 2 * time.Second
 )
 
 // jobHeader is every forward's request header and jsonContentType the
@@ -294,9 +297,10 @@ func (rt *Router) Ledger() Ledger {
 }
 
 // RefreshLoad polls every alive node's /statz, updating queue depth and
-// readiness, and resurrecting mark-downed nodes that answer again. The
-// health client deliberately bypasses the chaos injector: control-plane
-// probes are not the traffic under test.
+// readiness, and resurrecting mark-downed nodes that answer again. Polls
+// go through the router's transport but deliberately bypass its chaos
+// wrapper: control-plane probes are not the traffic under test, and they
+// must not move the wrapper's transport ordinals.
 func (rt *Router) RefreshLoad() {
 	rt.mu.RLock()
 	targets := make([]*nodeState, 0, len(rt.nodes))
@@ -308,7 +312,7 @@ func (rt *Router) RefreshLoad() {
 		rt.mu.RLock()
 		url := st.url
 		rt.mu.RUnlock()
-		stz, err := fetchStatz(url)
+		stz, err := rt.fetchStatz(url)
 		rt.mu.Lock()
 		if err != nil {
 			st.depth = 1 << 30 // unknown load sorts last among spill targets
@@ -326,11 +330,16 @@ func (rt *Router) RefreshLoad() {
 	}
 }
 
-// statzClient is the control-plane client: short timeout, no chaos.
-var statzClient = &http.Client{Timeout: 2 * time.Second}
-
-func fetchStatz(url string) (*parcserve.Statz, error) {
-	resp, err := statzClient.Get(url + "/statz")
+// fetchStatz is one GET of a node's /statz on the router's transport,
+// so Close also closes the keep-alive connection a poll leaves.
+func (rt *Router) fetchStatz(url string) (*parcserve.Statz, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), statzTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/statz", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}

@@ -99,10 +99,15 @@ func WriteDump(w io.Writer, d *Dump) error {
 	return enc.Encode(d)
 }
 
+// maxWorkers bounds a dump's worker count. The renderers draw a row for
+// every worker, so ReadDump refuses a count outside [0, maxWorkers].
+const maxWorkers = 4096
+
 // ReadDump parses and validates a dump. Unknown schemas, unknown site or
-// fault-kind names, absent ones, untraced event kinds and plan rules at
-// trace-only sites are errors — a trace written by a future format, or
-// cut short, must fail loudly here, not render garbage.
+// fault-kind names, absent ones, untraced event kinds, plan rules at
+// trace-only sites and a worker count outside [0, maxWorkers] are errors
+// — a trace written by a future format, cut short or crafted must fail
+// loudly here, not render garbage.
 func ReadDump(data []byte) (*Dump, error) {
 	var d Dump
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -111,6 +116,9 @@ func ReadDump(data []byte) (*Dump, error) {
 	}
 	if d.Schema != SchemaV1 {
 		return nil, fmt.Errorf("parctrace: unsupported schema %q (want %q)", d.Schema, SchemaV1)
+	}
+	if d.Workers < 0 || d.Workers > maxWorkers {
+		return nil, fmt.Errorf("parctrace: %d workers outside [0, %d]", d.Workers, maxWorkers)
 	}
 	if err := requireNames(data); err != nil {
 		return nil, err

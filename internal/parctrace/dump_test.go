@@ -184,6 +184,8 @@ func TestReadDumpErrors(t *testing.T) {
 		{"event without kind", `{"schema":"parc751/trace/v1","events":[{"t_ns":1,"w":0}]}`, "event 0 has no kind"},
 		{"rule without site", `{"schema":"parc751/trace/v1","plan":{"rules":[{"kind":"delay","nth":1}]}}`, "plan rule 0 has no site"},
 		{"rule without kind", `{"schema":"parc751/trace/v1","plan":{"rules":[{"site":"submit","nth":1}]}}`, "plan rule 0 has no kind"},
+		{"negative workers", `{"schema":"parc751/trace/v1","workers":-1}`, "-1 workers outside [0, 4096]"},
+		{"too many workers", `{"schema":"parc751/trace/v1","workers":2000000000}`, "2000000000 workers outside [0, 4096]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,6 +23,8 @@ func FuzzTraceCodec(f *testing.F) {
 	f.Add([]byte(`{"schema":"parc751/trace/v0"}`))
 	f.Add([]byte(`{"schema":"parc751/trace/v1","events":[{"kind":"nope"}]}`))
 	f.Add([]byte("{"))
+	f.Add([]byte(`{"schema":"parc751/trace/v1","workers":-1,"counts":{},"events":[]}`))
+	f.Add([]byte(`{"schema":"parc751/trace/v1","workers":2000000000,"counts":{},"events":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := ReadDump(data)
 		if err != nil {

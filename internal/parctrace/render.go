@@ -7,13 +7,15 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"time"
 
 	"parc751/internal/probe"
 )
 
-// Rendering caps: the viewer is a debugger, not a database. Beyond these
-// the page notes the truncation; the full window is always in the
-// embedded JSON and the dump file.
+// HTML viewer caps: the page is a debugger, not a database. Beyond these
+// the timeline shows the latest events and the DAG notes the truncation;
+// the full window is always in the embedded JSON and the dump file. The
+// ASCII view draws every event.
 const (
 	maxTimelineEvents = 4000
 	maxDAGNodes       = 300
@@ -29,42 +31,49 @@ type span struct {
 
 // timelineModel groups the event window into per-worker rows.
 type timelineModel struct {
-	workers []int32 // sorted distinct worker ids present
+	workers []int32 // sorted: 0..Workers-1 and any other id the events carry
 	spans   map[int32][]span
 	marks   map[int32][]Event // submit/steal/park/wake ticks
 	tMin    int64
 	tMax    int64
 }
 
-func buildTimeline(d *Dump) *timelineModel {
+// buildTimeline lays evs out in one row for each of the dump's workers,
+// idle ones included, plus one for any other worker id the events carry
+// (-1, goroutines outside the pool).
+func buildTimeline(evs []Event, workers int) *timelineModel {
 	m := &timelineModel{
 		spans: map[int32][]span{},
 		marks: map[int32][]Event{},
-		tMin:  1<<63 - 1,
 	}
-	open := map[uint64]*span{} // task -> currently running span
+	if len(evs) > 0 {
+		m.tMin, m.tMax = evs[0].TNs, evs[0].TNs
+	}
+	// A task's running span is found by row and index: a nested run on
+	// the same worker (a join that helps) may grow the row's slice.
+	type at struct {
+		w int32
+		i int
+	}
+	open := map[uint64]at{}
 	seen := map[int32]bool{}
-	evs := d.Events
-	if len(evs) > maxTimelineEvents {
-		evs = evs[len(evs)-maxTimelineEvents:]
+	for w := range workers {
+		seen[int32(w)] = true
 	}
 	for _, ev := range evs {
-		if ev.TNs < m.tMin {
-			m.tMin = ev.TNs
-		}
-		if ev.TNs > m.tMax {
-			m.tMax = ev.TNs
-		}
+		m.tMin = min(m.tMin, ev.TNs)
+		m.tMax = max(m.tMax, ev.TNs)
 		seen[ev.Worker] = true
 		switch ev.Kind {
 		case probe.SiteRun:
 			s := span{task: ev.Task, startNs: ev.TNs, endNs: ev.TNs}
 			m.spans[ev.Worker] = append(m.spans[ev.Worker], s)
 			if ev.Task != 0 {
-				open[ev.Task] = &m.spans[ev.Worker][len(m.spans[ev.Worker])-1]
+				open[ev.Task] = at{ev.Worker, len(m.spans[ev.Worker]) - 1}
 			}
 		case probe.SiteComplete:
-			if s := open[ev.Task]; s != nil {
+			if o, ok := open[ev.Task]; ok {
+				s := &m.spans[o.w][o.i]
 				s.endNs = ev.TNs
 				s.complete = true
 				delete(open, ev.Task)
@@ -175,7 +184,11 @@ func buildDAG(d *Dump) *dagModel {
 // <script type="application/json"> block — stdlib only, no JS
 // dependencies, safe to save and open offline.
 func RenderHTML(w io.Writer, d *Dump) error {
-	tl := buildTimeline(d)
+	evs := d.Events
+	if len(evs) > maxTimelineEvents {
+		evs = evs[len(evs)-maxTimelineEvents:]
+	}
+	tl := buildTimeline(evs, d.Workers)
 	dag := buildDAG(d)
 	var b strings.Builder
 	b.WriteString("<!doctype html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n")
@@ -341,20 +354,20 @@ func renderDAGSVG(b *strings.Builder, g *dagModel) {
 	b.WriteString(note + "</p>\n")
 }
 
-// RenderASCII renders the per-worker timeline as fixed-width text: one
-// row per worker, time bucketed into width columns, '#' where the worker
-// was executing a task, 'S' where a steal landed, '.' idle — the
-// screenshot-free rendering the CLI and README use.
+// RenderASCII renders the whole event window as fixed-width text: one
+// row per worker, idle ones included, time bucketed into width columns,
+// '#' where the worker was executing a task, 'S' where a steal landed,
+// '.' idle — the screenshot-free schedule view of the CLI, the README,
+// and the simulator's examples and racelab page.
 func RenderASCII(d *Dump, width int) string {
 	if width < 16 {
 		width = 64
 	}
-	tl := buildTimeline(d)
+	tl := buildTimeline(d.Events, d.Workers)
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s: %d workers, %d events (%d lost, %d sampled out), window %.2fms\n",
-		d.Name, d.Workers, d.Recorded, d.Lost, d.SampledOut,
-		float64(tl.tMax-tl.tMin)/1e6)
-	if len(tl.workers) == 0 {
+	fmt.Fprintf(&b, "trace %s: %d workers, %d events (%d lost, %d sampled out), window %v\n",
+		d.Name, d.Workers, d.Recorded, d.Lost, d.SampledOut, time.Duration(tl.tMax-tl.tMin))
+	if len(d.Events) == 0 {
 		b.WriteString("(no events)\n")
 		return b.String()
 	}

@@ -70,21 +70,70 @@ func TestRenderASCII(t *testing.T) {
 		t.Fatal("empty ASCII timeline")
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// Workers -1 (external), and 1 appear in the golden events; each gets
-	// a row, and the busy worker's row shows running ticks.
-	var sawRun bool
-	for _, ln := range lines {
-		if strings.Contains(ln, "#") {
-			sawRun = true
-		}
+	// The golden dump declares 2 workers and has events from -1
+	// (external) and 1: each gets a row, idle worker 0 too, and the busy
+	// worker's row shows running ticks.
+	r := asciiRows(out)
+	if len(r) != 3 || !strings.HasPrefix(r[0], "ext ") || !strings.HasPrefix(r[1], "w0 ") || !strings.HasPrefix(r[2], "w1 ") {
+		t.Fatalf("want rows ext, w0, w1:\n%s", out)
 	}
-	if !sawRun {
-		t.Fatalf("no run span rendered:\n%s", out)
+	if !strings.Contains(r[2], "#") || strings.Contains(r[1], "#") {
+		t.Fatalf("want work on w1 only:\n%s", out)
 	}
 	for _, ln := range lines {
 		if len(ln) > 120 {
 			t.Fatalf("ASCII row wider than requested width budget: %d chars", len(ln))
 		}
+	}
+}
+
+// asciiRows returns the worker rows of a RenderASCII timeline.
+func asciiRows(out string) []string {
+	var rows []string
+	for _, ln := range strings.Split(out, "\n") {
+		if strings.HasSuffix(ln, "|") {
+			rows = append(rows, ln)
+		}
+	}
+	return rows
+}
+
+// TestRenderASCIIDrawsEveryEvent: the text view has no event cap. A task
+// that ran across more than the HTML viewer's window of events still
+// draws from its first instant.
+func TestRenderASCIIDrawsEveryEvent(t *testing.T) {
+	d := &Dump{Schema: SchemaV1, Workers: 2, Counts: map[string]uint64{}}
+	d.Events = append(d.Events, Event{TNs: 0, Kind: probe.SiteRun, Worker: 0, Task: 1})
+	for i := 0; i < maxTimelineEvents; i++ {
+		tid := uint64(i + 2)
+		d.Events = append(d.Events,
+			Event{TNs: int64(10 + 2*i), Kind: probe.SiteRun, Worker: 1, Task: tid},
+			Event{TNs: int64(11 + 2*i), Kind: probe.SiteComplete, Worker: 1, Task: tid})
+	}
+	d.Events = append(d.Events, Event{TNs: int64(20 + 2*maxTimelineEvents), Kind: probe.SiteComplete, Worker: 0, Task: 1})
+	out := RenderASCII(d, 40)
+	if r := asciiRows(out); len(r) != 2 || !strings.Contains(r[0], "|"+strings.Repeat("#", 40)+"|") {
+		t.Fatalf("task 1 does not span worker 0's row:\n%s", out)
+	}
+}
+
+// TestRenderASCIINestedRun: a task run inside another on one worker (a
+// join that helps) closes its own span, and the outer span still ends at
+// the outer complete.
+func TestRenderASCIINestedRun(t *testing.T) {
+	d := &Dump{Schema: SchemaV1, Workers: 1, Counts: map[string]uint64{}, Events: []Event{
+		{TNs: 0, Kind: probe.SiteRun, Worker: 0, Task: 1},
+		{TNs: 10, Kind: probe.SiteRun, Worker: 0, Task: 2},
+		{TNs: 20, Kind: probe.SiteComplete, Worker: 0, Task: 2},
+		{TNs: 100, Kind: probe.SiteComplete, Worker: 0, Task: 1},
+	}}
+	tl := buildTimeline(d.Events, d.Workers)
+	if s := tl.spans[0]; len(s) != 2 || !s[0].complete || s[0].endNs != 100 || !s[1].complete || s[1].endNs != 20 {
+		t.Fatalf("spans = %+v", s)
+	}
+	out := RenderASCII(d, 20)
+	if r := asciiRows(out); len(r) != 1 || !strings.Contains(r[0], "|"+strings.Repeat("#", 20)+"|") {
+		t.Fatalf("outer task does not span the row:\n%s", out)
 	}
 }
 

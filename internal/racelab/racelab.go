@@ -9,7 +9,8 @@
 //	                      table + live forced-trial results
 //	/api/explore/{name}   JSON: exhaustive exploration result
 //	/api/trial/{name}     JSON: live forced-race trial (?trials=N)
-//	/gantt                ASCII Gantt of a simulated work-stealing schedule
+//	/gantt                ASCII timeline (parctrace's renderer) of a
+//	                      simulated work-stealing schedule
 //	                      (?procs=N&tasks=N&steal=NS)
 //
 // The handler is plain net/http + html/template, so it embeds in tests
@@ -27,6 +28,7 @@ import (
 
 	"parc751/internal/machine"
 	"parc751/internal/memmodel"
+	"parc751/internal/parctrace"
 )
 
 // Demo is one interactive pitfall page.
@@ -249,7 +251,7 @@ func serveGantt(w http.ResponseWriter, r *http.Request) {
 		tasks, procs, steal)
 	fmt.Fprintf(w, "makespan=%d busy=%d steals=%d util=%.2f\n\n",
 		st.Makespan, st.BusyNs, st.Steals, st.AvgUtil)
-	fmt.Fprint(w, m.Trace().Gantt(72))
+	fmt.Fprint(w, parctrace.RenderASCII(m.Trace(), 72))
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -135,7 +135,7 @@ func TestGanttEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	for _, want := range []string{"makespan=", "p00", "p03", "Gantt"} {
+	for _, want := range []string{"makespan=", "\nw0 ", "\nw3 ", "trace gantt: 4 workers"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("gantt output missing %q:\n%s", want, body)
 		}
