@@ -10,7 +10,6 @@
 //	parcbench -e P2              # one experiment, full scale
 //	parcbench -e all -quick      # everything, small sizes
 //	parcbench -e P7 -workers 8 -seed 99
-//	parcbench -e P2 -schedstats  # append per-worker scheduler counters
 //
 // It is also the front end of the committed-performance ratchet:
 //
@@ -46,8 +45,6 @@ func main() {
 		seed    = flag.Uint64("seed", 751, "workload seed")
 		workers = flag.Int("workers", 4, "worker threads for real parallel execution")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		sstats  = flag.Bool("schedstats", false,
-			"print per-worker scheduler counters (pushes/pops/steals/parks/wakes) and submit latency for experiments that drive the real runtime")
 
 		perf     = flag.Bool("perf", false, "run the hot-path performance suite and ratchet against the last committed BENCH_<n>.json")
 		perfOut  = flag.String("perfout", "", "write the measured report to this file (e.g. BENCH_7.json); empty = measure and compare only")
@@ -71,7 +68,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers, SchedStats: *sstats}
+	cfg := experiments.Config{Seed: *seed, Quick: *quick, Workers: *workers}
 	var toRun []experiments.Experiment
 	if strings.EqualFold(*expID, "all") {
 		toRun = experiments.All()

@@ -2,11 +2,9 @@
 // sequential Go code: canonical loops whose iterations are provably
 // independent and whose estimated cost clears the pyjama fork-join
 // threshold. It is parcvet's inverse — built on the same loader, CFG,
-// and report conventions — and can rewrite what it finds:
-//
-//	exit 0 — ran, no error-severity findings (parcpar emits warnings only)
-//	exit 1 — ran, at least one error-severity finding
-//	exit 2 — could not run (bad flags, load failure)
+// and report conventions — and can rewrite what it finds. Every finding
+// is a warning, so parcpar exits 0 when it ran and 2 when it could not
+// (bad flags, load failure).
 //
 // Usage:
 //
@@ -32,15 +30,14 @@ import (
 
 func main() {
 	var (
-		dir        = flag.String("dir", ".", "directory inside the module to analyze from")
-		errorsOnly = flag.Bool("errors-only", false, "report only error-severity findings")
-		jsonOut    = flag.Bool("json", false, "emit findings as a JSON array")
-		explain    = flag.Bool("explain", false, "also report reasoned rejections (earlyexit, dependence, impurity, belowthreshold)")
-		fix        = flag.Bool("fix", false, "rewrite rewritable loops to pyjama.ParallelFor / ParallelForReduce in place")
-		outDir     = flag.String("o", "", "write rewritten copies of files with rewrites into this directory (requires one source-dir argument)")
-		outPkg     = flag.String("pkg", "", "package name for -o output (default: source package name)")
-		calibrate  = flag.Bool("calibrate", false, "measure a probe table on this host and print it as JSON")
-		list       = flag.Bool("list", false, "list the rules and exit")
+		dir       = flag.String("dir", ".", "directory inside the module to analyze from")
+		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
+		explain   = flag.Bool("explain", false, "also report reasoned rejections (earlyexit, dependence, impurity, belowthreshold)")
+		fix       = flag.Bool("fix", false, "rewrite rewritable loops to pyjama.ParallelFor / ParallelForReduce in place")
+		outDir    = flag.String("o", "", "write rewritten copies of files with rewrites into this directory (requires one source-dir argument)")
+		outPkg    = flag.String("pkg", "", "package name for -o output (default: source package name)")
+		calibrate = flag.Bool("calibrate", false, "measure a probe table on this host and print it as JSON")
+		list      = flag.Bool("list", false, "list the rules and exit")
 	)
 	flag.Parse()
 
@@ -103,13 +100,9 @@ belowthreshold  warning  safe but cheaper than one fork-join; not worth forking 
 	if err != nil {
 		fatal(err)
 	}
-	if *errorsOnly {
-		findings = report.Errors(findings)
-	}
 	if err := report.Render(os.Stdout, findings, *jsonOut); err != nil {
 		fatal(err)
 	}
-	os.Exit(report.ExitCode(findings))
 }
 
 func fatal(err error) {

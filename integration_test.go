@@ -388,13 +388,13 @@ func TestSortUnderReductionVerification(t *testing.T) {
 	} {
 		xs := append([]int(nil), base...)
 		sorter(xs)
-		sum := reduction.Parallel(4, len(xs), reduction.Sum[int64](),
-			func(i int) int64 { return int64(xs[i]) })
+		sum := pyjama.ParallelForReduce(4, len(xs), pyjama.Static(0), reduction.Sum[int64](),
+			func(i int, acc int64) int64 { return acc + int64(xs[i]) })
 		if sum != wantSum {
 			t.Fatalf("%s: element sum changed: %d != %d", name, sum, wantSum)
 		}
-		sortedPar := reduction.Parallel(4, len(xs)-1, reduction.And(),
-			func(i int) bool { return xs[i] <= xs[i+1] })
+		sortedPar := pyjama.ParallelForReduce(4, len(xs)-1, pyjama.Static(0), reduction.And(),
+			func(i int, acc bool) bool { return acc && xs[i] <= xs[i+1] })
 		if !sortedPar {
 			t.Fatalf("%s: output not sorted", name)
 		}

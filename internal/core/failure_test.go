@@ -273,10 +273,13 @@ func TestDisabledRecorderOverheadGuard(t *testing.T) {
 	})
 }
 
+// raceBuild is true in race builds (race_test.go).
+var raceBuild bool
+
 // detachedProbeOverheadGuard pins (a) an absolute per-submit ceiling for
 // the detached seam far below anything a real hook slip-up would produce,
-// and (b) that the detached path is no slower than twice the attached
-// path built by newProbe.
+// outside race builds, and (b) in every build, that the detached path is
+// no slower than twice the attached path built by newProbe.
 func detachedProbeOverheadGuard(t *testing.T, name string, newProbe func() probe.Probe) {
 	t.Helper()
 	if testing.Short() {
@@ -308,7 +311,7 @@ func detachedProbeOverheadGuard(t *testing.T, name string, newProbe func() probe
 			attached = d
 		}
 	}
-	if perSubmit := detached / tasks; perSubmit > 5*time.Microsecond {
+	if perSubmit := detached / tasks; !raceBuild && perSubmit > 5*time.Microsecond {
 		t.Errorf("detached submit path costs %v/op, want <= 5µs (hook overhead crept in)", perSubmit)
 	}
 	if detached > attached*2 {

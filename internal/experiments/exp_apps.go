@@ -19,35 +19,7 @@ import (
 	"parc751/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "P1",
-		Title: "Thumbnails of images in a folder (responsive GUI)",
-		Paper: "§IV-C item 1",
-		Run:   runP1,
-	})
-	register(Experiment{
-		ID:    "P4",
-		Title: "Search for a string in text files of a folder",
-		Paper: "§IV-C item 4",
-		Run:   runP4,
-	})
-	register(Experiment{
-		ID:    "P7",
-		Title: "PDF searching: granularity of parallelisation",
-		Paper: "§IV-C item 7",
-		Run:   runP7,
-	})
-	register(Experiment{
-		ID:    "P10",
-		Title: "Fast web access through concurrent connections",
-		Paper: "§IV-C item 10",
-		Run:   runP10,
-	})
-}
-
-func runP1(cfg Config) *Result {
-	res := &Result{ID: "P1", Title: "Thumbnails"}
+func runP1(cfg Config, res *Result) {
 	nImgs, maxDim := 96, 192
 	if cfg.Quick {
 		nImgs, maxDim = 24, 64
@@ -159,7 +131,6 @@ func runP1(cfg Config) *Result {
 	}
 
 	var b strings.Builder
-	b.WriteString(header(res, "§IV-C item 1"))
 	b.WriteString(tab.String())
 	b.WriteString("\n")
 	b.WriteString(androidTab.String())
@@ -175,7 +146,6 @@ func runP1(cfg Config) *Result {
 	res.ok("simulated speedup grows with cores", nonDecreasing(speeds))
 	res.metric("android_speedup", speeds[0])
 	res.metric("parc64_speedup", speeds[3])
-	return res
 }
 
 // androidThumbComparison renders the same thumbnail workload through the
@@ -316,8 +286,7 @@ func androidThumbComparison(imgs []*workload.Image, same func([]*workload.Image)
 	return tab, allOK
 }
 
-func runP4(cfg Config) *Result {
-	res := &Result{ID: "P4", Title: "Folder text search"}
+func runP4(cfg Config, res *Result) {
 	spec := workload.DefaultFolderSpec(cfg.Seed)
 	spec.NumFiles = 800
 	if cfg.Quick {
@@ -373,18 +342,16 @@ func runP4(cfg Config) *Result {
 		fmt.Sprintf("streamed=%d uiMax=%v", streamed.Load(), uiMax))
 	tab.AddRow("regexp parallel", len(reMatches), "-", "pattern concurrency[A-Z]+")
 
-	res.Output = header(res, "§IV-C item 4") + tab.String()
+	res.Output = tab.String()
 	res.ok("finds every planted needle", len(seq) == planted && len(par) == planted)
 	res.ok("parallel result order deterministic", identical)
 	res.ok("all matches streamed while searching", streamed.Load() == int32(planted))
 	res.ok("regexp matches planted needles", len(reMatches) == planted)
 	res.ok("UI responsive during search", uiMax < time.Second)
 	res.metric("matches", float64(len(par)))
-	return res
 }
 
-func runP7(cfg Config) *Result {
-	res := &Result{ID: "P7", Title: "PDF search granularity"}
+func runP7(cfg Config, res *Result) {
 	spec := workload.DefaultDocSpec(cfg.Seed)
 	spec.NumDocs = 80
 	if cfg.Quick {
@@ -422,7 +389,7 @@ func runP7(cfg Config) *Result {
 		tab.AddRow(g.String(), units, len(got), ok, float64(st.Makespan)/1e6)
 	}
 
-	res.Output = header(res, "§IV-C item 7") + tab.String() +
+	res.Output = tab.String() +
 		"\nshape: per-file suffers the giant-document straggler; per-page pays task\n" +
 		"overhead; hybrid (16 pages/task) balances both — the crossover the project\n" +
 		"asked students to investigate.\n"
@@ -430,7 +397,6 @@ func runP7(cfg Config) *Result {
 	res.ok("hybrid beats per-file on skewed corpus", simMakespans["hybrid"] < simMakespans["per-file"])
 	res.ok("hybrid beats per-page under task overhead", simMakespans["hybrid"] < simMakespans["per-page"])
 	res.metric("perfile_over_hybrid", simMakespans["per-file"]/simMakespans["hybrid"])
-	return res
 }
 
 // unitCosts models one task per search unit with cost = pages x perPage ns.
@@ -461,8 +427,7 @@ func unitCosts(docs []*workload.Document, g pdfsearch.Granularity, run int, perP
 	return costs
 }
 
-func runP10(cfg Config) *Result {
-	res := &Result{ID: "P10", Title: "Concurrent web access"}
+func runP10(cfg Config, res *Result) {
 	nPages := 400
 	if cfg.Quick {
 		nPages = 100
@@ -487,7 +452,6 @@ func runP10(cfg Config) *Result {
 	lb := webfetch.LowerBound(pages, net)
 
 	var b strings.Builder
-	b.WriteString(header(res, "§IV-C item 10"))
 	b.WriteString(tab.String())
 	b.WriteString("\n")
 	b.WriteString(chart.String())
@@ -501,7 +465,6 @@ func runP10(cfg Config) *Result {
 	res.ok("optimum in the interior", best > 1)
 	res.metric("best_connections", float64(best))
 	res.metric("speedup_at_best", results[0].Makespan/simMin(results))
-	return res
 }
 
 func simMin(rs []webfetch.SimResult) float64 {

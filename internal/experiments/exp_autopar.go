@@ -14,15 +14,6 @@ import (
 	"parc751/internal/parcvet/loader"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A10",
-		Title: "parcpar auto-parallelization: fixture classification, committed rewrites regenerate byte-identically, rewrites are checksum-identical and faster",
-		Paper: "DESIGN.md §13 (A10); §II research-infusion of dependence analysis",
-		Run:   runA10,
-	})
-}
-
 // a10Expected pins the classification of every candidate loop in the
 // autogen fixture package, by enclosing function.
 var a10Expected = map[string]parcpar.Class{
@@ -55,17 +46,15 @@ var a10Expected = map[string]parcpar.Class{
 //     the float kernels keep their inner summation order), and
 //  4. the rewrites are measurably faster on a multi-core host (on a
 //     single-core host the assertion degrades to bounded overhead).
-func runA10(cfg Config) *Result {
-	res := &Result{ID: "A10", Title: "parcpar auto-parallelization"}
+func runA10(cfg Config, res *Result) {
 	var b strings.Builder
-	b.WriteString(header(res, "DESIGN.md §13 (A10); §II research-infusion of dependence analysis"))
 
 	root, err := loader.FindModuleRoot(".")
 	if err != nil {
 		res.ok("module_root_found", false)
 		fmt.Fprintf(&b, "cannot locate module root: %v\n", err)
 		res.Output = b.String()
-		return res
+		return
 	}
 	res.ok("module_root_found", true)
 
@@ -74,14 +63,14 @@ func runA10(cfg Config) *Result {
 	if err != nil {
 		res.ok("fixture_load", false)
 		res.Output = b.String() + err.Error()
-		return res
+		return
 	}
 	seqDir := filepath.Join(root, "internal", "parcpar", "autogen", "seq")
 	pkg, err := l.LoadDir(seqDir, "parc751/internal/parcpar/autogen/seq")
 	if err != nil {
 		res.ok("fixture_load", false)
 		res.Output = b.String() + err.Error()
-		return res
+		return
 	}
 	res.ok("fixture_load", true)
 	loops, _ := parcpar.AnalyzePackage(l, pkg, parcpar.Options{Explain: true})
@@ -273,7 +262,6 @@ func runA10(cfg Config) *Result {
 		fmt.Fprintf(&b, "%-17s %-9v %-12v %-12v %.2fx\n", k.name, same, seqNs, parNs, sp)
 	}
 	res.Output = b.String()
-	return res
 }
 
 func sumF(xs []float64) float64 {

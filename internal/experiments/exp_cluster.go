@@ -12,15 +12,6 @@ import (
 	"parc751/internal/parcserve/loadtest"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A11",
-		Title: "Cluster ablation: sharded routing and node-kill survival",
-		Paper: "DESIGN.md §14 (A11); the serving layer scaled horizontally",
-		Run:   runA11,
-	})
-}
-
 // runA11 is the cluster-layer ablation, two claims in one exhibit:
 //
 //  1. Scaling — the same offered load against 1-, 2- and 4-node fleets.
@@ -33,9 +24,7 @@ func init() {
 //
 // The fleet under seeded router→node partitions is the replay
 // catalogue's partition kind, recorded and replayed by A12.
-func runA11(cfg Config) *Result {
-	res := &Result{ID: "A11", Title: "Cluster scaling and node-kill survival"}
-
+func runA11(cfg Config, res *Result) {
 	const (
 		slots  = 2
 		spinMs = 20
@@ -74,7 +63,7 @@ func runA11(cfg Config) *Result {
 			res.ok("fleet starts at every size", false)
 			res.Output = fmt.Sprintf("A11: %d-node fleet failed to start: %v\n", n, err)
 			_ = fleet.Stop()
-			return res
+			return
 		}
 		front := httptest.NewServer(fleet.Router())
 		r := loadtest.Run(loadtest.Config{
@@ -182,9 +171,7 @@ func runA11(cfg Config) *Result {
 	}
 	res.ok("node kill mid-run loses zero jobs and the node restarts", killOK)
 
-	res.Output = "A11 — the cluster layer: scaling and survival (DESIGN.md §14)\n\n" +
-		tab.String() + "\n" +
+	res.Output = tab.String() + "\n" +
 		fmt.Sprintf("4-node vs 1-node throughput: %.2fx (floor 1.5x, %d CPUs)\n\n", scaling, runtime.NumCPU()) +
 		killNote + "\n"
-	return res
 }

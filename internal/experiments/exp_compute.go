@@ -18,27 +18,6 @@ import (
 	"parc751/internal/workload"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "P2",
-		Title: "Parallel quicksort: Parallel Task vs Pyjama vs goroutines",
-		Paper: "§IV-C item 2",
-		Run:   runP2,
-	})
-	register(Experiment{
-		ID:    "P3",
-		Title: "Computational kernels: FFT, MD, graph, linear algebra",
-		Paper: "§IV-C item 3",
-		Run:   runP3,
-	})
-	register(Experiment{
-		ID:    "P5",
-		Title: "Object-oriented reductions in Pyjama",
-		Paper: "§IV-C item 5, §V-B",
-		Run:   runP5,
-	})
-}
-
 func timeIt(f func()) time.Duration {
 	start := time.Now()
 	f()
@@ -79,8 +58,7 @@ func simQuicksortSpeedups(n, threshold int, cores []int) []float64 {
 	return out
 }
 
-func runP2(cfg Config) *Result {
-	res := &Result{ID: "P2", Title: "Parallel quicksort"}
+func runP2(cfg Config, res *Result) {
 	n := 500000
 	if cfg.Quick {
 		n = 50000
@@ -126,14 +104,11 @@ func runP2(cfg Config) *Result {
 	chart.AddSeries(curve)
 
 	var b strings.Builder
-	b.WriteString(header(res, "§IV-C item 2"))
 	b.WriteString(tab.String())
 	b.WriteString("\n")
 	b.WriteString(chart.String())
-	if cfg.SchedStats {
-		b.WriteString("\n")
-		b.WriteString(rt.SchedStats().String())
-	}
+	b.WriteString("\n")
+	b.WriteString(rt.SchedStats().String())
 	res.Output = b.String()
 
 	res.ok("all implementations correct", correct)
@@ -142,7 +117,6 @@ func runP2(cfg Config) *Result {
 	res.ok("sublinear at 64 cores (spawn/steal overheads)", speedups[6] < 64)
 	res.metric("speedup_8", speedups[3])
 	res.metric("speedup_64", speedups[6])
-	return res
 }
 
 func equalInts(a, b []int) bool {
@@ -166,8 +140,7 @@ func nonDecreasing(xs []float64) bool {
 	return true
 }
 
-func runP3(cfg Config) *Result {
-	res := &Result{ID: "P3", Title: "Computational kernels"}
+func runP3(cfg Config, res *Result) {
 	fftN, mdN, grN, mmN := 1<<15, 384, 3000, 256
 	if cfg.Quick {
 		fftN, mdN, grN, mmN = 1<<11, 96, 500, 64
@@ -245,7 +218,6 @@ func runP3(cfg Config) *Result {
 	}
 
 	var sb strings.Builder
-	sb.WriteString(header(res, "§IV-C item 3"))
 	sb.WriteString(tab.String())
 	sb.WriteString("\n")
 	sb.WriteString(simTab.String())
@@ -257,11 +229,9 @@ func runP3(cfg Config) *Result {
 	res.ok("matmul parallel identical", mmSame)
 	res.ok("simulated speedup ordered android<parc8<parc16<parc64", nonDecreasing(simSpeedups))
 	res.metric("parc64_md_speedup", simSpeedups[3])
-	return res
 }
 
-func runP5(cfg Config) *Result {
-	res := &Result{ID: "P5", Title: "Object-oriented reductions"}
+func runP5(cfg Config, res *Result) {
 	n := 2000000
 	if cfg.Quick {
 		n = 100000
@@ -319,8 +289,11 @@ func runP5(cfg Config) *Result {
 	})
 	var histPar map[string]int
 	dPar = timeIt(func() {
-		histPar = reduction.Parallel(cfg.Workers, len(words), reduction.Histogram[string](),
-			func(i int) map[string]int { return map[string]int{words[i]: 1} })
+		histPar = pyjama.ParallelForReduce(cfg.Workers, len(words), pyjama.Static(0), reduction.Histogram[string](),
+			func(i int, acc map[string]int) map[string]int {
+				acc[words[i]]++
+				return acc
+			})
 	})
 	histOK := len(histSeq) == len(histPar)
 	for k, v := range histSeq {
@@ -331,12 +304,12 @@ func runP5(cfg Config) *Result {
 	tab.AddRow("histogram (map merge, OO)", len(words), dSeq.String(), dPar.String(), histOK)
 
 	// Object reduction 2: collection append preserving block order.
-	sel := reduction.Parallel(cfg.Workers, n/100, reduction.Append[int](),
-		func(i int) []int {
+	sel := pyjama.ParallelForReduce(cfg.Workers, n/100, pyjama.Static(0), reduction.Append[int](),
+		func(i int, acc []int) []int {
 			if vals[i]%7 == 0 {
-				return []int{vals[i]}
+				return append(acc, vals[i])
 			}
-			return nil
+			return acc
 		})
 	var selSeq []int
 	for i := 0; i < n/100; i++ {
@@ -355,12 +328,15 @@ func runP5(cfg Config) *Result {
 	tab.AddRow("filter-append (collection, OO)", n/100, "-", "-", appendOK)
 
 	// Object reduction 3: set union.
-	uni := reduction.Parallel(cfg.Workers, n/100, reduction.Union[int](),
-		func(i int) map[int]struct{} { return map[int]struct{}{vals[i] % 50: {}} })
+	uni := pyjama.ParallelForReduce(cfg.Workers, n/100, pyjama.Static(0), reduction.Union[int](),
+		func(i int, acc map[int]struct{}) map[int]struct{} {
+			acc[vals[i]%50] = struct{}{}
+			return acc
+		})
 	unionOK := len(uni) <= 50 && len(uni) > 0
 	tab.AddRow("set union (OO)", n/100, "-", "-", unionOK)
 
-	res.Output = header(res, "§IV-C item 5, §V-B") + tab.String() +
+	res.Output = tab.String() +
 		"\nOpenMP restricts reductions to scalar types and fixed operators; the OO\n" +
 		"framework extends them to collections, maps and user combiners (§V-B).\n"
 	res.ok("scalar sum equal", sumOK)
@@ -368,5 +344,4 @@ func runP5(cfg Config) *Result {
 	res.ok("histogram equal", histOK)
 	res.ok("append preserves order", appendOK)
 	res.ok("union bounded", unionOK)
-	return res
 }

@@ -14,29 +14,7 @@ import (
 	"parc751/internal/ptask"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "P6",
-		Title: "Task-aware (task-safe) libraries for Parallel Task",
-		Paper: "§IV-C item 6",
-		Run:   runP6,
-	})
-	register(Experiment{
-		ID:    "P8",
-		Title: "Understanding and coping with the memory model",
-		Paper: "§IV-C item 8",
-		Run:   runP8,
-	})
-	register(Experiment{
-		ID:    "P9",
-		Title: "Parallel use of collections: lock strategies compared",
-		Paper: "§IV-C item 9",
-		Run:   runP9,
-	})
-}
-
-func runP6(cfg Config) *Result {
-	res := &Result{ID: "P6", Title: "Task-safe libraries"}
+func runP6(cfg Config, res *Result) {
 	trials := 400
 	if cfg.Quick {
 		trials = 100
@@ -130,7 +108,7 @@ func runP6(cfg Config) *Result {
 	tab.AddRow("blocking bounded queue on 1-worker pool", 1, boolToInt(!blockingCompletes), "wedges (watchdog fired)")
 	tab.AddRow("non-blocking task-safe queue", 1, boolToInt(!taskSafeCompletes), "completes")
 
-	res.Output = header(res, "§IV-C item 6") + tab.String() +
+	res.Output = tab.String() +
 		"\nthe project's lesson: using a thread-safe class inside a tasking model\n" +
 		"does not necessarily equate to a correct solution — compound operations\n" +
 		"must be atomic and blocking calls must not capture pool workers.\n"
@@ -139,7 +117,6 @@ func runP6(cfg Config) *Result {
 	res.ok("blocking queue wedges the pool", !blockingCompletes)
 	res.ok("task-safe queue completes", taskSafeCompletes)
 	res.metric("racy_rate", racy.Rate())
-	return res
 }
 
 func boolToInt(b bool) int {
@@ -149,8 +126,7 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-func runP8(cfg Config) *Result {
-	res := &Result{ID: "P8", Title: "Memory-model lab"}
+func runP8(cfg Config, res *Result) {
 	trials := 200
 	if cfg.Quick {
 		trials = 50
@@ -200,7 +176,6 @@ func runP8(cfg Config) *Result {
 		fmt.Sprintf("%.0f%%", forcedDouble.Rate()*100), fmt.Sprintf("%.0f%%", fixedDouble.Rate()*100))
 
 	var b strings.Builder
-	b.WriteString(header(res, "§IV-C item 8"))
 	b.WriteString(expTab.String())
 	b.WriteString("\n")
 	b.WriteString(liveTab.String())
@@ -213,11 +188,9 @@ func runP8(cfg Config) *Result {
 	res.ok("forced live races reproduce anomalies", forcedLost.Anomalies > 0 && forcedDouble.Anomalies > 0)
 	res.ok("fixed live versions are anomaly-free", fixedLost.Anomalies == 0 && fixedDouble.Anomalies == 0)
 	res.metric("lost_update_violation_fraction", float64(lost.Violations)/float64(lost.Interleavings))
-	return res
 }
 
-func runP9(cfg Config) *Result {
-	res := &Result{ID: "P9", Title: "Parallel collections comparison"}
+func runP9(cfg Config, res *Result) {
 	opsPerWorker := 30000
 	if cfg.Quick {
 		opsPerWorker = 5000
@@ -356,7 +329,6 @@ func runP9(cfg Config) *Result {
 	racy := memmodel.ForcedLostUpdate(20, workers, 200)
 
 	var b strings.Builder
-	b.WriteString(header(res, "§IV-C item 9"))
 	b.WriteString(mapTab.String())
 	b.WriteString("\n")
 	b.WriteString(counterTab.String())
@@ -382,7 +354,6 @@ func runP9(cfg Config) *Result {
 		}
 	}
 	res.ok("all map variants measurable", allPos)
-	return res
 }
 
 // handoffSubject is one P9 queue or stack variant, by its put and take

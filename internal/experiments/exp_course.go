@@ -8,41 +8,7 @@ import (
 	"parc751/internal/metrics"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "F1",
-		Title: "Research-teaching nexus classification (Figure 1)",
-		Paper: "Figure 1, §I, §III-E",
-		Run:   runF1,
-	})
-	register(Experiment{
-		ID:    "F2",
-		Title: "SoftEng 751 course structure (Figure 2)",
-		Paper: "Figure 2, §III-A",
-		Run:   runF2,
-	})
-	register(Experiment{
-		ID:    "TASSESS",
-		Title: "Assessment scheme (§III-C)",
-		Paper: "§III-C",
-		Run:   runTAssess,
-	})
-	register(Experiment{
-		ID:    "EALLOC",
-		Title: "First-in-first-served doodle-poll topic allocation",
-		Paper: "§III-D",
-		Run:   runEAlloc,
-	})
-	register(Experiment{
-		ID:    "ELIKERT",
-		Title: "Summative student evaluation (Likert agreement)",
-		Paper: "§V-A",
-		Run:   runELikert,
-	})
-}
-
-func runF1(cfg Config) *Result {
-	res := &Result{ID: "F1", Title: "Research-teaching nexus classification"}
+func runF1(cfg Config, res *Result) {
 	acts := course.SoftEng751Activities()
 	tab := metrics.NewTable("Figure 1 reproduction: SoftEng 751 activities on the nexus",
 		"activity", "quadrant", "in course")
@@ -55,7 +21,6 @@ func runF1(cfg Config) *Result {
 	}
 	cov := course.NexusCoverage(acts)
 	var b strings.Builder
-	b.WriteString(header(res, "Figure 1"))
 	b.WriteString(tab.String())
 	fmt.Fprintf(&b, "\nquadrant coverage: led=%d oriented=%d tutored=%d based=%d\n",
 		cov[course.ResearchLed], cov[course.ResearchOriented],
@@ -64,11 +29,9 @@ func runF1(cfg Config) *Result {
 	res.ok("three quadrants covered", cov[course.ResearchLed] > 0 &&
 		cov[course.ResearchTutored] > 0 && cov[course.ResearchBased] > 0)
 	res.ok("research-oriented deliberately absent", cov[course.ResearchOriented] == 0)
-	return res
 }
 
-func runF2(cfg Config) *Result {
-	res := &Result{ID: "F2", Title: "Course structure"}
+func runF2(cfg Config, res *Result) {
 	weeks := course.Calendar()
 	tab := metrics.NewTable("Figure 2 reproduction: semester calendar", "week", "code", "detail")
 	for _, w := range weeks {
@@ -78,15 +41,13 @@ func runF2(cfg Config) *Result {
 		}
 		tab.AddRow(wk, w.Kind.Code(), w.Detail)
 	}
-	res.Output = header(res, "Figure 2") + tab.String()
+	res.Output = tab.String()
 	res.ok("12 teaching weeks", course.TeachingWeeks(weeks) == 12)
 	res.ok("8 development weeks (§III-D)", course.DevelopmentWeeks(weeks) == 8)
 	res.metric("teaching_weeks", float64(course.TeachingWeeks(weeks)))
-	return res
 }
 
-func runTAssess(cfg Config) *Result {
-	res := &Result{ID: "TASSESS", Title: "Assessment scheme"}
+func runTAssess(cfg Config, res *Result) {
 	scheme := course.AssessmentScheme()
 	tab := metrics.NewTable("§III-C assessment weights", "component", "weight %", "individual")
 	sum, indiv := 0, 0
@@ -97,16 +58,14 @@ func runTAssess(cfg Config) *Result {
 			indiv += c.Weight
 		}
 	}
-	res.Output = header(res, "§III-C") + tab.String() +
+	res.Output = tab.String() +
 		fmt.Sprintf("\ntotal = %d%%, individually assessed = %d%%\n", sum, indiv)
 	res.ok("weights sum to 100", course.ValidateScheme(scheme) == nil)
 	res.ok("individual lecture assessment is 25% (Test 1)", scheme[0].Weight == 25)
 	res.metric("individual_weight", float64(indiv))
-	return res
 }
 
-func runEAlloc(cfg Config) *Result {
-	res := &Result{ID: "EALLOC", Title: "Doodle-poll topic allocation"}
+func runEAlloc(cfg Config, res *Result) {
 	poll := course.DefaultPoll()
 	students := 60
 	trials := 20
@@ -139,17 +98,15 @@ func runEAlloc(cfg Config) *Result {
 		tab.AddRow(seed, len(a.TopicOf), len(a.Unplaced), full, sat)
 	}
 	meanSat := satSum / float64(trials)
-	res.Output = header(res, "§III-D") + tab.String() +
+	res.Output = tab.String() +
 		fmt.Sprintf("\nmean preference rank received = %.2f (1 = everyone got first choice)\n", meanSat)
 	res.ok("every group placed", allPlaced)
 	res.ok("capacity never exceeded", capOK)
 	res.ok("popular topics contested but satisfiable (mean rank < 4)", meanSat < 4)
 	res.metric("mean_pref_rank", meanSat)
-	return res
 }
 
-func runELikert(cfg Config) *Result {
-	res := &Result{ID: "ELIKERT", Title: "Likert evaluation"}
+func runELikert(cfg Config, res *Result) {
 	targets := course.PaperTargets()
 	n := 60
 	exact := course.ExactSurvey(n, targets)
@@ -169,7 +126,6 @@ func runELikert(cfg Config) *Result {
 			fmt.Sprintf("%.1f%%", s*100))
 	}
 	var b strings.Builder
-	b.WriteString(header(res, "§V-A"))
 	b.WriteString(tab.String())
 	b.WriteString("\nopen comments quoted by the paper:\n")
 	for _, c := range course.OpenComments() {
@@ -187,7 +143,6 @@ func runELikert(cfg Config) *Result {
 	res.ok("simulated cohort within 10 points", simClose)
 	res.metric("q1_agreement", exact[0].Agreement())
 	res.metric("q3_agreement", exact[2].Agreement())
-	return res
 }
 
 func truncate(s string, n int) string {

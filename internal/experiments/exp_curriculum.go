@@ -9,17 +9,7 @@ import (
 	"parc751/internal/metrics"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "ECURR",
-		Title: "TCPP curriculum alignment and the speedup laws",
-		Paper: "§II (Early Adopter), §III-A weeks 1-5",
-		Run:   runECurr,
-	})
-}
-
-func runECurr(cfg Config) *Result {
-	res := &Result{ID: "ECURR", Title: "Curriculum alignment"}
+func runECurr(cfg Config, res *Result) {
 	topics := curriculum.SharedMemoryCore()
 	err := curriculum.Validate(topics)
 
@@ -63,7 +53,6 @@ func runECurr(cfg Config) *Result {
 	}
 
 	var b strings.Builder
-	b.WriteString(header(res, "§II, §III-A"))
 	b.WriteString(tab.String())
 	b.WriteString("\n")
 	b.WriteString(amTab.String())
@@ -75,5 +64,4 @@ func runECurr(cfg Config) *Result {
 	res.ok("majority of topics at apply level", curriculum.ApplyShare(topics) >= 0.5)
 	res.ok("simulator tracks Amdahl within 10%", tracks)
 	res.metric("apply_share", curriculum.ApplyShare(topics))
-	return res
 }

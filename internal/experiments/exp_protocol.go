@@ -9,21 +9,11 @@ import (
 	"parc751/internal/xrand"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "EPROTO",
-		Title: "PARC repository protocols (directory hygiene audit)",
-		Paper: "§IV-A",
-		Run:   runEProto,
-	})
-}
-
 // runEProto audits two synthetic student repositories: one following the
 // §IV-A protocols and one committing the classic violations (build
 // artifacts, Windows paths, CRLF scripts, no src/test separation). The
 // clean tree must pass and every planted violation must be caught.
-func runEProto(cfg Config) *Result {
-	res := &Result{ID: "EPROTO", Title: "Repository hygiene"}
+func runEProto(cfg Config, res *Result) {
 	r := xrand.New(cfg.Seed)
 
 	clean := []repohygiene.File{
@@ -83,7 +73,7 @@ func runEProto(cfg Config) *Result {
 		}
 	}
 
-	res.Output = header(res, "§IV-A") + tab.String() +
+	res.Output = tab.String() +
 		fmt.Sprintf("\nclean repository: %d violations; dirty repository: %d violations (%d errors)\n",
 			len(cleanViolations), len(dirtyViolations), len(report.Errors(dirtyViolations)))
 	res.ok("clean repository passes", len(cleanViolations) == 0)
@@ -91,5 +81,4 @@ func runEProto(cfg Config) *Result {
 	res.ok("errors ranked before warnings", len(dirtyViolations) == 0 ||
 		dirtyViolations[0].Severity == report.Error)
 	res.metric("violations_caught", float64(len(dirtyViolations)))
-	return res
 }

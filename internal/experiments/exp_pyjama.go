@@ -10,15 +10,6 @@ import (
 	"parc751/internal/pyjama"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A6",
-		Title: "Pyjama schedule ablation: static/dynamic/guided/auto on uniform and skewed loops",
-		Paper: "DESIGN.md §5 (A6); Giacaman & Sinnen Pyjama worksharing",
-		Run:   runA6,
-	})
-}
-
 // a6SkewBlock is the period of the skewed workload's cost alternation:
 // iterations in odd 512-blocks cost a6SkewFactor times more than the
 // rest. The block is larger than auto's probe chunk cap (256), so the
@@ -39,9 +30,7 @@ var a6Sink atomic.Uint64
 // the uniform profile. The findings are deterministic shape
 // properties (coverage, claim counts, auto's committed decision), not
 // wall-clock speedups — this host may be a single core.
-func runA6(cfg Config) *Result {
-	res := &Result{ID: "A6", Title: "Pyjama schedule ablation"}
-
+func runA6(cfg Config, res *Result) {
 	n := 32768
 	if cfg.Quick {
 		n = 8192
@@ -164,12 +153,10 @@ func runA6(cfg Config) *Result {
 	res.metric("a6_skewed_auto_chunk", float64(skewedAuto.Chunk))
 
 	var b strings.Builder
-	b.WriteString(header(res, "DESIGN.md §5 (A6)"))
 	b.WriteString(tab.String())
 	b.WriteString("\n")
 	b.WriteString(chunkTab.String())
 	b.WriteString("\nRegionStats of the skewed schedule(auto) run:\n")
 	b.WriteString(runs[len(runs)-1].stats.String())
 	res.Output = b.String()
-	return res
 }

@@ -12,15 +12,6 @@ import (
 	"parc751/internal/sched"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A1",
-		Title: "Scheduler ablation: work-stealing vs global queue, with live pool observability",
-		Paper: "DESIGN.md §5 (A1); Giacaman & Sinnen runtime design",
-		Run:   runA1,
-	})
-}
-
 // runA1 reproduces the scheduling ablation at two levels. The
 // deterministic simulator compares work-stealing against a single global
 // queue on identical task sets, flat against recursive spawning (A3), and
@@ -29,9 +20,7 @@ func init() {
 // tasks conserved, owner deques used for worker-side spawns, thieves
 // stealing, and parked workers woken by targeted wakeups — scheduler
 // internals as observable state.
-func runA1(cfg Config) *Result {
-	res := &Result{ID: "A1", Title: "Scheduler ablation + observability"}
-
+func runA1(cfg Config, res *Result) {
 	// Level 1: deterministic simulator, identical task set both modes.
 	nTasks := 1024
 	if cfg.Quick {
@@ -166,7 +155,6 @@ func runA1(cfg Config) *Result {
 	res.metric("submit_latency_p50_ns", float64(snap.SubmitLatency.Quantile(0.5)))
 
 	var b strings.Builder
-	b.WriteString(header(res, "DESIGN.md §5 (A1)"))
 	b.WriteString(simTab.String())
 	b.WriteString("\n")
 	b.WriteString(a3Tab.String())
@@ -175,7 +163,6 @@ func runA1(cfg Config) *Result {
 	b.WriteString("\n")
 	b.WriteString(snap.String())
 	res.Output = b.String()
-	return res
 }
 
 func totalWakes(s sched.Snapshot) int64 {

@@ -10,15 +10,6 @@ import (
 	"parc751/internal/parcserve/loadtest"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A9",
-		Title: "Serving ablation: job front end under open-loop load",
-		Paper: "DESIGN.md §11 (A9); course workloads as a servable system",
-		Run:   runA9,
-	})
-}
-
 // runA9 measures the serving layer at three offered-load levels against
 // a deliberately tiny server (2 execution slots), so the admission
 // disciplines are visible at experiment scale: underload must succeed
@@ -26,9 +17,7 @@ func init() {
 // unboundedly, and every level must answer every request. Spin jobs
 // give a known service time, which makes the capacity arithmetic exact:
 // 2 slots × (1000/20ms) = 100 jobs/s.
-func runA9(cfg Config) *Result {
-	res := &Result{ID: "A9", Title: "Serving under open-loop load"}
-
+func runA9(cfg Config, res *Result) {
 	requests := 200
 	if cfg.Quick {
 		requests = 60
@@ -106,12 +95,10 @@ func runA9(cfg Config) *Result {
 	res.ok("overload: saturation is rejected with 429, not queued unboundedly", overRejected)
 	res.ok("graceful drain after load leaves the pool empty", drainClean)
 
-	res.Output = "A9 — the serving layer under open-loop load (DESIGN.md §11)\n\n" +
-		tab.String() + "\n" +
+	res.Output = tab.String() + "\n" +
 		"Open-loop arrivals do not slow down when the server does, so the\n" +
 		"4x level forces the admission choice: bounded queueing plus 429,\n" +
 		"never an unbounded backlog. The 200-column at capacity shows the\n" +
 		"slots saturating while accepted-work latency stays near the 20ms\n" +
 		"service time.\n"
-	return res
 }

@@ -9,15 +9,6 @@ import (
 	"parc751/internal/parctrace/replay"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A12",
-		Title: "Chaos replay: seeded faults surface once, never deadlock, and replay bit-identically",
-		Paper: "DESIGN.md §10 and §15 (A12); faultinject + parctrace recorder + replay debugger",
-		Run:   runA12,
-	})
-}
-
 // runA12 is the one exhibit over the replay catalogue: for every
 // scenario kind and three seeds, record a run under the kind's seeded
 // chaos plan, replay the dump's coordinate, and check
@@ -38,8 +29,7 @@ func init() {
 // A diverging replay means the schedule coordinate (workload spec +
 // fault plan) no longer pins the execution — the reproduce-a-failure
 // debugging loop of DESIGN.md §15 would be broken.
-func runA12(cfg Config) *Result {
-	res := &Result{ID: "A12", Title: "Chaos replay: record → replay → verify"}
+func runA12(cfg Config, res *Result) {
 	tab := metrics.NewTable("Seeded chaos runs recorded, then replayed (canonical projections compared)",
 		"workload", "seed", "invariants", "events", "faults", "identical", "conserved")
 
@@ -87,8 +77,7 @@ func runA12(cfg Config) *Result {
 	res.metric("replays", float64(runs))
 	res.metric("bit_identical", float64(identical))
 
-	res.Output = "A12 — chaos replay over the scenario catalogue (DESIGN.md §10, §15)\n\n" +
-		tab.String() +
+	res.Output = tab.String() +
 		"\nEach row records one catalogue scenario under its seeded fault plan with\n" +
 		"the parctrace recorder attached. 'invariants' means the run neither\n" +
 		"deadlocked nor lost a future, the pool quiesced in time, and every\n" +
@@ -98,5 +87,4 @@ func runA12(cfg Config) *Result {
 		"injected schedule, same surfaced errors. The conservation column checks\n" +
 		"sum(counts) == recorded + lost + sampled-out — exact counters survive\n" +
 		"ring shedding.\n" + notes.String()
-	return res
 }

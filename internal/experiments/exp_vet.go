@@ -9,15 +9,6 @@ import (
 	"parc751/internal/report"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "A7",
-		Title: "parcvet misuse detection: each seeded concurrency bug class is caught, the corrected program is clean",
-		Paper: "DESIGN.md §9 (A7); §III/§IV-B/§IV-C misuse catalogue",
-		Run:   runA7,
-	})
-}
-
 // a7Buggy is a student-style submission seeding one instance of every
 // misuse class the parcvet suite checks: a blocking GUI handler, a racy
 // captured write, a dropped future, a divergent barrier, a non-neutral
@@ -138,17 +129,15 @@ func Spawn(rt *ptask.Runtime, xs []int) {
 // exact-shape properties: every misuse class fires on the buggy variant,
 // and the corrected variant is completely clean (the suite's
 // false-positive budget on known-good code is zero).
-func runA7(cfg Config) *Result {
-	res := &Result{ID: "A7", Title: "parcvet misuse detection"}
+func runA7(cfg Config, res *Result) {
 	var b strings.Builder
-	b.WriteString(header(res, "DESIGN.md §9 (A7); §III/§IV-B/§IV-C misuse catalogue"))
 
 	root, err := loader.FindModuleRoot(".")
 	if err != nil {
 		res.ok("module_root_found", false)
 		fmt.Fprintf(&b, "cannot locate module root: %v\n", err)
 		res.Output = b.String()
-		return res
+		return
 	}
 	res.ok("module_root_found", true)
 
@@ -196,5 +185,4 @@ func runA7(cfg Config) *Result {
 		}
 	}
 	res.Output = b.String()
-	return res
 }

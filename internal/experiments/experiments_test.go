@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,25 +10,20 @@ import (
 func quickConfig() Config { return Config{Seed: 751, Quick: true, Workers: 2} }
 
 func TestRegistryComplete(t *testing.T) {
-
-	// Every exhibit from DESIGN.md's per-experiment index must be
-	// registered.
+	// Every exhibit from DESIGN.md's per-experiment index is registered,
+	// in paper order: the course exhibits, the ten projects, the
+	// ablations.
 	want := []string{"F1", "F2", "TASSESS", "EALLOC", "EPROTO", "ECURR", "ELIKERT",
 		"P1", "P2", "P3", "P4", "P5", "P6", "P7", "P8", "P9", "P10", "A1", "A6", "A7", "A9", "A10", "A11", "A12"}
 	var ids []string
-	have := map[string]bool{}
 	for _, e := range All() {
 		ids = append(ids, e.ID)
-		have[e.ID] = true
-	}
-
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s not registered", id)
+		if e.Title == "" || e.Paper == "" || e.run == nil {
+			t.Errorf("experiment %s lacks a title, paper citation or run function", e.ID)
 		}
 	}
-	if len(ids) != len(want) {
-		t.Errorf("registry has %d experiments, want %d: %v", len(ids), len(want), ids)
+	if !slices.Equal(ids, want) {
+		t.Errorf("registry order = %v, want %v", ids, want)
 	}
 }
 
@@ -66,14 +62,14 @@ func TestResultHelpers(t *testing.T) {
 func TestAllExperimentsPass(t *testing.T) {
 	cfg := quickConfig()
 	for _, e := range All() {
-		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			res := e.Run(cfg)
 			if res.Output == "" {
 				t.Fatal("no output")
 			}
-			if !strings.Contains(res.Output, res.ID) {
-				t.Error("output missing experiment id banner")
+			banner := "### " + e.ID + " — " + e.Title + "\n(paper: " + e.Paper + ")\n\n"
+			if res.ID != e.ID || !strings.HasPrefix(res.Output, banner) {
+				t.Errorf("output does not start with the registry banner %q", banner)
 			}
 			if len(res.Findings) == 0 {
 				t.Fatal("experiment reported no findings")

@@ -23,9 +23,7 @@
 package parcpar
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"sort"
 	"strings"
 
@@ -172,7 +170,7 @@ func AnalyzePackage(l *loader.Loader, pkg *loader.Package, opts Options) ([]Loop
 		out = append(out, report.Finding{
 			Tool:     "parcpar",
 			Rule:     lp.Class.Rule(),
-			Pos:      relPos(l, a.fset, lp.Stmt.Pos()),
+			Pos:      l.RelPos(lp.Stmt.Pos()),
 			Severity: report.Warning,
 			Detail:   lp.Reason,
 		})
@@ -216,16 +214,6 @@ func (a *analyzer) analyzeAll() []Loop {
 		return loops[i].Stmt.Pos() < loops[j].Stmt.Pos()
 	})
 	return loops
-}
-
-// relPos renders a module-relative "file:line:col", matching parcvet.
-func relPos(l *loader.Loader, fset *token.FileSet, pos token.Pos) string {
-	posn := fset.Position(pos)
-	name := posn.Filename
-	if rel, ok := strings.CutPrefix(name, l.ModuleRoot+"/"); ok {
-		name = rel
-	}
-	return fmt.Sprintf("%s:%d:%d", name, posn.Line, posn.Column)
 }
 
 // funcName renders the function's display name, including a receiver.

@@ -55,27 +55,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Diagnostic is one positioned finding.
 type Diagnostic struct {
 	Pos token.Pos
-	End token.Pos // optional
 	// Message is the human-readable explanation.
 	Message string
 	// Severity overrides the analyzer default when set explicitly via
 	// HasSeverity.
 	Severity    report.Severity
 	HasSeverity bool
-	// SuggestedFixes are mechanical rewrites that remove the finding.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained mechanical rewrite.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces [Pos, End) with NewText; End == NoPos means insert at
-// Pos.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }

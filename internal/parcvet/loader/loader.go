@@ -112,6 +112,18 @@ func modulePath(gomod string) (string, error) {
 // loaded package resolve).
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
+// RelPos renders pos as "file:line:col", with the file relative to the
+// module root when it lies inside it — the position format of every
+// parcvet and parcpar finding.
+func (l *Loader) RelPos(pos token.Pos) string {
+	posn := l.fset.Position(pos)
+	name := posn.Filename
+	if rel, err := filepath.Rel(l.ModuleRoot, name); err == nil && !strings.HasPrefix(rel, "..") {
+		name = filepath.ToSlash(rel)
+	}
+	return fmt.Sprintf("%s:%d:%d", name, posn.Line, posn.Column)
+}
+
 // Load resolves the given patterns to packages and typechecks them.
 // Supported patterns: "./..." (every package under the module root),
 // "dir/..." (every package under dir), and plain directories (relative to

@@ -2,8 +2,8 @@ package parcvet
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 
 	"parc751/internal/parcvet/analysis"
 	"parc751/internal/report"
@@ -15,8 +15,7 @@ import (
 // per-iteration copy. Go 1.22 made `for i :=` per-iteration, but the
 // paper's labs still teach the pattern (the course's Java side has no such
 // rescue, and `i` declared *outside* the loop is stale in any Go version),
-// so the analyzer reports it as a teaching warning with the mechanical
-// `i := i` shadowing fix.
+// so the analyzer reports it as a teaching warning.
 var LoopIndexCaptureAnalyzer = &analysis.Analyzer{
 	Name: "loopindexcapture",
 	Doc: `report async closures capturing an enclosing loop variable
@@ -41,8 +40,7 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 		if !launch {
 			return true
 		}
-		// Loop variables of loops enclosing the launch site, innermost
-		// first, with the loop whose body the closure sits in.
+		// Loop variables of loops enclosing the launch site.
 		loops := enclosingLoopVars(info, stack, lit)
 		if len(loops) == 0 {
 			return true
@@ -58,27 +56,10 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 			if obj == nil || reported[obj] {
 				return true
 			}
-			for _, lv := range loops {
-				if obj != lv.obj {
-					continue
-				}
+			if slices.Contains(loops, obj) {
 				reported[obj] = true
-				diag := analysis.Diagnostic{
-					Pos: id.Pos(),
-					Message: "closure " + why + " captures loop variable " + id.Name +
-						": the task may run after the iteration advances and observe a stale index; shadow it with a per-iteration copy or pass it as a parameter",
-				}
-				if lv.fixable {
-					diag.SuggestedFixes = []analysis.SuggestedFix{{
-						Message: "shadow " + id.Name + " with a per-iteration copy",
-						TextEdits: []analysis.TextEdit{{
-							Pos:     lv.bodyLbrace + 1,
-							End:     lv.bodyLbrace + 1,
-							NewText: []byte("\n" + id.Name + " := " + id.Name),
-						}},
-					}}
-				}
-				pass.Report(diag)
+				pass.Reportf(id.Pos(), "closure %s captures loop variable %s: the task may run after the iteration advances and observe a stale index; shadow it with a per-iteration copy or pass it as a parameter",
+					why, id.Name)
 			}
 			return true
 		})
@@ -127,24 +108,14 @@ func insideParallelConstruct(info *types.Info, stack []ast.Node) bool {
 	return false
 }
 
-// loopVar is one loop variable of a loop that encloses the launch site.
-type loopVar struct {
-	obj types.Object
-	// fixable is true when the variable is declared by the loop header
-	// itself (`for i := …` / `for i, v := range …`), where inserting a
-	// shadowing copy at the top of the loop body is a complete fix.
-	fixable    bool
-	bodyLbrace token.Pos // position of the loop body's { when fixable
-}
-
 // enclosingLoopVars collects the loop variables of every for/range
 // statement on the stack below the innermost enclosing function boundary
 // (a loop outside the enclosing closure cannot interleave with it), plus
 // loop-scoped variables declared outside the loop header but assigned by
 // it — the `var i int; for i = 0; …` form, which is stale in every Go
 // version.
-func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []loopVar {
-	var out []loopVar
+func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []types.Object {
+	var out []types.Object
 	// Walk outward; stop at the first function boundary other than lit
 	// itself (loops beyond it run on a different activation record).
 	for i := len(stack) - 2; i >= 0; i-- {
@@ -159,11 +130,7 @@ func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []l
 						continue
 					}
 					if obj := info.ObjectOf(id); obj != nil {
-						out = append(out, loopVar{
-							obj:        obj,
-							fixable:    info.Defs[id] != nil,
-							bodyLbrace: n.Body.Lbrace,
-						})
+						out = append(out, obj)
 					}
 				}
 			}
@@ -174,11 +141,7 @@ func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []l
 					continue
 				}
 				if obj := info.ObjectOf(id); obj != nil {
-					out = append(out, loopVar{
-						obj:        obj,
-						fixable:    info.Defs[id] != nil,
-						bodyLbrace: n.Body.Lbrace,
-					})
+					out = append(out, obj)
 				}
 			}
 		}

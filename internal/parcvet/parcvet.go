@@ -3,7 +3,6 @@ package parcvet
 import (
 	"fmt"
 	"go/token"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -88,15 +87,7 @@ func AnalyzePackage(l *loader.Loader, pkg *loader.Package, analyzers []*analysis
 		analyzers = Analyzers()
 	}
 	fset := l.Fset()
-	relPos := func(pos token.Pos) string {
-		posn := fset.Position(pos)
-		name := posn.Filename
-		if rel, err := filepath.Rel(l.ModuleRoot, name); err == nil && !strings.HasPrefix(rel, "..") {
-			name = filepath.ToSlash(rel)
-		}
-		return fmt.Sprintf("%s:%d:%d", name, posn.Line, posn.Column)
-	}
-	supp := collectSuppressions(fset, pkg.Files, relPos)
+	supp := collectSuppressions(fset, pkg.Files, l.RelPos)
 
 	type located struct {
 		posn token.Position
@@ -122,13 +113,9 @@ func AnalyzePackage(l *loader.Loader, pkg *loader.Package, analyzers []*analysis
 				if d.HasSeverity {
 					sev = d.Severity
 				}
-				detail := d.Message
-				for _, fix := range d.SuggestedFixes {
-					detail += "; fix: " + fix.Message
-				}
 				found = append(found, located{posn, report.Finding{
 					Tool: "parcvet", Rule: an.Name,
-					Pos: relPos(d.Pos), Severity: sev, Detail: detail,
+					Pos: l.RelPos(d.Pos), Severity: sev, Detail: d.Message,
 				}})
 			},
 		}

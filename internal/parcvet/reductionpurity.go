@@ -23,7 +23,7 @@ var ReductionPurityAnalyzer = &analysis.Analyzer{
 	Doc: `report impure or non-neutral hand-rolled reducers
 
 A reduction.Reducer passed to pyjama.ForReduce / ParallelForReduce /
-reduction.Fold/Tree/Parallel must have (a) a Combine that touches only its
+reduction.Fold must have (a) a Combine that touches only its
 arguments — mutating captured state races across threads and breaks
 associativity — and (b) an Identity that is a true neutral element
 constructed fresh per call (returning a captured map/slice shares one

@@ -43,5 +43,5 @@ func sharedIdentity(parts [][]int) []int {
 		Identity: func() []int { return scratch }, // want `identity returns captured "scratch"`
 		Combine:  func(a, b []int) []int { return append(a, b...) },
 	}
-	return reduction.Tree(r, parts)
+	return reduction.Fold(r, parts)
 }

@@ -9,10 +9,13 @@
 //     logical and/or);
 //   - the object reducers the paper's project explored (slice append,
 //     set union, map merge, histogram merge, top-k);
-//   - Fold (sequential reference), Tree (deterministic pairwise
-//     combination of partials), and Parallel (goroutine-parallel
-//     reduction) — tests assert all three agree, which is exactly the
-//     associativity property a reduction must have.
+//   - Fold, the sequential reference semantics.
+//
+// The parallel reduction is pyjama.ForReduce (and ParallelForReduce): it
+// folds each team member's share and combines the partials in thread
+// order. The tests assert that it agrees with Fold for the stock
+// reducers, which is exactly the associativity property a reduction must
+// have.
 package reduction
 
 import "sort"
@@ -41,69 +44,6 @@ func Fold[T any](r Reducer[T], xs []T) T {
 		acc = r.Combine(acc, x)
 	}
 	return acc
-}
-
-// Tree reduces partials pairwise in a deterministic binary tree, the
-// combination order used after a parallel loop (thread order, balanced).
-func Tree[T any](r Reducer[T], partials []T) T {
-	switch len(partials) {
-	case 0:
-		return r.Identity()
-	case 1:
-		return partials[0]
-	}
-	work := make([]T, len(partials))
-	copy(work, partials)
-	for len(work) > 1 {
-		half := (len(work) + 1) / 2
-		next := make([]T, half)
-		for i := 0; i < len(work)/2; i++ {
-			next[i] = r.Combine(work[2*i], work[2*i+1])
-		}
-		if len(work)%2 == 1 {
-			next[half-1] = work[len(work)-1]
-		}
-		work = next
-	}
-	return work[0]
-}
-
-// Parallel reduces n mapped elements with p goroutines: each worker folds
-// a contiguous block, and the partials are tree-combined. body(i) produces
-// the element for index i.
-func Parallel[T any](p, n int, r Reducer[T], body func(i int) T) T {
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	if n <= 0 {
-		return r.Identity()
-	}
-	partials := make([]T, p)
-	done := make(chan int, p)
-	base, rem := n/p, n%p
-	lo := 0
-	for w := 0; w < p; w++ {
-		size := base
-		if w < rem {
-			size++
-		}
-		go func(w, lo, hi int) {
-			acc := r.Identity()
-			for i := lo; i < hi; i++ {
-				acc = r.Combine(acc, body(i))
-			}
-			partials[w] = acc
-			done <- w
-		}(w, lo, lo+size)
-		lo += size
-	}
-	for w := 0; w < p; w++ {
-		<-done
-	}
-	return Tree(r, partials)
 }
 
 // Numeric covers the built-in types OpenMP's scalar reductions apply to.
@@ -183,7 +123,7 @@ func Or() Reducer[bool] {
 // project added beyond the OpenMP specification.
 
 // Append merges slices by concatenation. Order is combination order, so
-// with Tree/Parallel the result preserves block order — the property the
+// under a static-block pyjama.ForReduce the result preserves block order — the property the
 // text-search project relies on for stable match lists.
 func Append[T any]() Reducer[[]T] {
 	return Reducer[[]T]{

@@ -3,11 +3,7 @@ package reduction
 import (
 	"math"
 	"reflect"
-	"sort"
 	"testing"
-	"testing/quick"
-
-	"parc751/internal/xrand"
 )
 
 func TestFoldSum(t *testing.T) {
@@ -53,103 +49,6 @@ func TestAndOr(t *testing.T) {
 	}
 }
 
-// TestTreeEqualsFold is the associativity check for every scalar reducer.
-func TestTreeEqualsFold(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		r := xrand.New(seed)
-		n := int(nRaw % 65)
-		xs := make([]int, n)
-		for i := range xs {
-			xs[i] = r.Intn(1000) - 500
-		}
-		if Tree(Sum[int](), xs) != Fold(Sum[int](), xs) {
-			return false
-		}
-		if Tree(Min[int](math.MaxInt), xs) != Fold(Min[int](math.MaxInt), xs) {
-			return false
-		}
-		if Tree(Max[int](math.MinInt), xs) != Fold(Max[int](math.MinInt), xs) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTreeEdgeCases(t *testing.T) {
-	if got := Tree(Sum[int](), nil); got != 0 {
-		t.Errorf("empty tree = %d", got)
-	}
-	if got := Tree(Sum[int](), []int{7}); got != 7 {
-		t.Errorf("singleton tree = %d", got)
-	}
-	if got := Tree(Sum[int](), []int{1, 2, 3}); got != 6 {
-		t.Errorf("odd tree = %d", got)
-	}
-}
-
-// TestParallelEqualsSequential: the headline property — parallel reduction
-// must agree with the sequential fold for every worker count.
-func TestParallelEqualsSequential(t *testing.T) {
-	r := xrand.New(31)
-	const n = 10000
-	vals := make([]int, n)
-	want := 0
-	for i := range vals {
-		vals[i] = r.Intn(100)
-		want += vals[i]
-	}
-	for _, p := range []int{1, 2, 3, 4, 7, 16} {
-		got := Parallel(p, n, Sum[int](), func(i int) int { return vals[i] })
-		if got != want {
-			t.Errorf("p=%d sum = %d, want %d", p, got, want)
-		}
-	}
-}
-
-func TestParallelDegenerate(t *testing.T) {
-	if got := Parallel(4, 0, Sum[int](), func(i int) int { return 1 }); got != 0 {
-		t.Errorf("n=0 -> %d", got)
-	}
-	if got := Parallel(0, 5, Sum[int](), func(i int) int { return i }); got != 10 {
-		t.Errorf("p=0 clamp -> %d", got)
-	}
-	if got := Parallel(16, 3, Sum[int](), func(i int) int { return i }); got != 3 {
-		t.Errorf("p>n -> %d", got)
-	}
-}
-
-func TestAppendPreservesBlockOrder(t *testing.T) {
-	// With Parallel's block decomposition, Append must reconstruct the
-	// original order.
-	const n = 500
-	got := Parallel(7, n, Append[int](), func(i int) []int { return Map(i) })
-	if len(got) != n {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order broken at %d: %d", i, v)
-		}
-	}
-}
-
-func TestUnion(t *testing.T) {
-	got := Parallel(4, 100, Union[int](), func(i int) map[int]struct{} {
-		return map[int]struct{}{i % 10: {}}
-	})
-	if len(got) != 10 {
-		t.Fatalf("union size = %d", len(got))
-	}
-	for k := 0; k < 10; k++ {
-		if _, ok := got[k]; !ok {
-			t.Fatalf("missing key %d", k)
-		}
-	}
-}
-
 func TestMergeMaps(t *testing.T) {
 	r := MergeMaps[string](func(a, b int) int { return a + b })
 	a := map[string]int{"x": 1, "y": 2}
@@ -158,54 +57,6 @@ func TestMergeMaps(t *testing.T) {
 	want := map[string]int{"x": 1, "y": 5, "z": 4}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge = %v", got)
-	}
-}
-
-func TestHistogramWordCount(t *testing.T) {
-	words := []string{"a", "b", "a", "c", "a", "b"}
-	got := Parallel(3, len(words), Histogram[string](), func(i int) map[string]int {
-		return map[string]int{words[i]: 1}
-	})
-	if got["a"] != 3 || got["b"] != 2 || got["c"] != 1 {
-		t.Fatalf("histogram = %v", got)
-	}
-}
-
-func TestHistogramMatchesSequential(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 50 + r.Intn(200)
-		keys := make([]int, n)
-		for i := range keys {
-			keys[i] = r.Intn(10)
-		}
-		seq := map[int]int{}
-		for _, k := range keys {
-			seq[k]++
-		}
-		par := Parallel(5, n, Histogram[int](), func(i int) map[int]int {
-			return map[int]int{keys[i]: 1}
-		})
-		return reflect.DeepEqual(seq, par)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	less := func(a, b int) bool { return a < b }
-	got := Parallel(4, 100, TopK(5, less), func(i int) []int { return Map(i * 7 % 100) })
-	if len(got) != 5 {
-		t.Fatalf("topk len = %d", len(got))
-	}
-	if !sort.IntsAreSorted(got) {
-		t.Fatalf("topk not sorted: %v", got)
-	}
-	// i*7 % 100 over i in [0,100) covers 0..99, so top 5 are 95..99.
-	want := []int{95, 96, 97, 98, 99}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("topk = %v, want %v", got, want)
 	}
 }
 
@@ -229,24 +80,6 @@ func TestIdentityFreshness(t *testing.T) {
 	}
 }
 
-func TestParallelObjectReductionsRaceFree(t *testing.T) {
-	// Run repeatedly; under -race this flushes out shared-identity bugs.
-	for trial := 0; trial < 10; trial++ {
-		got := Parallel(8, 800, Histogram[int](), func(i int) map[int]int {
-			return map[int]int{i % 3: 1}
-		})
-		if got[0]+got[1]+got[2] != 800 {
-			t.Fatalf("lost updates: %v", got)
-		}
-	}
-}
-
-func BenchmarkParallelSum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Parallel(4, 100000, Sum[int](), func(i int) int { return i })
-	}
-}
-
 func BenchmarkFoldSum(b *testing.B) {
 	xs := make([]int, 100000)
 	for i := range xs {
@@ -255,13 +88,5 @@ func BenchmarkFoldSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Fold(Sum[int](), xs)
-	}
-}
-
-func BenchmarkHistogram(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Parallel(4, 10000, Histogram[int](), func(i int) map[int]int {
-			return map[int]int{i % 50: 1}
-		})
 	}
 }

@@ -93,8 +93,9 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestErrorsOnlyFiltering is the behavior behind every CLI's -errors-only
-// flag: Errors keeps error severity, drops warnings, and preserves order.
+// TestErrorsOnlyFiltering is the behavior behind the -errors-only flag of
+// parcvet and parcaudit: Errors keeps error severity, drops warnings, and
+// preserves order.
 func TestErrorsOnlyFiltering(t *testing.T) {
 	fs := []Finding{
 		{Rule: "a", Severity: Error},

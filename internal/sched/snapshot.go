@@ -74,8 +74,8 @@ func (s Snapshot) TotalParks() int64 {
 	return n
 }
 
-// String renders the snapshot as the plain-text table printed by
-// `parcbench -schedstats`.
+// String renders the snapshot as the plain-text table that parcbench's
+// P2 and A1 experiments print.
 func (s Snapshot) String() string {
 	tab := metrics.NewTable("Scheduler snapshot (per worker)",
 		"worker", "pushes", "pops", "steals", "batch-moved", "failed-steals", "parks", "wakes")
