@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -135,10 +136,6 @@ func runA10(cfg Config, res *Result) {
 		return xs
 	}
 
-	type kernel struct {
-		name string
-		run  func(parallel bool) any
-	}
 	a, bm := fvec(n*n), fvec(n*n)
 	x, rhs := fvec(vec), fvec(vec)
 	pos := fvec(vec / 8)
@@ -158,124 +155,61 @@ func runA10(cfg Config, res *Result) {
 		ib[i] = int64(i*7 - 5)
 	}
 
-	kernels := []kernel{
-		{"MatMulFlat", func(p bool) any {
-			c := make([]float64, n*n)
-			if p {
-				par.MatMulFlat(c, a, bm, n)
-			} else {
-				seq.MatMulFlat(c, a, bm, n)
-			}
-			return fmt.Sprint(c[:8], c[len(c)-8:], sumF(c))
-		}},
-		{"JacobiSweep", func(p bool) any {
-			out := make([]float64, vec)
-			if p {
-				par.JacobiSweep(out, x, rhs)
-			} else {
-				seq.JacobiSweep(out, x, rhs)
-			}
-			return fmt.Sprint(out[:4], sumF(out))
-		}},
-		{"Forces", func(p bool) any {
-			out := make([]float64, len(pos))
-			if p {
-				par.Forces(out, pos)
-			} else {
-				seq.Forces(out, pos)
-			}
-			return fmt.Sprint(out[:4], sumF(out))
-		}},
-		{"PageRankStep", func(p bool) any {
-			out := make([]float64, vec)
-			if p {
-				par.PageRankStep(out, x, deg)
-			} else {
-				seq.PageRankStep(out, x, deg)
-			}
-			return fmt.Sprint(out[:4], sumF(out))
-		}},
-		{"ComponentsSweep", func(p bool) any {
-			out := make([]int, len(adj))
-			if p {
-				par.ComponentsSweep(out, label, adj)
-			} else {
-				seq.ComponentsSweep(out, label, adj)
-			}
-			return fmt.Sprint(out[:4], sumI(out))
-		}},
-		{"SpinSum", func(p bool) any {
-			if p {
-				return par.SpinSum(spins, cfg.Seed)
-			}
-			return seq.SpinSum(spins, cfg.Seed)
-		}},
-		{"Dot", func(p bool) any {
-			if p {
-				return par.Dot(ia, ib)
-			}
-			return seq.Dot(ia, ib)
-		}},
+	reps := 3
+	if cfg.Quick {
+		reps = 2
 	}
-
-	time1 := func(f func()) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		reps := 3
-		if cfg.Quick {
-			reps = 2
-		}
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
-	}
+	// Each timed call allocates its output, as a caller of the rewrite
+	// would; the equality check runs outside the timed calls.
+	tab, times := compare(res, fmt.Sprintf("Rewritten kernels: sequential original vs parcpar rewrite (best of %d; equality is exact)", reps), reps,
+		comparison("MatMulFlat", n,
+			func() []float64 { c := make([]float64, n*n); seq.MatMulFlat(c, a, bm, n); return c },
+			func() []float64 { c := make([]float64, n*n); par.MatMulFlat(c, a, bm, n); return c },
+			slices.Equal, "checksum_MatMulFlat"),
+		comparison("JacobiSweep", vec,
+			func() []float64 { out := make([]float64, vec); seq.JacobiSweep(out, x, rhs); return out },
+			func() []float64 { out := make([]float64, vec); par.JacobiSweep(out, x, rhs); return out },
+			slices.Equal, "checksum_JacobiSweep"),
+		comparison("Forces", len(pos),
+			func() []float64 { out := make([]float64, len(pos)); seq.Forces(out, pos); return out },
+			func() []float64 { out := make([]float64, len(pos)); par.Forces(out, pos); return out },
+			slices.Equal, "checksum_Forces"),
+		comparison("PageRankStep", vec,
+			func() []float64 { out := make([]float64, vec); seq.PageRankStep(out, x, deg); return out },
+			func() []float64 { out := make([]float64, vec); par.PageRankStep(out, x, deg); return out },
+			slices.Equal, "checksum_PageRankStep"),
+		comparison("ComponentsSweep", len(adj),
+			func() []int { out := make([]int, len(adj)); seq.ComponentsSweep(out, label, adj); return out },
+			func() []int { out := make([]int, len(adj)); par.ComponentsSweep(out, label, adj); return out },
+			slices.Equal, "checksum_ComponentsSweep"),
+		comparison("SpinSum", spins,
+			func() uint64 { return seq.SpinSum(spins, cfg.Seed) },
+			func() uint64 { return par.SpinSum(spins, cfg.Seed) },
+			eq[uint64], "checksum_SpinSum"),
+		comparison("Dot", vec,
+			func() int64 { return seq.Dot(ia, ib) },
+			func() int64 { return par.Dot(ia, ib) },
+			eq[int64], "checksum_Dot"),
+	)
 
 	// Under GOMAXPROCS=1 the rewritten kernels run on one P whatever the
 	// CPU count, so speedup > 1 cannot hold there.
 	multiCore := runtime.NumCPU() > 1 && runtime.GOMAXPROCS(0) > 1
 	fmt.Fprintf(&b, "\nhost: %d CPU(s), GOMAXPROCS %d; speedup asserted only when both exceed 1\n",
 		runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	b.WriteString("kernel            checksum  seq          par          speedup\n")
-	for _, k := range kernels {
-		seqOut := k.run(false)
-		parOut := k.run(true)
-		same := seqOut == parOut
-		res.ok("checksum_"+k.name, same)
-
-		seqNs := time1(func() { k.run(false) })
-		parNs := time1(func() { k.run(true) })
-		sp := float64(seqNs) / float64(parNs)
-		res.metric("speedup_"+k.name, sp)
+	b.WriteString(tab)
+	for _, t := range times {
+		sp := t.speedup()
+		res.metric("speedup_"+t.name, sp)
 		if multiCore {
-			res.ok("speedup_"+k.name, sp > 1)
-		} else if seqNs > 200*time.Microsecond {
+			res.ok("speedup_"+t.name, sp > 1)
+		} else if t.seq > 200*time.Microsecond {
 			// One core cannot speed up; for kernels big enough to
 			// amortize the fork-join, require the rewrite to stay
 			// within bounded overhead of sequential. Microsecond-scale
 			// kernels at quick sizes are all overhead and only logged.
-			res.ok("overhead_bounded_"+k.name, sp > 0.2)
+			res.ok("overhead_bounded_"+t.name, sp > 0.2)
 		}
-		fmt.Fprintf(&b, "%-17s %-9v %-12v %-12v %.2fx\n", k.name, same, seqNs, parNs, sp)
 	}
 	res.Output = b.String()
-}
-
-func sumF(xs []float64) float64 {
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s
-}
-
-func sumI(xs []int) int {
-	s := 0
-	for _, v := range xs {
-		s += v
-	}
-	return s
 }

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"parc751/internal/kernels"
 	"parc751/internal/machine"
@@ -17,12 +17,6 @@ import (
 	"parc751/internal/sortalgo"
 	"parc751/internal/workload"
 )
-
-func timeIt(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
 
 // simQuicksortSpeedups simulates the quicksort recursion tree (partition
 // cost proportional to range length, children spawned above the
@@ -86,7 +80,7 @@ func runP2(cfg Config, res *Result) {
 	for _, im := range impls {
 		xs := append([]int(nil), base...)
 		d := timeIt(func() { im.run(xs) })
-		ok := equalInts(xs, want)
+		ok := slices.Equal(xs, want)
 		if !ok {
 			correct = false
 		}
@@ -119,18 +113,6 @@ func runP2(cfg Config, res *Result) {
 	res.metric("speedup_64", speedups[6])
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func nonDecreasing(xs []float64) bool {
 	for i := 1; i < len(xs); i++ {
 		if xs[i] < xs[i-1]-1e-9 {
@@ -145,57 +127,36 @@ func runP3(cfg Config, res *Result) {
 	if cfg.Quick {
 		fftN, mdN, grN, mmN = 1<<11, 96, 500, 64
 	}
-	tab := metrics.NewTable("Kernels: sequential vs Pyjama (wall-clock on this host; equality is exact)",
-		"kernel", "size", "seq", "pyjama", "outputs identical")
-
-	// FFT.
 	sig := make([]complex128, fftN)
 	for i := range sig {
 		sig[i] = complex(math.Sin(float64(i)), 0)
 	}
-	a := append([]complex128(nil), sig...)
-	b := append([]complex128(nil), sig...)
-	dSeq := timeIt(func() { kernels.FFTSequential(a) })
-	dPar := timeIt(func() { kernels.FFTParallel(cfg.Workers, b) })
-	fftSame := true
-	for i := range a {
-		if a[i] != b[i] {
-			fftSame = false
-			break
-		}
+	// The FFT transforms in place, so each call transforms its own copy.
+	fft := func(transform func([]complex128)) func() []complex128 {
+		return func() []complex128 { xs := slices.Clone(sig); transform(xs); return xs }
 	}
-	tab.AddRow("fft", fftN, dSeq.String(), dPar.String(), fftSame)
-
-	// Molecular dynamics forces.
 	sys := kernels.NewMDSystem(cfg.Seed, mdN, 10)
 	sys2 := sys.Clone()
-	dSeq = timeIt(sys.ComputeForcesSequential)
-	dPar = timeIt(func() { sys2.ComputeForcesParallel(cfg.Workers) })
-	mdSame := true
-	for i := range sys.Force {
-		if sys.Force[i] != sys2.Force[i] {
-			mdSame = false
-			break
-		}
-	}
-	tab.AddRow("md-forces", mdN, dSeq.String(), dPar.String(), mdSame)
-
-	// PageRank.
 	g := workload.GenGraph(cfg.Seed, grN, 8)
-	var prSeq, prPar []float64
-	dSeq = timeIt(func() { prSeq = kernels.PageRankSequential(g, 0.85, 20) })
-	dPar = timeIt(func() { prPar = kernels.PageRankParallel(cfg.Workers, g, 0.85, 20) })
-	prSame := slices.Equal(prSeq, prPar)
-	tab.AddRow("pagerank", grN, dSeq.String(), dPar.String(), prSame)
-
-	// Matrix multiply.
 	ma := kernels.RandomMatrix(cfg.Seed, mmN, mmN)
 	mb := kernels.RandomMatrix(cfg.Seed+1, mmN, mmN)
-	var mcSeq, mcPar *kernels.Matrix
-	dSeq = timeIt(func() { mcSeq = kernels.MatMulSequential(ma, mb) })
-	dPar = timeIt(func() { mcPar = kernels.MatMulParallel(cfg.Workers, ma, mb) })
-	mmSame := kernels.MaxAbsDiff(mcSeq, mcPar) == 0
-	tab.AddRow("matmul", mmN, dSeq.String(), dPar.String(), mmSame)
+	tab, _ := compare(res, "Kernels: sequential vs Pyjama (wall-clock on this host; equality is exact)", 1,
+		comparison("fft", fftN, fft(kernels.FFTSequential),
+			fft(func(xs []complex128) { kernels.FFTParallel(cfg.Workers, xs) }),
+			slices.Equal, "fft parallel identical"),
+		comparison("md-forces", mdN,
+			func() []kernels.Vec3 { sys.ComputeForcesSequential(); return sys.Force },
+			func() []kernels.Vec3 { sys2.ComputeForcesParallel(cfg.Workers); return sys2.Force },
+			slices.Equal, "md parallel identical"),
+		comparison("pagerank", grN,
+			func() []float64 { return kernels.PageRankSequential(g, 0.85, 20) },
+			func() []float64 { return kernels.PageRankParallel(cfg.Workers, g, 0.85, 20) },
+			slices.Equal, "pagerank parallel identical"),
+		comparison("matmul", mmN,
+			func() *kernels.Matrix { return kernels.MatMulSequential(ma, mb) },
+			func() *kernels.Matrix { return kernels.MatMulParallel(cfg.Workers, ma, mb) },
+			func(a, b *kernels.Matrix) bool { return slices.Equal(a.Data, b.Data) }, "matmul parallel identical"),
+	)
 
 	// Simulated speedup for the O(n²) MD force loop (uniform per-row
 	// cost) on the PARC presets.
@@ -217,16 +178,7 @@ func runP3(cfg Config, res *Result) {
 		simTab.AddRow(mc.Name, mc.Procs, s, metrics.Efficiency(float64(seq), float64(st.Makespan), mc.Procs))
 	}
 
-	var sb strings.Builder
-	sb.WriteString(tab.String())
-	sb.WriteString("\n")
-	sb.WriteString(simTab.String())
-	res.Output = sb.String()
-
-	res.ok("fft parallel identical", fftSame)
-	res.ok("md parallel identical", mdSame)
-	res.ok("pagerank parallel identical", prSame)
-	res.ok("matmul parallel identical", mmSame)
+	res.Output = tab + "\n" + simTab.String()
 	res.ok("simulated speedup ordered android<parc8<parc16<parc64", nonDecreasing(simSpeedups))
 	res.metric("parc64_md_speedup", simSpeedups[3])
 }
@@ -236,112 +188,83 @@ func runP5(cfg Config, res *Result) {
 	if cfg.Quick {
 		n = 100000
 	}
-	tab := metrics.NewTable("Reductions: sequential fold vs parallel (equality exact)",
-		"reduction", "n", "seq", "parallel", "equal")
-
-	// Scalar sum (the OpenMP-spec reduction).
 	vals := workload.IntArray(cfg.Seed, n, 1000)
-	var seqSum, parSum int
-	dSeq := timeIt(func() {
-		seqSum = 0
-		for _, v := range vals {
-			seqSum += v
-		}
-	})
-	dPar := timeIt(func() {
-		parSum = pyjama.ParallelForReduce(cfg.Workers, n, pyjama.Static(0),
-			reduction.Sum[int](), func(i, acc int) int { return acc + vals[i] })
-	})
-	tab.AddRow("sum (scalar, in spec)", n, dSeq.String(), dPar.String(), seqSum == parSum)
-	sumOK := seqSum == parSum
-
-	// Min/max pair.
-	minSeq, maxSeq := math.MaxInt, math.MinInt
-	for _, v := range vals {
-		if v < minSeq {
-			minSeq = v
-		}
-		if v > maxSeq {
-			maxSeq = v
-		}
-	}
-	minPar := pyjama.ParallelForReduce(cfg.Workers, n, pyjama.Dynamic(4096),
-		reduction.Min[int](math.MaxInt), func(i, acc int) int {
-			if vals[i] < acc {
-				return vals[i]
-			}
-			return acc
-		})
-	tab.AddRow("min (scalar, in spec)", n, "-", "-", minSeq == minPar)
-
-	// Object reduction 1: histogram (map merge) — beyond the OpenMP spec.
 	words := make([]string, n/10)
 	dict := workload.Dictionary
 	for i := range words {
 		words[i] = dict[(i*7)%len(dict)]
 	}
-	var histSeq map[string]int
-	dSeq = timeIt(func() {
-		histSeq = map[string]int{}
-		for _, w := range words {
-			histSeq[w]++
-		}
-	})
-	var histPar map[string]int
-	dPar = timeIt(func() {
-		histPar = pyjama.ParallelForReduce(cfg.Workers, len(words), pyjama.Static(0), reduction.Histogram[string](),
-			func(i int, acc map[string]int) map[string]int {
-				acc[words[i]]++
-				return acc
-			})
-	})
-	histOK := len(histSeq) == len(histPar)
-	for k, v := range histSeq {
-		if histPar[k] != v {
-			histOK = false
-		}
-	}
-	tab.AddRow("histogram (map merge, OO)", len(words), dSeq.String(), dPar.String(), histOK)
-
-	// Object reduction 2: collection append preserving block order.
-	sel := pyjama.ParallelForReduce(cfg.Workers, n/100, pyjama.Static(0), reduction.Append[int](),
-		func(i int, acc []int) []int {
-			if vals[i]%7 == 0 {
-				return append(acc, vals[i])
-			}
-			return acc
-		})
-	var selSeq []int
-	for i := 0; i < n/100; i++ {
+	m := n / 100
+	filter := func(i int, acc []int) []int {
 		if vals[i]%7 == 0 {
-			selSeq = append(selSeq, vals[i])
+			return append(acc, vals[i])
 		}
+		return acc
 	}
-	appendOK := len(sel) == len(selSeq)
-	if appendOK {
-		for i := range sel {
-			if sel[i] != selSeq[i] {
-				appendOK = false
-			}
-		}
-	}
-	tab.AddRow("filter-append (collection, OO)", n/100, "-", "-", appendOK)
+	tab, _ := compare(res, "Reductions: sequential fold vs parallel (equality exact)", 1,
+		// The scalar reductions of the OpenMP spec.
+		comparison("sum (scalar, in spec)", n,
+			func() int {
+				s := 0
+				for _, v := range vals {
+					s += v
+				}
+				return s
+			},
+			func() int {
+				return pyjama.ParallelForReduce(cfg.Workers, n, pyjama.Static(0),
+					reduction.Sum[int](), func(i, acc int) int { return acc + vals[i] })
+			},
+			eq[int], "scalar sum equal"),
+		comparison("min (scalar, in spec)", n,
+			func() int { return slices.Min(vals) },
+			func() int {
+				return pyjama.ParallelForReduce(cfg.Workers, n, pyjama.Dynamic(4096),
+					reduction.Min[int](math.MaxInt), func(i, acc int) int { return min(acc, vals[i]) })
+			},
+			eq[int], "scalar min equal"),
+		// Object reductions, beyond the OpenMP spec: a map merge and a
+		// collection append that preserves block order.
+		comparison("histogram (map merge, OO)", len(words),
+			func() map[string]int {
+				h := map[string]int{}
+				for _, w := range words {
+					h[w]++
+				}
+				return h
+			},
+			func() map[string]int {
+				return pyjama.ParallelForReduce(cfg.Workers, len(words), pyjama.Static(0), reduction.Histogram[string](),
+					func(i int, acc map[string]int) map[string]int {
+						acc[words[i]]++
+						return acc
+					})
+			},
+			maps.Equal, "histogram equal"),
+		comparison("filter-append (collection, OO)", m,
+			func() []int {
+				var sel []int
+				for i := 0; i < m; i++ {
+					sel = filter(i, sel)
+				}
+				return sel
+			},
+			func() []int {
+				return pyjama.ParallelForReduce(cfg.Workers, m, pyjama.Static(0), reduction.Append[int](), filter)
+			},
+			slices.Equal, "append preserves order"),
+	)
 
-	// Object reduction 3: set union.
-	uni := pyjama.ParallelForReduce(cfg.Workers, n/100, pyjama.Static(0), reduction.Union[int](),
+	// Set union has no sequential row: it is checked against the 50 keys
+	// it can hold.
+	uni := pyjama.ParallelForReduce(cfg.Workers, m, pyjama.Static(0), reduction.Union[int](),
 		func(i int, acc map[int]struct{}) map[int]struct{} {
 			acc[vals[i]%50] = struct{}{}
 			return acc
 		})
 	unionOK := len(uni) <= 50 && len(uni) > 0
-	tab.AddRow("set union (OO)", n/100, "-", "-", unionOK)
-
-	res.Output = tab.String() +
+	res.Output = tab + fmt.Sprintf("set union (OO) over n=%d: %d distinct keys (bounded by 50: %v)\n", m, len(uni), unionOK) +
 		"\nOpenMP restricts reductions to scalar types and fixed operators; the OO\n" +
 		"framework extends them to collections, maps and user combiners (§V-B).\n"
-	res.ok("scalar sum equal", sumOK)
-	res.ok("scalar min equal", minSeq == minPar)
-	res.ok("histogram equal", histOK)
-	res.ok("append preserves order", appendOK)
 	res.ok("union bounded", unionOK)
 }

@@ -56,6 +56,30 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
+// TestCompareHarness: the sequential-versus-parallel harness records each
+// pair's equality finding from one untimed run of both sides, times each
+// side reps more times, and renders one row per pair.
+func TestCompareHarness(t *testing.T) {
+	calls := 0
+	res := &Result{}
+	out, times := compare(res, "pairs", 3,
+		comparison("agree", 1, func() int { calls++; return 7 }, func() int { return 7 }, eq[int], "agree identical"),
+		comparison("differ", 2, func() []int { return []int{1, 2} }, func() []int { return []int{1, 3} },
+			slices.Equal, "differ identical"))
+	if !res.Findings["agree identical"] || res.Findings["differ identical"] || len(res.Findings) != 2 {
+		t.Errorf("findings = %v, want agree true and differ false", res.Findings)
+	}
+	if calls != 4 {
+		t.Errorf("sequential side called %d times, want 1 untimed + 3 timed", calls)
+	}
+	if len(times) != 2 || times[0].name != "agree" || times[1].name != "differ" {
+		t.Errorf("timings = %+v, want one per pair in order", times)
+	}
+	if !strings.HasPrefix(out, "== pairs ==\nkernel  size  seq") || !strings.Contains(out, "\ndiffer  2     ") {
+		t.Errorf("table:\n%s", out)
+	}
+}
+
 // TestAllExperimentsPass runs the full registry at quick scale: every
 // experiment must produce output and every paper-shape finding must hold.
 // This is the repository's acceptance test.

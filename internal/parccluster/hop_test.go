@@ -1,7 +1,12 @@
 package parccluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -148,6 +153,125 @@ func TestRouterRejectBodies(t *testing.T) {
 			t.Errorf("ledger off after the %d: %+v", c.code, led)
 		}
 	}
+}
+
+// TestRouterOversizedBody: a job body over the 1 MiB cap, announced by
+// its Content-Length or of unknown length, is answered 400 without a
+// forward and settles as rejected.
+func TestRouterOversizedBody(t *testing.T) {
+	node := newFakeWorker(http.StatusOK)
+	defer node.srv.Close()
+	big := make([]byte, 1<<20+1)
+	for _, body := range []io.Reader{bytes.NewReader(big), io.MultiReader(bytes.NewReader(big))} {
+		rt := newQuietRouter(RouterConfig{})
+		rt.SetNode("n0", node.srv.URL)
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs/sort", body))
+		rt.Close()
+		want := `{"error":"reading body: http: request body too large"}` + "\n"
+		if w.Code != http.StatusBadRequest || w.Body.String() != want {
+			t.Errorf("got %d %q, want 400 %q", w.Code, w.Body, want)
+		}
+		if led := rt.Ledger(); led.Accepted != 1 || led.Rejected != 1 || led.Lost != 0 {
+			t.Errorf("ledger off: %+v", led)
+		}
+	}
+	if n := node.hits.Load(); n != 0 {
+		t.Fatalf("an oversized body was forwarded %d times", n)
+	}
+}
+
+// TestRouterForwardsChunkedBody: a job body of unknown length (chunked
+// on the wire) reaches the node byte for byte, announced by its length.
+func TestRouterForwardsChunkedBody(t *testing.T) {
+	type received struct {
+		length int64
+		body   []byte
+	}
+	got := make(chan received, 1)
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		got <- received{r.ContentLength, b}
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = io.WriteString(w, `{"kind":"sort","checksum":1}`+"\n")
+	}))
+	defer node.Close()
+	rt := newQuietRouter(RouterConfig{})
+	defer rt.Close()
+	rt.SetNode("n0", node.URL)
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	payload := bytes.Repeat([]byte(`{"seed":1,"n":10}`), 4096)
+	var wire bytes.Buffer
+	wire.WriteString("POST /jobs/sort HTTP/1.1\r\nHost: router\r\nConnection: close\r\nTransfer-Encoding: chunked\r\n\r\n")
+	for rest := payload; len(rest) > 0; rest = rest[min(len(rest), 5000):] {
+		fmt.Fprintf(&wire, "%x\r\n%s\r\n", min(len(rest), 5000), rest[:min(len(rest), 5000)])
+	}
+	wire.WriteString("0\r\n\r\n")
+	if code, body := rawExchange(t, front.Listener.Addr().String(), wire.Bytes(), false); code != http.StatusOK {
+		t.Fatalf("got %d %q, want 200", code, body)
+	}
+	r := <-got
+	if r.length != int64(len(payload)) || !bytes.Equal(r.body, payload) {
+		t.Fatalf("node got %d bytes announced as %d, want the %d-byte payload", len(r.body), r.length, len(payload))
+	}
+	if led := rt.Ledger(); led.Accepted != 1 || led.Completed != 1 || led.Lost != 0 {
+		t.Fatalf("ledger off: %+v", led)
+	}
+}
+
+// TestRouterTruncatedBody: a client that announces more body than it
+// sends before closing its side gets a 400, nothing is forwarded, and
+// the job settles as rejected.
+func TestRouterTruncatedBody(t *testing.T) {
+	node := newFakeWorker(http.StatusOK)
+	defer node.srv.Close()
+	rt := newQuietRouter(RouterConfig{})
+	defer rt.Close()
+	rt.SetNode("n0", node.srv.URL)
+	front := httptest.NewServer(rt)
+	defer front.Close()
+
+	wire := "POST /jobs/sort HTTP/1.1\r\nHost: router\r\nContent-Length: 64\r\n\r\n" + `{"seed":1,"n":10}`
+	code, body := rawExchange(t, front.Listener.Addr().String(), []byte(wire), true)
+	if want := `{"error":"reading body: unexpected EOF"}` + "\n"; code != http.StatusBadRequest || body != want {
+		t.Fatalf("got %d %q, want 400 %q", code, body, want)
+	}
+	if led := rt.Ledger(); led.Accepted != 1 || led.Rejected != 1 || led.Lost != 0 {
+		t.Fatalf("ledger off: %+v", led)
+	}
+	if n := node.hits.Load(); n != 0 {
+		t.Fatalf("a truncated body was forwarded %d times", n)
+	}
+}
+
+// rawExchange writes wire on a fresh connection to addr, half-closes it
+// when closeWrite is set, and reads one response.
+func rawExchange(t *testing.T, addr string, wire []byte, closeWrite bool) (int, string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	if closeWrite {
+		_ = conn.(*net.TCPConn).CloseWrite()
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
 }
 
 // TestFleetStopClosesRouterConnections: the router's keep-alive

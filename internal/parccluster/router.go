@@ -59,10 +59,12 @@ const (
 
 // forwardHeaderTimeout bounds how long a forward waits for a node's
 // response headers once its request is written (DESIGN.md §14, "Router
-// transport"). maxForwardBody caps a buffered node answer. statzTimeout
-// bounds one load poll, start to finish.
+// transport"). maxJobBody caps an inbound job body and maxForwardBody
+// a buffered node answer. statzTimeout bounds one load poll, start to
+// finish.
 const (
 	forwardHeaderTimeout = 2 * time.Minute
+	maxJobBody           = 1 << 20
 	maxForwardBody       = 4 << 20
 	statzTimeout         = 2 * time.Second
 )
@@ -448,19 +450,25 @@ func (rt *Router) forward(r *http.Request, node *nodeState, kind string, body []
 	}
 	defer resp.Body.Close()
 	out := forwarded{status: resp.StatusCode}
-	if n := resp.ContentLength; n >= 0 && n <= maxForwardBody {
-		out.body = make([]byte, n)
-		_, err = io.ReadFull(resp.Body, out.body)
-	} else {
-		out.body, err = io.ReadAll(io.LimitReader(resp.Body, maxForwardBody))
-	}
-	if err != nil {
+	if out.body, err = readBody(resp.Body, resp.ContentLength, maxForwardBody); err != nil {
 		return forwarded{}, err
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		out.retryAfter, _ = strconv.Atoi(ra)
 	}
 	return out, nil
+}
+
+// readBody reads a body of announced length n (-1 when unknown) from r,
+// at most limit bytes: a known length within the limit goes into one
+// exact-size buffer, anything else through a ReadAll capped at limit.
+func readBody(r io.Reader, n, limit int64) ([]byte, error) {
+	if n >= 0 && n <= limit {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	return io.ReadAll(io.LimitReader(r, limit))
 }
 
 // idempotentKind reports whether a kind's jobs may be safely re-executed
@@ -475,7 +483,11 @@ func idempotentKind(kind string) bool { return kind != string(parcserve.KindWebF
 // is the whole ledger argument.
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	kind := r.PathValue("kind")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	// One byte past the cap tells an oversized body from a full one.
+	body, err := readBody(r.Body, r.ContentLength, maxJobBody+1)
+	if err == nil && len(body) > maxJobBody {
+		err = &http.MaxBytesError{Limit: maxJobBody}
+	}
 	if err != nil {
 		rt.accepted.Add(1)
 		rt.reject(w, http.StatusBadRequest, "reading body: "+err.Error())

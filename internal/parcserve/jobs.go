@@ -176,7 +176,7 @@ func (s *Server) execute(ctx context.Context, kind Kind, req *JobRequest) (*JobR
 		out := thumbs.PTask(s.rt, imgs, 32, 32, nil)
 		res.Summary["images"] = n
 		for _, im := range out {
-			for _, px := range im.Pix[:minInt(16, len(im.Pix))] {
+			for _, px := range im.Pix[:min(16, len(im.Pix))] {
 				res.Checksum = fnv1a(res.Checksum, uint64(px))
 			}
 		}
@@ -234,11 +234,4 @@ func (s *Server) execute(ctx context.Context, kind Kind, req *JobRequest) (*JobR
 		return nil, fmt.Errorf("%w: unknown kind %q", errBadRequest, kind)
 	}
 	return res, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

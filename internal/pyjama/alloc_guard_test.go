@@ -48,8 +48,9 @@ func TestForStaticZeroAlloc(t *testing.T) {
 }
 
 // TestForDynamicGuidedAllocGuard bounds the claim-based schedules at one
-// allocation per construct in the steady state: the loopState comes back
-// from the region-join recycling pool (team.reset → loopStatePool),
+// allocation per construct in the steady state: the loopState, with an
+// auto loop's calibration state, comes back from the region-join
+// recycling pool (team.reset → loopStatePool),
 // the ordered cond is created lazily (claim loops never touch it), and
 // the chunk claim is pure atomics. The measurement wraps whole regions
 // because recycling only returns state at the join.
@@ -64,6 +65,7 @@ func TestForDynamicGuidedAllocGuard(t *testing.T) {
 	}{
 		{"dynamic", Dynamic(64)},
 		{"guided", Guided(16)},
+		{"auto", Auto()},
 	} {
 		sched := tc.sched
 		sink := 0

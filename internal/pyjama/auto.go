@@ -63,7 +63,10 @@ type autoState struct {
 	maxPerIter  atomic.Int64
 }
 
-func newAutoState(n, team int) *autoState {
+// reset reinitialises the state in place for a loop of n iterations
+// over a team: the state lives with its pooled loopState, so an auto
+// loop allocates nothing once the pool is warm.
+func (as *autoState) reset(n, team int) {
 	pc := n / (team * 16)
 	if pc < 1 {
 		pc = 1
@@ -75,9 +78,13 @@ func newAutoState(n, team int) *autoState {
 	if ce > n {
 		ce = n
 	}
-	as := &autoState{probeChunk: pc, calibEnd: ce}
+	as.probeChunk, as.calibEnd = pc, ce
+	as.decision.Store(0)
+	as.sampleNs.Store(0)
+	as.sampleIters.Store(0)
+	as.samples.Store(0)
 	as.minPerIter.Store(math.MaxInt64)
-	return as
+	as.maxPerIter.Store(0)
 }
 
 // runAuto executes this thread's share of a schedule(auto) loop.

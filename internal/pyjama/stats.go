@@ -57,7 +57,7 @@ func (r *region) statsSnapshot(c constructCounts) RegionStats {
 	// Static fast-path loops consume a slot without creating state, so
 	// the walk skips gaps up to the team's construct count.
 	for slot := 0; slot < c.loops; slot++ {
-		if ls := r.loops.get(slot); ls != nil && ls.auto != nil {
+		if ls := r.loops.get(slot); ls != nil && ls.sched.Kind == KindAuto {
 			s.Auto = append(s.Auto, ls.auto.snapshot(slot))
 		}
 	}

@@ -127,7 +127,7 @@ func (s Schedule) resolve() Schedule {
 type loopState struct {
 	n     int
 	sched Schedule
-	auto  *autoState // calibration + decision state; KindAuto only
+	auto  *autoState // calibration + decision state; read for KindAuto only
 
 	_    [64]byte
 	next atomic.Int64 // dynamic (and auto): claim cursor
@@ -150,23 +150,22 @@ var loopStatePool = sync.Pool{New: func() any { return new(loopState) }}
 func newLoopState(n int, sched Schedule, team int) *loopState {
 	ls := loopStatePool.Get().(*loopState)
 	ls.n, ls.sched = n, sched
-	ls.auto = nil
 	ls.next.Store(0)
 	ls.remaining.Store(int64(n))
 	ls.onext.Store(0)
 	if sched.Kind == KindAuto {
-		ls.auto = newAutoState(n, team)
+		if ls.auto == nil {
+			ls.auto = new(autoState)
+		}
+		ls.auto.reset(n, team)
 	}
 	return ls
 }
 
-// releaseLoopState returns a state to the pool at the region join. The
-// auto-calibration state is dropped (its samples are per-loop and the
-// stats path retains it when the caller asked for a snapshot).
-func releaseLoopState(ls *loopState) {
-	ls.auto = nil
-	loopStatePool.Put(ls)
-}
+// releaseLoopState returns a state to the pool at the region join. It
+// keeps its auto-calibration state for the next auto loop to reset; the
+// stats snapshot has already copied the decision out.
+func releaseLoopState(ls *loopState) { loopStatePool.Put(ls) }
 
 // loop fetches or creates the shared state for this thread's next
 // worksharing construct — a lock-free slot-table lookup; the first
