@@ -59,7 +59,6 @@ func TestLooperOrdering(t *testing.T) {
 	var order []int
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
-		i := i
 		wg.Add(1)
 		h.Post(func() {
 			mu.Lock()
@@ -74,9 +73,12 @@ func TestLooperOrdering(t *testing.T) {
 			t.Fatalf("message order broken: %v", order)
 		}
 	}
+	// The loop counts a message after its handler returns, so wg.Wait
+	// can return before the 50th is counted. A no-op posted behind them
+	// runs only after that count.
+	h.PostAndWait(func() {})
 	if l.loop.Dispatched() < 50 {
 		t.Fatalf("Dispatched = %d", l.loop.Dispatched())
-
 	}
 }
 

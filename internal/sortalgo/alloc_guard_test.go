@@ -50,3 +50,17 @@ func countSpawns(xs []int, lo, hi, threshold int) int {
 	p := partition(xs, lo, hi)
 	return 1 + countSpawns(xs, lo, p, threshold) + countSpawns(xs, p+1, hi, threshold)
 }
+
+// TestSequentialZeroAlloc pins the sequential sort at zero allocations:
+// the block partition's offset blocks live on its stack frame.
+func TestSequentialZeroAlloc(t *testing.T) {
+	base := workload.IntArray(12, 20000, 1<<30)
+	xs := make([]int, len(base))
+	sortOnce := func() {
+		copy(xs, base)
+		Sequential(xs)
+	}
+	if got := testing.AllocsPerRun(10, sortOnce); got != 0 {
+		t.Fatalf("Sequential allocates %v objects/call, want 0", got)
+	}
+}
