@@ -122,14 +122,17 @@ var pagerankScratch = sync.Pool{New: func() any { return new([]float64) }}
 // gathers from its in-neighbours over the graph's cached transpose, so
 // every next[v] is written by exactly one thread and sums in the same
 // order as the sequential push (bit-identical output). All iterations
-// run inside one Pyjama region. Like the sequential kernel it works in
-// two vectors, turning rank into contributions in place; the second
-// vector comes from pagerankScratch when its size fits (reuseScratch),
-// and whichever of the two is not returned goes back there, so the
-// caller owns the result.
+// run inside one Pyjama region, and both phases are range bodies over
+// the CSR slices, one call per chunk. Like the sequential kernel it
+// works in two vectors, turning rank into contributions in place; the
+// second vector comes from pagerankScratch when its size fits
+// (reuseScratch), and whichever of the two is not returned goes back
+// there, so the caller owns the result.
 func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []float64 {
 	n := g.N
+	offs := g.Offs
 	rg := g.Transpose()
+	inOffs, inAdj := rg.Offs, rg.Adj
 	rank := make([]float64, n)
 	for i := range rank {
 		rank[i] = 1 / float64(n)
@@ -139,27 +142,33 @@ func PageRankParallel(nthreads int, g *workload.Graph, d float64, iters int) []f
 	pyjama.Parallel(nthreads, func(tc *pyjama.TC) {
 		for it := 0; it < iters; it++ {
 			// Phase 1: rank[v] becomes v's contribution, plus a
-			// dangling-mass reduction; ForReduce hands the sum to every
-			// member.
-			dangling := pyjama.ForReduce(tc, n, pyjama.Static(0),
-				reduction.Sum[float64](), func(v int, acc float64) float64 {
-					deg := g.OutDegree(v)
-					if deg == 0 {
-						acc += rank[v]
-						rank[v] = 0
-					} else {
-						rank[v] /= float64(deg)
+			// dangling-mass reduction that every member receives. Master
+			// swaps rank and next only between barriers, so each body
+			// may read them once.
+			dangling := pyjama.ForChunkedReduce(tc, n, pyjama.Static(0),
+				reduction.Sum[float64](), func(lo, hi int, acc float64) float64 {
+					rank := rank
+					for v := lo; v < hi; v++ {
+						if deg := offs[v+1] - offs[v]; deg == 0 {
+							acc += rank[v]
+							rank[v] = 0
+						} else {
+							rank[v] /= float64(deg)
+						}
 					}
 					return acc
 				})
 			base := (1-d)/float64(n) + d*dangling/float64(n)
 			// Phase 2: gather contributions along in-edges.
-			tc.For(n, pyjama.Dynamic(128), func(v int) {
-				sum := base
-				for _, u := range rg.Neighbors(v) {
-					sum += d * rank[u]
+			tc.ForChunked(n, pyjama.Dynamic(128), func(lo, hi int) {
+				rank, next := rank, next
+				for v := lo; v < hi; v++ {
+					sum := base
+					for _, u := range inAdj[inOffs[v]:inOffs[v+1]] {
+						sum += d * rank[u]
+					}
+					next[v] = sum
 				}
-				next[v] = sum
 			})
 			tc.Master(func() { rank, next = next, rank })
 			tc.Barrier()

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -358,6 +359,37 @@ func TestPageRankDangling(t *testing.T) {
 	}
 }
 
+// TestPageRankFewerVerticesThanThreads runs a 3-vertex graph on 4
+// threads, so one member gets no chunk of the dangling-mass reduction
+// and must publish the identity. Its partial box is kept with the team
+// between regions, and each round first runs a larger dangling graph
+// whose last member's partials are not zero; a member that skipped
+// publishing would add one of those. Vertex 1 is the only dangling
+// vertex, so the parallel sum adds the same single term as the
+// sequential one and the ranks are bit-identical.
+func TestPageRankFewerVerticesThanThreads(t *testing.T) {
+	build := func(out [][]int) *workload.Graph {
+		g := &workload.Graph{N: len(out), Offs: make([]int, len(out)+1)}
+		for v, ws := range out {
+			g.Adj = append(g.Adj, ws...)
+			g.Offs[v+1] = len(g.Adj)
+		}
+		return g
+	}
+	big := build([][]int{{1, 3}, {2}, {}, {0, 4, 5}, {6}, {}, {}, {0, 1, 2, 3}})
+	small := build([][]int{{1, 2}, {}, {0}})
+	want := PageRankSequential(small, 0.85, 30)
+	for round := 0; round < 3; round++ {
+		PageRankParallel(4, big, 0.85, 30)
+		got := PageRankParallel(4, small, 0.85, 30)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("round %d: rank[%d] = %v, want %v", round, v, got[v], want[v])
+			}
+		}
+	}
+}
+
 func TestPageRankConverges(t *testing.T) {
 	g := workload.GenGraph(41, 400, 4)
 	a := PageRankSequential(g, 0.85, 40)
@@ -415,14 +447,55 @@ func TestMatMulKnownValues(t *testing.T) {
 	}
 }
 
+// plainMatMul is the oracle for the row kernel: the i-k-j loop that adds
+// one product into c[i][j] per k, in k order.
+func plainMatMul(a, b *Matrix) *Matrix {
+	c := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		crow := c.Row(i)
+		for k := 0; k < a.Cols; k++ {
+			aik := a.At(i, k)
+			brow := b.Row(k)
+			for j := range crow {
+				crow[j] += aik * brow[j]
+			}
+		}
+	}
+	return c
+}
+
+// TestMatMulParallelBitIdentical: the row kernel unrolls k by four but
+// adds in k order, so all three entry points equal the plain loop bit
+// for bit. The shapes (rows×inner×cols) cover 1×1, a single output row, an
+// inner dimension of each residue mod 4 (with and without a whole block
+// of four), and a large odd shape, on 1 to 4 threads.
 func TestMatMulParallelBitIdentical(t *testing.T) {
-	a := RandomMatrix(1, 97, 61)
-	b := RandomMatrix(2, 61, 83)
-	want := MatMulSequential(a, b)
-	for _, threads := range []int{1, 2, 4} {
-		got := MatMulParallel(threads, a, b)
-		if d := MaxAbsDiff(want, got); d != 0 {
-			t.Fatalf("t=%d: matmul differs by %g", threads, d)
+	shapes := [][3]int{
+		{1, 1, 1}, {1, 13, 9}, {1, 16, 5},
+		{5, 1, 7}, {5, 2, 7}, {5, 3, 7},
+		{6, 8, 7}, {6, 9, 7}, {6, 10, 7}, {6, 11, 7},
+		{97, 61, 83},
+	}
+	for si, sh := range shapes {
+		a := RandomMatrix(uint64(2*si+1), sh[0], sh[1])
+		b := RandomMatrix(uint64(2*si+2), sh[1], sh[2])
+		want := plainMatMul(a, b)
+		check := func(name string, got *Matrix) {
+			t.Helper()
+			if got.Rows != want.Rows || got.Cols != want.Cols {
+				t.Fatalf("%v %s: shape %dx%d, want %dx%d", sh, name, got.Rows, got.Cols, want.Rows, want.Cols)
+			}
+			for i, w := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+					t.Fatalf("%v %s: c[%d] = %v, want %v", sh, name, i, got.Data[i], w)
+				}
+			}
+		}
+		check("sequential", MatMulSequential(a, b))
+		for threads := 1; threads <= 4; threads++ {
+			check(fmt.Sprintf("parallel t=%d", threads), MatMulParallel(threads, a, b))
+			got, _ := MatMulParallelStats(threads, a, b)
+			check(fmt.Sprintf("parallel-stats t=%d", threads), got)
 		}
 	}
 }

@@ -40,40 +40,20 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 // MatMulSequential returns a×b with the cache-friendly i-k-j loop order.
 // It panics on dimension mismatch.
 func MatMulSequential(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic("kernels: matmul dimension mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Cols)
+	c := newProduct(a, b)
 	for i := 0; i < a.Rows; i++ {
-		crow := c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := a.At(i, k)
-			brow := b.Row(k)
-			for j := range crow {
-				crow[j] += aik * brow[j]
-			}
-		}
+		mulRow(c.Row(i), a.Row(i), b)
 	}
 	return c
 }
 
 // MatMulParallel workshares output rows over a Pyjama team. Each row is
-// produced by one thread in the sequential k-j order, so the result is
-// bit-identical to MatMulSequential.
+// produced by one thread with the sequential row kernel, so the result
+// is bit-identical to MatMulSequential.
 func MatMulParallel(nthreads int, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic("kernels: matmul dimension mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Cols)
+	c := newProduct(a, b)
 	pyjama.ParallelFor(nthreads, a.Rows, pyjama.Static(0), func(i int) {
-		crow := c.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			aik := a.At(i, k)
-			brow := b.Row(k)
-			for j := range crow {
-				crow[j] += aik * brow[j]
-			}
-		}
+		mulRow(c.Row(i), a.Row(i), b)
 	})
 	return c
 }
@@ -83,23 +63,56 @@ func MatMulParallel(nthreads int, a, b *Matrix) *Matrix {
 // so /statz can report worksharing and barrier behaviour alongside the
 // scheduler's sched.Snapshot.
 func MatMulParallelStats(nthreads int, a, b *Matrix) (*Matrix, pyjama.RegionStats) {
-	if a.Cols != b.Rows {
-		panic("kernels: matmul dimension mismatch")
-	}
-	c := NewMatrix(a.Rows, b.Cols)
+	c := newProduct(a, b)
 	stats := pyjama.ParallelWithStats(nthreads, func(tc *pyjama.TC) {
 		tc.ForNoWait(a.Rows, pyjama.Static(0), func(i int) {
-			crow := c.Row(i)
-			for k := 0; k < a.Cols; k++ {
-				aik := a.At(i, k)
-				brow := b.Row(k)
-				for j := range crow {
-					crow[j] += aik * brow[j]
-				}
-			}
+			mulRow(c.Row(i), a.Row(i), b)
 		})
 	})
 	return c, stats
+}
+
+// newProduct returns the zero a.Rows×b.Cols output of a×b, panicking on
+// dimension mismatch.
+func newProduct(a, b *Matrix) *Matrix {
+	if a.Cols != b.Rows {
+		panic("kernels: matmul dimension mismatch")
+	}
+	return NewMatrix(a.Rows, b.Cols)
+}
+
+// mulRow is the matmul row kernel: crow[j] += Σ_k arow[k]·b[k][j], with k
+// ascending. It unrolls k by four and keeps crow[j] in a register across
+// the four products, adding them in k order, so every crow[j] goes
+// through the same IEEE operations in the same order as the plain loop
+// `crow[j] += arow[k] * b.Row(k)[j]`: the result is bit-identical to it.
+// Each b row is resliced to len(crow), which removes the bounds checks
+// from the inner loop.
+func mulRow(crow, arow []float64, b *Matrix) {
+	n := len(crow)
+	k := 0
+	for ; k+4 <= len(arow); k += 4 {
+		a0, a1, a2, a3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+		b0 := b.Row(k)[:n]
+		b1 := b.Row(k + 1)[:n]
+		b2 := b.Row(k + 2)[:n]
+		b3 := b.Row(k + 3)[:n]
+		for j := range crow {
+			s := crow[j]
+			s += a0 * b0[j]
+			s += a1 * b1[j]
+			s += a2 * b2[j]
+			s += a3 * b3[j]
+			crow[j] = s
+		}
+	}
+	for ; k < len(arow); k++ {
+		ak := arow[k]
+		bk := b.Row(k)[:n]
+		for j := range crow {
+			crow[j] += ak * bk[j]
+		}
+	}
 }
 
 // MaxAbsDiff returns the largest element-wise absolute difference.

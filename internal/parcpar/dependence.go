@@ -226,6 +226,39 @@ func (a *analyzer) checkWrites(sh *loopShape) (*Reduction, []writtenMem, string,
 	var reason string
 	fail := func(r string) { reason = r }
 
+	// viewWrite records a write inside the row view init built: it stays
+	// in this iteration's row, but other calls receiving the view's
+	// owner could still read it.
+	viewWrite := func(init *ast.CallExpr) {
+		if owner := a.info.ObjectOf(RootIdent(init.Fun)); owner != nil {
+			recordMem(writtenMem{root: owner, exempt: init}, "view:"+owner.Name())
+		}
+	}
+
+	// argWrite places an argument that a slice writer's call writes the
+	// elements of: this iteration's row view, built in the call or held
+	// by a local, or a body-local private slice.
+	argWrite := func(arg ast.Expr, call *ast.CallExpr) {
+		switch x := ast.Unparen(arg).(type) {
+		case *ast.CallExpr:
+			if a.isRowViewCall(x, sh) {
+				viewWrite(x)
+				return
+			}
+		case *ast.Ident:
+			if obj := a.info.ObjectOf(x); obj != nil && DeclaredWithin(obj, sh.body) {
+				switch locals[obj] {
+				case localPrivate:
+					return
+				case localRowView:
+					viewWrite(rowInits[obj])
+					return
+				}
+			}
+		}
+		fail(fmt.Sprintf("%s writes the elements of %q, which is not this iteration's row", a.exprString(call.Fun), a.exprString(arg)))
+	}
+
 	// classifyTarget dispatches one write-target expression.
 	var classifyTarget func(lhs ast.Expr, stmt ast.Stmt)
 	classifyTarget = func(lhs ast.Expr, stmt ast.Stmt) {
@@ -276,12 +309,7 @@ func (a *analyzer) checkWrites(sh *loopShape) (*Reduction, []writtenMem, string,
 				case localPrivate:
 					return
 				case localRowView:
-					// Writes stay inside this iteration's row, but other
-					// calls receiving the view's owner could still read it.
-					init := rowInits[root]
-					if owner := a.info.ObjectOf(RootIdent(init.Fun)); owner != nil {
-						recordMem(writtenMem{root: owner, exempt: init}, "view:"+owner.Name())
-					}
+					viewWrite(rowInits[root])
 					return
 				default:
 					fail(fmt.Sprintf("write through %q, a local alias of shared memory", baseStr))
@@ -332,6 +360,12 @@ func (a *analyzer) checkWrites(sh *loopShape) (*Reduction, []writtenMem, string,
 			}
 		case *ast.IncDecStmt:
 			classifyTarget(n.X, n)
+		case *ast.CallExpr:
+			if params, ok := a.purity.sliceWriterCall(a.info, n); ok {
+				for _, k := range params {
+					argWrite(n.Args[k], n)
+				}
+			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				// Taking an address creates an untracked alias.

@@ -54,6 +54,9 @@ type purityChecker struct {
 	l    *loader.Loader
 	pkg  *loader.Package
 	memo map[*types.Func]bool
+	// why keeps the reason a memoized impure function was rejected, so
+	// every caller reports it, whichever asked first.
+	why  map[*types.Func]string
 	busy map[*types.Func]bool
 	// fieldReads is the transitive set of struct field names a pure
 	// function reads (selector names, coarsely keyed by name alone — the
@@ -62,14 +65,18 @@ type purityChecker struct {
 	// for those.
 	fieldReads   map[*types.Func]map[string]bool
 	unknownReads map[*types.Func]bool
+	// writers memoizes sliceWriter: the parameter indexes a slice writer
+	// writes, or nil for a function that is not one.
+	writers map[*types.Func][]int
 }
 
 func newPurity(l *loader.Loader, pkg *loader.Package) *purityChecker {
 	return &purityChecker{
 		l: l, pkg: pkg,
-		memo: map[*types.Func]bool{}, busy: map[*types.Func]bool{},
+		memo: map[*types.Func]bool{}, why: map[*types.Func]string{}, busy: map[*types.Func]bool{},
 		fieldReads:   map[*types.Func]map[string]bool{},
 		unknownReads: map[*types.Func]bool{},
+		writers:      map[*types.Func][]int{},
 	}
 }
 
@@ -85,7 +92,9 @@ func (p *purityChecker) readsField(fn *types.Func, field string) bool {
 
 // checkCalls verifies every call in the loop body resolves to a provably
 // pure callee: a type conversion, an allowlisted builtin, an allowlisted
-// stdlib function, or a module function whose body passes isPure.
+// stdlib function, or a module function whose body passes isPure. A call
+// to a slice writer passes too: checkWrites has already placed the
+// arguments it writes.
 func (a *analyzer) checkCalls(sh *loopShape) (string, bool) {
 	var reason string
 	ast.Inspect(sh.body, func(n ast.Node) bool {
@@ -97,7 +106,9 @@ func (a *analyzer) checkCalls(sh *loopShape) (string, bool) {
 			return true
 		}
 		if ok, why := a.purity.callPure(a.info, call); !ok {
-			reason = why
+			if _, writer := a.purity.sliceWriterCall(a.info, call); !writer {
+				reason = why
+			}
 		}
 		return reason == ""
 	})
@@ -147,7 +158,7 @@ func (p *purityChecker) funcPure(fn *types.Func) (bool, string) {
 		if done {
 			return true, ""
 		}
-		return false, fmt.Sprintf("call to %s is not provably pure", fn.FullName())
+		return false, p.why[fn]
 	}
 	if p.busy[fn] {
 		return true, "" // coinductive: judge the cycle by its other statements
@@ -171,14 +182,16 @@ func (p *purityChecker) funcPure(fn *types.Func) (bool, string) {
 	decl, info := p.findDecl(fn)
 	if decl == nil || decl.Body == nil {
 		p.memo[fn] = false
-		return false, fmt.Sprintf("no body found for %s", fn.FullName())
+		p.why[fn] = fmt.Sprintf("no body found for %s", fn.FullName())
+		return false, p.why[fn]
 	}
 	p.busy[fn] = true
-	ok, why := p.bodyPure(fn, decl, info)
+	ok, why := p.bodyPure(fn, decl, info, nil)
 	delete(p.busy, fn)
 	p.memo[fn] = ok
 	if !ok {
-		return false, fmt.Sprintf("call to %s is not provably pure (%s)", fn.FullName(), why)
+		p.why[fn] = fmt.Sprintf("call to %s is not provably pure (%s)", fn.FullName(), why)
+		return false, p.why[fn]
 	}
 	return true, ""
 }
@@ -186,7 +199,9 @@ func (p *purityChecker) funcPure(fn *types.Func) (bool, string) {
 // bodyPure checks a callee body: writes only to its own locals (receiver
 // and parameters are read-only — writing *through* them reaches the
 // caller's shared state), no concurrency constructs, pure callees only.
-func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types.Info) (bool, string) {
+// With slots non-nil it also accepts element writes `p[k] = …` on a
+// slice parameter p and records p in slots (see sliceWriter).
+func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types.Info, slots map[*types.Var]bool) (bool, string) {
 	var reason string
 	fail := func(r string) { reason = r }
 	reads := map[string]bool{}
@@ -218,6 +233,12 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 				return
 			}
 			obj := info.ObjectOf(root)
+			if v := sliceParam(fn, obj); slots != nil && v != nil {
+				if ix, ok := lhs.(*ast.IndexExpr); ok && ast.Unparen(ix.X) == root {
+					slots[v] = true
+					return
+				}
+			}
 			if !DeclaredWithin(obj, decl.Body) {
 				fail("writes through " + root.Name)
 				return
@@ -300,6 +321,121 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 	p.fieldReads[fn] = reads
 	p.unknownReads[fn] = !readsClosed
 	return true, ""
+}
+
+// sliceWriter reports whether fn is a slice writer, and which parameters
+// it writes: a module function that is pure except for element writes
+// `p[k] = …` to some of its slice parameters, each of which it only
+// indexes, ranges over and passes to len or cap. Such a parameter is
+// never resliced, reassigned, appended to or handed on, so fn writes
+// inside the slice its caller passed and nowhere else; a loop that
+// passes it this iteration's row writes only that row. Pure functions
+// are not slice writers.
+func (p *purityChecker) sliceWriter(fn *types.Func) ([]int, bool) {
+	if w, done := p.writers[fn]; done {
+		return w, w != nil
+	}
+	p.writers[fn] = nil
+	if p.memo[fn] || p.busy[fn] || fn.Pkg() == nil {
+		return nil, false
+	}
+	path := fn.Pkg().Path()
+	if path != p.pkg.Path && path != p.l.ModulePath && !strings.HasPrefix(path, p.l.ModulePath+"/") {
+		return nil, false
+	}
+	decl, info := p.findDecl(fn)
+	if decl == nil || decl.Body == nil {
+		return nil, false
+	}
+	slots := map[*types.Var]bool{}
+	p.busy[fn] = true
+	ok, _ := p.bodyPure(fn, decl, info, slots)
+	delete(p.busy, fn)
+	if !ok || len(slots) == 0 {
+		return nil, false // impure, or pure: either way not a slice writer
+	}
+	sig := fn.Type().(*types.Signature)
+	var params []int
+	for i := 0; i < sig.Params().Len(); i++ {
+		v := sig.Params().At(i)
+		if !slots[v] {
+			continue
+		}
+		if sig.Variadic() && i == sig.Params().Len()-1 || !confinedSlice(decl.Body, info, v) {
+			return nil, false
+		}
+		params = append(params, i)
+	}
+	p.writers[fn] = params
+	return params, true
+}
+
+// sliceWriterCall is sliceWriter for a call: the written parameters are
+// indexes into call.Args. A method expression (T.m(x, …)) shifts the
+// arguments by the receiver, so it is not matched.
+func (p *purityChecker) sliceWriterCall(info *types.Info, call *ast.CallExpr) ([]int, bool) {
+	fn := staticCallee(info, call)
+	if fn == nil {
+		return nil, false
+	}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodExpr {
+			return nil, false
+		}
+	}
+	return p.sliceWriter(fn)
+}
+
+// sliceParam returns obj as a slice-typed parameter of fn, or nil.
+func sliceParam(fn *types.Func, obj types.Object) *types.Var {
+	v, ok := obj.(*types.Var)
+	if !ok {
+		return nil
+	}
+	if _, isSlice := v.Type().Underlying().(*types.Slice); !isSlice {
+		return nil
+	}
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if params.At(i) == v {
+			return v
+		}
+	}
+	return nil
+}
+
+// confinedSlice reports whether every use of v in body indexes it,
+// ranges over it, or is the argument of len or cap.
+func confinedSlice(body *ast.BlockStmt, info *types.Info, v *types.Var) bool {
+	allowed := map[*ast.Ident]bool{}
+	allow := func(e ast.Expr) {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+			allowed[id] = true
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IndexExpr:
+			allow(n.X)
+		case *ast.RangeStmt:
+			allow(n.X)
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && len(n.Args) == 1 {
+				if b, isB := info.Uses[id].(*types.Builtin); isB && (b.Name() == "len" || b.Name() == "cap") {
+					allow(n.Args[0])
+				}
+			}
+		}
+		return true
+	})
+	confined := true
+	ast.Inspect(body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v && !allowed[id] {
+			confined = false
+		}
+		return confined
+	})
+	return confined
 }
 
 // staticCallee resolves a call's target as a declared function, or nil

@@ -1,5 +1,7 @@
 package parcpar
 
+import "parc751/internal/kernels"
+
 // MeanVar updates two shared accumulators — only a single recognized
 // accumulator fits the reduction model.
 func MeanVar(xs []float64) (float64, float64) {
@@ -108,5 +110,53 @@ func Spread(xs, ys []float64) {
 	for i := 0; i < len(xs)-1; i++ { // want `access to xs\[i \+ 1\] may alias another iteration's write to xs`
 		xs[i] = ys[i] * 2.5
 		xs[i+1] = ys[i] * 3.5
+	}
+}
+
+// ScaleShared hands the slice writer a slice every iteration shares.
+func ScaleShared(m *kernels.Matrix, out []float64) {
+	for i := 0; i < m.Rows; i++ { // want `scaleAll writes the elements of "out", which is not this iteration's row`
+		scaleAll(out, m.At(i, 0))
+	}
+}
+
+// NextRow hands the slice writer the next iteration's row.
+func NextRow(m *kernels.Matrix) {
+	for i := 0; i < m.Rows-1; i++ { // want `scaleAll writes the elements of "m.Row\(i \+ 1\)"`
+		scaleAll(m.Row(i+1), 2)
+	}
+}
+
+// GrowRow's helper appends to the slice it is given, which can write
+// past the row's end into the next row: it is not a slice writer.
+func GrowRow(m *kernels.Matrix) {
+	for i := 0; i < m.Rows; i++ { // want `call to parcpartest/parcpar.appendOne is not provably pure \(writes through row\)`
+		appendOne(m.Row(i))
+	}
+}
+
+// ReadsOwner passes the written matrix itself to the slice writer, which
+// may read other iterations' rows through it.
+func ReadsOwner(m *kernels.Matrix) {
+	for i := 0; i < m.Rows; i++ { // want `written "m" is passed to copyFirstRow, which may read another iteration's slot`
+		copyFirstRow(m.Row(i), m)
+	}
+}
+
+func scaleAll(xs []float64, f float64) {
+	for j := range xs { // want `below cost threshold`
+		xs[j] *= f
+	}
+}
+
+func appendOne(row []float64) {
+	row = append(row, 1)
+	row[0] = 2
+}
+
+func copyFirstRow(row []float64, m *kernels.Matrix) {
+	first := m.Row(0)
+	for j := range row { // want `below cost threshold`
+		row[j] = first[j]
 	}
 }

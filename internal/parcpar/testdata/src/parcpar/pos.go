@@ -103,3 +103,32 @@ func (s *sys) forceAt(i int) float64 {
 	}
 	return f
 }
+
+// RowScaleByHelper hands this iteration's row view to scaleRow, a slice
+// writer: it writes only elements of the slice it is given.
+func RowScaleByHelper(m *kernels.Matrix) {
+	for i := 0; i < m.Rows; i++ { // want `loop is parallelizable; suggest pyjama.ParallelFor`
+		scaleRow(m.Row(i), 2)
+	}
+}
+
+// RowAddByHelper does the same through a local row view, with a second,
+// read-only row from another matrix.
+func RowAddByHelper(m, src *kernels.Matrix) {
+	for i := 0; i < m.Rows; i++ { // want `loop is parallelizable; suggest pyjama.ParallelFor`
+		row := m.Row(i)
+		addRow(row, src.Row(i))
+	}
+}
+
+func scaleRow(row []float64, f float64) {
+	for j := range row { // want `below cost threshold`
+		row[j] *= f
+	}
+}
+
+func addRow(dst, src []float64) {
+	for j := range dst { // want `loop is parallelizable; suggest pyjama.ParallelFor`
+		dst[j] += src[j]
+	}
+}

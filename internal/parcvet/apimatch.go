@@ -147,6 +147,7 @@ func isWorksharingBody(c callee, arg int) bool {
 		c.isMethod(pkgPyjama, "TC", "ForRange") && arg == 3,
 		c.is(pkgPyjama, "ParallelFor") && arg == 3,
 		c.is(pkgPyjama, "ForReduce") && arg == 4,
+		c.is(pkgPyjama, "ForChunkedReduce") && arg == 4,
 		c.is(pkgPyjama, "ParallelForReduce") && arg == 4:
 		return true
 	}

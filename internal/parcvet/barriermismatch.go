@@ -22,7 +22,8 @@ var BarrierMismatchAnalyzer = &analysis.Analyzer{
 	Doc: `report barriers/worksharing constructs under thread-divergent control flow
 
 Inside a pyjama.Parallel region body, constructs that synchronise the team
-(tc.Barrier, tc.Single, tc.Sections, tc.For and friends, ForReduce) must be
+(tc.Barrier, tc.Single, tc.Sections, tc.For and friends, ForReduce,
+ForChunkedReduce) must be
 encountered by every member. Placing one inside a branch conditioned on
 tc.ThreadNum() or tc.SingleNoWait(...), inside a Master/Single/Critical/
 Ordered closure, or inside another worksharing loop body means only part of
@@ -55,7 +56,8 @@ func isBarriered(c callee) bool {
 		c.isMethod(pkgPyjama, "TC", "ForChunked"),
 		c.isMethod(pkgPyjama, "TC", "For2D"),
 		c.isMethod(pkgPyjama, "TC", "ForRange"),
-		c.is(pkgPyjama, "ForReduce"):
+		c.is(pkgPyjama, "ForReduce"),
+		c.is(pkgPyjama, "ForChunkedReduce"):
 		return true
 	// NoWait variants still require SPMD pairing: every member must
 	// encounter them to claim its share of the iterations.

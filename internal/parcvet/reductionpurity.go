@@ -22,10 +22,10 @@ var ReductionPurityAnalyzer = &analysis.Analyzer{
 	Name: "reductionpurity",
 	Doc: `report impure or non-neutral hand-rolled reducers
 
-A reduction.Reducer passed to pyjama.ForReduce / ParallelForReduce /
-reduction.Fold must have (a) a Combine that touches only its
-arguments — mutating captured state races across threads and breaks
-associativity — and (b) an Identity that is a true neutral element
+A reduction.Reducer passed to pyjama.ForReduce / ForChunkedReduce /
+ParallelForReduce / reduction.Fold must have (a) a Combine that touches
+only its arguments — mutating captured state races across threads and
+breaks associativity — and (b) an Identity that is a true neutral element
 constructed fresh per call (returning a captured map/slice shares one
 object across every thread; returning 1 for a "+" combine adds 1 per
 thread, so the answer depends on the thread count).`,

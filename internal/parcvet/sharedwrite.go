@@ -22,14 +22,14 @@ var SharedWriteAnalyzer = &analysis.Analyzer{
 	Doc: `report racy writes to captured variables in parallel closure bodies
 
 Closures passed to pyjama worksharing constructs (tc.For, ParallelFor,
-ForReduce bodies), parallel region bodies, and ptask/pool task bodies run
-concurrently. Writing a variable captured from outside the concurrency
-boundary races unless the write is serialised. The boundary is
-per-construct: a tc.For body closure is created by each team member, so
-anything declared in the member's own frame (the region body, a helper
-taking the tc) is private; a pyjama.Parallel region body or ParallelFor
-body is one closure shared by the whole team, so only its own locals are
-private; a task closure created inside a loop owns that iteration's
+ForReduce, ForChunkedReduce bodies), parallel region bodies, and
+ptask/pool task bodies run concurrently. Writing a variable captured
+from outside the concurrency boundary races unless the write is
+serialised. The boundary is per-construct: a tc.For body closure is
+created by each team member, so anything declared in the member's own
+frame (the region body, a helper taking the tc) is private; a
+pyjama.Parallel region body or ParallelFor body is one closure shared by
+the whole team, so only its own locals are private; a task closure created inside a loop owns that iteration's
 locals. Recognised-safe patterns: element writes that parcpar's
 dependence test keeps in their own iteration (index i, i±c or i*S+j over
 the construct's iteration parameters, and no access to the same slice at
@@ -90,10 +90,11 @@ func runSharedWrite(pass *analysis.Pass) error {
 }
 
 // iterationParams returns the body parameters that name one iteration of
-// a worksharing construct or ptask.RunMulti: both of For2D's (i, j) and
-// ForChunked's (lo, hi), the first parameter of every other construct
-// (ForReduce's second is the member's accumulator, which two members can
-// share a value of). Other bodies have none.
+// a worksharing construct or ptask.RunMulti: both of For2D's (i, j), the
+// chunk bounds (lo, hi) of ForChunked and ForChunkedReduce, the first
+// parameter of every other construct. The reductions' last parameter is
+// the member's accumulator, which two members can share a value of.
+// Other bodies have none.
 func iterationParams(info *types.Info, c callee, arg int, lit *ast.FuncLit) []types.Object {
 	if !isWorksharingBody(c, arg) && !(c.is(pkgPtask, "RunMulti") && arg == 2) {
 		return nil
@@ -104,8 +105,12 @@ func iterationParams(info *types.Info, c callee, arg int, lit *ast.FuncLit) []ty
 			params = append(params, info.Defs[name])
 		}
 	}
-	if len(params) > 1 && c.name != "For2D" && c.name != "For2DNoWait" && c.name != "ForChunked" {
-		params = params[:1]
+	switch c.name {
+	case "For2D", "For2DNoWait", "ForChunked":
+	case "ForChunkedReduce":
+		params = params[:min(len(params), 2)]
+	default:
+		params = params[:min(len(params), 1)]
 	}
 	return params
 }

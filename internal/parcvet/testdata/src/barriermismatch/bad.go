@@ -2,7 +2,10 @@
 // constructs under thread-divergent control flow.
 package barriermismatch
 
-import "parc751/internal/pyjama"
+import (
+	"parc751/internal/pyjama"
+	"parc751/internal/reduction"
+)
 
 func divergentBarrier() {
 	pyjama.Parallel(4, func(tc *pyjama.TC) {
@@ -34,6 +37,25 @@ func worksharingInMaster(xs []int) {
 			tc.For(len(xs), pyjama.Static(0), func(i int) { // want `runs on one member only`
 				xs[i]++
 			})
+		})
+	})
+}
+
+func chunkedReduceInMaster(xs []int) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		tc.Master(func() {
+			pyjama.ForChunkedReduce(tc, len(xs), pyjama.Static(0), reduction.Sum[int](), func(lo, hi, acc int) int { // want `runs on one member only`
+				return acc + hi - lo
+			})
+		})
+	})
+}
+
+func barrierInChunkedReduce(xs []int) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		pyjama.ForChunkedReduce(tc, len(xs), pyjama.Static(0), reduction.Sum[int](), func(lo, hi, acc int) int {
+			tc.Barrier() // want `iterations are divided, not replicated`
+			return acc + hi - lo
 		})
 	})
 }

@@ -1,6 +1,9 @@
 package barriermismatch
 
-import "parc751/internal/pyjama"
+import (
+	"parc751/internal/pyjama"
+	"parc751/internal/reduction"
+)
 
 // balanced: both arms of the divergent branch encounter the same number
 // of synchronising constructs, so the per-thread pairing stays aligned.
@@ -32,5 +35,16 @@ func dataDivergence(xs []int, n int) {
 		if n > 0 {
 			tc.Barrier()
 		}
+	})
+}
+
+// chunkedReduce: every member reaches the range-body reduction, and its
+// body holds no team construct.
+func chunkedReduce(xs []int) {
+	pyjama.Parallel(2, func(tc *pyjama.TC) {
+		n := pyjama.ForChunkedReduce(tc, len(xs), pyjama.Dynamic(8), reduction.Sum[int](), func(lo, hi, acc int) int {
+			return acc + hi - lo
+		})
+		tc.Master(func() { xs[0] = n })
 	})
 }

@@ -45,3 +45,24 @@ func sharedIdentity(parts [][]int) []int {
 	}
 	return reduction.Fold(r, parts)
 }
+
+func impureChunkedCombine(xs []int) int {
+	merges := 0
+	var out int
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		s := pyjama.ForChunkedReduce(tc, len(xs), pyjama.Static(0), reduction.Reducer[int]{
+			Identity: func() int { return 0 },
+			Combine: func(a, b int) int {
+				merges++ // want `combiner mutates captured variable "merges"`
+				return a + b
+			},
+		}, func(lo, hi, acc int) int {
+			for k := lo; k < hi; k++ {
+				acc += xs[k]
+			}
+			return acc
+		})
+		tc.Master(func() { out = s })
+	})
+	return out + merges
+}

@@ -89,3 +89,32 @@ func spread(xs, ys []float64) {
 		xs[i+1] = ys[i] * 3.5 // want `may hit another iteration.s slot`
 	})
 }
+
+// chunkedReduceCapture adds into a captured total from a range-body
+// reduction instead of folding into the member's accumulator.
+func chunkedReduceCapture(xs []int) int {
+	total := 0
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		pyjama.ForChunkedReduce(tc, len(xs), pyjama.Static(0), reduction.Sum[int](), func(lo, hi, acc int) int {
+			for k := lo; k < hi; k++ {
+				total += xs[k] // want `write to captured variable "total"`
+			}
+			return acc
+		})
+	})
+	return total
+}
+
+// chunkedAccumulatorIndex indexes by ForChunkedReduce's accumulator: like
+// ForReduce's, it is a member's partial, not a chunk bound.
+func chunkedAccumulatorIndex(xs []int, seen []bool) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		pyjama.ForChunkedReduce(tc, len(xs), pyjama.Static(0), reduction.Sum[int](), func(lo, hi, acc int) int {
+			seen[acc] = true // want `may hit another iteration.s slot`
+			for k := lo; k < hi; k++ {
+				acc += xs[k]
+			}
+			return acc
+		})
+	})
+}

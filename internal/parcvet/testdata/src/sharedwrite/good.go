@@ -127,3 +127,34 @@ func perTask(rt *ptask.Runtime, out []int) {
 	})
 	_, _ = m.Results()
 }
+
+// chunkedReduced folds each chunk into the member's accumulator and
+// writes its own [lo, hi) range through the inner loop's k.
+func chunkedReduced(xs, out []int) int {
+	total := 0
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		s := pyjama.ForChunkedReduce(tc, len(xs), pyjama.Dynamic(64), reduction.Sum[int](), func(lo, hi, acc int) int {
+			for k := lo; k < hi; k++ {
+				out[k] = xs[k] * 2
+				acc += xs[k]
+			}
+			return acc
+		})
+		tc.Master(func() { total = s })
+	})
+	return total
+}
+
+// chunkEnds marks the last slot of each chunk through the bound hi, an
+// iteration parameter like lo.
+func chunkEnds(xs []int, last []bool) int {
+	total := 0
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		s := pyjama.ForChunkedReduce(tc, len(xs), pyjama.Dynamic(64), reduction.Sum[int](), func(lo, hi, acc int) int {
+			last[hi-1] = true
+			return acc + hi - lo
+		})
+		tc.Master(func() { total = s })
+	})
+	return total
+}

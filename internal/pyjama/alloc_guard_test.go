@@ -11,6 +11,8 @@ package pyjama
 import (
 	"runtime"
 	"testing"
+
+	"parc751/internal/reduction"
 )
 
 // TestForStaticZeroAlloc measures tc.For(n, Static(0), body) inside one
@@ -78,7 +80,7 @@ func TestForDynamicGuidedAllocGuard(t *testing.T) {
 			})
 		}
 		for k := 0; k < 8; k++ {
-			region() // warm loopStatePool across region joins
+			region() // fill the team's stash across region joins
 		}
 		got := testing.AllocsPerRun(20, region) / per
 		if got > 1 {
@@ -114,4 +116,63 @@ func TestColdRegionZeroAlloc(t *testing.T) {
 		}
 	}
 	_ = sink
+}
+
+// TestForReduceStaticZeroAlloc pins a static reduction, ForReduce and
+// ForChunkedReduce alike, at zero allocations once its team is warm, at
+// GOMAXPROCS 1, 2 and 4 and across garbage collections. The reduction
+// state and its partial and result boxes stay with the cached team from
+// region to region, so a GC between regions costs nothing; states kept
+// in a sync.Pool would be dropped by the GC and rebuilt by the next
+// region, construct by construct. The measurement counts mallocs around whole regions with ReadMemStats,
+// because testing.AllocsPerRun would pin GOMAXPROCS to 1; like
+// AllocsPerRun it truncates the mean, which absorbs the runtime's own
+// refill of its parking structures after the GC.
+func TestForReduceStaticZeroAlloc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	const n, per, runs = 1 << 10, 32, 50
+	r := reduction.Sum[int]()
+	body := func(i, acc int) int { return acc + i }
+	chunkBody := func(lo, hi, acc int) int {
+		for i := lo; i < hi; i++ {
+			acc += i
+		}
+		return acc
+	}
+	for _, c := range []struct {
+		name   string
+		region func(tc *TC)
+	}{
+		{"ForReduce", func(tc *TC) {
+			for k := 0; k < per; k++ {
+				_ = ForReduce(tc, n, Static(0), r, body)
+			}
+		}},
+		{"ForChunkedReduce", func(tc *TC) {
+			for k := 0; k < per; k++ {
+				_ = ForChunkedReduce(tc, n, Static(0), r, chunkBody)
+			}
+		}},
+	} {
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			for k := 0; k < 8; k++ {
+				Parallel(2, c.region)
+			}
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for k := 0; k < runs; k++ {
+				Parallel(2, c.region)
+			}
+			runtime.ReadMemStats(&after)
+			// Per region, not per construct: a region that rebuilt its
+			// per states after the GC would read at least 4*per/runs = 2.
+			if got := (after.Mallocs - before.Mallocs) / runs; got != 0 {
+				t.Errorf("GOMAXPROCS %d: a region of %d static %s constructs allocates %d objects after a GC, want 0", procs, per, c.name, got)
+			}
+		}
+	}
 }

@@ -466,6 +466,59 @@ func TestTwoReductionsOneRegion(t *testing.T) {
 	}
 }
 
+// TestForChunkedReduceMatchesSequentialFold folds a uint64 sum, which is
+// exactly associative, under every claiming schedule for n = 0, n below
+// the team size and a large n, and checks that every member receives the
+// sequential fold and every index lies in exactly one chunk. The sizes
+// run large first on one team: a member with no chunk must publish the
+// identity, and its partial box is kept with the team, so one that
+// skipped publishing would add the partial of an earlier construct.
+func TestForChunkedReduceMatchesSequentialFold(t *testing.T) {
+	const team = 4
+	mix := func(i int) uint64 {
+		x := uint64(i+1) * 0x9e3779b97f4a7c15
+		return x ^ x>>29
+	}
+	for _, sched := range []Schedule{Static(0), Static(7), Dynamic(5), Guided(3), Auto()} {
+		for _, n := range []int{100_003, 3, 0, 3} {
+			var want uint64
+			for i := 0; i < n; i++ {
+				want += mix(i)
+			}
+			visits := make([]atomic.Int32, n)
+			var badChunk atomic.Bool
+			var got [team]uint64
+			Parallel(team, func(tc *TC) {
+				got[tc.ThreadNum()] = ForChunkedReduce(tc, n, sched, reduction.Sum[uint64](),
+					func(lo, hi int, acc uint64) uint64 {
+						if lo < 0 || lo >= hi || hi > n {
+							badChunk.Store(true)
+							return acc
+						}
+						for i := lo; i < hi; i++ {
+							visits[i].Add(1)
+							acc += mix(i)
+						}
+						return acc
+					})
+			})
+			if badChunk.Load() {
+				t.Fatalf("%v n=%d: a body got an empty or out-of-range chunk", sched, n)
+			}
+			for i := range visits {
+				if v := visits[i].Load(); v != 1 {
+					t.Fatalf("%v n=%d: index %d visited %d times", sched, n, i, v)
+				}
+			}
+			for id, g := range got {
+				if g != want {
+					t.Fatalf("%v n=%d: member %d got %d, want the sequential fold %d", sched, n, id, g, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAsyncDeliversOnLoop(t *testing.T) {
 	loop := eventloop.New()
 	defer loop.Close()

@@ -1,17 +1,14 @@
 package pyjama
 
-import (
-	"sync"
-
-	"parc751/internal/reduction"
-)
+import "parc751/internal/reduction"
 
 // redSlot is one thread's padded partial-result slot: each team member
 // writes only its own slot, so the padding keeps concurrent stores off
 // shared cache lines, and the barrier publishes them without a lock.
-// v holds a *T box rather than the T itself (see ForReduce): the box is
-// retained across recycling, so a steady-state reduction writes through
-// a reused pointer instead of re-boxing the partial every construct.
+// v holds a *T box rather than the T itself (see ForChunkedReduce): the
+// box is kept with its state across regions, so a steady-state reduction
+// writes through a reused pointer instead of re-boxing the partial every
+// construct.
 type redSlot struct {
 	v any
 	_ [48]byte
@@ -26,32 +23,25 @@ type redState struct {
 	result   any
 }
 
-// redStatePool recycles reduction states across regions, like
-// loopStatePool. The partial and result boxes ride along deliberately —
-// they are what makes the steady-state reduction allocation-free — at
-// the cost of keeping the previous region's last values alive until
-// overwritten, which for the scalar reductions the kernels use is noise.
-var redStatePool = sync.Pool{New: func() any { return new(redState) }}
-
-func newRedState(team int) *redState {
-	rs := redStatePool.Get().(*redState)
+// ready sizes a reduction state's partials for a team. The state may be
+// one the team kept from an earlier region (see stash). The partial and
+// result boxes ride along deliberately — they are what makes the
+// steady-state reduction allocation-free — at the cost of keeping the
+// previous region's last values alive until overwritten, which for the
+// scalar reductions the kernels use is noise.
+func (rs *redState) ready(team int) {
 	if cap(rs.partials) < team {
 		rs.partials = make([]redSlot, team)
 	}
 	rs.partials = rs.partials[:team]
-	return rs
 }
-
-func releaseRedState(rs *redState) { redStatePool.Put(rs) }
 
 // red fetches or creates the shared reduction state for this thread's
 // next reduction construct — the same lock-free slot pairing as loops.
 func (tc *TC) red() *redState {
 	slot := tc.redCount
 	tc.redCount++
-	rs, _ := tc.reg.reds.getOrCreate(slot, func() *redState {
-		return newRedState(tc.reg.n)
-	})
+	rs, _ := tc.reg.redStash.get(&tc.reg.reds, slot, tc.id, func(rs *redState) { rs.ready(tc.reg.n) })
 	return rs
 }
 
@@ -59,23 +49,40 @@ func (tc *TC) red() *redState {
 // team with the given schedule, folds each thread's iterations into a
 // thread-private accumulator, combines the per-thread partials in
 // deterministic thread order, and returns the combined value to every
-// team member (with an implicit barrier).
+// team member (with an implicit barrier). It is ForChunkedReduce with a
+// per-index body.
+//
+// Because Go methods cannot carry type parameters, ForReduce is a free
+// function over the thread context.
+func ForReduce[T any](tc *TC, n int, sched Schedule, r reduction.Reducer[T], body func(i int, acc T) T) T {
+	return ForChunkedReduce(tc, n, sched, r, func(lo, hi int, acc T) T {
+		for i := lo; i < hi; i++ {
+			acc = body(i, acc)
+		}
+		return acc
+	})
+}
+
+// ForChunkedReduce is the range-body reduction, ForChunked's reducing
+// twin: body folds a whole chunk [lo, hi) into the member's accumulator
+// and returns it, so a hot loop is one call per chunk rather than one
+// per iteration. Each member starts from r.Identity() and publishes its
+// partial — the identity when it got no chunk — and the partials are
+// combined in thread order and returned to every member (implicit
+// barrier), as for ForReduce.
 //
 // The combine runs exactly once, on the barrier's serial thread — T-1
 // combines total instead of the T² a combine-per-member scheme costs,
 // which matters for the object reductions (map merges, set unions) the
 // paper highlights. A second barrier publishes the result to the team.
-//
-// Because Go methods cannot carry type parameters, ForReduce is a free
-// function over the thread context.
-func ForReduce[T any](tc *TC, n int, sched Schedule, r reduction.Reducer[T], body func(i int, acc T) T) T {
+func ForChunkedReduce[T any](tc *TC, n int, sched Schedule, r reduction.Reducer[T], body func(lo, hi int, acc T) T) T {
 	rs := tc.red()
 	acc := r.Identity()
-	tc.ForNoWait(n, sched, func(i int) { acc = body(i, acc) })
+	tc.eachChunk(n, sched, func(lo, hi int) { acc = body(lo, hi, acc) })
 	// Publish the partial through a reusable *T box: storing a non-
 	// pointer-shaped T directly in the interface word would heap-box it
 	// on every construct, while writing through a retained pointer is
-	// free once the box exists. A recycled slot whose box came from a
+	// free once the box exists. A kept slot whose box came from a
 	// reduction over a different type falls back to a fresh box.
 	slot := &rs.partials[tc.id]
 	box, ok := slot.v.(*T)

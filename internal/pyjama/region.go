@@ -54,6 +54,11 @@ type region struct {
 	singles slotTable[struct{}]
 	reds    slotTable[redState]
 
+	// The loop and reduction states the team's earlier regions created,
+	// kept for its next ones (see stash).
+	loopStash stash[loopState]
+	redStash  stash[redState]
+
 	// Named critical sections are cold (each name resolves once per name,
 	// then contends only on its own mutex), so a plain guarded map is fine.
 	critMu   sync.Mutex
@@ -138,6 +143,8 @@ func acquireTeam(n int) *team {
 	t.n = n
 	t.barrier = core.NewBarrier(n)
 	t.counters = make([]threadCounters, n)
+	t.loopStash = newStash[loopState](n)
+	t.redStash = newStash[redState](n)
 	t.parkers = make([]*core.Parker, n)
 	for i := range t.parkers {
 		t.parkers[i] = core.NewParker()
@@ -272,23 +279,21 @@ func (t *team) constructs() (c constructCounts) {
 }
 
 // reset readies the team for its next region. The join is the sole
-// ownership point — every member has returned — so construct state can
-// be recycled, a failed region's included: no construct holds a lock
-// across user code. Only a failed region's aborted barrier is replaced.
+// ownership point — every member has returned — so loop and reduction
+// states go back to the team's stashes, a failed region's included: no
+// construct holds a lock across user code. Only a failed region's
+// aborted barrier is replaced.
 func (t *team) reset(c constructCounts) {
 	if t.barrier.Aborted() {
 		t.barrier = core.NewBarrier(t.n)
 	} else {
 		t.barrier.ResetStats()
 	}
-	t.loops.drain(c.loops, releaseLoopState)
-	t.reds.drain(c.reds, releaseRedState)
-	t.singles.drain(c.singles, dropSlot)
+	t.loopStash.refill(&t.loops, c.loops)
+	t.redStash.refill(&t.reds, c.reds)
+	t.singles.drain(c.singles, nil)
 	clear(t.counters)
 	clear(t.errs)
 	t.critical = nil
 	t.work = work{}
 }
-
-// dropSlot leaves a slot's value to the garbage collector.
-func dropSlot[T any](*T) {}

@@ -3,7 +3,6 @@ package pyjama
 import (
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"parc751/internal/core"
@@ -139,16 +138,13 @@ type loopState struct {
 	onext atomic.Int64 // ordered: the iteration whose turn it is
 }
 
-// loopStatePool recycles loop states across regions. A state is
-// reclaimed only at the region join — the sole-ownership point where
-// every team member has returned — so a recycled state can never be
-// observed mid-construct (see team.reset). Steady-state dynamic and
-// guided loops therefore allocate nothing: the state comes from here
-// and the claim loop in forEachChunk is closure-free per chunk.
-var loopStatePool = sync.Pool{New: func() any { return new(loopState) }}
-
-func newLoopState(n int, sched Schedule, team int) *loopState {
-	ls := loopStatePool.Get().(*loopState)
+// ready initialises a loop state for a loop of n iterations over a team
+// of the given size. The state may be one the team kept from an earlier
+// region (see stash), so steady-state dynamic and guided loops allocate
+// nothing (the claim loop in forEachChunk is closure-free per chunk). A
+// kept state keeps its auto-calibration state for reset; the stats
+// snapshot has already copied the last decision out.
+func (ls *loopState) ready(n int, sched Schedule, team int) {
 	ls.n, ls.sched = n, sched
 	ls.next.Store(0)
 	ls.remaining.Store(int64(n))
@@ -159,13 +155,7 @@ func newLoopState(n int, sched Schedule, team int) *loopState {
 		}
 		ls.auto.reset(n, team)
 	}
-	return ls
 }
-
-// releaseLoopState returns a state to the pool at the region join. It
-// keeps its auto-calibration state for the next auto loop to reset; the
-// stats snapshot has already copied the decision out.
-func releaseLoopState(ls *loopState) { loopStatePool.Put(ls) }
 
 // loop fetches or creates the shared state for this thread's next
 // worksharing construct — a lock-free slot-table lookup; the first
@@ -177,8 +167,8 @@ func (tc *TC) loop(n int, sched Schedule) *loopState {
 	slot := tc.wsCount
 	tc.wsCount++
 	resolved := sched.resolve()
-	ls, won := tc.reg.loops.getOrCreate(slot, func() *loopState {
-		return newLoopState(n, resolved, tc.reg.n)
+	ls, won := tc.reg.loopStash.get(&tc.reg.loops, slot, tc.id, func(ls *loopState) {
+		ls.ready(n, resolved, tc.reg.n)
 	})
 	if !won && spmdDebug.Load() && (ls.n != n || ls.sched != resolved) {
 		panic(fmt.Sprintf(
@@ -212,19 +202,24 @@ func (tc *TC) ForNoWait(n int, sched Schedule, body func(i int)) {
 }
 
 // ForChunked hands the body whole chunks instead of single indices, so a
-// loop body can amortise per-iteration overhead over its chunk. Implicit
-// barrier.
-//
-//parcvet:ignore unused api Pyjama worksharing construct
+// loop body can amortise per-iteration overhead over its chunk: with a
+// plain `for i := lo; i < hi; i++` inside, the body is one call per chunk
+// and its loop can inline and keep values in registers. Implicit barrier.
 func (tc *TC) ForChunked(n int, sched Schedule, body func(lo, hi int)) {
+	tc.eachChunk(n, sched, body)
+	tc.Barrier()
+}
+
+// eachChunk runs body once on each chunk of [0, n) this member gets
+// under the schedule, with no barrier.
+func (tc *TC) eachChunk(n int, sched Schedule, body func(lo, hi int)) {
 	if c, fast := tc.staticFastChunk(n, sched); fast {
 		if c.Len() > 0 {
 			body(c.Lo, c.Hi)
 		}
-	} else {
-		tc.forEachChunk(n, sched, func(c core.Chunk) { body(c.Lo, c.Hi) })
+		return
 	}
-	tc.Barrier()
+	tc.forEachChunk(n, sched, func(c core.Chunk) { body(c.Lo, c.Hi) })
 }
 
 // staticFastChunk is the allocation-free fast path for schedule(static)
@@ -359,8 +354,8 @@ func (tc *TC) Ordered(i int, fn func()) {
 	// state may not exist yet. The first Ordered arrival creates it (only
 	// the sequencing fields matter here) and slot pairing hands every
 	// team member the same instance.
-	ls, _ := tc.reg.loops.getOrCreate(slot, func() *loopState {
-		return newLoopState(0, Static(0), tc.reg.n)
+	ls, _ := tc.reg.loopStash.get(&tc.reg.loops, slot, tc.id, func(ls *loopState) {
+		ls.ready(0, Static(0), tc.reg.n)
 	})
 	turn, b := int64(i), tc.reg.barrier
 	tc.reg.parkers[tc.id].ParkUntil(func() bool { return ls.onext.Load() == turn || b.Aborted() })
