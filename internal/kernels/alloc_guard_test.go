@@ -16,10 +16,10 @@ import (
 // a graph whose transpose is already built: the rank vector it returns,
 // the rank and next variables the region's Master swaps, and the
 // region's closure. The second vector comes from the kernel's pool and
-// the per-construct worksharing state from the Pyjama team's stash. A
-// call that rebuilt the transpose would add its slices and the Graph
-// itself; one that allocated its second vector, or a third, would add 8n
-// bytes.
+// the per-construct worksharing state lives in the Pyjama team's
+// tables. A call that rebuilt the transpose would add its slices and the
+// Graph itself; one that allocated its second vector, or a third, would
+// add 8n bytes.
 func TestPageRankAllocGuard(t *testing.T) {
 	const n = 2000
 	g := workload.GenGraph(1, n, 8)

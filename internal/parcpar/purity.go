@@ -36,8 +36,9 @@ var pureStdlibFuncs = map[string]bool{
 }
 
 // pureBuiltins are the builtins with no side effects on shared state
-// (append's result-placement is governed by the write analysis; make and
-// new allocate fresh private storage).
+// (make and new allocate fresh private storage). append is pure as a
+// call, but it may write into its first argument's backing array, so
+// bodyPure checks that argument as a write target.
 var pureBuiltins = map[string]bool{
 	"len": true, "cap": true, "min": true, "max": true,
 	"real": true, "imag": true, "complex": true,
@@ -198,7 +199,8 @@ func (p *purityChecker) funcPure(fn *types.Func) (bool, string) {
 
 // bodyPure checks a callee body: writes only to its own locals (receiver
 // and parameters are read-only — writing *through* them reaches the
-// caller's shared state), no concurrency constructs, pure callees only.
+// caller's shared state, and so does appending to them), no concurrency
+// constructs, pure callees only.
 // With slots non-nil it also accepts element writes `p[k] = …` on a
 // slice parameter p and records p in slots (see sliceWriter).
 func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types.Info, slots map[*types.Var]bool) (bool, string) {
@@ -206,8 +208,21 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 	fail := func(r string) { reason = r }
 	reads := map[string]bool{}
 	readsClosed := true
-	var checkTarget func(lhs ast.Expr)
-	checkTarget = func(lhs ast.Expr) {
+	// writesThrough checks a write into the memory root reaches: a root
+	// declared outside the body is caller-visible, and a local
+	// pointer-shaped root may alias a parameter (e.g. a subslice), so its
+	// initializer must allocate (make/new/literal).
+	writesThrough := func(root *ast.Ident) {
+		obj := info.ObjectOf(root)
+		if !DeclaredWithin(obj, decl.Body) {
+			fail("writes through " + root.Name)
+			return
+		}
+		if v, isVar := obj.(*types.Var); isVar && pointerShaped(v.Type()) && !p.freshLocal(decl, info, obj) {
+			fail("writes through local alias " + root.Name)
+		}
+	}
+	checkTarget := func(lhs ast.Expr) {
 		switch lhs := ast.Unparen(lhs).(type) {
 		case *ast.Ident:
 			if lhs.Name == "_" {
@@ -239,18 +254,7 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 					return
 				}
 			}
-			if !DeclaredWithin(obj, decl.Body) {
-				fail("writes through " + root.Name)
-				return
-			}
-			// Local pointer-shaped vars may alias params (e.g. a subslice);
-			// trace the initializer conservatively: any local slice/pointer
-			// written through must come from make/new/literal.
-			if v, isVar := obj.(*types.Var); isVar && pointerShaped(v.Type()) {
-				if !p.freshLocal(decl, info, obj) {
-					fail("writes through local alias " + root.Name)
-				}
-			}
+			writesThrough(root)
 		default:
 			fail("unmodelled write target")
 		}
@@ -287,6 +291,13 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 			if ok, _ := p.callPure(info, n); !ok {
 				fail("calls an impure function")
 				return false
+			}
+			if dst := appendDst(info, n); dst != nil && !freshValue(info, dst) {
+				if root := RootIdent(dst); root != nil {
+					writesThrough(root)
+				} else {
+					fail("appends to a compound expression")
+				}
 			}
 			if callee := staticCallee(info, n); callee != nil {
 				if sub, ok := p.fieldReads[callee]; ok && !p.unknownReads[callee] {
@@ -438,6 +449,27 @@ func confinedSlice(body *ast.BlockStmt, info *types.Info, v *types.Var) bool {
 	return confined
 }
 
+// appendDst returns the slice a call to the builtin append may write
+// into, with any reslicing stripped (xs in append(xs[:0], v)), or nil
+// when call is not an append.
+func appendDst(info *types.Info, call *ast.CallExpr) ast.Expr {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if b, isB := info.Uses[id].(*types.Builtin); !isB || b.Name() != "append" {
+		return nil
+	}
+	dst := ast.Unparen(call.Args[0])
+	for {
+		s, ok := dst.(*ast.SliceExpr)
+		if !ok {
+			return dst
+		}
+		dst = ast.Unparen(s.X)
+	}
+}
+
 // staticCallee resolves a call's target as a declared function, or nil
 // for builtins, conversions, and calls through function values.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -470,20 +502,27 @@ func (p *purityChecker) freshLocal(decl *ast.FuncDecl, info *types.Info, obj typ
 				continue
 			}
 			seen = true
-			switch rhs := ast.Unparen(as.Rhs[i]).(type) {
-			case *ast.CallExpr:
-				if fid, isID := rhs.Fun.(*ast.Ident); isID {
-					if b, isB := info.Uses[fid].(*types.Builtin); isB && (b.Name() == "make" || b.Name() == "new") {
-						fresh = true
-					}
-				}
-			case *ast.CompositeLit:
-				fresh = true
-			}
+			fresh = freshValue(info, as.Rhs[i])
 		}
 		return !seen
 	})
 	return seen && fresh
+}
+
+// freshValue reports whether e allocates fresh memory: a make or new
+// call, or a composite literal.
+func freshValue(info *types.Info, e ast.Expr) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CallExpr:
+		if fid, isID := e.Fun.(*ast.Ident); isID {
+			if b, isB := info.Uses[fid].(*types.Builtin); isB && (b.Name() == "make" || b.Name() == "new") {
+				return true
+			}
+		}
+	case *ast.CompositeLit:
+		return true
+	}
+	return false
 }
 
 // findDecl locates the FuncDecl and matching types.Info for a module

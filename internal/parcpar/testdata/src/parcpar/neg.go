@@ -135,6 +135,15 @@ func GrowRow(m *kernels.Matrix) {
 	}
 }
 
+// ZeroFirst's helper appends into the slice it is given: append(xs[:0], 0)
+// stores xs[0] in the caller's memory, so every iteration writes the
+// same element.
+func ZeroFirst(xs []float64, n int) {
+	for i := 0; i < n; i++ { // want `call to parcpartest/parcpar.zeroFirst is not provably pure \(writes through xs\)`
+		zeroFirst(xs)
+	}
+}
+
 // ReadsOwner passes the written matrix itself to the slice writer, which
 // may read other iterations' rows through it.
 func ReadsOwner(m *kernels.Matrix) {
@@ -153,6 +162,8 @@ func appendOne(row []float64) {
 	row = append(row, 1)
 	row[0] = 2
 }
+
+func zeroFirst(xs []float64) { _ = append(xs[:0], 0) }
 
 func copyFirstRow(row []float64, m *kernels.Matrix) {
 	first := m.Row(0)

@@ -45,6 +45,10 @@ type Package struct {
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
+	// goVersion is go.mod's go directive ("go1.24"), the language version
+	// files are typechecked at unless a //go:build line downgrades one
+	// (see types.Info.FileVersions); empty when go.mod has none.
+	goVersion string
 
 	fset    *token.FileSet
 	std     types.Importer
@@ -59,7 +63,7 @@ func New(dir string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(filepath.Join(abs, "go.mod"))
+	modPath, goVersion, err := readGoMod(filepath.Join(abs, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
@@ -67,6 +71,7 @@ func New(dir string) (*Loader, error) {
 	return &Loader{
 		ModuleRoot: abs,
 		ModulePath: modPath,
+		goVersion:  goVersion,
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       map[string]*Package{},
@@ -93,19 +98,25 @@ func FindModuleRoot(start string) (string, error) {
 	}
 }
 
-// modulePath extracts the module declaration from a go.mod file.
-func modulePath(gomod string) (string, error) {
+// readGoMod extracts the module path and the go directive, as a
+// go/version string ("go1.24"), from a go.mod file.
+func readGoMod(gomod string) (modPath, goVersion string, err error) {
 	data, err := os.ReadFile(gomod)
 	if err != nil {
-		return "", err
+		return "", "", err
 	}
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
 		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+			modPath = strings.Trim(strings.TrimSpace(rest), `"`)
+		} else if rest, ok := strings.CutPrefix(line, "go "); ok {
+			goVersion = "go" + strings.TrimSpace(rest)
 		}
 	}
-	return "", fmt.Errorf("loader: no module declaration in %s", gomod)
+	if modPath == "" {
+		return "", "", fmt.Errorf("loader: no module declaration in %s", gomod)
+	}
+	return modPath, goVersion, nil
 }
 
 // Fset returns the shared file set (one per loader, so positions from any
@@ -285,8 +296,11 @@ func (l *Loader) check(importPath, dir string, files map[string]string) (*Packag
 		Scopes:     map[ast.Node]*types.Scope{},
 		Implicits:  map[ast.Node]types.Object{},
 		Instances:  map[*ast.Ident]types.Instance{},
+		// FileVersions carries each file's language version, which
+		// decides, e.g., whether a for-loop variable is per-iteration.
+		FileVersions: map[*ast.File]string{},
 	}
-	conf := types.Config{Importer: importerFunc(l.importPkg)}
+	conf := types.Config{Importer: importerFunc(l.importPkg), GoVersion: l.goVersion}
 	tpkg, err := conf.Check(importPath, l.fset, astFiles, info)
 	if err != nil {
 		return nil, fmt.Errorf("loader: typecheck %s: %w", importPath, err)

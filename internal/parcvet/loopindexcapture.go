@@ -2,7 +2,9 @@ package parcvet
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"go/version"
 	"slices"
 
 	"parc751/internal/parcvet/analysis"
@@ -11,22 +13,24 @@ import (
 
 // LoopIndexCaptureAnalyzer flags the classic stale-loop-variable capture:
 // a closure launched asynchronously (go statement, ptask creator, pool
-// submit) from inside a loop that reads the loop variable instead of a
-// per-iteration copy. Go 1.22 made `for i :=` per-iteration, but the
-// paper's labs still teach the pattern (the course's Java side has no such
-// rescue, and `i` declared *outside* the loop is stale in any Go version),
-// so the analyzer reports it as a teaching warning.
+// submit) from inside a loop that reads a variable every iteration
+// shares. A variable declared outside the loop and assigned by its
+// header is shared in every Go version; one declared in the header
+// (`for i :=`, `for _, x := range`) is shared only before Go 1.22, so it
+// is reported only in files whose language version is older.
 var LoopIndexCaptureAnalyzer = &analysis.Analyzer{
 	Name: "loopindexcapture",
-	Doc: `report async closures capturing an enclosing loop variable
+	Doc: `report async closures capturing a loop variable every iteration shares
 
 A function literal handed to a go statement inside a parallel-construct
 body, or to a task launcher (ptask.Run and friends, Pool.Submit) anywhere,
-outlives the loop iteration that created it. Capturing the loop variable in
-such a closure is the textbook stale-index bug: by the time the task runs,
-the variable holds a later iteration's value (always, for variables
-declared outside the loop; pre-Go-1.22 semantics for the classic form).
-Shadow it with a per-iteration copy (i := i) or pass it as a parameter.`,
+outlives the loop iteration that created it. Capturing a shared loop
+variable in such a closure is the textbook stale-index bug: by the time
+the task runs, the variable holds a later iteration's value. That holds
+in every Go version for a variable declared outside the loop, and before
+Go 1.22 for one declared in the loop header, so header variables are
+reported only in files older than go1.22. Pass the value to the task as a
+parameter.`,
 	Severity: report.Warning,
 	Run:      runLoopIndexCapture,
 }
@@ -40,8 +44,10 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 		if !launch {
 			return true
 		}
-		// Loop variables of loops enclosing the launch site.
-		loops := enclosingLoopVars(info, stack, lit)
+		// Shared loop variables of loops enclosing the launch site.
+		file := stack[0].(*ast.File)
+		perIteration := version.Compare(info.FileVersions[file], "go1.22") >= 0
+		loops := enclosingLoopVars(info, stack, lit, perIteration)
 		if len(loops) == 0 {
 			return true
 		}
@@ -58,7 +64,7 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 			}
 			if slices.Contains(loops, obj) {
 				reported[obj] = true
-				pass.Reportf(id.Pos(), "closure %s captures loop variable %s: the task may run after the iteration advances and observe a stale index; shadow it with a per-iteration copy or pass it as a parameter",
+				pass.Reportf(id.Pos(), "closure %s captures loop variable %s, which every iteration shares: the task may run after the loop advances it and observe a stale value; pass the value to the task as a parameter",
 					why, id.Name)
 			}
 			return true
@@ -108,13 +114,14 @@ func insideParallelConstruct(info *types.Info, stack []ast.Node) bool {
 	return false
 }
 
-// enclosingLoopVars collects the loop variables of every for/range
-// statement on the stack below the innermost enclosing function boundary
-// (a loop outside the enclosing closure cannot interleave with it), plus
-// loop-scoped variables declared outside the loop header but assigned by
-// it — the `var i int; for i = 0; …` form, which is stale in every Go
-// version.
-func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []types.Object {
+// enclosingLoopVars collects the variables assigned by the header of
+// every for/range statement on the stack below the innermost enclosing
+// function boundary (a loop outside the enclosing closure cannot
+// interleave with it). A variable declared outside the loop and assigned
+// by its header — the `var i int; for i = 0; …` form — is shared by every
+// iteration in any Go version; one the header declares is skipped when
+// perIteration says the file's Go version gives each iteration its own.
+func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit, perIteration bool) []types.Object {
 	var out []types.Object
 	// Walk outward; stop at the first function boundary other than lit
 	// itself (loops beyond it run on a different activation record).
@@ -123,7 +130,7 @@ func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []t
 		case *ast.FuncLit, *ast.FuncDecl:
 			return out
 		case *ast.ForStmt:
-			if init, ok := n.Init.(*ast.AssignStmt); ok {
+			if init, ok := n.Init.(*ast.AssignStmt); ok && !(perIteration && init.Tok == token.DEFINE) {
 				for _, lhs := range init.Lhs {
 					id, ok := lhs.(*ast.Ident)
 					if !ok || id.Name == "_" {
@@ -135,6 +142,9 @@ func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit) []t
 				}
 			}
 		case *ast.RangeStmt:
+			if perIteration && n.Tok == token.DEFINE {
+				continue
+			}
 			for _, e := range []ast.Expr{n.Key, n.Value} {
 				id, ok := e.(*ast.Ident)
 				if !ok || id.Name == "_" {

@@ -2,10 +2,7 @@
 // capturing the loop variable of an enclosing loop.
 package loopindexcapture
 
-import (
-	"parc751/internal/ptask"
-	"parc751/internal/pyjama"
-)
+import "parc751/internal/ptask"
 
 // sharedIndex: i is declared outside the loop, so every task sees the
 // final value — stale in every Go version.
@@ -17,28 +14,4 @@ func sharedIndex(rt *ptask.Runtime, xs []int) {
 		})
 		t.Notify(func(int, error) {})
 	}
-}
-
-// rangeValue: the classic per-iteration capture, reported as a teaching
-// warning with the shadowing fix.
-func rangeValue(rt *ptask.Runtime, xs []int) {
-	for _, x := range xs {
-		t := ptask.Run(rt, func() (int, error) {
-			return x * 2, nil // want `captures loop variable x`
-		})
-		t.Notify(func(int, error) {})
-	}
-}
-
-// goInRegion: a goroutine launched from a parallel-construct body.
-func goInRegion(xs []int) {
-	pyjama.Parallel(2, func(tc *pyjama.TC) {
-		tc.Master(func() {
-			for i := 0; i < len(xs); i++ {
-				go func() {
-					xs[i] = 0 // want `captures loop variable i`
-				}()
-			}
-		})
-	})
 }

@@ -29,3 +29,23 @@ func worksharing(xs []int) {
 		xs[i] *= 2
 	})
 }
+
+// perIteration: since Go 1.22 a variable the loop header declares is
+// per-iteration, so each task sees its own iteration's value.
+func perIteration(rt *ptask.Runtime, xs []int) {
+	for i := 0; i < len(xs); i++ {
+		t := ptask.Run(rt, func() (int, error) { return xs[i], nil })
+		t.Notify(func(int, error) {})
+	}
+	for _, x := range xs {
+		t := ptask.Run(rt, func() (int, error) { return x * 2, nil })
+		t.Notify(func(int, error) {})
+	}
+	pyjama.Parallel(2, func(tc *pyjama.TC) {
+		tc.Master(func() {
+			for i := 0; i < len(xs); i++ {
+				go func() { xs[i] = 0 }()
+			}
+		})
+	})
+}

@@ -48,8 +48,8 @@ func Suite() (specs []Spec, cleanup func()) {
 	}})
 
 	// pyjama_for_static: one block-decomposed worksharing loop plus its
-	// implicit barrier. The static fast path registers no construct slots
-	// (staticFastChunk is pure arithmetic), so the whole measurement can
+	// implicit barrier. A static loop touches no shared construct state
+	// (its block is pure arithmetic), so the whole measurement can
 	// run inside ONE region: region spawn amortizes to ~n^-1 and the path
 	// ratchets at exactly zero allocations instead of carrying the old
 	// 0.09 of per-region overhead.
@@ -65,12 +65,12 @@ func Suite() (specs []Spec, cleanup func()) {
 	}})
 
 	// pyjama_for_<schedule>: one worksharing loop (1024 iterations over 4
-	// threads) plus its implicit barrier. The claim-based schedules
-	// register a construct slot per loop, so regions are recycled every
-	// regionOps loops: region spawn cost is amortized while the
-	// worksharing slot table stays bounded — and the region join returns
-	// each loopState to the pool, which is what keeps the steady state at
-	// one allocation or less per construct.
+	// threads) plus its implicit barrier. The claim-based schedules use a
+	// construct slot per loop, so regions are recycled every regionOps
+	// loops: region spawn cost is amortized while the team's loop table
+	// stays within the segments a team keeps, and the region join clears
+	// each loop state in place, which keeps the steady state at zero
+	// allocations per construct.
 	for _, sc := range []struct {
 		name  string
 		sched pyjama.Schedule
@@ -200,10 +200,11 @@ const roundtripClients = 8
 const loopN = 1024
 
 // regionOps bounds how many worksharing constructs run in one parallel
-// region: Pyjama's SPMD slot table grows with every construct, so an
-// unbounded measurement batch inside a single region would grow it
-// without limit. Batching regions keeps the table small and amortizes
-// region spawn to under regionOps^-1 of the measurement.
+// region: Pyjama's SPMD slot table grows with every construct, and a team
+// keeps only its first 504 slots across regions, so an unbounded
+// measurement batch inside a single region would grow it without limit.
+// Batching regions keeps the table small and amortizes region spawn to
+// under regionOps^-1 of the measurement.
 const regionOps = 256
 
 // forOps runs body-with-an-ops-budget across fresh 4-thread regions

@@ -1,15 +1,17 @@
 //go:build !race
 
-// Allocation-budget guard for the worksharing fast path: a
-// schedule(static) block-decomposed For must be pure arithmetic plus a
-// barrier — no loopState registration, no chunk closure, no heap traffic
-// at all (see staticFastChunk). Excluded under -race because the race
+// Allocation-budget guards for Pyjama's constructs: a warm team keeps
+// every loop and reduction state in its own tables (see slotTable), so a
+// worksharing loop or a reduction allocates nothing once its team has
+// run it, whatever the schedule, and a schedule(static) For is pure
+// arithmetic plus a barrier. Excluded under -race because the race
 // runtime's own instrumentation allocates.
 
 package pyjama
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"parc751/internal/reduction"
@@ -49,13 +51,13 @@ func TestForStaticZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestForDynamicGuidedAllocGuard bounds the claim-based schedules at one
-// allocation per construct in the steady state: the loopState, with an
-// auto loop's calibration state, comes back from the region-join
-// recycling pool (team.reset → loopStatePool),
-// the ordered cond is created lazily (claim loops never touch it), and
-// the chunk claim is pure atomics. The measurement wraps whole regions
-// because recycling only returns state at the join.
+// TestForDynamicGuidedAllocGuard pins the claim-based schedules at zero
+// allocations per construct on a warm team, across garbage collections:
+// the loopState, with an auto loop's calibration state, lives in the
+// team's loop table and the join clears it in place, and the chunk claim
+// is pure atomics. The measurement wraps whole regions because the join
+// is where states are readied for reuse; the region body is hoisted, so
+// no closure of the test's own making is counted.
 func TestForDynamicGuidedAllocGuard(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -72,19 +74,20 @@ func TestForDynamicGuidedAllocGuard(t *testing.T) {
 		sched := tc.sched
 		sink := 0
 		body := func(i int) { sink += i }
-		region := func() {
-			Parallel(2, func(tc *TC) {
-				for k := 0; k < per; k++ {
-					tc.For(n, sched, body)
-				}
-			})
+		loops := func(tc *TC) {
+			for k := 0; k < per; k++ {
+				tc.For(n, sched, body)
+			}
 		}
+		region := func() { Parallel(2, loops) }
 		for k := 0; k < 8; k++ {
-			region() // fill the team's stash across region joins
+			region() // build the team's loop table
 		}
+		runtime.GC()
+		runtime.GC()
 		got := testing.AllocsPerRun(20, region) / per
-		if got > 1 {
-			t.Fatalf("steady-state For(%s) allocates %v objects/op, want <= 1", tc.name, got)
+		if got != 0 {
+			t.Fatalf("steady-state For(%s) allocates %v objects/op, want 0", tc.name, got)
 		}
 		_ = sink
 	}
@@ -124,10 +127,11 @@ func TestColdRegionZeroAlloc(t *testing.T) {
 // state and its partial and result boxes stay with the cached team from
 // region to region, so a GC between regions costs nothing; states kept
 // in a sync.Pool would be dropped by the GC and rebuilt by the next
-// region, construct by construct. The measurement counts mallocs around whole regions with ReadMemStats,
-// because testing.AllocsPerRun would pin GOMAXPROCS to 1; like
-// AllocsPerRun it truncates the mean, which absorbs the runtime's own
-// refill of its parking structures after the GC.
+// region, construct by construct. The measurement counts mallocs around
+// whole regions with ReadMemStats, because testing.AllocsPerRun would pin
+// GOMAXPROCS to 1; like AllocsPerRun it truncates the mean. The runtime's
+// own parking structures are refilled between the GC and the measurement
+// (refillSudogs), since they are not Pyjama's.
 func TestForReduceStaticZeroAlloc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
@@ -162,6 +166,7 @@ func TestForReduceStaticZeroAlloc(t *testing.T) {
 			}
 			runtime.GC()
 			runtime.GC()
+			refillSudogs()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for k := 0; k < runs; k++ {
@@ -175,4 +180,34 @@ func TestForReduceStaticZeroAlloc(t *testing.T) {
 			}
 		}
 	}
+}
+
+// refillSudogs parks a few hundred goroutines on a channel at once and
+// then releases them. Every GC drops the runtime's central cache of
+// sudogs, the records a goroutine blocked on a channel holds; members
+// that park at a barrier on one P and wake on another then drain their
+// P's cache and allocate new sudogs, tens of them per region at
+// GOMAXPROCS 2, until the other P's cache overflows back into the central
+// one. Releasing this many at once refills both. No Pyjama code runs
+// here, so a construct state the GC took is still rebuilt in the
+// measured regions.
+func refillSudogs() {
+	const parked = 256
+	var ready, done sync.WaitGroup
+	release := make(chan struct{})
+	for range parked {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			<-release
+		}()
+	}
+	ready.Wait()
+	for range 8 {
+		runtime.Gosched() // let the last arrivals block on release
+	}
+	close(release)
+	done.Wait()
 }

@@ -51,8 +51,10 @@ const (
 // by the time the probe range is exhausted (stragglers' samples are a
 // tolerable loss — the decision is a heuristic).
 type autoState struct {
-	probeChunk int
-	calibEnd   int
+	// calibEnd is the calibration prefix, stored by every member on
+	// entry (the same value under SPMD); -1 marks a loop slot no
+	// schedule(auto) loop used this region.
+	calibEnd atomic.Int64
 
 	decision atomic.Int64 // packed mode<<32 | chunk; 0 = undecided
 
@@ -63,22 +65,11 @@ type autoState struct {
 	maxPerIter  atomic.Int64
 }
 
-// reset reinitialises the state in place for a loop of n iterations
-// over a team: the state lives with its pooled loopState, so an auto
-// loop allocates nothing once the pool is warm.
-func (as *autoState) reset(n, team int) {
-	pc := n / (team * 16)
-	if pc < 1 {
-		pc = 1
-	}
-	if pc > autoMaxProbeChunk {
-		pc = autoMaxProbeChunk
-	}
-	ce := team * autoProbesPerThread * pc
-	if ce > n {
-		ce = n
-	}
-	as.probeChunk, as.calibEnd = pc, ce
+// clear readies the state for the next loop of its slot: the state
+// lives in the team's loop table, so an auto loop allocates nothing
+// once the team is warm.
+func (as *autoState) clear() {
+	as.calibEnd.Store(-1)
 	as.decision.Store(0)
 	as.sampleNs.Store(0)
 	as.sampleIters.Store(0)
@@ -87,50 +78,49 @@ func (as *autoState) reset(n, team int) {
 	as.maxPerIter.Store(0)
 }
 
-// runAuto executes this thread's share of a schedule(auto) loop.
-func (tc *TC) runAuto(ls *loopState, claim func(core.Chunk)) {
-	as := ls.auto
-	n := ls.n
+// autoCalibration sizes the probe chunks and the calibration prefix of
+// an n-iteration loop over a team.
+func autoCalibration(n, team int) (probeChunk, calibEnd int) {
+	probeChunk = min(max(n/(team*16), 1), autoMaxProbeChunk)
+	return probeChunk, min(team*autoProbesPerThread*probeChunk, max(n, 0))
+}
+
+// runAuto executes this thread's share of a schedule(auto) loop over
+// [0, n).
+func (tc *TC) runAuto(ls *loopState, n int, claim func(lo, hi int)) {
+	as := &ls.auto
+	probeChunk, calibEnd := autoCalibration(n, tc.reg.n)
+	as.calibEnd.Store(int64(calibEnd))
+	if n <= 0 {
+		return
+	}
 	// Phase 1: calibration. CAS-bounded claims keep the cursor exactly at
 	// calibEnd when probing ends, so the dynamic remainder can reuse it.
 	for {
 		cur := int(ls.next.Load())
-		if cur >= as.calibEnd {
+		if cur >= calibEnd {
 			break
 		}
-		hi := cur + as.probeChunk
-		if hi > as.calibEnd {
-			hi = as.calibEnd
-		}
+		hi := min(cur+probeChunk, calibEnd)
 		if !ls.next.CompareAndSwap(int64(cur), int64(hi)) {
 			continue
 		}
 		start := time.Now()
-		claim(core.Chunk{Lo: cur, Hi: hi})
+		claim(cur, hi)
 		as.observe(time.Since(start), hi-cur)
 	}
 	// Phase 2: adopt the (first-closer-wins) decision and run the rest.
-	mode, chunk := as.decide(n, tc.reg.n)
-	if as.calibEnd >= n {
+	mode, chunk := as.decide(n, calibEnd, tc.reg.n)
+	if calibEnd >= n {
 		return
 	}
 	switch mode {
 	case autoModeStatic:
-		if c, ok := core.StaticBlock(n-as.calibEnd, tc.reg.n, tc.id); ok {
-			claim(core.Chunk{Lo: as.calibEnd + c.Lo, Hi: as.calibEnd + c.Hi})
+		if c, ok := core.StaticBlock(n-calibEnd, tc.reg.n, tc.id); ok {
+			claim(calibEnd+c.Lo, calibEnd+c.Hi)
 		}
 	default:
-		for {
-			lo := int(ls.next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			claim(core.Chunk{Lo: lo, Hi: hi})
-		}
+		ls.dynamic(n, chunk, claim)
 	}
 }
 
@@ -157,19 +147,19 @@ func (as *autoState) observe(d time.Duration, iters int) {
 
 // decide returns the committed (mode, chunk), computing and publishing it
 // if no thread has yet.
-func (as *autoState) decide(n, team int) (mode, chunk int) {
+func (as *autoState) decide(n, calibEnd, team int) (mode, chunk int) {
 	d := as.decision.Load()
 	if d == 0 {
 		// Publish this thread's verdict unless another thread beat it to
 		// the CAS; either way, adopt whatever is now committed.
-		as.decision.CompareAndSwap(0, as.computeDecision(n, team))
+		as.decision.CompareAndSwap(0, as.computeDecision(n, calibEnd, team))
 		d = as.decision.Load()
 	}
 	return int(d >> 32), int(d & 0xffffffff)
 }
 
-func (as *autoState) computeDecision(n, team int) int64 {
-	rem := n - as.calibEnd
+func (as *autoState) computeDecision(n, calibEnd, team int) int64 {
+	rem := n - calibEnd
 	minP, maxP := as.minPerIter.Load(), as.maxPerIter.Load()
 	uniform := as.samples.Load() >= autoMinSamples && minP > 0 &&
 		float64(maxP)/float64(minP) <= autoSpreadStatic
@@ -228,7 +218,7 @@ func (as *autoState) snapshot(slot int) AutoDecision {
 		Mode:     "undecided",
 		Spread:   as.spread(),
 		Samples:  as.samples.Load(),
-		CalibEnd: as.calibEnd,
+		CalibEnd: int(as.calibEnd.Load()),
 	}
 	if iters := as.sampleIters.Load(); iters > 0 {
 		dec.PerIterNs = float64(as.sampleNs.Load()) / float64(iters)

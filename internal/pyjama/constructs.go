@@ -44,17 +44,16 @@ func (tc *TC) Single(fn func()) {
 	tc.Barrier()
 }
 
-// singleToken is the shared claim marker for single slots: the slot table
-// only cares which CAS won, so every claimed slot stores the same pointer.
-var singleToken = new(struct{})
-
 // SingleNoWait is "#omp single nowait": exactly one member runs fn and the
 // rest continue immediately. It reports whether this member was the one.
-// The claim is a lock-free first-arrival CAS on the construct's slot.
+// The claim is one CAS k→k+1 on the team's count of claimed singles,
+// where k is this member's single count. A member reaches its k-th
+// single only after its CAS on every earlier one won or found the count
+// past it, so the count is at least k, and exactly one CAS per k wins.
 func (tc *TC) SingleNoWait(fn func()) bool {
-	slot := tc.singleCount
+	k := int64(tc.singleCount)
 	tc.singleCount++
-	if _, won := tc.reg.singles.getOrCreate(slot, func() *struct{} { return singleToken }); won {
+	if tc.reg.singles.CompareAndSwap(k, k+1) {
 		fn()
 		return true
 	}

@@ -14,57 +14,99 @@ import (
 	"parc751/internal/reduction"
 )
 
-func TestSlotTableSegments(t *testing.T) {
-	var st slotTable[int]
-	// Crossing several segment boundaries: segments hold 8, 16, 32, ...
+// TestSlotTableAt crosses several segment boundaries (segments hold 8,
+// 16, 32, ... entries): at hands out one stable entry per slot, readied
+// by the init hook, and peek sees it once its segment exists.
+func TestSlotTableAt(t *testing.T) {
+	st := slotTable[int]{init: func(seg []int) {
+		for i := range seg {
+			seg[i] = -len(seg)
+		}
+	}}
+	if st.peek(0) != nil {
+		t.Fatal("peek on an empty table is not nil")
+	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		i := i
-		v, won := st.getOrCreate(i, func() *int { return &i })
-		if !won || *v != i {
-			t.Fatalf("slot %d: won=%v v=%d", i, won, *v)
+		v := st.at(i)
+		seg, _ := slotIndex(i)
+		if *v != -(slotSegBase << seg) {
+			t.Fatalf("slot %d: init left %d, want %d", i, *v, -(slotSegBase << seg))
 		}
+		*v = i
 	}
 	for i := 0; i < n; i++ {
-		if v := st.get(i); v == nil || *v != i {
-			t.Fatalf("slot %d: get=%v", i, v)
+		if v := st.at(i); *v != i {
+			t.Fatalf("slot %d: at = %d", i, *v)
 		}
-		// A second arrival adopts the first arrival's value.
-		v, won := st.getOrCreate(i, func() *int { x := -1; return &x })
-		if won || *v != i {
-			t.Fatalf("slot %d: second arrival won=%v v=%d", i, won, *v)
+		if v := st.peek(i); v != st.at(i) {
+			t.Fatalf("slot %d: peek and at disagree", i)
 		}
 	}
-	if st.get(n) != nil {
-		t.Error("unset slot not nil")
+	if seg, _ := slotIndex(n - 1); st.peek(slotSegBase*((2<<seg)-1)) != nil {
+		t.Error("peek past the last allocated segment is not nil")
 	}
 }
 
-func TestSlotTableConcurrentFirstArrival(t *testing.T) {
+// TestSlotTableReset clears the entries below the limit, keeps the first
+// keptSegs segments, and drops the ones beyond.
+func TestSlotTableReset(t *testing.T) {
 	var st slotTable[int]
-	const goroutines = 8
-	var wins atomic.Int32
+	kept := slotSegBase * (1<<keptSegs - 1) // 504
+	const n = 600
+	for i := 0; i < n; i++ {
+		*st.at(i) = i + 1
+	}
+	first := st.peek(0)
+	st.reset(n-1, func(v *int) { *v = 0 })
+	if st.peek(0) != first {
+		t.Fatal("reset replaced a kept segment")
+	}
+	for i := 0; i < kept; i++ {
+		if v := st.peek(i); v == nil || *v != 0 {
+			t.Fatalf("slot %d below the limit was not cleared", i)
+		}
+	}
+	for i := kept; i < n; i++ {
+		if st.peek(i) != nil {
+			t.Fatalf("slot %d: segment past keptSegs survived reset", i)
+		}
+	}
+	// A dropped segment comes back readied on its next use.
+	if v := st.at(n - 1); *v != 0 {
+		t.Fatalf("re-created slot %d holds %d, want 0", n-1, *v)
+	}
+	// Without a clear function reset only drops segments.
+	*st.at(3) = 7
+	st.reset(n, nil)
+	if *st.peek(3) != 7 || st.peek(n-1) != nil {
+		t.Fatal("reset without clear touched a kept entry or kept a dropped segment")
+	}
+}
+
+// TestSlotTableConcurrentFirstUse races goroutines to the first use of
+// every slot: each must get the one published entry of its slot.
+func TestSlotTableConcurrentFirstUse(t *testing.T) {
+	var st slotTable[int]
+	const goroutines, slots = 8, 100
+	var got [goroutines][slots]*int
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for slot := 0; slot < 100; slot++ {
-				mine := g
-				v, won := st.getOrCreate(slot, func() *int { return &mine })
-				if won {
-					wins.Add(1)
-				}
-				if *v < 0 || *v >= goroutines {
-					t.Errorf("slot %d: bogus value %d", slot, *v)
-				}
+			for slot := 0; slot < slots; slot++ {
+				got[g][slot] = st.at(slot)
 			}
 		}()
 	}
 	wg.Wait()
-	if wins.Load() != 100 {
-		t.Fatalf("%d wins, want exactly one per slot (100)", wins.Load())
+	for slot := 0; slot < slots; slot++ {
+		for g := 0; g < goroutines; g++ {
+			if got[g][slot] != st.peek(slot) {
+				t.Fatalf("slot %d: goroutine %d got an entry other than the published one", slot, g)
+			}
+		}
 	}
 }
 
@@ -94,11 +136,11 @@ func TestSPMDMismatchPanicsWithDebug(t *testing.T) {
 func TestSPMDMismatchSilentWithoutDebug(t *testing.T) {
 	prev := SetDebug(false)
 	defer SetDebug(prev)
-	// Without debug a mismatched member silently shares the first
-	// arrival's loop state — the historical behaviour. The result is
-	// unspecified (a dynamic claim consumed against the smaller bound can
-	// drop iterations: exactly the corruption SetDebug(true) diagnoses),
-	// but it must not panic and stays within the two bounds.
+	// Without debug each member claims against its own bound on the
+	// shared dynamic cursor. The result is unspecified (the member with
+	// the smaller bound stops early, so iterations can be dropped: exactly
+	// the corruption SetDebug(true) diagnoses), but it must not panic and
+	// stays within the two bounds.
 	var iters atomic.Int64
 	Parallel(2, func(tc *TC) {
 		n := 10

@@ -161,6 +161,24 @@ func TestSingleNoWaitReturnsTruth(t *testing.T) {
 	}
 }
 
+// TestSingleNoWaitRaceAhead runs many singles with no barrier between
+// them, so members race ahead of one another through the team's singles
+// count: every single must still have exactly one winner.
+func TestSingleNoWaitRaceAhead(t *testing.T) {
+	const threads, singles = 4, 1000
+	var wins [singles]atomic.Int32
+	Parallel(threads, func(tc *TC) {
+		for k := 0; k < singles; k++ {
+			tc.SingleNoWait(func() { wins[k].Add(1) })
+		}
+	})
+	for k := range wins {
+		if w := wins[k].Load(); w != 1 {
+			t.Fatalf("single %d ran %d times, want 1", k, w)
+		}
+	}
+}
+
 func TestCriticalMutualExclusion(t *testing.T) {
 	counter := 0 // deliberately unsynchronised except via Critical
 	Parallel(8, func(tc *TC) {

@@ -6,9 +6,9 @@ import "parc751/internal/reduction"
 // writes only its own slot, so the padding keeps concurrent stores off
 // shared cache lines, and the barrier publishes them without a lock.
 // v holds a *T box rather than the T itself (see ForChunkedReduce): the
-// box is kept with its state across regions, so a steady-state reduction
-// writes through a reused pointer instead of re-boxing the partial every
-// construct.
+// box stays with its state in the team's table across regions, so a
+// steady-state reduction writes through a reused pointer instead of
+// re-boxing the partial every construct.
 type redSlot struct {
 	v any
 	_ [48]byte
@@ -17,31 +17,33 @@ type redSlot struct {
 // redState is the team-shared state of one reduction construct instance.
 // There is no mutex: per-thread slots plus barrier publication make the
 // partials race-free, and the combined result is written by exactly one
-// thread (the barrier's serial thread) between the two barriers.
+// thread (the barrier's serial thread) between the two barriers. It
+// needs no clearing between regions: every member writes its partial
+// before the barrier that lets anyone read it, and the serial thread
+// writes the result before the barrier that publishes it. The boxes stay
+// with the state deliberately — they are what makes the steady-state
+// reduction allocation-free — at the cost of keeping the previous
+// region's last values alive until overwritten, which for the scalar
+// reductions the kernels use is noise.
 type redState struct {
 	partials []redSlot
 	result   any
 }
 
-// ready sizes a reduction state's partials for a team. The state may be
-// one the team kept from an earlier region (see stash). The partial and
-// result boxes ride along deliberately — they are what makes the
-// steady-state reduction allocation-free — at the cost of keeping the
-// previous region's last values alive until overwritten, which for the
-// scalar reductions the kernels use is noise.
-func (rs *redState) ready(team int) {
-	if cap(rs.partials) < team {
-		rs.partials = make([]redSlot, team)
+// sizePartials gives each state of a new segment of the team's
+// reduction table its team-sized partials, cut from one backing array.
+func sizePartials(seg []redState, team int) {
+	backing := make([]redSlot, len(seg)*team)
+	for i := range seg {
+		seg[i].partials = backing[i*team : (i+1)*team : (i+1)*team]
 	}
-	rs.partials = rs.partials[:team]
 }
 
-// red fetches or creates the shared reduction state for this thread's
-// next reduction construct — the same lock-free slot pairing as loops.
+// red returns the shared state of this thread's next reduction
+// construct: the team's members meet at the same slot.
 func (tc *TC) red() *redState {
-	slot := tc.redCount
+	rs := tc.reg.reds.at(tc.redCount)
 	tc.redCount++
-	rs, _ := tc.reg.redStash.get(&tc.reg.reds, slot, tc.id, func(rs *redState) { rs.ready(tc.reg.n) })
 	return rs
 }
 

@@ -47,17 +47,17 @@ type region struct {
 	n       int
 	barrier *core.Barrier
 
-	// Construct registries: lock-free append-only slot tables keyed by
-	// each construct's SPMD sequence number, claimed first-arrival-wins.
-	// Entering a For/Single/ForReduce never takes a region lock.
+	// Construct state, kept by the team and keyed by each construct's
+	// SPMD sequence number (see slotTable): loops and reductions have a
+	// table each, and singles need only the count claimed so far (see
+	// SingleNoWait). Entering a construct never takes a region lock.
 	loops   slotTable[loopState]
-	singles slotTable[struct{}]
 	reds    slotTable[redState]
+	singles atomic.Int64
 
-	// The loop and reduction states the team's earlier regions created,
-	// kept for its next ones (see stash).
-	loopStash stash[loopState]
-	redStash  stash[redState]
+	// runtimeSched is what schedule(runtime) means in this region, read
+	// when the region is posted.
+	runtimeSched Schedule
 
 	// Named critical sections are cold (each name resolves once per name,
 	// then contends only on its own mutex), so a plain guarded map is fine.
@@ -143,8 +143,8 @@ func acquireTeam(n int) *team {
 	t.n = n
 	t.barrier = core.NewBarrier(n)
 	t.counters = make([]threadCounters, n)
-	t.loopStash = newStash[loopState](n)
-	t.redStash = newStash[redState](n)
+	t.loops.init = clearLoops
+	t.reds.init = func(seg []redState) { sizePartials(seg, n) }
 	t.parkers = make([]*core.Parker, n)
 	for i := range t.parkers {
 		t.parkers[i] = core.NewParker()
@@ -223,6 +223,7 @@ func runRegion(nthreads int, w work, stats *RegionStats) {
 		pr.Fire(probe.SiteRegionStart, -1, regionID, uint64(nthreads))
 	}
 	t.work = w
+	t.runtimeSched = RuntimeSchedule()
 	t.pending.Store(int32(nthreads))
 	t.post()
 	t.member(0)
@@ -265,33 +266,32 @@ func (t *team) rootCause() error {
 }
 
 // constructCounts bounds a region's slot tables: the highest
-// worksharing, single and reduction counts any member reached.
-type constructCounts struct{ loops, singles, reds int }
+// worksharing and reduction counts any member reached.
+type constructCounts struct{ loops, reds int }
 
 func (t *team) constructs() (c constructCounts) {
 	for i := range t.tcs {
 		tc := &t.tcs[i]
 		c.loops = max(c.loops, tc.wsCount)
-		c.singles = max(c.singles, tc.singleCount)
 		c.reds = max(c.reds, tc.redCount)
 	}
 	return c
 }
 
 // reset readies the team for its next region. The join is the sole
-// ownership point — every member has returned — so loop and reduction
-// states go back to the team's stashes, a failed region's included: no
-// construct holds a lock across user code. Only a failed region's
-// aborted barrier is replaced.
+// ownership point — every member has returned — so it clears the loop
+// states the region used and the singles count, a failed region's
+// included: no construct holds a lock across user code. Reduction states
+// need no clearing. Only a failed region's aborted barrier is replaced.
 func (t *team) reset(c constructCounts) {
 	if t.barrier.Aborted() {
 		t.barrier = core.NewBarrier(t.n)
 	} else {
 		t.barrier.ResetStats()
 	}
-	t.loopStash.refill(&t.loops, c.loops)
-	t.redStash.refill(&t.reds, c.reds)
-	t.singles.drain(c.singles, nil)
+	t.loops.reset(c.loops, (*loopState).clear)
+	t.reds.reset(c.reds, nil)
+	t.singles.Store(0)
 	clear(t.counters)
 	clear(t.errs)
 	t.critical = nil

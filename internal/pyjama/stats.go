@@ -54,10 +54,11 @@ func (r *region) statsSnapshot(c constructCounts) RegionStats {
 			Barrier:       r.barrier.PartyStats(i),
 		}
 	}
-	// Static fast-path loops consume a slot without creating state, so
-	// the walk skips gaps up to the team's construct count.
+	// Only auto loops mark their slot (calibEnd >= 0); the walk covers
+	// every slot up to the team's construct count, skipping segments no
+	// claim-based loop allocated.
 	for slot := 0; slot < c.loops; slot++ {
-		if ls := r.loops.get(slot); ls != nil && ls.sched.Kind == KindAuto {
+		if ls := r.loops.peek(slot); ls != nil && ls.auto.calibEnd.Load() >= 0 {
 			s.Auto = append(s.Auto, ls.auto.snapshot(slot))
 		}
 	}

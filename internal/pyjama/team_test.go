@@ -120,6 +120,34 @@ func TestOrderedPanicAbortsTeam(t *testing.T) {
 	}
 }
 
+// TestManyLoopsTwice runs one region of more loops than the team keeps
+// slots for, twice on the same cached team: the second region must find
+// every kept loop state cleared and rebuild the dropped segments.
+func TestManyLoopsTwice(t *testing.T) {
+	const threads, loops, n = 4, 600, 37
+	kept := slotSegBase * (1<<keptSegs - 1)
+	counts := make([][n]atomic.Int32, loops)
+	for run := 0; run < 2; run++ {
+		within(t, "region of many loops", func() {
+			Parallel(threads, func(tc *TC) {
+				for l := 0; l < loops; l++ {
+					tc.ForNoWait(n, Dynamic(2), func(i int) { counts[l][i].Add(1) })
+				}
+			})
+		})
+		for l := range counts {
+			for i := range counts[l] {
+				if c := counts[l][i].Swap(0); c != 1 {
+					t.Fatalf("run %d, loop %d: iteration %d ran %d times", run, l, i, c)
+				}
+			}
+		}
+		if team := idleTeams[threads].Load(); team != nil && (team.loops.peek(kept-1) == nil || team.loops.peek(kept) != nil) {
+			t.Fatalf("run %d: the cached team kept the wrong segments", run)
+		}
+	}
+}
+
 // TestNestedRegionsComplete opens a region inside every member of an
 // outer region of the same size: the cached team is busy, so each inner
 // region runs on a fresh team.

@@ -16,10 +16,11 @@ func init() { spmdDebug.Store(os.Getenv("PYJAMA_DEBUG") != "") }
 
 // SetDebug toggles Pyjama's debug checks, currently the SPMD-mismatch
 // detector: with debug on, a team member that reaches a worksharing
-// construct with a different (n, schedule) than the slot's first arrival
-// panics with a diagnostic instead of silently running the first
-// arrival's loop. The initial value comes from the PYJAMA_DEBUG
-// environment variable. It returns the previous setting.
+// construct with a different (n, schedule) than the construct's first
+// arrival panics with a diagnostic. Without it each member claims
+// against its own bound, so a mismatched team silently runs some
+// iterations twice or not at all. The initial value comes from the
+// PYJAMA_DEBUG environment variable. It returns the previous setting.
 //
 //parcvet:ignore unused api Pyjama SPMD debug mode
 func SetDebug(on bool) bool { return spmdDebug.Swap(on) }
@@ -97,8 +98,9 @@ var runtimeSchedule atomic.Value // Schedule
 func init() { runtimeSchedule.Store(Static(0)) }
 
 // SetRuntimeSchedule sets the schedule used by Runtime(), like the
-// OMP_SCHEDULE environment variable. Kind Runtime itself is rejected to
-// avoid recursion and maps to static.
+// OMP_SCHEDULE environment variable. A region reads it once, when it is
+// posted, so its members all resolve Runtime() alike. Kind Runtime itself
+// is rejected to avoid recursion and maps to static.
 //
 //parcvet:ignore unused api Pyjama schedule(runtime)
 func SetRuntimeSchedule(s Schedule) {
@@ -111,71 +113,71 @@ func SetRuntimeSchedule(s Schedule) {
 // RuntimeSchedule returns the schedule Runtime() currently resolves to.
 func RuntimeSchedule() Schedule { return runtimeSchedule.Load().(Schedule) }
 
-func (s Schedule) resolve() Schedule {
-	if s.Kind == KindRuntime {
-		return RuntimeSchedule()
-	}
-	return s
-}
-
-// loopState is the team-shared state of one worksharing loop instance.
-// The claim counters live on their own cache lines: the dynamic cursor,
-// the guided remaining-count, and the ordered-section state are each hot
-// in different phases and must not false-share with one another or with
-// the read-only header.
+// loopState is the team-shared state of one worksharing loop: the claim
+// cursor of the dynamic, guided and auto schedules, the ordered turn,
+// auto's calibration, and in debug mode the first arrival's (n,
+// schedule). It holds nothing a member needs to find its share — every
+// member claims against its own (n, schedule), which the SPMD contract
+// makes the team's — so a schedule(static) loop never touches it. The
+// cursor, the ordered turn and auto's accumulators are hot in different
+// phases and are padded apart, from each other and from the next slot.
 type loopState struct {
-	n     int
-	sched Schedule
-	auto  *autoState // calibration + decision state; read for KindAuto only
-
-	_    [64]byte
-	next atomic.Int64 // dynamic (and auto): claim cursor
-
-	_         [56]byte
-	remaining atomic.Int64 // guided: iterations not yet claimed
+	next atomic.Int64 // claim cursor: the first iteration not yet claimed
 
 	_     [56]byte
 	onext atomic.Int64 // ordered: the iteration whose turn it is
+
+	_    [56]byte
+	auto autoState
+	key  atomic.Pointer[spmdKey] // debug mode: the first arrival's (n, schedule)
+	_    [56]byte
 }
 
-// ready initialises a loop state for a loop of n iterations over a team
-// of the given size. The state may be one the team kept from an earlier
-// region (see stash), so steady-state dynamic and guided loops allocate
-// nothing (the claim loop in forEachChunk is closure-free per chunk). A
-// kept state keeps its auto-calibration state for reset; the stats
-// snapshot has already copied the last decision out.
-func (ls *loopState) ready(n int, sched Schedule, team int) {
-	ls.n, ls.sched = n, sched
-	ls.next.Store(0)
-	ls.remaining.Store(int64(n))
-	ls.onext.Store(0)
-	if sched.Kind == KindAuto {
-		if ls.auto == nil {
-			ls.auto = new(autoState)
-		}
-		ls.auto.reset(n, team)
+// spmdKey is the (n, schedule) a member passed to a worksharing
+// construct, which debug mode compares across the team.
+type spmdKey struct {
+	n     int
+	sched Schedule
+}
+
+// clearLoops readies a new segment of the team's loop table.
+func clearLoops(seg []loopState) {
+	for i := range seg {
+		seg[i].clear()
 	}
 }
 
-// loop fetches or creates the shared state for this thread's next
-// worksharing construct — a lock-free slot-table lookup; the first
-// arrival's CAS wins. The SPMD contract requires all threads to pass the
-// same (n, sched) for the same slot; with debug on (SetDebug /
-// PYJAMA_DEBUG) a mismatching later arrival panics instead of silently
-// adopting the first arrival's loop.
-func (tc *TC) loop(n int, sched Schedule) *loopState {
-	slot := tc.wsCount
-	tc.wsCount++
-	resolved := sched.resolve()
-	ls, won := tc.reg.loopStash.get(&tc.reg.loops, slot, tc.id, func(ls *loopState) {
-		ls.ready(n, resolved, tc.reg.n)
-	})
-	if !won && spmdDebug.Load() && (ls.n != n || ls.sched != resolved) {
+// clear readies a loop state for the loop that next gets its slot. The
+// join runs it on every slot a region's loops reached, most of them
+// static loops that never touched theirs, so each field is loaded before
+// it is stored.
+func (ls *loopState) clear() {
+	if ls.next.Load() != 0 {
+		ls.next.Store(0)
+	}
+	if ls.onext.Load() != 0 {
+		ls.onext.Store(0)
+	}
+	if ls.key.Load() != nil {
+		ls.key.Store(nil)
+	}
+	if ls.auto.calibEnd.Load() >= 0 {
+		ls.auto.clear()
+	}
+}
+
+// checkSPMD registers the first arrival's (n, sched) for loop slot and
+// panics when a later arrival passed a different pair (debug mode).
+func (ls *loopState) checkSPMD(slot, id, n int, sched Schedule) {
+	k := &spmdKey{n, sched}
+	if ls.key.CompareAndSwap(nil, k) {
+		return
+	}
+	if first := ls.key.Load(); *first != *k {
 		panic(fmt.Sprintf(
 			"pyjama: SPMD mismatch at worksharing construct %d: thread %d passed (n=%d, %v) but the first-arriving member registered (n=%d, %v); every team member must encounter the same worksharing sequence",
-			slot, tc.id, n, resolved, ls.n, ls.sched))
+			slot, id, n, sched, first.n, first.sched))
 	}
-	return ls
 }
 
 // For executes body(i) for every i in [0, n) distributed over the team
@@ -186,16 +188,11 @@ func (tc *TC) For(n int, sched Schedule, body func(i int)) {
 	tc.Barrier()
 }
 
-// ForNoWait is "#omp for nowait": no barrier at loop end.
+// ForNoWait is "#omp for nowait": no barrier at loop end. It is
+// eachChunk with a per-index body.
 func (tc *TC) ForNoWait(n int, sched Schedule, body func(i int)) {
-	if c, fast := tc.staticFastChunk(n, sched); fast {
-		for i := c.Lo; i < c.Hi; i++ {
-			body(i)
-		}
-		return
-	}
-	tc.forEachChunk(n, sched, func(c core.Chunk) {
-		for i := c.Lo; i < c.Hi; i++ {
+	tc.eachChunk(n, sched, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			body(i)
 		}
 	})
@@ -211,122 +208,80 @@ func (tc *TC) ForChunked(n int, sched Schedule, body func(lo, hi int)) {
 }
 
 // eachChunk runs body once on each chunk of [0, n) this member gets
-// under the schedule, with no barrier.
+// under the schedule, with no barrier. Static chunks are arithmetic over
+// (n, team, id) and touch no shared state outside debug mode; the other
+// schedules claim off the loop's slot in the team's table. With debug on
+// (SetDebug / PYJAMA_DEBUG) every loop registers its (n, schedule), and a
+// member that passed a different pair panics instead of claiming against
+// its own.
 func (tc *TC) eachChunk(n int, sched Schedule, body func(lo, hi int)) {
-	if c, fast := tc.staticFastChunk(n, sched); fast {
-		if c.Len() > 0 {
-			body(c.Lo, c.Hi)
-		}
-		return
-	}
-	tc.forEachChunk(n, sched, func(c core.Chunk) { body(c.Lo, c.Hi) })
-}
-
-// staticFastChunk is the allocation-free fast path for schedule(static)
-// with the default block decomposition: each thread's block is pure
-// arithmetic over (n, team, id), so no team-shared loop state is
-// registered at all — no loopState allocation on first arrival, no
-// slot-table traffic, and (because the caller runs the body directly
-// instead of through forEachChunk's chunk closure) no per-call closure.
-// fast is false when the schedule needs the general machinery. The slot
-// is still consumed so later constructs pair correctly; Ordered creates
-// the slot's state lazily if it needs the sequencing counter. Debug mode
-// declines the fast path: the SPMD-mismatch check needs the registered
-// (n, sched) to compare against.
-func (tc *TC) staticFastChunk(n int, sched Schedule) (c core.Chunk, fast bool) {
-	resolved := sched.resolve()
-	if resolved.Kind != KindStatic || resolved.Chunk > 0 || spmdDebug.Load() {
-		return core.Chunk{}, false
-	}
+	r := tc.reg
+	slot := tc.wsCount
 	tc.wsCount++
-	c, ok := core.StaticBlock(n, tc.reg.n, tc.id)
-	if !ok {
-		return core.Chunk{}, true // fast path, but no iterations for us
+	if sched.Kind == KindRuntime {
+		sched = r.runtimeSched
 	}
-	ctr := &tc.reg.counters[tc.id]
-	ctr.chunks++
-	ctr.iters += int64(c.Len())
-	return c, true
-}
-
-func (tc *TC) forEachChunk(n int, sched Schedule, run func(core.Chunk)) {
-	ls := tc.loop(n, sched)
-	if n <= 0 {
-		return
+	debug := spmdDebug.Load()
+	var ls *loopState
+	if debug || sched.Kind != KindStatic {
+		ls = r.loops.at(slot)
 	}
-	ctr := &tc.reg.counters[tc.id]
-	claim := func(c core.Chunk) {
+	if debug {
+		ls.checkSPMD(slot, tc.id, n, sched)
+	}
+	ctr := &r.counters[tc.id]
+	claim := func(lo, hi int) {
 		ctr.chunks++
-		ctr.iters += int64(c.Len())
-		run(c)
+		ctr.iters += int64(hi - lo)
+		body(lo, hi)
 	}
-	switch ls.sched.Kind {
+	team := r.n
+	switch sched.Kind {
 	case KindStatic:
-		if ls.sched.Chunk <= 0 {
-			// Block decomposition: at most one chunk per thread, computed
-			// arithmetically (no per-call chunk-slice allocation).
-			if c, ok := core.StaticBlock(n, tc.reg.n, tc.id); ok {
-				claim(c)
+		if sched.Chunk <= 0 {
+			// Block decomposition: at most one chunk per member.
+			if c, ok := core.StaticBlock(n, team, tc.id); ok {
+				claim(c.Lo, c.Hi)
 			}
 			return
 		}
-		// Block-cyclic: thread t takes chunks t, t+T, t+2T, ...
-		chunk := ls.sched.Chunk
-		nchunks := (n + chunk - 1) / chunk
-		for ci := tc.id; ci < nchunks; ci += tc.reg.n {
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			claim(core.Chunk{Lo: lo, Hi: hi})
+		// Block-cyclic: member t takes chunks t, t+T, t+2T, ...
+		chunk := sched.Chunk
+		for lo := tc.id * chunk; lo < n; lo += team * chunk {
+			claim(lo, min(lo+chunk, n))
 		}
 	case KindDynamic:
-		chunk := ls.sched.Chunk
-		if chunk <= 0 {
-			chunk = 1
-		}
+		ls.dynamic(n, max(sched.Chunk, 1), claim)
+	case KindGuided:
+		// Each claim is one CAS on the cursor, sized from what is left;
+		// a failed CAS retries against the fresher cursor.
+		minChunk := max(sched.Chunk, 1)
 		for {
-			lo := int(ls.next.Add(int64(chunk))) - chunk
+			lo := int(ls.next.Load())
 			if lo >= n {
 				return
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			claim(core.Chunk{Lo: lo, Hi: hi})
-		}
-	case KindGuided:
-		// Contention-free guided: remaining is a single atomic and each
-		// claim is one CAS; a failed CAS just retries with the fresher
-		// remainder (no region or loop mutex on the claim path).
-		minChunk := int64(ls.sched.Chunk)
-		if minChunk <= 0 {
-			minChunk = 1
-		}
-		team := int64(tc.reg.n)
-		for {
-			rem := ls.remaining.Load()
-			if rem <= 0 {
-				return
-			}
-			size := rem / team
-			if size < minChunk {
-				size = minChunk
-			}
-			if size > rem {
-				size = rem
-			}
-			if ls.remaining.CompareAndSwap(rem, rem-size) {
-				lo := ls.n - int(rem)
-				claim(core.Chunk{Lo: lo, Hi: lo + int(size)})
+			hi := lo + min(max((n-lo)/team, minChunk), n-lo)
+			if ls.next.CompareAndSwap(int64(lo), int64(hi)) {
+				claim(lo, hi)
 			}
 		}
 	case KindAuto:
-		tc.runAuto(ls, claim)
+		tc.runAuto(ls, n, claim)
 	default:
 		panic("pyjama: unresolved schedule kind")
+	}
+}
+
+// dynamic claims chunk-sized pieces of [0, n) with one fetch-add each
+// until the cursor passes n.
+func (ls *loopState) dynamic(n, chunk int, claim func(lo, hi int)) {
+	for {
+		lo := int(ls.next.Add(int64(chunk))) - chunk
+		if lo >= n {
+			return
+		}
+		claim(lo, min(lo+chunk, n))
 	}
 }
 
@@ -349,14 +304,7 @@ func (tc *TC) Ordered(i int, fn func()) {
 	if slot < 0 {
 		panic("pyjama: Ordered outside a worksharing loop")
 	}
-	// getOrCreate, not get: a static block-decomposed loop takes the
-	// registration-free fast path in forEachChunk, so the slot's shared
-	// state may not exist yet. The first Ordered arrival creates it (only
-	// the sequencing fields matter here) and slot pairing hands every
-	// team member the same instance.
-	ls, _ := tc.reg.loopStash.get(&tc.reg.loops, slot, tc.id, func(ls *loopState) {
-		ls.ready(0, Static(0), tc.reg.n)
-	})
+	ls := tc.reg.loops.at(slot)
 	turn, b := int64(i), tc.reg.barrier
 	tc.reg.parkers[tc.id].ParkUntil(func() bool { return ls.onext.Load() == turn || b.Aborted() })
 	if ls.onext.Load() != turn {
