@@ -292,7 +292,7 @@ func (p *purityChecker) bodyPure(fn *types.Func, decl *ast.FuncDecl, info *types
 				fail("calls an impure function")
 				return false
 			}
-			if dst := appendDst(info, n); dst != nil && !freshValue(info, dst) {
+			if dst := AppendDst(info, n); dst != nil && !freshValue(info, dst) {
 				if root := RootIdent(dst); root != nil {
 					writesThrough(root)
 				} else {
@@ -449,10 +449,10 @@ func confinedSlice(body *ast.BlockStmt, info *types.Info, v *types.Var) bool {
 	return confined
 }
 
-// appendDst returns the slice a call to the builtin append may write
+// AppendDst returns the slice a call to the builtin append may write
 // into, with any reslicing stripped (xs in append(xs[:0], v)), or nil
 // when call is not an append.
-func appendDst(info *types.Info, call *ast.CallExpr) ast.Expr {
+func AppendDst(info *types.Info, call *ast.CallExpr) ast.Expr {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || len(call.Args) == 0 {
 		return nil

@@ -13,8 +13,10 @@
 package parcvet
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
+	"path"
 
 	"parc751/internal/parcvet/analysis"
 )
@@ -82,38 +84,37 @@ func namedTypeName(t types.Type) string {
 	return ""
 }
 
-// is reports whether c is the given package-level function.
-func (c callee) is(pkg, name string) bool {
-	return c.pkg == pkg && c.recv == "" && c.name == name
+// String renders the callee for diagnostics.
+func (c callee) String() string {
+	if c.recv != "" {
+		return fmt.Sprintf("(%s.%s).%s", path.Base(c.pkg), c.recv, c.name)
+	}
+	return path.Base(c.pkg) + "." + c.name
 }
 
-// isMethod reports whether c is the given method.
-func (c callee) isMethod(pkg, recv, name string) bool {
-	return c.pkg == pkg && c.recv == recv && c.name == name
-}
-
-// funcLitArg inspects the stack ending at a *ast.FuncLit: if the literal
-// is a direct argument of a call to a declared function/method, it
-// returns that callee and the argument index.
-func funcLitArg(info *types.Info, stack []ast.Node) (callee, int, bool) {
+// funcLitSlot inspects the stack ending at a *ast.FuncLit: if the
+// literal is an argument of a call that the catalogue gives a slot for
+// that argument, it returns the callee and the slot.
+func funcLitSlot(info *types.Info, stack []ast.Node) (callee, slot, bool) {
 	if len(stack) < 2 {
-		return callee{}, 0, false
+		return callee{}, slot{}, false
 	}
 	lit := stack[len(stack)-1]
 	call, ok := stack[len(stack)-2].(*ast.CallExpr)
 	if !ok {
-		return callee{}, 0, false
+		return callee{}, slot{}, false
 	}
 	c, ok := calleeOf(info, call)
 	if !ok {
-		return callee{}, 0, false
+		return callee{}, slot{}, false
 	}
 	for i, arg := range call.Args {
 		if ast.Unparen(arg) == lit {
-			return c, i, true
+			s, ok := slotOf(c, i)
+			return c, s, ok
 		}
 	}
-	return callee{}, 0, false
+	return callee{}, slot{}, false
 }
 
 // typeOf returns the static type of e, or nil.
@@ -133,52 +134,4 @@ func isAsyncTaskType(pass *analysis.Pass, comp *ast.CompositeLit) bool {
 	}
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Name() == "AsyncTask" && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgAndroid
-}
-
-// isWorksharingBody reports whether the callee/arg pair is the body
-// closure of a Pyjama worksharing construct or parallel region.
-func isWorksharingBody(c callee, arg int) bool {
-	switch {
-	case c.isMethod(pkgPyjama, "TC", "For") && arg == 2,
-		c.isMethod(pkgPyjama, "TC", "ForNoWait") && arg == 2,
-		c.isMethod(pkgPyjama, "TC", "ForChunked") && arg == 2,
-		c.isMethod(pkgPyjama, "TC", "For2D") && arg == 3,
-		c.isMethod(pkgPyjama, "TC", "For2DNoWait") && arg == 3,
-		c.isMethod(pkgPyjama, "TC", "ForRange") && arg == 3,
-		c.is(pkgPyjama, "ParallelFor") && arg == 3,
-		c.is(pkgPyjama, "ForReduce") && arg == 4,
-		c.is(pkgPyjama, "ForChunkedReduce") && arg == 4,
-		c.is(pkgPyjama, "ParallelForReduce") && arg == 4:
-		return true
-	}
-	return false
-}
-
-// isRegionBody reports whether the callee/arg pair is a parallel region
-// body (every team member runs it).
-func isRegionBody(c callee, arg int) bool {
-	switch {
-	case c.is(pkgPyjama, "Parallel") && arg == 1,
-		c.is(pkgPyjama, "ParallelWithStats") && arg == 1,
-		c.is(pkgPyjama, "Async") && arg == 2:
-		return true
-	}
-	return false
-}
-
-// isTaskBody reports whether the callee/arg pair is a closure that a task
-// or pool runs asynchronously.
-func isTaskBody(c callee, arg int) bool {
-	switch {
-	case c.is(pkgPtask, "Run") && arg == 1,
-		c.is(pkgPtask, "RunWith") && arg == 2,
-		c.is(pkgPtask, "RunAfter") && arg == 2,
-		c.is(pkgPtask, "RunMulti") && arg == 2,
-		c.is(pkgPtask, "Invoke") && arg == 1,
-		c.is(pkgPtask, "Then") && arg == 1,
-		c.isMethod(pkgCore, "Pool", "Submit") && arg == 0,
-		c.isMethod(pkgAndroid, "SerialExecutor", "Submit") && arg == 0:
-		return true
-	}
-	return false
 }

@@ -21,14 +21,15 @@ var BarrierMismatchAnalyzer = &analysis.Analyzer{
 	Name: "barriermismatch",
 	Doc: `report barriers/worksharing constructs under thread-divergent control flow
 
-Inside a pyjama.Parallel region body, constructs that synchronise the team
-(tc.Barrier, tc.Single, tc.Sections, tc.For and friends, ForReduce,
-ForChunkedReduce) must be
-encountered by every member. Placing one inside a branch conditioned on
-tc.ThreadNum() or tc.SingleNoWait(...), inside a Master/Single/Critical/
-Ordered closure, or inside another worksharing loop body means only part of
-the team arrives — the rest wait forever. Divergent branches are allowed if
-both arms encounter the same number of synchronising constructs.`,
+Inside a pyjama.Parallel region body, constructs the team pairs by
+per-member count (tc.Barrier, tc.Single, tc.SingleNoWait, tc.Sections,
+tc.For and friends, ForReduce, ForChunkedReduce) must be encountered by
+every member. Placing one inside a branch conditioned on tc.ThreadNum() or
+tc.SingleNoWait(...), inside a Master/Single/Critical/Ordered closure, or
+inside another worksharing body means only part of the team arrives: at a
+barrier the rest wait forever; at a nowait construct the members pair
+later constructs with the wrong instances. Divergent branches are allowed
+if both arms encounter the same number of such constructs.`,
 	Severity: report.Error,
 	Run:      runBarrierMismatch,
 }
@@ -37,7 +38,7 @@ func runBarrierMismatch(pass *analysis.Pass) error {
 	info := pass.TypesInfo
 	pass.Inspect.WithStack([]ast.Node{(*ast.FuncLit)(nil)}, func(n ast.Node, stack []ast.Node) bool {
 		lit := n.(*ast.FuncLit)
-		if c, arg, ok := funcLitArg(info, stack); ok && isRegionBody(c, arg) {
+		if _, s, ok := funcLitSlot(info, stack); ok && s.role == regionBody {
 			checkRegionBody(pass, lit)
 		}
 		return true
@@ -45,27 +46,13 @@ func runBarrierMismatch(pass *analysis.Pass) error {
 	return nil
 }
 
-// isBarriered reports whether the call synchronises the whole team (has
-// an implied or explicit barrier / SPMD pairing requirement).
-func isBarriered(c callee) bool {
-	switch {
-	case c.isMethod(pkgPyjama, "TC", "Barrier"),
-		c.isMethod(pkgPyjama, "TC", "Single"),
-		c.isMethod(pkgPyjama, "TC", "Sections"),
-		c.isMethod(pkgPyjama, "TC", "For"),
-		c.isMethod(pkgPyjama, "TC", "ForChunked"),
-		c.isMethod(pkgPyjama, "TC", "For2D"),
-		c.isMethod(pkgPyjama, "TC", "ForRange"),
-		c.is(pkgPyjama, "ForReduce"),
-		c.is(pkgPyjama, "ForChunkedReduce"):
-		return true
-	// NoWait variants still require SPMD pairing: every member must
-	// encounter them to claim its share of the iterations.
-	case c.isMethod(pkgPyjama, "TC", "ForNoWait"),
-		c.isMethod(pkgPyjama, "TC", "For2DNoWait"):
-		return true
+// skipped says what a member that skips a construct of this pairing does
+// to the rest of the team.
+func (p pairing) skipped() string {
+	if p == pairedNoWait {
+		return "members pair later constructs with the wrong instances, so work is skipped or repeated"
 	}
-	return false
+	return "the team deadlocks at the barrier"
 }
 
 // checkRegionBody walks one region body tracking divergent contexts.
@@ -81,15 +68,17 @@ func checkRegionBody(pass *analysis.Pass, body *ast.FuncLit) {
 					// A divergent branch is fine if both arms encounter
 					// the same number of synchronising constructs (the
 					// team pairs them by per-thread sequence number).
-					thenCount := countBarriered(info, n.Body)
+					thenCount, worst := countPaired(info, n.Body)
 					elseCount := 0
 					if n.Else != nil {
-						elseCount = countBarriered(info, n.Else)
+						var p pairing
+						elseCount, p = countPaired(info, n.Else)
+						worst = max(worst, p)
 					}
 					if thenCount != elseCount {
 						pass.Reportf(n.Pos(),
-							"branch on %s encounters %d team-synchronising construct(s) in one arm and %d in the other: members taking different arms pair different constructs and the team deadlocks; hoist the barrier out of the branch or balance the arms",
-							why, thenCount, elseCount)
+							"branch on %s encounters %d team-synchronising construct(s) in one arm and %d in the other: members taking different arms pair different constructs, and %s; hoist the construct out of the branch or balance the arms",
+							why, thenCount, elseCount, worst.skipped())
 					}
 					// Still walk the arms to catch deeper misuse, but
 					// without re-reporting balanced divergence.
@@ -130,9 +119,9 @@ func checkRegionBody(pass *analysis.Pass, body *ast.FuncLit) {
 				if !ok {
 					return true
 				}
-				if isBarriered(c) && divergent != "" {
+				if p := catalogue[c].paired; p != unpaired && divergent != "" {
 					pass.Reportf(n.Pos(),
-						"%s inside %s: only part of the team reaches it, the rest wait forever at the implied barrier/worksharing pairing", c, divergent)
+						"%s inside %s: only part of the team reaches it, so %s", c, divergent, p.skipped())
 				}
 				walk(n.Fun, divergent)
 				for i, a := range n.Args {
@@ -141,14 +130,12 @@ func checkRegionBody(pass *analysis.Pass, body *ast.FuncLit) {
 						walk(a, divergent)
 						continue
 					}
-					switch {
-					case isSerialisingBody(c, i):
+					switch s, _ := slotOf(c, i); s.role {
+					case serialBody:
 						walk(inner.Body, "a "+c.String()+" closure (runs on one member only)")
-					case c.isMethod(pkgPyjama, "TC", "Sections"):
-						walk(inner.Body, "a tc.Sections section (runs on one member only)")
-					case isWorksharingBody(c, i):
-						walk(inner.Body, "a worksharing loop body (iterations are divided, not replicated)")
-					case isRegionBody(c, i) || isTaskBody(c, i):
+					case memberWorkBody, sharedWorkBody:
+						walk(inner.Body, "a worksharing body (iterations are divided, not replicated)")
+					case regionBody, taskBody:
 						// A nested region/task gets its own team/thread:
 						// its body is a fresh SPMD context, checked when
 						// the inspector reaches that literal.
@@ -165,46 +152,41 @@ func checkRegionBody(pass *analysis.Pass, body *ast.FuncLit) {
 }
 
 // divergentCond reports whether the condition can evaluate differently on
-// different team members for structural (not data) reasons: it mentions
-// tc.ThreadNum() or claims a single slot via tc.SingleNoWait.
+// different team members for structural (not data) reasons: it calls
+// something whose result diverges between members, such as
+// tc.ThreadNum() or tc.SingleNoWait.
 func divergentCond(pass *analysis.Pass, cond ast.Expr) (string, bool) {
-	info := pass.TypesInfo
 	var why string
 	ast.Inspect(cond, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if why != "" {
+			return false
 		}
-		if c, ok := calleeOf(info, call); ok {
-			switch {
-			case c.isMethod(pkgPyjama, "TC", "ThreadNum"):
-				why = "tc.ThreadNum()"
-				return false
-			case c.isMethod(pkgPyjama, "TC", "SingleNoWait"):
-				why = "tc.SingleNoWait(...) (true on exactly one member)"
-				return false
+		if call, ok := n.(*ast.CallExpr); ok {
+			if c, ok := calleeOf(pass.TypesInfo, call); ok {
+				why = catalogue[c].diverges
 			}
 		}
-		return true
+		return why == ""
 	})
 	return why, why != ""
 }
 
-// countBarriered counts team-synchronising construct calls lexically
-// under n, not descending into nested function literals (their bodies are
-// separate contexts).
-func countBarriered(info *types.Info, n ast.Node) int {
-	count := 0
+// countPaired counts the team-paired construct calls lexically under n,
+// with the worst pairing among them, not descending into nested
+// function literals (their bodies are separate contexts).
+func countPaired(info *types.Info, n ast.Node) (int, pairing) {
+	count, worst := 0, unpaired
 	ast.Inspect(n, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if c, ok := calleeOf(info, call); ok && isBarriered(c) {
+			if c, ok := calleeOf(info, call); ok && catalogue[c].paired != unpaired {
 				count++
+				worst = max(worst, catalogue[c].paired)
 			}
 		}
 		return true
 	})
-	return count
+	return count, worst
 }

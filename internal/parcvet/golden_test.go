@@ -1,6 +1,7 @@
 package parcvet
 
 import (
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -68,6 +69,31 @@ func TestSuppression(t *testing.T) {
 	}
 	if unsuppressed != 1 {
 		t.Errorf("the reason-less directive must not suppress; want the n finding, got %v", findings)
+	}
+}
+
+// TestLoopIndexCaptureSeverity pins what the golden wants cannot: a
+// captured loop variable declared outside its loop is stale in every Go
+// version and reported as an error, while a header variable captured in
+// a pre-go1.22 file (pre122.go) is the teaching case, a warning.
+func TestLoopIndexCaptureSeverity(t *testing.T) {
+	root := moduleRootOrSkip(t)
+	l, err := loader.New(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := l.LoadDir(filepath.Join(root, "internal", "parcvet", "testdata", "src", "loopindexcapture"), "parcvettest/loopindexcapture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, f := range AnalyzePackage(l, pkg, []*analysis.Analyzer{LoopIndexCaptureAnalyzer}) {
+		file, _, _ := strings.Cut(filepath.Base(f.Pos), ":")
+		got[file+" "+f.Severity.String()]++
+	}
+	want := map[string]int{"bad.go error": 2, "pre122.go warning": 2}
+	if !maps.Equal(got, want) {
+		t.Errorf("findings by file and severity = %v, want %v", got, want)
 	}
 }
 

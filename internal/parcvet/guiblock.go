@@ -1,7 +1,6 @@
 package parcvet
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 
@@ -22,9 +21,9 @@ var GUIBlockAnalyzer = &analysis.Analyzer{
 A closure that runs on the event loop (eventloop.Loop.InvokeLater,
 pyjama.OnGUI, ptask Notify callbacks, android.Handler.Post, AsyncTask
 OnPostExecute/OnProgressUpdate) must not wait: calls that block — Future.Get,
-Task.Result, Pool.Quiesce, WaitAll, a synchronous pyjama.Parallel region,
-receiving from Done(), time.Sleep — freeze the UI. Offload with ptask or
-pyjama.Async and deliver results via Notify/OnGUI.`,
+Task.Result, Pool.Quiesce, Pool.HelpJoin, WaitAll, a synchronous
+pyjama.Parallel region, receiving from Done(), time.Sleep — freeze the UI.
+Offload with ptask or pyjama.Async and deliver results via Notify/OnGUI.`,
 	Severity: report.Error,
 	Run:      runGUIBlock,
 }
@@ -46,10 +45,8 @@ func runGUIBlock(pass *analysis.Pass) error {
 	handlers := map[*ast.FuncLit]string{}
 	pass.Inspect.WithStack([]ast.Node{(*ast.FuncLit)(nil)}, func(n ast.Node, stack []ast.Node) bool {
 		lit := n.(*ast.FuncLit)
-		if c, arg, ok := funcLitArg(info, stack); ok {
-			if desc, ok := guiHandlerContext(c, arg); ok {
-				handlers[lit] = desc
-			}
+		if _, s, ok := funcLitSlot(info, stack); ok && s.role == guiBody {
+			handlers[lit] = s.gui
 		}
 		// android.AsyncTask callback fields, assigned or set in a
 		// composite literal.
@@ -120,8 +117,7 @@ func scanHandlerBody(pass *analysis.Pass, handler *ast.FuncLit, desc string, goL
 			// <-t.Done() inside a handler blocks until completion.
 			if n.Op == token.ARROW {
 				if call, ok := ast.Unparen(n.X).(*ast.CallExpr); ok {
-					if c, ok := calleeOf(info, call); ok && c.name == "Done" &&
-						(c.isMethod(pkgCore, "Future", "Done") || c.isMethod(pkgPtask, "Task", "Done") || c.isMethod(pkgPtask, "MultiTask", "Done")) {
+					if c, ok := calleeOf(info, call); ok && catalogue[c].done {
 						pass.Reportf(n.Pos(), "receiving from %s blocks the GUI dispatch thread inside %s; use Notify to deliver the result back to the loop", c, desc)
 					}
 				}
@@ -132,14 +128,14 @@ func scanHandlerBody(pass *analysis.Pass, handler *ast.FuncLit, desc string, goL
 			if !ok {
 				return true
 			}
-			// A closure passed to a task/worksharing construct runs
-			// off-thread; do not descend into it from here.
-			if why, blocking := blockingCall(c); blocking {
+			if why := catalogue[c].blocks; why != "" {
 				pass.Reportf(n.Pos(), "call to %s %s inside %s; hand the work to ptask or pyjama.Async and return, delivering results via Notify/OnGUI", c, why, desc)
 			}
+			// A closure passed to a task/worksharing construct runs
+			// off-thread; do not descend into it from here.
 			for i, arg := range n.Args {
 				if inner, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
-					if isTaskBody(c, i) || isWorksharingBody(c, i) || isRegionBody(c, i) {
+					if s, _ := slotOf(c, i); s.role.parallel() {
 						goLaunched[inner] = true // reuse the skip set
 					}
 				}
@@ -148,82 +144,4 @@ func scanHandlerBody(pass *analysis.Pass, handler *ast.FuncLit, desc string, goL
 		}
 		return true
 	})
-}
-
-// guiHandlerContext classifies closures that the runtime delivers on an
-// event-dispatch thread.
-func guiHandlerContext(c callee, arg int) (string, bool) {
-	switch {
-	case c.isMethod(pkgEventloop, "Loop", "InvokeLater") && arg == 0:
-		return "an eventloop.InvokeLater handler", true
-	case c.isMethod(pkgEventloop, "Loop", "InvokeAndWait") && arg == 0:
-		return "an eventloop.InvokeAndWait handler", true
-	case c.is(pkgPyjama, "OnGUI") && arg == 1:
-		return "a pyjama.OnGUI callback", true
-	case c.is(pkgPyjama, "OnGUISync") && arg == 1:
-		return "a pyjama.OnGUISync callback", true
-	case c.is(pkgPyjama, "Async") && arg == 3:
-		return "a pyjama.Async completion callback (delivered on the event loop)", true
-	case c.isMethod(pkgPtask, "Task", "Notify") && arg == 0,
-		c.isMethod(pkgPtask, "MultiTask", "Notify") && arg == 0,
-		c.isMethod(pkgPtask, "MultiTask", "NotifyEach") && arg == 0,
-		c.isMethod(pkgPtask, "Progress", "Notify") && arg == 0:
-		return "a ptask Notify callback (delivered on the event loop)", true
-	case c.isMethod(pkgAndroid, "Handler", "Post") && arg == 0,
-		c.isMethod(pkgAndroid, "Handler", "PostAndWait") && arg == 0:
-		return "an android.Handler callback (runs on the main looper)", true
-	}
-	return "", false
-}
-
-// blockingCall classifies calls that park the calling goroutine until
-// other work completes.
-func blockingCall(c callee) (string, bool) {
-	switch {
-	case c.isMethod(pkgCore, "Future", "Get"):
-		return "waits for the future", true
-	case c.isMethod(pkgCore, "Pool", "Quiesce"):
-		return "waits for the whole pool to drain", true
-	case c.isMethod(pkgCore, "Pool", "Help"):
-		return "donates the calling thread to the pool until done", true
-	case c.isMethod(pkgPtask, "Task", "Result"):
-		return "waits for the task", true
-	case c.isMethod(pkgPtask, "MultiTask", "Results"):
-		return "waits for every subtask", true
-	case c.is(pkgPtask, "WaitAll"):
-		return "waits for all dependences", true
-	case c.is(pkgPyjama, "Parallel"), c.is(pkgPyjama, "ParallelWithStats"),
-		c.is(pkgPyjama, "ParallelFor"), c.is(pkgPyjama, "ParallelForReduce"):
-		return "runs a synchronous parallel region to completion", true
-	case c.isMethod(pkgAndroid, "AsyncTask", "Get"):
-		return "waits for the AsyncTask", true
-	case c.isMethod(pkgAndroid, "SerialExecutor", "Wait"):
-		return "waits for the executor to drain", true
-	case c.isMethod(pkgEventloop, "Loop", "Probe"):
-		return "synchronously measures the loop for the whole probe duration", true
-	case c.pkg == "time" && c.recv == "" && c.name == "Sleep":
-		return "sleeps", true
-	}
-	return "", false
-}
-
-// String renders the callee for diagnostics.
-func (c callee) String() string {
-	short := c.pkg
-	if i := lastSlash(c.pkg); i >= 0 {
-		short = c.pkg[i+1:]
-	}
-	if c.recv != "" {
-		return fmt.Sprintf("(%s.%s).%s", short, c.recv, c.name)
-	}
-	return fmt.Sprintf("%s.%s", short, c.name)
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

@@ -1,11 +1,11 @@
 package parcvet
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"go/version"
-	"slices"
 
 	"parc751/internal/parcvet/analysis"
 	"parc751/internal/report"
@@ -29,7 +29,8 @@ variable in such a closure is the textbook stale-index bug: by the time
 the task runs, the variable holds a later iteration's value. That holds
 in every Go version for a variable declared outside the loop, and before
 Go 1.22 for one declared in the loop header, so header variables are
-reported only in files older than go1.22. Pass the value to the task as a
+reported only in files older than go1.22, and as warnings; a variable
+declared outside the loop is an error. Pass the value to the task as a
 parameter.`,
 	Severity: report.Warning,
 	Run:      runLoopIndexCapture,
@@ -47,7 +48,7 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 		// Shared loop variables of loops enclosing the launch site.
 		file := stack[0].(*ast.File)
 		perIteration := version.Compare(info.FileVersions[file], "go1.22") >= 0
-		loops := enclosingLoopVars(info, stack, lit, perIteration)
+		loops := enclosingLoopVars(info, stack, perIteration)
 		if len(loops) == 0 {
 			return true
 		}
@@ -62,10 +63,17 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 			if obj == nil || reported[obj] {
 				return true
 			}
-			if slices.Contains(loops, obj) {
+			if outside, ok := loops[obj]; ok {
 				reported[obj] = true
-				pass.Reportf(id.Pos(), "closure %s captures loop variable %s, which every iteration shares: the task may run after the loop advances it and observe a stale value; pass the value to the task as a parameter",
-					why, id.Name)
+				// Declared outside the loop, it is stale in every Go
+				// version: a real bug, not the pre-go1.22 lesson.
+				sev := report.Warning
+				if outside {
+					sev = report.Error
+				}
+				pass.Report(analysis.Diagnostic{Pos: id.Pos(), Severity: sev, HasSeverity: true, Message: fmt.Sprintf(
+					"closure %s captures loop variable %s, which every iteration shares: the task may run after the loop advances it and observe a stale value; pass the value to the task as a parameter",
+					why, id.Name)})
 			}
 			return true
 		})
@@ -81,11 +89,8 @@ func runLoopIndexCapture(pass *analysis.Pass) error {
 // statement in sequential code is gopls/vet territory; parcvet cares
 // about the course's constructs.)
 func asyncLaunch(info *types.Info, stack []ast.Node) (bool, string) {
-	if c, arg, ok := funcLitArg(info, stack); ok {
-		if isTaskBody(c, arg) {
-			return true, "passed to " + c.String()
-		}
-		return false, ""
+	if c, s, ok := funcLitSlot(info, stack); ok && s.role == taskBody {
+		return true, "passed to " + c.String()
 	}
 	if len(stack) >= 3 {
 		if call, ok := stack[len(stack)-2].(*ast.CallExpr); ok && call.Fun == stack[len(stack)-1] {
@@ -98,17 +103,14 @@ func asyncLaunch(info *types.Info, stack []ast.Node) (bool, string) {
 }
 
 // insideParallelConstruct reports whether any function literal on the
-// stack is a worksharing / region / task / sections body.
+// stack is a worksharing, region or task body.
 func insideParallelConstruct(info *types.Info, stack []ast.Node) bool {
 	for i, n := range stack {
 		if _, ok := n.(*ast.FuncLit); !ok {
 			continue
 		}
-		if c, arg, ok := funcLitArg(info, stack[:i+1]); ok {
-			if isWorksharingBody(c, arg) || isRegionBody(c, arg) || isTaskBody(c, arg) ||
-				c.isMethod(pkgPyjama, "TC", "Sections") {
-				return true
-			}
+		if _, s, ok := funcLitSlot(info, stack[:i+1]); ok && s.role.parallel() {
+			return true
 		}
 	}
 	return false
@@ -117,41 +119,35 @@ func insideParallelConstruct(info *types.Info, stack []ast.Node) bool {
 // enclosingLoopVars collects the variables assigned by the header of
 // every for/range statement on the stack below the innermost enclosing
 // function boundary (a loop outside the enclosing closure cannot
-// interleave with it). A variable declared outside the loop and assigned
-// by its header — the `var i int; for i = 0; …` form — is shared by every
-// iteration in any Go version; one the header declares is skipped when
-// perIteration says the file's Go version gives each iteration its own.
-func enclosingLoopVars(info *types.Info, stack []ast.Node, lit *ast.FuncLit, perIteration bool) []types.Object {
-	var out []types.Object
-	// Walk outward; stop at the first function boundary other than lit
-	// itself (loops beyond it run on a different activation record).
+// interleave with it), each mapped to whether it is declared outside its
+// loop. Such a variable — the `var i int; for i = 0; …` form — is shared
+// by every iteration in any Go version; one the header declares is
+// skipped when perIteration says the file's Go version gives each
+// iteration its own.
+func enclosingLoopVars(info *types.Info, stack []ast.Node, perIteration bool) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	// Walk outward from the literal's parent; stop at the first function
+	// boundary (loops beyond it run on a different activation record).
 	for i := len(stack) - 2; i >= 0; i-- {
+		var tok token.Token
+		var vars []ast.Expr
 		switch n := stack[i].(type) {
 		case *ast.FuncLit, *ast.FuncDecl:
 			return out
 		case *ast.ForStmt:
-			if init, ok := n.Init.(*ast.AssignStmt); ok && !(perIteration && init.Tok == token.DEFINE) {
-				for _, lhs := range init.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					if obj := info.ObjectOf(id); obj != nil {
-						out = append(out, obj)
-					}
-				}
+			if init, ok := n.Init.(*ast.AssignStmt); ok {
+				tok, vars = init.Tok, init.Lhs
 			}
 		case *ast.RangeStmt:
-			if perIteration && n.Tok == token.DEFINE {
-				continue
-			}
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				id, ok := e.(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
+			tok, vars = n.Tok, []ast.Expr{n.Key, n.Value}
+		}
+		if perIteration && tok == token.DEFINE {
+			continue
+		}
+		for _, e := range vars {
+			if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
 				if obj := info.ObjectOf(id); obj != nil {
-					out = append(out, obj)
+					out[obj] = tok != token.DEFINE
 				}
 			}
 		}

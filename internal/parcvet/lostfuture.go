@@ -21,7 +21,7 @@ var LostFutureAnalyzer = &analysis.Analyzer{
 	Name: "lostfuture",
 	Doc: `report ptask futures that are never awaited
 
-A value returned by ptask.Run/RunWith/RunAfter/RunMulti/Invoke/Then
+A value returned by ptask.Run/RunWith/RunAfter/RunCtx/RunMulti/Invoke/Then
 carries the task's result and error. Discarding it, or returning from the
 function on some path without consuming it (Result, Results, Done,
 Notify, Cancel, use as a dependence, or passing it on), loses the error —
@@ -31,20 +31,9 @@ and the lab's deliberately-failing tasks go unnoticed. Futures that escape the f
 	Run:      runLostFuture,
 }
 
-// futureCreators produce a value that must eventually be consumed.
-func isFutureCreator(c callee) bool {
-	switch {
-	case c.is(pkgPtask, "Run"), c.is(pkgPtask, "RunWith"), c.is(pkgPtask, "RunAfter"),
-		c.is(pkgPtask, "RunMulti"), c.is(pkgPtask, "Invoke"),
-		c.is(pkgPtask, "Then"):
-		return true
-	}
-	return false
-}
-
 // consumingMethods, called on a task/future value, count as awaiting it.
 var consumingMethods = map[string]bool{
-	"Result": true, "Results": true, "Get": true, "TryGet": true,
+	"Result": true, "Results": true, "Get": true,
 	"Done": true, "IsDone": true, "Notify": true, "NotifyEach": true,
 	"Cancel": true, "Tasks": true,
 }
@@ -65,7 +54,7 @@ func runLostFuture(pass *analysis.Pass) error {
 	pass.Inspect.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, stack []ast.Node) bool {
 		call := n.(*ast.CallExpr)
 		c, ok := calleeOf(info, call)
-		if !ok || !isFutureCreator(c) {
+		if !ok || !catalogue[c].future {
 			return true
 		}
 		fnBody, createStmt := enclosingFunc(stack)

@@ -95,28 +95,33 @@ func checkReducerLiteral(pass *analysis.Pass, comp *ast.CompositeLit) {
 	}
 }
 
-// checkCombinePurity flags combiners that write captured state.
+// checkCombinePurity flags combiners that write captured state: an
+// assignment or ++ through it, or an append into it (append(buf[:0], v)
+// writes buf's backing array). Each variable is reported once, so
+// `buf = append(buf, v)` is one finding.
 func checkCombinePurity(pass *analysis.Pass, combine *ast.FuncLit) {
 	info := pass.TypesInfo
-	report := func(root *ast.Ident, pos token.Pos) {
-		pass.Reportf(pos,
-			"reduction combiner mutates captured variable %q: per-thread partial folds run concurrently, so the combiner must touch only its arguments; carry the state in the accumulator type instead", root.Name)
+	reported := map[*types.Var]bool{}
+	check := func(target ast.Expr) {
+		if root := parcpar.RootIdent(target); root != nil {
+			if v, ok := info.ObjectOf(root).(*types.Var); ok && !parcpar.DeclaredWithin(v, combine) && !reported[v] {
+				reported[v] = true
+				pass.Reportf(target.Pos(),
+					"reduction combiner mutates captured variable %q: per-thread partial folds run concurrently, so the combiner must touch only its arguments; carry the state in the accumulator type instead", root.Name)
+			}
+		}
 	}
 	ast.Inspect(combine.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if root := parcpar.RootIdent(lhs); root != nil {
-					if v, ok := info.ObjectOf(root).(*types.Var); ok && !parcpar.DeclaredWithin(v, combine) {
-						report(root, lhs.Pos())
-					}
-				}
+				check(lhs)
 			}
 		case *ast.IncDecStmt:
-			if root := parcpar.RootIdent(n.X); root != nil {
-				if v, ok := info.ObjectOf(root).(*types.Var); ok && !parcpar.DeclaredWithin(v, combine) {
-					report(root, n.X.Pos())
-				}
+			check(n.X)
+		case *ast.CallExpr:
+			if dst := parcpar.AppendDst(info, n); dst != nil {
+				check(dst)
 			}
 		}
 		return true

@@ -25,11 +25,12 @@ Closures passed to pyjama worksharing constructs (tc.For, ParallelFor,
 ForReduce, ForChunkedReduce bodies), parallel region bodies, and
 ptask/pool task bodies run concurrently. Writing a variable captured
 from outside the concurrency boundary races unless the write is
-serialised. The boundary is per-construct: a tc.For body closure is
-created by each team member, so anything declared in the member's own
-frame (the region body, a helper taking the tc) is private; a
-pyjama.Parallel region body or ParallelFor body is one closure shared by
-the whole team, so only its own locals are private; a task closure created inside a loop owns that iteration's
+serialised. The boundary is per-construct: a tc.For or ForReduce body
+closure is created by each team member, so anything declared in the
+member's own frame (the region body, a helper taking the tc) is private;
+a pyjama.Parallel region body or ParallelFor body is one closure shared
+by the whole team, so only its own locals are private; a task closure
+created inside a loop owns that iteration's
 locals. Recognised-safe patterns: element writes that parcpar's
 dependence test keeps in their own iteration (index i, i±c or i*S+j over
 the construct's iteration parameters, and no access to the same slice at
@@ -49,7 +50,7 @@ func runSharedWrite(pass *analysis.Pass) error {
 	info := pass.TypesInfo
 	pass.Inspect.WithStack([]ast.Node{(*ast.FuncLit)(nil)}, func(n ast.Node, stack []ast.Node) bool {
 		lit := n.(*ast.FuncLit)
-		c, arg, ok := funcLitArg(info, stack)
+		c, s, ok := funcLitSlot(info, stack)
 		if !ok {
 			return true
 		}
@@ -57,25 +58,23 @@ func runSharedWrite(pass *analysis.Pass) error {
 		// other executions of this closure — the concurrency boundary.
 		localNodes := []ast.Node{lit}
 		var kind string
-		switch {
-		case isTCWorksharingBody(c, arg) || c.isMethod(pkgPyjama, "TC", "Sections"):
+		switch s.role {
+		case memberWorkBody:
 			// SPMD: each member executes the enclosing region body (or a
 			// helper that received the tc) in its own frame and builds its
 			// own closure instance there. Locals of that frame are
 			// per-member; only captures from beyond it are shared.
-			if kind = "worksharing body " + c.String(); c.recv == "TC" && c.name == "Sections" {
-				kind = "sections body"
-			}
+			kind = "worksharing body " + c.String()
 			if fn := enclosingFunction(stack[:len(stack)-1]); fn != nil {
 				localNodes = append(localNodes, fn)
 			}
-		case isWorksharingBody(c, arg):
-			// ParallelFor / ForReduce-style package-level constructs: one
-			// closure shared by the whole team.
+		case sharedWorkBody:
+			// ParallelFor and ParallelForReduce: one closure shared by the
+			// whole team.
 			kind = "worksharing body " + c.String()
-		case isRegionBody(c, arg):
+		case regionBody:
 			kind = "parallel region body " + c.String()
-		case isTaskBody(c, arg):
+		case taskBody:
 			kind = "task body " + c.String()
 			// A task closure built inside a loop captures that iteration's
 			// locals — fresh per instance, so not shared between tasks.
@@ -83,43 +82,23 @@ func runSharedWrite(pass *analysis.Pass) error {
 		default:
 			return true
 		}
-		checkConcurrentBody(pass, lit, kind, localNodes, iterationParams(info, c, arg, lit))
+		checkConcurrentBody(pass, lit, kind, localNodes, iterationParams(info, s, lit))
 		return true
 	})
 	return nil
 }
 
-// iterationParams returns the body parameters that name one iteration of
-// a worksharing construct or ptask.RunMulti: both of For2D's (i, j), the
-// chunk bounds (lo, hi) of ForChunked and ForChunkedReduce, the first
-// parameter of every other construct. The reductions' last parameter is
+// iterationParams returns the body parameters that name one iteration,
+// the slot's leading iters of them. The reductions' last parameter is
 // the member's accumulator, which two members can share a value of.
-// Other bodies have none.
-func iterationParams(info *types.Info, c callee, arg int, lit *ast.FuncLit) []types.Object {
-	if !isWorksharingBody(c, arg) && !(c.is(pkgPtask, "RunMulti") && arg == 2) {
-		return nil
-	}
+func iterationParams(info *types.Info, s slot, lit *ast.FuncLit) []types.Object {
 	var params []types.Object
 	for _, field := range lit.Type.Params.List {
 		for _, name := range field.Names {
 			params = append(params, info.Defs[name])
 		}
 	}
-	switch c.name {
-	case "For2D", "For2DNoWait", "ForChunked":
-	case "ForChunkedReduce":
-		params = params[:min(len(params), 2)]
-	default:
-		params = params[:min(len(params), 1)]
-	}
-	return params
-}
-
-// isTCWorksharingBody reports whether the callee/arg pair is the body of a
-// TC-method worksharing construct (closure built per member, SPMD-style),
-// as opposed to the package-level constructs that share one closure.
-func isTCWorksharingBody(c callee, arg int) bool {
-	return c.recv == "TC" && isWorksharingBody(c, arg)
+	return params[:min(len(params), s.iters)]
 }
 
 // enclosingFunction returns the innermost function declaration or literal
@@ -176,14 +155,13 @@ func checkConcurrentBody(pass *analysis.Pass, body *ast.FuncLit, kind string, lo
 						walk(a, serialised)
 						continue
 					}
+					s, _ := slotOf(c, i)
 					switch {
-					case isSerialisingBody(c, i):
+					case s.role == serialBody || s.role == guiBody:
+						// Exclusive, one member, or the one dispatch
+						// thread that delivers everything in order.
 						walk(inner.Body, true)
-					case isGUIDelivered(c, i):
-						// Everything the loop delivers runs on the one
-						// dispatch thread, in order.
-						walk(inner.Body, true)
-					case isWorksharingBody(c, i) || isRegionBody(c, i) || isTaskBody(c, i) || c.isMethod(pkgPyjama, "TC", "Sections"):
+					case s.role.parallel():
 						// A nested parallel construct: runSharedWrite
 						// scans it as its own context.
 					default:
@@ -220,27 +198,6 @@ func containsFuncLitArg(call *ast.CallExpr) bool {
 		}
 	}
 	return false
-}
-
-// isSerialisingBody reports whether the callee/arg pair executes the
-// closure with mutual exclusion (or exactly-once) semantics.
-func isSerialisingBody(c callee, arg int) bool {
-	switch {
-	case c.isMethod(pkgPyjama, "TC", "Critical") && arg == 1,
-		c.isMethod(pkgPyjama, "TC", "Single") && arg == 0,
-		c.isMethod(pkgPyjama, "TC", "SingleNoWait") && arg == 0,
-		c.isMethod(pkgPyjama, "TC", "Master") && arg == 0,
-		c.isMethod(pkgPyjama, "TC", "Ordered") && arg == 1:
-		return true
-	}
-	return false
-}
-
-// isGUIDelivered reports whether the callee/arg pair is a closure the
-// runtime delivers on the single event-dispatch thread.
-func isGUIDelivered(c callee, arg int) bool {
-	_, ok := guiHandlerContext(c, arg)
-	return ok
 }
 
 // checkWrite analyses one assignment target inside a concurrent body.
@@ -386,17 +343,8 @@ func mutexOp(info *types.Info, s ast.Stmt) string {
 	if !ok {
 		return ""
 	}
-	c, ok := calleeOf(info, call)
-	if !ok || c.pkg != "sync" || (c.recv != "Mutex" && c.recv != "RWMutex") {
-		return ""
-	}
-	switch c.name {
-	case "Lock":
-		return "Lock"
-	case "Unlock":
-		return "Unlock"
-	}
-	return ""
+	c, _ := calleeOf(info, call)
+	return catalogue[c].mutex
 }
 
 // perExecutionIndex reports whether the index expression goes through
@@ -415,7 +363,7 @@ func perExecutionIndex(pass *analysis.Pass, body *ast.FuncLit, idx ast.Expr, loc
 				distinct = true
 			}
 		case *ast.CallExpr:
-			if c, ok := calleeOf(info, n); ok && c.isMethod(pkgPyjama, "TC", "ThreadNum") {
+			if c, ok := calleeOf(info, n); ok && catalogue[c].memberID {
 				distinct = true
 			}
 		}

@@ -59,3 +59,26 @@ func barrierInChunkedReduce(xs []int) {
 		})
 	})
 }
+
+// singleNoWaitOnOne reaches a nowait single on member 0 only: no member
+// waits, but the others pair their next single with the wrong instance.
+func singleNoWaitOnOne(f func()) {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		if tc.ThreadNum() == 0 { // want `encounters 1 team-synchronising construct.*work is skipped or repeated`
+			tc.SingleNoWait(f)
+		}
+		tc.SingleNoWait(f)
+	})
+}
+
+// barrierWhenLogging lets member 0 reach the barrier alone whenever
+// logging is on.
+func barrierWhenLogging() {
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		if tc.ThreadNum() == 0 && logging() { // want `branch on tc.ThreadNum\(\) encounters 1`
+			tc.Barrier()
+		}
+	})
+}
+
+func logging() bool { return true }

@@ -5,6 +5,7 @@ package guiblock
 import (
 	"time"
 
+	"parc751/internal/core"
 	"parc751/internal/eventloop"
 	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
@@ -31,5 +32,12 @@ func regionInNotify(rt *ptask.Runtime, xs []int) {
 		pyjama.Parallel(2, func(tc *pyjama.TC) { // want `runs a synchronous parallel region`
 			tc.For(len(xs), pyjama.Static(0), func(i int) { _ = xs[i] })
 		})
+	})
+}
+
+// helpOnGUI turns the dispatch thread into a pool worker until j is done.
+func helpOnGUI(p *core.Pool, j core.Joinable, loop *eventloop.Loop) {
+	_ = loop.InvokeLater(func() {
+		p.HelpJoin(j) // want `call to \(core.Pool\).HelpJoin donates the calling thread`
 	})
 }

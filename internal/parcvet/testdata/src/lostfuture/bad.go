@@ -2,7 +2,11 @@
 // awaited.
 package lostfuture
 
-import "parc751/internal/ptask"
+import (
+	"context"
+
+	"parc751/internal/ptask"
+)
 
 func discarded(rt *ptask.Runtime) {
 	ptask.Run(rt, func() (int, error) { return 1, nil }) // want `is discarded`
@@ -26,4 +30,8 @@ func multiDiscarded(rt *ptask.Runtime) {
 
 func withDiscarded(rt *ptask.Runtime) {
 	ptask.RunWith(rt, 7, func(n int) (int, error) { return n * 2, nil }) // want `is discarded`
+}
+
+func ctxDiscarded(rt *ptask.Runtime, ctx context.Context) {
+	ptask.RunCtx(rt, ctx, func(context.Context) (int, error) { return 8, nil }) // want `result of ptask.RunCtx is discarded`
 }

@@ -66,3 +66,17 @@ func impureChunkedCombine(xs []int) int {
 	})
 	return out + merges
 }
+
+// appendCombine appends into a captured scratch slice: append(buf[:0], …)
+// writes buf's backing array from every member's merge at once.
+func appendCombine(xs []int) int {
+	buf := make([]int, 0, 4)
+	r := reduction.Reducer[int]{
+		Identity: func() int { return 0 },
+		Combine: func(a, b int) int {
+			_ = append(buf[:0], a) // want `combiner mutates captured variable "buf"`
+			return a + b
+		},
+	}
+	return reduction.Fold(r, xs)
+}

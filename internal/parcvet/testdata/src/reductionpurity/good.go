@@ -35,3 +35,13 @@ func freshMaps(parts []map[string]int) map[string]int {
 	}
 	return reduction.Fold(r, parts)
 }
+
+// concat appends into the combiner's own first argument, the stock
+// reduction.Append shape: the accumulator is the member's to grow.
+func concat(parts [][]int) []int {
+	r := reduction.Reducer[[]int]{
+		Identity: func() []int { return nil },
+		Combine:  func(a, b []int) []int { return append(a, b...) },
+	}
+	return reduction.Fold(r, parts)
+}

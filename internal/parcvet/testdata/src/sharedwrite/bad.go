@@ -3,6 +3,8 @@
 package sharedwrite
 
 import (
+	"context"
+
 	"parc751/internal/ptask"
 	"parc751/internal/pyjama"
 	"parc751/internal/reduction"
@@ -117,4 +119,31 @@ func chunkedAccumulatorIndex(xs []int, seen []bool) {
 			return acc
 		})
 	})
+}
+
+// ctxTaskSum adds into a captured total from a context-aware task: every
+// task body runs on a pool worker at once.
+func ctxTaskSum(rt *ptask.Runtime, xs []int) int {
+	total := 0
+	for _, x := range xs {
+		t := ptask.RunCtx(rt, context.Background(), func(context.Context) (int, error) {
+			total += x // want `write to captured variable "total" in task body ptask.RunCtx`
+			return x, nil
+		})
+		t.Notify(func(int, error) {})
+	}
+	return total
+}
+
+// racySections counts from two sections: each section runs on one
+// member, but different sections run on different members at once.
+func racySections() int {
+	n := 0
+	pyjama.Parallel(2, func(tc *pyjama.TC) {
+		tc.Sections(
+			func() { n++ }, // want `write to captured variable "n" in worksharing body \(pyjama.TC\).Sections`
+			func() { n++ }, // want `write to captured variable "n"`
+		)
+	})
+	return n
 }

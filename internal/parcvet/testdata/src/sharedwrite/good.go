@@ -158,3 +158,19 @@ func chunkEnds(xs []int, last []bool) int {
 	})
 	return total
 }
+
+// memberCount counts each member's iterations in a region-body local:
+// every member calls ForReduce with a closure it built itself, so the
+// local it writes is its own.
+func memberCount(xs []int) int {
+	var out int
+	pyjama.Parallel(4, func(tc *pyjama.TC) {
+		mine := 0
+		s := pyjama.ForReduce(tc, len(xs), pyjama.Static(0), reduction.Sum[int](), func(i, acc int) int {
+			mine++
+			return acc + xs[i]
+		})
+		tc.Master(func() { out = s + mine })
+	})
+	return out
+}
